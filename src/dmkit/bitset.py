@@ -60,10 +60,6 @@ def family_to_bitmap(masks) -> int:
     return bm
 
 
-def bitmap_to_masks(bm: int) -> list[int]:
-    return list(iter_bits(bm))
-
-
 def up_closure(bm: int, n: int) -> int:
     """Bitmap of all supersets of members of bm."""
     for i in range(n):

@@ -9,7 +9,9 @@ family and is skipped (improper).
 from __future__ import annotations
 
 import json
+import os
 import random
+import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
@@ -28,7 +30,7 @@ from .stacks import classify_stack
 
 CENSUS_LABELS = "abcdefgh"
 EXHAUSTIVE_CAP = 4
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 DEFAULT_CHUNK = 1 << 24
 
 
@@ -477,7 +479,7 @@ def run_streaming(
     discrepancies: list[dict] = []
     index = start
     if checkpoint_path:
-        loaded = _load_checkpoint(checkpoint_path, n, theorem_id)
+        loaded = _load_checkpoint(checkpoint_path, n, theorem_id, start, end, max_witnesses)
         if loaded is not None:
             index, totals, discrepancies = loaded
     while index < end:
@@ -501,7 +503,16 @@ def run_streaming(
             )
         index = round_end
         if checkpoint_path:
-            _save_checkpoint(checkpoint_path, n, theorem_id, index, totals, discrepancies)
+            _save_checkpoint(checkpoint_path, {
+                "version": CHECKPOINT_VERSION,
+                "n": n,
+                "theorem": theorem_id,
+                "start": start,
+                "max_witnesses": max_witnesses,
+                "next_index": index,
+                "totals": totals,
+                "discrepancies": discrepancies,
+            })
     del discrepancies[max_witnesses:]
     return CensusReport(
         n=n, mode=f"streaming[{start},{end})", theorem=theorem_id,
@@ -509,20 +520,30 @@ def run_streaming(
     )
 
 
-def _save_checkpoint(path, n, theorem_id, next_index, totals, discrepancies) -> None:
-    doc = {
-        "version": CHECKPOINT_VERSION,
-        "n": n,
-        "theorem": theorem_id,
-        "next_index": next_index,
-        "totals": totals,
-        "discrepancies": discrepancies,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+def _save_checkpoint(path, doc: dict) -> None:
+    """Write the checkpoint to a temporary file beside it, then rename it
+    over the old one, so a run killed mid-write leaves the previous
+    checkpoint intact."""
+    fd, tmp = tempfile.mkstemp(
+        prefix=os.path.basename(path) + ".", suffix=".tmp",
+        dir=os.path.dirname(os.path.abspath(path)),
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def _load_checkpoint(path, n, theorem_id):
+def _load_checkpoint(path, n, theorem_id, start, stop, max_witnesses):
+    """(next index, totals, discrepancies) of the run that wrote the
+    checkpoint, or None when there is none.  The run must be the same one:
+    a checkpoint from another theorem, start index or witness limit, or
+    one that is already past the requested stop, is refused."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -534,4 +555,16 @@ def _load_checkpoint(path, n, theorem_id):
         raise FormatError(f"checkpoint version {doc.get('version')} unsupported")
     if doc.get("n") != n or doc.get("theorem") != theorem_id:
         raise FormatError("checkpoint belongs to a different run")
+    if doc.get("start") != start:
+        raise FormatError(
+            f"checkpoint run started at index {doc.get('start')}, not {start}"
+        )
+    if doc.get("max_witnesses") != max_witnesses:
+        raise FormatError(
+            f"checkpoint run kept {doc.get('max_witnesses')} witnesses, not {max_witnesses}"
+        )
+    if doc["next_index"] > stop:
+        raise FormatError(
+            f"checkpoint is at index {doc['next_index']}, past the requested stop {stop}"
+        )
     return doc["next_index"], doc["totals"], doc["discrepancies"]

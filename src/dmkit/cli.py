@@ -230,7 +230,11 @@ def _print_report(report, args) -> None:
 
 def cmd_census_run(args) -> int:
     if args.n > 4 and args.mode == "exhaustive" and not args.long:
-        print("census: exhaustive n > 4 needs --long (hours-scale run)", file=sys.stderr)
+        print(
+            "census: exhaustive n > 4 needs --long (n = 5 is 2^32 families; exdelta "
+            "streams about 15 000 families/s per job on a Xeon core, about 3 days)",
+            file=sys.stderr,
+        )
         return EXIT_ERROR
     if args.mode == "exhaustive" and (args.long or args.resume or args.jobs > 1):
         report = run_streaming(
@@ -405,7 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=10000)
     p.add_argument("--no-dedupe", action="store_true",
                    help="evaluate every family index, not one per isomorphism class")
-    p.add_argument("--long", action="store_true", help="allow hours-scale runs")
+    p.add_argument("--long", action="store_true",
+                   help="allow exhaustive n = 5 runs (2^32 families, about 15 000 "
+                   "families/s per job for exdelta)")
     p.add_argument("--resume", default=None, help="checkpoint file for long runs")
     p.add_argument("--chunk", type=int, default=1 << 24)
     p.add_argument("--jobs", type=int, default=1,

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .bitset import iter_bits
-from .catalog import ExminorClassId, excluded_minor_set
+from .catalog import CatalogEntry, ExminorClassId, excluded_minor_set
 from .errors import FormatError, NotADeltaMatroidError
 from .matroid import Matroid
 from .minorscan import MinorWitness, has_minor_from
@@ -194,13 +195,16 @@ def is_binary_dm(system: SetSystem) -> tuple[bool, MinorWitness | None]:
     """
     if not system.is_delta_matroid():
         raise NotADeltaMatroidError("binary test is defined for delta-matroids")
-    targets = [
-        e
-        for e in excluded_minor_set(ExminorClassId.BINARY, system.n)
-        if e.name.startswith("P")
-    ]
-    witness = has_minor_from(system, targets)
+    witness = has_minor_from(system, _p_targets(system.n))
     return witness is None, witness
+
+
+@lru_cache(maxsize=None)
+def _p_targets(n: int) -> tuple[CatalogEntry, ...]:
+    """The twists of P1..P5 on at most n elements."""
+    return tuple(
+        e for e in excluded_minor_set(ExminorClassId.BINARY, n) if e.name.startswith("P")
+    )
 
 
 # -- matrix file format -------------------------------------------------

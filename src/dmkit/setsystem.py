@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from .bitset import format_members, iter_bits, permute_mask
+from .bitset import family_to_bitmap, format_members, iter_bits, permute_mask
 from .errors import (
     CapacityError,
     FormatError,
@@ -79,6 +79,12 @@ class SetSystem:
     @cached_property
     def sorted_masks(self) -> tuple[int, ...]:
         return tuple(sorted(self.masks, key=lambda m: (m.bit_count(), m)))
+
+    @cached_property
+    def family_bitmap(self) -> int:
+        """The feasible family as a bitmap over masks (bit m set when mask
+        m is feasible)."""
+        return family_to_bitmap(self.masks)
 
     @cached_property
     def size_signature(self) -> tuple[int, ...]:
@@ -227,7 +233,7 @@ class SetSystem:
         """True when the symmetric exchange axiom holds."""
         self._require_proper()
         if self.n <= PERMUTATION_CAP and len(self.masks) ** 2 > (1 << self.n):
-            return _se_holds_bitmap(sum(1 << m for m in self.masks), self.n)
+            return _se_holds_bitmap(self.family_bitmap, self.n)
         return self.se_violation() is None
 
     def min_sets(self) -> tuple[int, ...]:
@@ -283,11 +289,6 @@ class SetSystem:
                 return True
         return False
 
-    def relabel(self, mapping: dict[str, str]) -> SetSystem:
-        """Rename elements; mask encoding is unchanged."""
-        labels = tuple(mapping.get(e, e) for e in self.labels)
-        return SetSystem(labels, self.masks)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         fam = ";".join(
             ",".join(self.members(m)) or "-" for m in self.sorted_masks
@@ -296,25 +297,38 @@ class SetSystem:
 
 
 def _se_holds_bitmap(bm: int, n: int) -> bool:
-    """Exchange-axiom check in O(2^n n + |F|^2 n) using a flip table."""
-    size = 1 << n
-    flip1 = [0] * size
-    for w in range(size):
-        acc = 0
-        for i in range(n):
-            if bm >> (w ^ (1 << i)) & 1:
-                acc |= 1 << i
-        flip1[w] = acc
-    masks = [m for m in range(size) if bm >> m & 1]
+    """Exchange-axiom check on a family bitmap.
+
+    flips[w] is the mask of elements i with w ^ {i} feasible; a row is
+    filled the first time the pair loop needs it, so a family that fails
+    early costs a few rows instead of the whole 2^n * n table.
+    """
+    flips = [-1] * (1 << n)
+    bits = [1 << i for i in range(n)]
+    masks = list(iter_bits(bm))
     for x in masks:
-        fx = flip1[x]
+        fx = flips[x]
+        if fx < 0:
+            fx = 0
+            for b in bits:
+                if bm >> (x ^ b) & 1:
+                    fx |= b
+            flips[x] = fx
         for y in masks:
-            bad = (x ^ y) & ~fx
             d = x ^ y
+            bad = d & ~fx
             while bad:
                 ub = bad & -bad
                 bad ^= ub
-                if not d & flip1[x ^ ub] & ~ub:
+                w = x ^ ub
+                fw = flips[w]
+                if fw < 0:
+                    fw = 0
+                    for b in bits:
+                        if bm >> (w ^ b) & 1:
+                            fw |= b
+                    flips[w] = fw
+                if not d & fw & ~ub:
                     return False
     return True
 

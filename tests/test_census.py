@@ -93,6 +93,49 @@ class TestStreaming:
         with pytest.raises(FormatError):
             run_streaming(3, "exdelta", checkpoint_path=str(ck))
 
+    def test_checkpoint_from_another_range_rejected(self, tmp_path):
+        from dmkit.errors import FormatError
+
+        ck = tmp_path / "census.ckpt"
+        run_streaming(3, "exdelta", start=1, stop=200, chunk=50, checkpoint_path=str(ck))
+        with pytest.raises(FormatError):  # other start
+            run_streaming(3, "exdelta", start=100, stop=120, checkpoint_path=str(ck))
+        with pytest.raises(FormatError):  # checkpoint already past the stop
+            run_streaming(3, "exdelta", start=1, stop=120, checkpoint_path=str(ck))
+        with pytest.raises(FormatError):  # other witness limit
+            run_streaming(3, "exdelta", stop=256, max_witnesses=5, checkpoint_path=str(ck))
+
+    def test_checkpoint_range_refusal_exits_2(self, tmp_path, capsys):
+        from dmkit.cli import main
+
+        ck = tmp_path / "census.ckpt"
+        run_streaming(3, "exdelta", start=1, stop=200, max_witnesses=5,
+                      checkpoint_path=str(ck))
+        argv = ["census", "run", "--n", "3", "--theorem", "exdelta", "--resume", str(ck)]
+        assert main(argv) == 2
+        assert "witnesses" in capsys.readouterr().err
+
+    def test_interrupted_checkpoint_write_keeps_previous(self, tmp_path, monkeypatch):
+        import dmkit.census as census
+
+        ck = tmp_path / "census.ckpt"
+        ref = run_streaming(3, "exdelta", chunk=64)
+        run_streaming(3, "exdelta", stop=100, checkpoint_path=str(ck), chunk=50)
+        before = ck.read_text()
+
+        def killed_mid_write(doc, fh):
+            fh.write(json.dumps(doc)[:20])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(census.json, "dump", killed_mid_write)
+        with pytest.raises(KeyboardInterrupt):
+            run_streaming(3, "exdelta", stop=200, checkpoint_path=str(ck), chunk=50)
+        monkeypatch.undo()
+        assert ck.read_text() == before
+        assert [p.name for p in tmp_path.iterdir()] == [ck.name]
+        resumed = run_streaming(3, "exdelta", checkpoint_path=str(ck), chunk=64)
+        assert resumed.totals == ref.totals
+
     def test_parallel_jobs_match(self):
         single = run_streaming(3, "exdelta", chunk=32)
         multi = run_streaming(3, "exdelta", chunk=32, jobs=2)

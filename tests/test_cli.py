@@ -56,6 +56,17 @@ def test_check_json_witness_reverifies(u24_file, tmp_path, capsys):
     assert minor.is_isomorphic(make_named(w["target"]))
 
 
+def test_check_cap_below_ground_set_exit_2(tmp_path, capsys):
+    # S_5: not a delta-matroid, yet free of every excluded minor on <= 4
+    # elements; a cap of 4 must be refused, not answered "member"
+    path = tmp_path / "s5.json"
+    path.write_text('{"elements":["a","b","c","d","e"],"feasible":[[],["a","b","c","d","e"]]}')
+    assert main(["check", "--class", "delta", "--cap", "4", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cap 4" in captured.err
+    assert main(["check", "--class", "delta", str(path)]) == 1
+
+
 def test_check_hypothesis_violation_exit_2(t1_file):
     # T1 is not a delta-matroid, so the Higgs ambient fails
     assert main(["check", "--class", "higgs", t1_file]) == 2

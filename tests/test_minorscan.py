@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import random
+from itertools import combinations, permutations
+
+import numpy as np
 import pytest
 
+from dmkit import minorscan
+from dmkit.bitset import permute_mask
 from dmkit.catalog import CatalogEntry, ExminorClassId, excluded_minor_set, make_named
-from dmkit.errors import AmbientHypothesisError
+from dmkit.census import _canonical_index_table, family_system
+from dmkit.errors import AmbientHypothesisError, CapacityError
 from dmkit.matroid import uniform_matroid
-from dmkit.minorscan import classify_by_exminors, enumerate_minors, has_minor_from
+from dmkit.minorscan import (
+    MinorWitness,
+    classify_by_exminors,
+    enumerate_minors,
+    has_minor_from,
+)
 from dmkit.setsystem import SetSystem
 
 from conftest import random_system
@@ -126,3 +138,144 @@ class TestClassifiers:
         half_twist = make_named("S_4*{e1,e2}")
         ok, witness = classify_by_exminors(half_twist, ExminorClassId.MATROID_EQUICARDINAL)
         assert not ok and witness.target_name == "S_4*{e1,e2}"
+
+    def test_cap_below_ground_set_refused(self):
+        # S_5 is not a delta-matroid, but every excluded minor on at most
+        # four elements is missing from it: a cap of 4 must not say "member"
+        s5 = make_named("S_5")
+        with pytest.raises(CapacityError):
+            classify_by_exminors(s5, ExminorClassId.DELTA_MATROID, cap=4)
+        ok, witness = classify_by_exminors(s5, ExminorClassId.DELTA_MATROID, cap=5)
+        assert not ok and witness.target_name == "S_5"
+        assert classify_by_exminors(s5, ExminorClassId.DELTA_MATROID, cap=7)[1] == witness
+
+
+def object_scan(system: SetSystem, targets) -> MinorWitness | None:
+    """Reference scan: build every minor, largest first, in enumerate_minors
+    order, and compare it with each target by isomorphism."""
+    by_size: dict[int, list[CatalogEntry]] = {}
+    for t in targets:
+        if t.system.n <= system.n:
+            by_size.setdefault(t.system.n, []).append(t)
+    for m in sorted(by_size, reverse=True):
+        for dels, cons, minor in enumerate_minors(system, m):
+            for t in by_size[m]:
+                if minor.is_isomorphic(t.system):
+                    return MinorWitness(dels, cons, t.name)
+    return None
+
+
+def projection_witnesses(n: int, targets) -> dict[int, tuple[int, int, str]]:
+    """(delete mask, contract mask, target name) of the first witness for
+    every family index on n elements that has one, in the documented scan
+    order, from numpy projections of all families at once and the census
+    canonical index tables."""
+    fams = np.arange(1 << (1 << n), dtype=np.uint32)
+    found = np.zeros(len(fams), dtype=bool)
+    found[0] = True
+    out: dict[int, tuple[int, int, str]] = {}
+    names = [t.name for t in targets]
+    for m in sorted({t.system.n for t in targets if t.system.n <= n}, reverse=True):
+        canon = _canonical_index_table(m)
+        first = np.full(len(canon), -1)
+        for k, t in reversed(list(enumerate(targets))):
+            if t.system.n == m:
+                first[canon[sum(1 << f for f in t.system.masks)]] = k
+        for removed in combinations(range(n), n - m):
+            kept = [i for i in range(n) if i not in removed]
+            for size in range(len(removed) + 1):
+                for dels in combinations(removed, size):
+                    x = sum(1 << i for i in dels)
+                    y = sum(1 << i for i in removed) ^ x
+                    minor = np.zeros(len(fams), dtype=np.uint32)
+                    for f in range(1 << n):
+                        if f & y == y and not f & x:
+                            g = sum(1 << j for j, i in enumerate(kept) if f >> i & 1)
+                            minor |= ((fams >> np.uint32(f)) & np.uint32(1)) << np.uint32(g)
+                    hit = first[canon[minor]]
+                    new = ~found & (minor != 0) & (hit >= 0)
+                    for index in np.nonzero(new)[0].tolist():
+                        out[index] = (x, y, names[hit[index]])
+                    found |= new
+    return out
+
+
+class TestTableScan:
+    """The table scan of systems on at most five elements against the
+    object path it replaces, witness for witness."""
+
+    def test_every_family_up_to_three_elements_every_class(self):
+        for n in range(1, 4):
+            for cid in ExminorClassId:
+                targets = excluded_minor_set(cid, n)
+                for index in range(1, 1 << (1 << n)):
+                    s = family_system(n, index)
+                    assert has_minor_from(s, targets) == object_scan(s, targets), (n, cid, index)
+
+    def test_every_four_element_family_every_class(self):
+        classes = [
+            (cid, targets, projection_witnesses(4, targets))
+            for cid in ExminorClassId
+            for targets in [excluded_minor_set(cid, 4)]
+        ]
+        for index in range(1, 1 << 16):
+            s = family_system(4, index)
+            for cid, targets, expected in classes:
+                got = has_minor_from(s, targets)
+                want = expected.get(index)
+                if want is None:
+                    assert got is None, (cid, index)
+                else:
+                    x, y, name = want
+                    assert got == MinorWitness(s.members(x), s.members(y), name), (cid, index)
+
+    def test_seeded_samples_against_object_path(self):
+        rng = random.Random(424)
+        for n, count in ((4, 40), (5, 100)):
+            for cid in ExminorClassId:
+                targets = excluded_minor_set(cid, n)
+                for _ in range(count):
+                    s = family_system(n, rng.getrandbits(1 << n) or 1)
+                    assert has_minor_from(s, targets) == object_scan(s, targets), (cid, s)
+
+    def test_sparse_five_element_families(self):
+        # random families have minors on four elements; sparse ones reach
+        # the three-element and whole-system scans
+        rng = random.Random(425)
+        for cid in (ExminorClassId.DELTA_MATROID, ExminorClassId.BINARY,
+                    ExminorClassId.MATROID_STACK, ExminorClassId.PAVING):
+            targets = excluded_minor_set(cid, 5)
+            for _ in range(60):
+                masks = frozenset(rng.sample(range(32), rng.randrange(1, 5)))
+                s = SetSystem(tuple("abcde"), masks)
+                assert has_minor_from(s, targets) == object_scan(s, targets), (cid, s)
+
+    def test_larger_systems_keep_the_object_path(self, rng):
+        targets = excluded_minor_set(ExminorClassId.DELTA_MATROID, 6)
+        for _ in range(5):
+            s = random_system(rng, 6)
+            assert has_minor_from(s, targets) == object_scan(s, targets)
+
+    def test_isomorphic_targets_resolve_to_the_first_in_list_order(self):
+        t5 = make_named("T5")
+        relabelled = SetSystem(t5.labels, frozenset({0, 0b1100, 0b1111}))
+        assert relabelled.is_isomorphic(t5) and relabelled != t5
+        targets = [CatalogEntry.of("A", relabelled), CatalogEntry.of("B", t5)]
+        for order in (targets, targets[::-1]):
+            for perm in permutations(range(4)):
+                masks = frozenset(permute_mask(m, perm) for m in t5.masks)
+                # T5 relabelled, and with a loop e added
+                for s in (SetSystem(tuple("abcd"), masks), SetSystem(tuple("abcde"), masks)):
+                    got = has_minor_from(s, order)
+                    assert got == object_scan(s, order)
+                    assert got.target_name == order[0].name
+
+    def test_fresh_target_lists_share_witnesses_and_cache_stays_bounded(self, rng):
+        cached = excluded_minor_set(ExminorClassId.BINARY, 5)
+        systems = [random_system(rng, 5) for _ in range(10)]
+        for _ in range(3):
+            for s in systems:
+                fresh = [CatalogEntry.of(e.name, e.system) for e in cached]
+                assert has_minor_from(s, fresh) == has_minor_from(s, cached)
+                assert has_minor_from(s, list(cached)) == has_minor_from(s, cached)
+        assert len(minorscan._scan_plans) <= minorscan.SCAN_PLAN_CACHE_SIZE

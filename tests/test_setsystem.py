@@ -13,7 +13,13 @@ from dmkit.errors import (
     InvalidMinorError,
     UnknownElementError,
 )
-from dmkit.setsystem import ElementStatus, SetSystem, parse_set_system, serialize_set_system
+from dmkit.setsystem import (
+    ElementStatus,
+    SetSystem,
+    _se_holds_bitmap,
+    parse_set_system,
+    serialize_set_system,
+)
 
 from conftest import random_delta_matroid, random_system
 
@@ -238,13 +244,39 @@ class TestExchangeAxiom:
         assert s.is_delta_matroid()
 
     def test_direct_and_bitmap_checks_agree(self, rng):
-        for n in range(1, 6):
+        for n in range(1, 7):
             for _ in range(60):
                 s = random_system(rng, n)
-                from dmkit.setsystem import _se_holds_bitmap
-
                 bitmap = sum(1 << m for m in s.masks)
                 assert (s.se_violation() is None) == _se_holds_bitmap(bitmap, n)
+                assert s.is_delta_matroid() == (s.se_violation() is None)
+
+    def test_every_family_up_to_four_elements(self):
+        for n in range(1, 5):
+            for index in range(1, 1 << (1 << n)):
+                s = SetSystem(tuple("abcd"[:n]), frozenset(i for i in range(1 << n) if index >> i & 1))
+                reference = s.se_violation() is None
+                assert _se_holds_bitmap(index, n) == reference, (n, index)
+                assert s.is_delta_matroid() == reference, (n, index)
+
+    def test_d_of_c_members_pass_in_full(self, rng):
+        # D(C) is always a delta-matroid, so the bitmap check fills every
+        # row it needs instead of stopping at the first pairs
+        from dmkit.gf2 import SkewSymMatrixGF2, d_of_c
+
+        for n in (5, 6):
+            for _ in range(40):
+                rows = [0] * n
+                for i, j in itertools.combinations_with_replacement(range(n), 2):
+                    if rng.random() < 0.5:
+                        rows[i] |= 1 << j
+                        rows[j] |= 1 << i
+                d = d_of_c(SkewSymMatrixGF2(tuple("abcdef"[:n]), tuple(rows)))
+                twisted = d.twist(rng.sample(list(d.labels), rng.randrange(n + 1)))
+                for s in (d, twisted):
+                    assert s.se_violation() is None
+                    assert _se_holds_bitmap(s.family_bitmap, n)
+                    assert s.is_delta_matroid()
 
 
 class TestCanonicalForm:
