@@ -37,7 +37,7 @@ from .latticepath import (
 from .matroid import Matroid, is_matroid, is_quotient, min_max_matroids, paving_flags, uniform_matroid
 from .minorscan import MinorWitness, classify_by_exminors, enumerate_minors, has_minor_from
 from .setsystem import ElementStatus, SetSystem, parse_set_system, serialize_set_system
-from .stacks import Stack, StackClassification, check_speven, classify_stack, stack_of
+from .stacks import Stack, StackClassification, check_speven, classify_stack, is_matroid_stack, stack_of
 
 __version__ = "0.1.0"
 
@@ -82,6 +82,7 @@ __all__ = [
     "higgs_lift",
     "is_binary_dm",
     "is_matroid",
+    "is_matroid_stack",
     "is_quotient",
     "lpdm",
     "make_named",

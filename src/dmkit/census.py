@@ -26,7 +26,7 @@ from .higgs import classify_higgs
 from .matroid import Matroid, exchange_violation, is_matroid, is_quotient
 from .minorscan import classify_by_exminors
 from .setsystem import SetSystem
-from .stacks import classify_stack
+from .stacks import classify_stack, is_matroid_stack
 
 CENSUS_LABELS = "abcdefgh"
 EXHAUSTIVE_CAP = 4
@@ -151,33 +151,34 @@ def _registry() -> dict[str, Equivalence]:
         ),
         Equivalence(
             "exmatroidstack", "matroid stack delta-matroids within matroid stack systems",
-            lambda s: classify_stack(s).matroid_stack, is_dm,
+            is_matroid_stack, is_dm,
             _scan(ExminorClassId.MATROID_STACK),
         ),
         Equivalence(
             "exevenmatroidstack",
             "even matroid stack delta-matroids within even matroid stack systems",
-            lambda s: s.is_even and classify_stack(s).matroid_stack, is_dm,
+            lambda s: s.is_even and is_matroid_stack(s), is_dm,
             _scan(ExminorClassId.EVEN_MATROID_STACK),
         ),
         Equivalence(
             "expaving", "paving delta-matroids within paving systems",
-            lambda s: classify_stack(s).paving_system, is_dm,
+            lambda s: is_matroid_stack(s) and classify_stack(s).paving_system, is_dm,
             _scan(ExminorClassId.PAVING),
         ),
         Equivalence(
             "exsparsepaving", "sparse paving delta-matroids within sparse paving systems",
-            lambda s: classify_stack(s).sparse_paving_system, is_dm,
+            lambda s: is_matroid_stack(s) and classify_stack(s).sparse_paving_system, is_dm,
             _scan(ExminorClassId.SPARSE_PAVING),
         ),
         Equivalence(
             "exquotient", "quotient delta-matroids within quotient systems",
-            lambda s: classify_stack(s).quotient_system, is_dm,
+            lambda s: is_matroid_stack(s) and classify_stack(s).quotient_system, is_dm,
             _scan(ExminorClassId.QUOTIENT_STACK),
         ),
         Equivalence(
             "speven", "even sparse paving systems are quotient systems",
-            lambda s: s.is_even and classify_stack(s).sparse_paving_system,
+            lambda s: (s.is_even and is_matroid_stack(s)
+                       and classify_stack(s).sparse_paving_system),
             lambda s: classify_stack(s).quotient_system,
             always,
         ),

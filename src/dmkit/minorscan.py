@@ -13,6 +13,7 @@ from .bitset import permute_mask
 from .catalog import CatalogEntry, ExminorClassId, excluded_minor_set
 from .errors import AmbientHypothesisError, CapacityError
 from .setsystem import SetSystem
+from .stacks import classify_stack, is_matroid_stack
 
 
 @dataclass(frozen=True)
@@ -220,8 +221,6 @@ def has_minor_from(
 
 def _ambient_ok(system: SetSystem, class_id: ExminorClassId) -> tuple[bool, str]:
     """Check the side condition a classifier imposes on its inputs."""
-    from . import stacks  # deferred: stacks depends on this module's siblings
-
     cid = ExminorClassId(class_id)
     if cid in (ExminorClassId.DELTA_MATROID, ExminorClassId.EVEN_DELTA_WITHIN_ALL,
                ExminorClassId.BINARY):
@@ -238,20 +237,21 @@ def _ambient_ok(system: SetSystem, class_id: ExminorClassId) -> tuple[bool, str]
     if cid is ExminorClassId.MATROID_EQUICARDINAL:
         sizes = {m.bit_count() for m in system.masks}
         return len(sizes) == 1, "feasible sets are not equicardinal"
-    flags = stacks.classify_stack(system)
+    stack = is_matroid_stack(system)
     if cid is ExminorClassId.MATROID_STACK:
-        return flags.matroid_stack, "system is not a matroid stack system"
+        return stack, "system is not a matroid stack system"
     if cid is ExminorClassId.EVEN_MATROID_STACK:
         return (
-            flags.even and flags.matroid_stack,
+            system.is_even and stack,
             "system is not an even matroid stack system",
         )
+    flags = classify_stack(system) if stack else None
     if cid is ExminorClassId.PAVING:
-        return flags.paving_system, "system is not a paving set system"
+        return stack and flags.paving_system, "system is not a paving set system"
     if cid is ExminorClassId.SPARSE_PAVING:
-        return flags.sparse_paving_system, "system is not a sparse paving set system"
+        return stack and flags.sparse_paving_system, "system is not a sparse paving set system"
     if cid is ExminorClassId.QUOTIENT_STACK:
-        return flags.quotient_system, "system is not a quotient set system"
+        return stack and flags.quotient_system, "system is not a quotient set system"
     raise ValueError(f"unhandled class id {class_id}")
 
 

@@ -4,11 +4,17 @@ paving, sparse-paving, and quotient classifiers."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .catalog import ExminorClassId
+from .bitset import iter_bits
 from .errors import AmbientHypothesisError
-from .matroid import Matroid, is_matroid, is_quotient, paving_flags
+from .matroid import Matroid, is_quotient, paving_flags
 from .setsystem import SetSystem
+
+# Bound of the per-layer verdict cache.  Every layer bitmap of a system on
+# at most five elements fits (2 116 of them, counting the empty layer of
+# each size); larger systems evict.
+LAYER_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -58,33 +64,69 @@ class StackClassification:
     gaps_within_bounds: bool = True
 
 
+@lru_cache(maxsize=None)
+def _layer_selectors(n: int) -> tuple[int, ...]:
+    """Per size r, the bitmap of every r-element mask of an n-element
+    ground set; bm & selector[r] is the r-layer of a family bitmap."""
+    out = [0] * (n + 1)
+    for m in range(1 << n):
+        out[m.bit_count()] |= 1 << m
+    return tuple(out)
+
+
+@lru_cache(maxsize=LAYER_CACHE_SIZE)
+def layer_is_matroid(layer: int) -> bool:
+    """Basis exchange on a nonempty equicardinal family bitmap.
+
+    reach[x] is the set of y outside B1 with (B1 - x) + y feasible, so
+    exchange holds for (B1, B2, x) when reach[x] meets B2.  The verdict
+    depends on the bitmap alone, not on the ground set around it, which
+    is why the cache is keyed on the bitmap.
+    """
+    bases = list(iter_bits(layer))
+    ground = 0
+    for b in bases:
+        ground |= b
+    for b1 in bases:
+        reach = {}
+        for x in iter_bits(b1):
+            w = b1 ^ (1 << x)
+            reach[x] = sum(1 << y for y in iter_bits(ground & ~b1) if layer >> (w | 1 << y) & 1)
+        for b2 in bases:
+            for x in iter_bits(b1 & ~b2):
+                if not reach[x] & b2:
+                    return False
+    return True
+
+
+def is_matroid_stack(system: SetSystem) -> bool:
+    """True when every nonempty cardinality layer is a matroid.
+
+    Each layer is cut from the family bitmap and decided by the cached
+    layer_is_matroid; the first non-matroid layer ends the test.
+    """
+    system._require_proper()
+    bm = system.family_bitmap
+    for selector in _layer_selectors(system.n):
+        layer = bm & selector
+        if layer and not layer_is_matroid(layer):
+            return False
+    return True
+
+
 def classify_stack(system: SetSystem) -> StackClassification:
     """Evaluate every layer flag directly from the definitions."""
     stack = stack_of(system)
     proper = stack.proper_layers()
-    matroids: list[tuple[int, Matroid | None]] = []
-    matroid_stack = True
-    for size, layer in proper:
-        if is_matroid(layer):
-            matroids.append((size, Matroid.from_system(layer)))
-        else:
-            matroid_stack = False
-            matroids.append((size, None))
-    paving = matroid_stack
-    sparse = matroid_stack
+    matroid_stack = is_matroid_stack(system)
+    paving = sparse = quotient = matroid_stack
     if matroid_stack:
-        for _, m in matroids:
+        matroids = [Matroid(layer, size) for size, layer in proper]
+        for m in matroids:
             p, sp = paving_flags(m)
             paving = paving and p
             sparse = sparse and sp
-    else:
-        paving = sparse = False
-    quotient = matroid_stack
-    if matroid_stack:
-        for (_, below), (_, above) in zip(matroids, matroids[1:]):
-            if not is_quotient(below, above):
-                quotient = False
-                break
+        quotient = all(is_quotient(below, above) for below, above in zip(matroids, matroids[1:]))
     gaps = tuple(b - a for (a, _), (b, _) in zip(proper, proper[1:]))
     return StackClassification(
         matroid_stack=matroid_stack,
@@ -96,30 +138,6 @@ def classify_stack(system: SetSystem) -> StackClassification:
         rank_gaps=gaps,
         gaps_within_bounds=all(1 <= g <= 2 for g in gaps),
     )
-
-
-_AMBIENT_FLAG = {
-    ExminorClassId.MATROID_STACK: "matroid_stack",
-    ExminorClassId.EVEN_MATROID_STACK: "even matroid stack",
-    ExminorClassId.PAVING: "paving_system",
-    ExminorClassId.SPARSE_PAVING: "sparse_paving_system",
-    ExminorClassId.QUOTIENT_STACK: "quotient_system",
-}
-
-
-def stack_class_exminors(system: SetSystem, class_id: ExminorClassId):
-    """Excluded-minor verdict for the layer-based corollaries.
-
-    The ambient hypothesis (matroid stack / even / paving / sparse paving
-    / quotient system) is checked first and its violation reported as an
-    error distinct from a negative scan.
-    """
-    from .minorscan import classify_by_exminors
-
-    cid = ExminorClassId(class_id)
-    if cid not in _AMBIENT_FLAG:
-        raise ValueError(f"{class_id} is not a stack-classifier id")
-    return classify_by_exminors(system, cid)
 
 
 def check_speven(system: SetSystem) -> bool:

@@ -403,12 +403,24 @@ def _projections(n: int, removed: tuple[int, ...]) -> list[tuple[int, list[int]]
 def test_criterion_10_stack_corollaries():
     """Layer-class corollaries exhaustive for n <= 4 plus the even sparse
     paving implication sampled at n = 5."""
+    # (ambient, members) of the exhaustive n = 4 census: rep.ok alone would
+    # also hold under an ambient test that is too loose or too strict
+    n4_totals = {
+        "exmatroidstack": (37887, 4438),
+        "exevenmatroidstack": (402, 267),
+        "expaving": (5759, 1528),
+        "exsparsepaving": (1583, 766),
+        "exquotient": (3319, 1740),
+        "speven": (78, 78),
+    }
     t0 = time.time()
     for n in range(1, 5):
-        for tid in ("exmatroidstack", "exevenmatroidstack", "expaving",
-                    "exsparsepaving", "exquotient", "speven"):
+        for tid in n4_totals:
             rep = verify_equivalence(n, tid)
             assert rep.ok, (n, tid, rep.discrepancies[:3])
+            if n == 4:
+                got = (rep.totals["ambient"], rep.totals["direct_members"])
+                assert got == n4_totals[tid], (tid, got)
     rep = verify_equivalence(5, "speven", "sampled", seed=606, count=10**5)
     assert rep.ok
     _pass(10, "stack corollaries agree exhaustively; speven sampled clean",

@@ -2,15 +2,31 @@
 
 from __future__ import annotations
 
+import functools
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dmkit.bitset import iter_bits
 from dmkit.catalog import ExminorClassId, make_named
-from dmkit.errors import AmbientHypothesisError
-from dmkit.matroid import uniform_matroid
+from dmkit.census import enumerate_proper_systems, random_quotient_pair
+from dmkit.errors import AmbientHypothesisError, ImproperSystemError
+from dmkit.higgs import full_higgs_dm
+from dmkit.matroid import Matroid, is_matroid, is_quotient, paving_flags, uniform_matroid
+from dmkit.minorscan import classify_by_exminors
 from dmkit.setsystem import SetSystem
-from dmkit.stacks import check_speven, classify_stack, stack_class_exminors, stack_of
+from dmkit.stacks import (
+    LAYER_CACHE_SIZE,
+    check_speven,
+    classify_stack,
+    is_matroid_stack,
+    layer_is_matroid,
+    stack_of,
+)
 
-from conftest import random_system
+from conftest import LABELS, random_system
 
 
 def system_of(labels: str, *sets: str) -> SetSystem:
@@ -89,13 +105,13 @@ class TestClassifyStack:
 class TestStackExminors:
     def test_matroid_is_trivially_fine(self):
         u24 = uniform_matroid(2, 4).system
-        ok, _ = stack_class_exminors(u24, ExminorClassId.MATROID_STACK)
+        ok, _ = classify_by_exminors(u24, ExminorClassId.MATROID_STACK)
         assert ok
 
     def test_sparse_paving_with_t2_minor_fails(self):
         t2 = make_named("T2")
         assert classify_stack(t2).sparse_paving_system
-        ok, witness = stack_class_exminors(t2, ExminorClassId.SPARSE_PAVING)
+        ok, witness = classify_by_exminors(t2, ExminorClassId.SPARSE_PAVING)
         assert not ok and witness.target_name in ("T2", "T2*")
 
     def test_full_higgs_dm_is_quotient_dm(self):
@@ -107,19 +123,13 @@ class TestStackExminors:
             d = full_higgs_dm(q, lift)
             if not classify_stack(d).quotient_system:
                 continue
-            ok, _ = stack_class_exminors(d, ExminorClassId.QUOTIENT_STACK)
+            ok, _ = classify_by_exminors(d, ExminorClassId.QUOTIENT_STACK)
             assert ok
 
     def test_ambient_violation_distinct(self):
-        u1 = make_named("U1")  # layers of sizes 0,1,2: not a matroid stack? it is;
-        # use a non-matroid layer instead
-        bad = system_of("1234", "12", "13", "34")
+        bad = system_of("1234", "12", "13", "34")  # its 2-layer is not a matroid
         with pytest.raises(AmbientHypothesisError):
-            stack_class_exminors(bad, ExminorClassId.MATROID_STACK)
-
-    def test_rejects_non_stack_ids(self):
-        with pytest.raises(ValueError):
-            stack_class_exminors(make_named("S2"), ExminorClassId.DELTA_MATROID)
+            classify_by_exminors(bad, ExminorClassId.MATROID_STACK)
 
 
 class TestSpEven:
@@ -177,3 +187,116 @@ class TestMinorClosure:
         reps = np.unique(_canonical_index_table(4)[1:])
         for rep in reps.tolist():
             check(family_system(4, rep))
+
+
+# -- the bitmap matroid-stack test against the object-level oracle ----------
+
+def reference_layers(s: SetSystem) -> list[SetSystem]:
+    """The nonempty size layers, cut from the masks without stack_of."""
+    sizes = sorted({m.bit_count() for m in s.masks})
+    return [SetSystem(s.labels, frozenset(m for m in s.masks if m.bit_count() == r))
+            for r in sizes]
+
+
+@functools.lru_cache(maxsize=None)
+def reference_layer(layer: SetSystem) -> Matroid | None:
+    """The layer's matroid by is_matroid and Matroid.from_system (the
+    exchange_violation scan), or None."""
+    return Matroid.from_system(layer) if is_matroid(layer) else None
+
+
+def reference_matroid_stack(s: SetSystem) -> bool:
+    """Every layer passes is_matroid."""
+    return all(reference_layer(layer) is not None for layer in reference_layers(s))
+
+
+_reference_quotient = functools.lru_cache(maxsize=None)(is_quotient)
+
+
+def reference_flags(s: SetSystem) -> tuple[bool, bool, bool, bool]:
+    """(matroid stack, paving, sparse paving, quotient) from is_matroid
+    and Matroid.from_system on each layer."""
+    matroids = [reference_layer(layer) for layer in reference_layers(s)]
+    if None in matroids:
+        return (False, False, False, False)
+    pav = [paving_flags(m) for m in matroids]
+    quotient = all(_reference_quotient(a, b) for a, b in zip(matroids, matroids[1:]))
+    return (True, all(p for p, _ in pav), all(sp for _, sp in pav), quotient)
+
+
+def stack_like_systems(rng: random.Random, n: int):
+    """Full Higgs delta-matroids (matroid stacks), their twists (mostly
+    not), sparse families and dense random families."""
+    for _ in range(30):
+        r_l = rng.randrange(n + 1)
+        q, lift = random_quotient_pair(n, rng.randrange(r_l + 1), r_l, rng.randrange(1 << 30))
+        d = full_higgs_dm(q, lift)
+        yield d
+        yield d.twist(rng.sample(list(d.labels), rng.randrange(1, n + 1)))
+    for _ in range(150):
+        masks = {rng.randrange(1 << n) for _ in range(rng.randrange(1, 2 * n))}
+        yield SetSystem(tuple(LABELS[:n]), frozenset(masks))
+        yield random_system(rng, n)
+
+
+class TestIsMatroidStack:
+    def test_every_family_n_le_4(self):
+        for n in range(1, 5):
+            for _, s in enumerate_proper_systems(n):
+                assert is_matroid_stack(s) == reference_matroid_stack(s), s
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_seeded_families(self, n):
+        rng = random.Random(f"matroid-stack:{n}")
+        verdicts = []
+        for s in stack_like_systems(rng, n):
+            verdicts.append(is_matroid_stack(s))
+            assert verdicts[-1] == reference_matroid_stack(s), s
+        assert any(verdicts) and not all(verdicts)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.one_of(
+            st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=2 * n),
+            st.integers(1, (1 << (1 << n)) - 1).map(lambda bm: set(iter_bits(bm))),
+        ),
+    )))
+    def test_property_reference_and_duals(self, case):
+        n, masks = case
+        s = SetSystem(tuple(LABELS[:n]), frozenset(masks))
+        verdict = is_matroid_stack(s)
+        assert verdict == reference_matroid_stack(s)
+        assert verdict == is_matroid_stack(s.dual())
+
+    def test_classify_stack_flags_every_family_n_le_4(self):
+        for n in range(1, 5):
+            for _, s in enumerate_proper_systems(n):
+                flags = classify_stack(s)
+                got = (flags.matroid_stack, flags.paving_system,
+                       flags.sparse_paving_system, flags.quotient_system)
+                assert got == reference_flags(s), s
+
+    def test_every_layer_n5_fits_the_cache(self):
+        # every nonempty r-layer on five elements, each as a one-layer
+        # system: 2^C(5, r) - 1 of them per r, all cached at once
+        labels = tuple(LABELS[:5])
+        layers = []
+        for r in range(6):
+            masks = [m for m in range(32) if m.bit_count() == r]
+            for pick in range(1, 1 << len(masks)):
+                layers.append(SetSystem(labels, frozenset(masks[i] for i in iter_bits(pick))))
+        assert len(layers) == 2110 <= LAYER_CACHE_SIZE
+        layer_is_matroid.cache_clear()
+        for layer in layers:
+            assert is_matroid_stack(layer) == reference_matroid_stack(layer), layer
+        info = layer_is_matroid.cache_info()
+        assert (info.misses, info.currsize) == (2110, 2110)
+        for layer in layers:
+            is_matroid_stack(layer)
+        assert layer_is_matroid.cache_info().misses == 2110
+
+    def test_improper_system_rejected(self):
+        with pytest.raises(ImproperSystemError):
+            is_matroid_stack(SetSystem(tuple("ab"), frozenset()))
+
