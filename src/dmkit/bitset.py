@@ -53,6 +53,16 @@ def masks_of_size(n: int, k: int) -> int:
     return bm
 
 
+@lru_cache(maxsize=None)
+def layer_selectors(n: int) -> tuple[int, ...]:
+    """Per size r, the bitmap of every r-element mask of an n-element
+    ground set; bm & selector[r] is the r-layer of a family bitmap."""
+    out = [0] * (n + 1)
+    for m in range(1 << n):
+        out[m.bit_count()] |= 1 << m
+    return tuple(out)
+
+
 def family_to_bitmap(masks) -> int:
     bm = 0
     for m in masks:

@@ -15,9 +15,7 @@ import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
-from typing import Callable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .bitset import iter_bits, permute_mask
 from .catalog import ExminorClassId
@@ -27,6 +25,9 @@ from .matroid import Matroid, exchange_violation, is_matroid, is_quotient
 from .minorscan import classify_by_exminors
 from .setsystem import SetSystem
 from .stacks import classify_stack, is_matroid_stack
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CENSUS_LABELS = "abcdefgh"
 EXHAUSTIVE_CAP = 4
@@ -73,6 +74,8 @@ def enumerate_proper_systems(n: int, mode: str = "exhaustive", *, seed: int = 0,
 @lru_cache(maxsize=None)
 def _canonical_index_table(n: int) -> np.ndarray:
     """canonical[f] = least family index isomorphic to f, for all indices."""
+    import numpy as np
+
     size = 1 << n
     count = 1 << size
     if n > EXHAUSTIVE_CAP:
@@ -257,6 +260,8 @@ def verify_equivalence(
     report = CensusReport(n=n, mode=mode, theorem=theorem_id)
     checked = ambient = members_direct = members_exminor = 0
     if mode == "exhaustive" and dedupe and n <= EXHAUSTIVE_CAP:
+        import numpy as np
+
         canon = _canonical_index_table(n)
         reps, inverse, counts = np.unique(
             canon[1:], return_inverse=True, return_counts=True
@@ -346,6 +351,8 @@ def count_census(n: int, mode: str = "exhaustive", *, seed: int = 0, count: int 
     totals = dict.fromkeys(_COUNT_FLAGS, 0)
     checked = 0
     if mode == "exhaustive" and n <= EXHAUSTIVE_CAP:
+        import numpy as np
+
         canon = _canonical_index_table(n)
         reps, counts = np.unique(canon[1:], return_counts=True)
         for rep, size in zip(reps.tolist(), counts.tolist()):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .catalog import ExminorClassId, excluded_minor_set, make_named, twist_classes
@@ -296,7 +297,10 @@ def _add_io_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable verdicts")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    main() call in the process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dmkit",
         description="Delta-matroid toolkit: set systems, Higgs lifts, "

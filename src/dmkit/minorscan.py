@@ -7,9 +7,10 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
+from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .bitset import permute_mask
+from .bitset import iter_bits, layer_selectors, permute_mask
 from .catalog import CatalogEntry, ExminorClassId, excluded_minor_set
 from .errors import AmbientHypothesisError, CapacityError
 from .setsystem import SetSystem
@@ -68,9 +69,14 @@ def enumerate_minors(
 # TABLE_MAX_M elements by table lookup instead of building each minor: the
 # tables read a family bitmap of at most 32 bits as four bytes and hold
 # 16-bit minor bitmaps.  Per split they take 2 KB, and the count of splits
-# grows as 3^n, so larger systems keep building each minor.
+# grows as 3^n, so larger systems project instead.
 TABLE_MAX_N = 5
 TABLE_MAX_M = 4
+# Systems on TABLE_MAX_N < n <= PROJECTION_MAX_N elements find every proper
+# minor by gathering its bitmap from the family bitmap, 2^m positions per
+# split: 65 280 positions over every m < n at n = 8 (about 1.7 MB, built in
+# about 30 ms).  Larger systems build each minor.
+PROJECTION_MAX_N = 8
 
 
 @lru_cache(maxsize=None)
@@ -105,6 +111,27 @@ def _split_tables(n: int, m: int) -> tuple[tuple[int, int, array], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _split_projections(n: int, m: int) -> tuple[tuple[int, int, itemgetter], ...]:
+    """(X, Y, gather) per delete/contract split of an n-element ground set
+    that leaves m elements, in enumerate_minors order.
+
+    The positions of a split are Y | expand(k) for k < 2^m, where expand
+    puts bit j of k on the j-th kept element: k is a feasible set of
+    S\\X/Y exactly when mask Y | expand(k) is feasible.  gather takes the
+    positions from highest k to lowest, so on the family bitmap written as
+    a bit string, bit p at index p, int("".join(gather(bits)), 2) is the
+    minor bitmap (0 when the split is invalid).
+    """
+    out = []
+    for removed in combinations(range(n), n - m):
+        kept = [i for i in range(n) if i not in removed]
+        expand = [sum(1 << kept[j] for j in iter_bits(k)) for k in range(1 << m)]
+        for x, y in _removal_splits(removed):
+            out.append((x, y, itemgetter(*[y | e for e in reversed(expand)])))
+    return tuple(out)
+
+
 def _orbit_index(pool: Sequence[CatalogEntry]) -> dict[int, CatalogEntry]:
     """Family bitmap of every relabelling of every target of a nonempty
     pool of same-size targets, mapped to the first target it relabels."""
@@ -118,23 +145,36 @@ def _orbit_index(pool: Sequence[CatalogEntry]) -> dict[int, CatalogEntry]:
     return index
 
 
+def _shape(bm: int, m: int) -> tuple[int, ...]:
+    """Count of feasible sets of each size 0..m in a family bitmap over an
+    m-element ground set; isomorphic systems have equal shapes."""
+    return tuple((bm & selector).bit_count() for selector in layer_selectors(m))
+
+
 @dataclass(frozen=True)
 class _ScanPlan:
-    """A target list grouped by ground-set size, largest first, with the
-    orbit index of every group small enough for the table scan."""
+    """A target list grouped by ground-set size: the sizes, largest first,
+    the orbit index of every group small enough for a bitmap lookup and,
+    for every group, its targets by shape in list order."""
 
     targets: tuple[CatalogEntry, ...]
-    pools: tuple[tuple[int, tuple[CatalogEntry, ...]], ...]
+    sizes: tuple[int, ...]
     orbits: dict[int, dict[int, CatalogEntry]]
+    shapes: dict[int, dict[tuple[int, ...], tuple[CatalogEntry, ...]]]
 
     @classmethod
     def of(cls, targets: tuple[CatalogEntry, ...]) -> _ScanPlan:
         by_size: dict[int, list[CatalogEntry]] = {}
         for t in targets:
             by_size.setdefault(t.system.n, []).append(t)
-        pools = tuple((m, tuple(by_size[m])) for m in sorted(by_size, reverse=True))
-        orbits = {m: _orbit_index(pool) for m, pool in pools if m <= TABLE_MAX_M}
-        return cls(targets, pools, orbits)
+        orbits = {m: _orbit_index(pool) for m, pool in by_size.items() if m <= TABLE_MAX_M}
+        shapes = {}
+        for m, pool in by_size.items():
+            by_shape: dict[tuple[int, ...], list[CatalogEntry]] = {}
+            for t in pool:
+                by_shape.setdefault(_shape(t.system.family_bitmap, m), []).append(t)
+            shapes[m] = {shape: tuple(ts) for shape, ts in by_shape.items()}
+        return cls(targets, tuple(sorted(by_size, reverse=True)), orbits, shapes)
 
 
 # Scan plans keyed by the identities of the target entries.  A cached plan
@@ -172,23 +212,59 @@ def _table_scan(
     return None
 
 
-def _object_scan(
-    system: SetSystem, m: int, pool: Sequence[CatalogEntry]
-) -> MinorWitness | None:
-    for dels, cons, minor in enumerate_minors(system, m):
-        sig = minor.size_signature
-        candidates = [t for t in pool if t.system.size_signature == sig]
-        if not candidates:
+def _first_isomorphic(
+    minor: SetSystem, candidates: Sequence[CatalogEntry]
+) -> CatalogEntry | None:
+    """First candidate, in list order, isomorphic to the minor; the
+    candidates have the minor's shape."""
+    if minor.n <= 5:
+        canon = minor.canonical_form()
+        for t in candidates:
+            if t.canonical == canon:
+                return t
+    else:
+        for t in candidates:
+            if minor.is_isomorphic(t.system):
+                return t
+    return None
+
+
+def _projection_scan(system: SetSystem, m: int, plan: _ScanPlan) -> MinorWitness | None:
+    n = system.n
+    bits = format(system.family_bitmap, f"0{1 << n}b")[::-1]
+    splits = _split_projections(n, m)
+    orbit = plan.orbits.get(m)
+    if orbit is not None:
+        for x, y, gather in splits:
+            hit = orbit.get(int("".join(gather(bits)), 2))
+            if hit is not None:
+                return MinorWitness(system.members(x), system.members(y), hit.name)
+        return None
+    shapes = plan.shapes[m]
+    sizes = {sum(shape) for shape in shapes}
+    full = (1 << n) - 1
+    for x, y, gather in splits:
+        minor = int("".join(gather(bits)), 2)
+        if minor.bit_count() not in sizes:
             continue
-        if m <= 5:
-            canon = minor.canonical_form()
-            for t in candidates:
-                if t.canonical == canon:
-                    return MinorWitness(dels, cons, t.name)
-        else:
-            for t in candidates:
-                if minor.is_isomorphic(t.system):
-                    return MinorWitness(dels, cons, t.name)
+        candidates = shapes.get(_shape(minor, m))
+        if candidates is None:
+            continue
+        found = SetSystem(system.members(full ^ x ^ y), frozenset(iter_bits(minor)))
+        hit = _first_isomorphic(found, candidates)
+        if hit is not None:
+            return MinorWitness(system.members(x), system.members(y), hit.name)
+    return None
+
+
+def _object_scan(system: SetSystem, m: int, plan: _ScanPlan) -> MinorWitness | None:
+    shapes = plan.shapes[m]
+    for dels, cons, minor in enumerate_minors(system, m):
+        candidates = shapes.get(_shape(minor.family_bitmap, m))
+        if candidates is not None:
+            hit = _first_isomorphic(minor, candidates)
+            if hit is not None:
+                return MinorWitness(dels, cons, hit.name)
     return None
 
 
@@ -200,20 +276,24 @@ def has_minor_from(
     Minors are scanned by ground-set size, largest first; within a size in
     enumerate_minors order (removed sets lexicographically, then splits by
     (|X|, lex)); the witness names the first target, in list order,
-    isomorphic to the first matching minor.  Systems on at most TABLE_MAX_N
-    elements scan minors on at most TABLE_MAX_M elements by table lookup;
-    the others build each minor, and both give the same witness.
+    isomorphic to the first matching minor.  Three kernels give the same
+    witness: minors on at most TABLE_MAX_M elements of systems on at most
+    TABLE_MAX_N elements by table lookup, the other proper minors of
+    systems on at most PROJECTION_MAX_N elements by projection of the
+    family bitmap, and the rest (the whole system from five elements up,
+    every minor of a larger system) by building each minor.
     """
     plan = _scan_plan(targets)
     n = system.n
-    tables = n <= TABLE_MAX_N
-    for m, pool in plan.pools:
+    for m in plan.sizes:
         if m > n:
             continue
-        if tables and m <= TABLE_MAX_M:
+        if n <= TABLE_MAX_N and m <= TABLE_MAX_M:
             witness = _table_scan(system, m, plan.orbits[m])
+        elif m == n or n > PROJECTION_MAX_N:
+            witness = _object_scan(system, m, plan)
         else:
-            witness = _object_scan(system, m, pool)
+            witness = _projection_scan(system, m, plan)
         if witness is not None:
             return witness
     return None

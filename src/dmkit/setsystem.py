@@ -229,12 +229,17 @@ class SetSystem:
                         return (x, y, u)
         return None
 
-    def is_delta_matroid(self) -> bool:
-        """True when the symmetric exchange axiom holds."""
+    @cached_property
+    def _exchange_holds(self) -> bool:
         self._require_proper()
         if self.n <= PERMUTATION_CAP and len(self.masks) ** 2 > (1 << self.n):
             return _se_holds_bitmap(self.family_bitmap, self.n)
         return self.se_violation() is None
+
+    def is_delta_matroid(self) -> bool:
+        """True when the symmetric exchange axiom holds; decided once per
+        object, like family_bitmap."""
+        return self._exchange_holds
 
     def min_sets(self) -> tuple[int, ...]:
         self._require_proper()

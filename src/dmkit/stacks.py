@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .bitset import iter_bits
+from .bitset import iter_bits, layer_selectors
 from .errors import AmbientHypothesisError
 from .matroid import Matroid, is_quotient, paving_flags
 from .setsystem import SetSystem
@@ -64,16 +64,6 @@ class StackClassification:
     gaps_within_bounds: bool = True
 
 
-@lru_cache(maxsize=None)
-def _layer_selectors(n: int) -> tuple[int, ...]:
-    """Per size r, the bitmap of every r-element mask of an n-element
-    ground set; bm & selector[r] is the r-layer of a family bitmap."""
-    out = [0] * (n + 1)
-    for m in range(1 << n):
-        out[m.bit_count()] |= 1 << m
-    return tuple(out)
-
-
 @lru_cache(maxsize=LAYER_CACHE_SIZE)
 def layer_is_matroid(layer: int) -> bool:
     """Basis exchange on a nonempty equicardinal family bitmap.
@@ -107,7 +97,7 @@ def is_matroid_stack(system: SetSystem) -> bool:
     """
     system._require_proper()
     bm = system.family_bitmap
-    for selector in _layer_selectors(system.n):
+    for selector in layer_selectors(system.n):
         layer = bm & selector
         if layer and not layer_is_matroid(layer):
             return False

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from dmkit.cli import main
+from dmkit.cli import build_parser, main
 from dmkit.setsystem import parse_set_system
 
 
@@ -206,6 +206,73 @@ def test_missing_file_exit_2(tmp_path):
 
 def test_bad_usage_exit_2():
     assert main(["check", "--class", "not-a-class", "x.json"]) == 2
+
+
+def test_parser_reuse_leaks_no_state(t1_file, tmp_path, capsys):
+    # the same calls give the same results on the shared parser as on a
+    # parser built afresh for each call
+    s5 = tmp_path / "s5.json"
+    s5.write_text('{"elements":["a","b","c","d","e"],"feasible":[[],["a","b","c","d","e"]]}')
+    calls = [
+        ["check", "--class", "not-a-class", t1_file],
+        ["check", "--class", "delta", "--cap", "4", str(s5)],
+        ["check", "--class", "higgs", t1_file],
+        ["check", "--class", "delta", "--json", t1_file],
+        ["census", "run", "--n", "2", "--theorem", "exfull", "--json"],
+        ["dual", t1_file, "-o", str(tmp_path / "dual.json")],
+        ["check", "--class", "delta", t1_file],
+    ]
+
+    def run(fresh: bool) -> list:
+        out = []
+        for argv in calls:
+            if fresh:
+                build_parser.cache_clear()
+            rc = main(list(argv))
+            captured = capsys.readouterr()
+            written = tmp_path / "dual.json"
+            out.append((rc, captured.out, captured.err,
+                        written.read_text() if written.exists() else None))
+            written.unlink(missing_ok=True)
+        return out
+
+    build_parser.cache_clear()
+    shared = run(fresh=False)
+    assert build_parser.cache_info().misses == 1
+    assert [rc for rc, *_ in shared] == [2, 2, 2, 1, 0, 0, 1]
+    assert shared[0][2].startswith("usage: dmkit check") and "cap 4" in shared[1][2]
+    assert shared[5][3] is not None
+    assert run(fresh=True) == shared
+
+
+def test_check_does_not_import_numpy(t1_file, tmp_path):
+    # numpy is imported by the deduplicated census only
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import dmkit
+    from dmkit.census import verify_equivalence
+
+    script = (
+        "import sys\n"
+        "import dmkit.cli\n"
+        "rc = dmkit.cli.main(sys.argv[1:])\n"
+        "print('numpy' in sys.modules, rc, file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dmkit.__file__).parents[1])}
+
+    def run(*argv):
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True, env=env)
+        return proc.stdout, proc.stderr.split()
+
+    out, (numpy, rc) = run("check", "--class", "delta", "--json", t1_file)
+    assert (numpy, rc) == ("False", "1") and json.loads(out)["member"] is False
+    out, (numpy, rc) = run("census", "run", "--n", "4", "--theorem", "exdelta", "--json")
+    assert (numpy, rc) == ("True", "0")
+    assert json.loads(out)["totals"] == verify_equivalence(4, "exdelta").totals
 
 
 def test_console_script_smoke(t1_file):

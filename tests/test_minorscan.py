@@ -11,8 +11,10 @@ import pytest
 from dmkit import minorscan
 from dmkit.bitset import permute_mask
 from dmkit.catalog import CatalogEntry, ExminorClassId, excluded_minor_set, make_named
-from dmkit.census import _canonical_index_table, family_system
+from dmkit.census import _canonical_index_table, family_system, random_quotient_pair
 from dmkit.errors import AmbientHypothesisError, CapacityError
+from dmkit.gf2 import SkewSymMatrixGF2, d_of_c
+from dmkit.higgs import build_higgs_dm
 from dmkit.matroid import uniform_matroid
 from dmkit.minorscan import (
     MinorWitness,
@@ -165,6 +167,38 @@ def object_scan(system: SetSystem, targets) -> MinorWitness | None:
     return None
 
 
+def projection_hosts(n: int, count: int, seed: int) -> list[SetSystem]:
+    """count seeded n-element hosts of each of four kinds: dense random
+    families (witnesses on few elements), sparse ones with at most four
+    sets (their scans reach the minors on five or more elements and the
+    whole system), D(C) members and Higgs index-set unions (delta-matroids,
+    so the delta scan runs to the end)."""
+    rng = random.Random(f"{seed}:{n}")
+    labels = tuple("abcdefgh"[:n])
+    out = []
+    for _ in range(count):
+        out.append(SetSystem(labels, frozenset(
+            m for m in range(1 << n) if rng.random() < 0.5) or frozenset({0})))
+        out.append(SetSystem(labels, frozenset(rng.sample(range(1 << n), rng.randrange(1, 5)))))
+        rows = [0] * n
+        for i in range(n):
+            rows[i] |= rng.randrange(2) << i
+            for j in range(i + 1, n):
+                if rng.random() < 0.5:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        out.append(d_of_c(SkewSymMatrixGF2(labels, tuple(rows))))
+        r_l = rng.randrange(1, n + 1)
+        q, lift = random_quotient_pair(n, rng.randrange(r_l + 1), r_l, rng.getrandbits(31))
+        k = lift.rank - q.rank
+        # index sets K in [0, k] whose complement has no consecutive pair
+        full = (1 << (k + 1)) - 1
+        ks = rng.choice([ks for ks in range(1, full + 1) if not (full & ~ks) & (full & ~ks) >> 1])
+        index_set = [i for i in range(k + 1) if ks >> i & 1]
+        out.append(build_higgs_dm(q, lift, index_set))
+    return out
+
+
 def projection_witnesses(n: int, targets) -> dict[int, tuple[int, int, str]]:
     """(delete mask, contract mask, target name) of the first witness for
     every family index on n elements that has one, in the documented scan
@@ -250,25 +284,42 @@ class TestTableScan:
                 s = SetSystem(tuple("abcde"), masks)
                 assert has_minor_from(s, targets) == object_scan(s, targets), (cid, s)
 
-    def test_larger_systems_keep_the_object_path(self, rng):
-        targets = excluded_minor_set(ExminorClassId.DELTA_MATROID, 6)
-        for _ in range(5):
-            s = random_system(rng, 6)
-            assert has_minor_from(s, targets) == object_scan(s, targets)
+    def test_larger_systems_keep_the_object_path(self):
+        # systems on six or more elements keep the object path's witnesses
+        # whichever kernel scans them: the differential set of
+        # TestProjectionScan, one host of each kind per size
+        for n in (6, 7, 8):
+            for s in projection_hosts(n, 1, seed=426):
+                for cid in ExminorClassId:
+                    targets = excluded_minor_set(cid, n)
+                    assert has_minor_from(s, targets) == object_scan(s, targets), (cid, s)
 
     def test_isomorphic_targets_resolve_to_the_first_in_list_order(self):
+        # pairs of equal-but-relabelled targets on 4, 5 and 6 elements; each
+        # host is a relabelling of the target with loops added up to seven
+        # elements, so every kernel meets the pair: the whole-system check,
+        # the tables, the orbit index and the shape-filtered projection
+        rng = random.Random(427)
         t5 = make_named("T5")
-        relabelled = SetSystem(t5.labels, frozenset({0, 0b1100, 0b1111}))
-        assert relabelled.is_isomorphic(t5) and relabelled != t5
-        targets = [CatalogEntry.of("A", relabelled), CatalogEntry.of("B", t5)]
-        for order in (targets, targets[::-1]):
-            for perm in permutations(range(4)):
-                masks = frozenset(permute_mask(m, perm) for m in t5.masks)
-                # T5 relabelled, and with a loop e added
-                for s in (SetSystem(tuple("abcd"), masks), SetSystem(tuple("abcde"), masks)):
-                    got = has_minor_from(s, order)
-                    assert got == object_scan(s, order)
-                    assert got.target_name == order[0].name
+        pairs = [
+            (t5, SetSystem(t5.labels, frozenset({0, 0b1100, 0b1111}))),
+            (make_named("S_5*{e1,e2}"), make_named("S_5*{e4,e5}")),
+            (make_named("S_6*{e1,e2}"), make_named("S_6*{e3,e6}")),
+        ]
+        for base, relabelled in pairs:
+            assert relabelled.is_isomorphic(base) and relabelled != base
+            targets = [CatalogEntry.of("A", relabelled), CatalogEntry.of("B", base)]
+            perms = list(permutations(range(base.n)))
+            if len(perms) > 24:
+                perms = rng.sample(perms, 12)
+            for order in (targets, targets[::-1]):
+                for perm in perms:
+                    masks = frozenset(permute_mask(m, perm) for m in base.masks)
+                    for n in range(base.n, 8):
+                        s = SetSystem(tuple("abcdefg"[:n]), masks)
+                        got = has_minor_from(s, order)
+                        assert got == object_scan(s, order), (base, perm, n)
+                        assert got.target_name == order[0].name
 
     def test_fresh_target_lists_share_witnesses_and_cache_stays_bounded(self, rng):
         cached = excluded_minor_set(ExminorClassId.BINARY, 5)
@@ -279,3 +330,43 @@ class TestTableScan:
                 assert has_minor_from(s, fresh) == has_minor_from(s, cached)
                 assert has_minor_from(s, list(cached)) == has_minor_from(s, cached)
         assert len(minorscan._scan_plans) <= minorscan.SCAN_PLAN_CACHE_SIZE
+
+
+class TestProjectionScan:
+    """The projection scan of systems on six to eight elements against the
+    object path, witness for witness, for every class."""
+
+    @pytest.mark.parametrize("n, count", [(6, 6), (7, 3), (8, 1)])
+    def test_seeded_hosts_every_class(self, n, count):
+        for s in projection_hosts(n, count, seed=428):
+            for cid in ExminorClassId:
+                targets = excluded_minor_set(cid, n)
+                assert has_minor_from(s, targets) == object_scan(s, targets), (cid, s)
+
+    def test_gathered_bitmaps_are_the_minors_in_scan_order(self):
+        rng = random.Random(429)
+        for n in (6, 7, 8):
+            s = random_system(rng, n)
+            bits = format(s.family_bitmap, f"0{1 << n}b")[::-1]
+            for m in range(n):
+                got = [
+                    (x, y, bm)
+                    for x, y, gather in minorscan._split_projections(n, m)
+                    for bm in [int("".join(gather(bits)), 2)]
+                    if bm
+                ]
+                want = [
+                    (s.mask_of(dels), s.mask_of(cons), minor.family_bitmap)
+                    for dels, cons, minor in enumerate_minors(s, m)
+                ]
+                assert got == want, (n, m)
+
+    def test_larger_systems_build_each_minor(self):
+        # nine-element hosts: T5, S_5*{e1,e2} and S_8*{e2,e3} with loops added
+        assert minorscan.PROJECTION_MAX_N == 8
+        targets = excluded_minor_set(ExminorClassId.DELTA_MATROID, 8)
+        labels = tuple("abcdefghi")
+        for name in ("T5", "S_5*{e1,e2}", "S_8*{e2,e3}"):
+            s = SetSystem(labels, make_named(name).masks)
+            got = has_minor_from(s, targets)
+            assert got is not None and got == object_scan(s, targets), s

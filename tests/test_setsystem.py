@@ -278,6 +278,27 @@ class TestExchangeAxiom:
                     assert _se_holds_bitmap(s.family_bitmap, n)
                     assert s.is_delta_matroid()
 
+    def test_verdict_is_decided_once_per_object(self, rng, monkeypatch):
+        from dmkit import setsystem
+
+        calls = []
+        bitmap_check = setsystem._se_holds_bitmap
+        monkeypatch.setattr(
+            setsystem, "_se_holds_bitmap", lambda bm, n: calls.append(bm) or bitmap_check(bm, n)
+        )
+        for _ in range(20):
+            s = random_system(rng, 5)
+            # dense enough for the bitmap check
+            assert len(s.masks) ** 2 > 1 << s.n
+            calls.clear()
+            verdict = s.is_delta_matroid()
+            assert calls == [s.family_bitmap]
+            assert s.is_delta_matroid() == verdict == (s.se_violation() is None)
+            assert len(calls) == 1
+            # the verdict belongs to the object, not to equal values
+            assert SetSystem(s.labels, s.masks).is_delta_matroid() == verdict
+            assert len(calls) == 2
+
 
 class TestCanonicalForm:
     def test_relabeling_invariance(self, rng):
