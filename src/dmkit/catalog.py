@@ -186,13 +186,22 @@ def _t_classes(indices) -> list[CatalogEntry]:
 
 def _s_twist_reps(k: int, sizes) -> list[CatalogEntry]:
     """Twist classes of S_k by twist-set size; S_k is symmetric, so the
-    size determines the class."""
+    size determines the class.
+
+    Twisting {0, E} by a j-set gives two complementary sets of sizes j and
+    k - j, so the canonical form, found without a permutation search, puts
+    the smaller one, of size t = min(j, k - j), on the lowest t bits.
+    """
     base = make_named(f"S_{k}")
+    full = (1 << k) - 1
     out = []
     for j in sizes:
         members = base.labels[:j]
+        t = min(j, k - j)
+        low = (1 << t) - 1
+        canonical = (k, (t, low), (k - t, full ^ low))
         name = _twist_name(f"S_{k}", members, k)
-        out.append(CatalogEntry.of(name, base.twist(members)))
+        out.append(CatalogEntry(name, base.twist(members), canonical))
     return out
 
 
@@ -220,6 +229,13 @@ _QUOTIENT_LIST = [
     "T1", "T1*", "T2", "T2*", "T3", "T4", "T4*",
     "T5", "T6", "T7", "T7*", "T8", "T8*",
 ]
+
+# The paving, sparse-paving and quotient lists follow the plain S_k, k >= 3.
+_LAYER_CLASS_LISTS = {
+    ExminorClassId.PAVING: _PAVING_LISTS,
+    ExminorClassId.SPARSE_PAVING: _SPARSE_PAVING_LIST,
+    ExminorClassId.QUOTIENT_STACK: _QUOTIENT_LIST,
+}
 
 
 def _dedupe(entries: list[CatalogEntry]) -> list[CatalogEntry]:
@@ -282,14 +298,9 @@ def excluded_minor_set(class_id: ExminorClassId, cap: int = 8) -> tuple[CatalogE
             entries += _s_twist_reps(k2, [j for j in range(k2 + 1) if 2 * j != k2])
         for i in (5, 6, 7):
             entries += _named_entries(_STACK_T_LISTS[i])
-    elif cid is ExminorClassId.PAVING:
-        entries += [CatalogEntry.of(f"S_{k}", make_named(f"S_{k}")) for k in range(3, cap + 1)]
-        entries += _named_entries(_PAVING_LISTS)
-    elif cid is ExminorClassId.SPARSE_PAVING:
-        entries += [CatalogEntry.of(f"S_{k}", make_named(f"S_{k}")) for k in range(3, cap + 1)]
-        entries += _named_entries(_SPARSE_PAVING_LIST)
-    elif cid is ExminorClassId.QUOTIENT_STACK:
-        entries += [CatalogEntry.of(f"S_{k}", make_named(f"S_{k}")) for k in range(3, cap + 1)]
-        entries += _named_entries(_QUOTIENT_LIST)
+    elif cid in _LAYER_CLASS_LISTS:
+        for k in range(3, cap + 1):
+            entries += _s_twist_reps(k, [0])
+        entries += _named_entries(_LAYER_CLASS_LISTS[cid])
     entries = [e for e in entries if e.system.n <= cap]
     return tuple(_dedupe(entries))

@@ -15,14 +15,14 @@ import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .bitset import iter_bits, permute_mask
-from .catalog import ExminorClassId
+from .catalog import excluded_minor_set
 from .errors import CapacityError, DmkitError, FormatError
 from .higgs import classify_higgs
 from .matroid import Matroid, exchange_violation, is_matroid, is_quotient
-from .minorscan import classify_by_exminors
+from .minorscan import CLASS_TABLE, has_minor_from
 from .setsystem import SetSystem
 from .stacks import classify_stack, is_matroid_stack
 
@@ -106,87 +106,26 @@ class Equivalence:
     exminor: Callable[[SetSystem], bool]
 
 
-def _equicardinal(s: SetSystem) -> bool:
-    return len({m.bit_count() for m in s.masks}) == 1
-
-
-def _scan(cid: ExminorClassId) -> Callable[[SetSystem], bool]:
-    def run(s: SetSystem) -> bool:
-        return classify_by_exminors(s, cid)[0]
-
-    return run
-
-
 def _registry() -> dict[str, Equivalence]:
-    always = lambda s: True  # noqa: E731
-    is_dm = lambda s: s.is_delta_matroid()  # noqa: E731
-    reg = [
-        Equivalence(
-            "exdelta", "delta-matroids within proper set systems",
-            always, is_dm, _scan(ExminorClassId.DELTA_MATROID),
-        ),
-        Equivalence(
-            "exevendelta", "even delta-matroids within even proper systems",
-            lambda s: s.is_even, is_dm, _scan(ExminorClassId.EVEN_DELTA_WITHIN_EVEN),
-        ),
-        Equivalence(
-            "exevendelta2", "even delta-matroids within all proper systems",
-            always, lambda s: s.is_even and s.is_delta_matroid(),
-            _scan(ExminorClassId.EVEN_DELTA_WITHIN_ALL),
-        ),
-        Equivalence(
-            "exmatroid", "matroids within equicardinal proper systems",
-            _equicardinal, is_matroid, _scan(ExminorClassId.MATROID_EQUICARDINAL),
-        ),
-        Equivalence(
-            "exhiggs", "Higgs lift delta-matroids within delta-matroids",
-            is_dm, lambda s: classify_higgs(s).is_higgs, _scan(ExminorClassId.HIGGS_LIFT),
-        ),
-        Equivalence(
-            "exfull", "full Higgs lift delta-matroids within delta-matroids",
-            is_dm, lambda s: classify_higgs(s).is_full, _scan(ExminorClassId.FULL_HIGGS),
-        ),
-        Equivalence(
-            "exevenhiggs", "even Higgs lift delta-matroids within even delta-matroids",
-            lambda s: s.is_even and s.is_delta_matroid(),
-            lambda s: classify_higgs(s).is_even_higgs,
-            _scan(ExminorClassId.EVEN_HIGGS_WITHIN_EVEN),
-        ),
-        Equivalence(
-            "exmatroidstack", "matroid stack delta-matroids within matroid stack systems",
-            is_matroid_stack, is_dm,
-            _scan(ExminorClassId.MATROID_STACK),
-        ),
-        Equivalence(
-            "exevenmatroidstack",
-            "even matroid stack delta-matroids within even matroid stack systems",
-            lambda s: s.is_even and is_matroid_stack(s), is_dm,
-            _scan(ExminorClassId.EVEN_MATROID_STACK),
-        ),
-        Equivalence(
-            "expaving", "paving delta-matroids within paving systems",
-            lambda s: is_matroid_stack(s) and classify_stack(s).paving_system, is_dm,
-            _scan(ExminorClassId.PAVING),
-        ),
-        Equivalence(
-            "exsparsepaving", "sparse paving delta-matroids within sparse paving systems",
-            lambda s: is_matroid_stack(s) and classify_stack(s).sparse_paving_system, is_dm,
-            _scan(ExminorClassId.SPARSE_PAVING),
-        ),
-        Equivalence(
-            "exquotient", "quotient delta-matroids within quotient systems",
-            lambda s: is_matroid_stack(s) and classify_stack(s).quotient_system, is_dm,
-            _scan(ExminorClassId.QUOTIENT_STACK),
-        ),
-        Equivalence(
-            "speven", "even sparse paving systems are quotient systems",
-            lambda s: (s.is_even and is_matroid_stack(s)
-                       and classify_stack(s).sparse_paving_system),
-            lambda s: classify_stack(s).quotient_system,
-            always,
-        ),
-    ]
-    return {e.theorem_id: e for e in reg}
+    """One theorem per class of the class table with a direct oracle, in
+    table order, then speven; the exminor side scans the class's list
+    capped at the ground-set size, inside an ambient already checked."""
+    reg = {
+        spec.theorem_id: Equivalence(
+            spec.theorem_id, spec.description, spec.ambient, spec.direct,
+            lambda s, cid=cid: has_minor_from(s, excluded_minor_set(cid, s.n)) is None,
+        )
+        for cid, spec in CLASS_TABLE.items()
+        if spec.theorem_id is not None
+    }
+    reg["speven"] = Equivalence(
+        "speven", "even sparse paving systems are quotient systems",
+        lambda s: (s.is_even and is_matroid_stack(s)
+                   and classify_stack(s).sparse_paving_system),
+        lambda s: classify_stack(s).quotient_system,
+        lambda s: True,
+    )
+    return reg
 
 
 REGISTRY = _registry()
@@ -236,6 +175,30 @@ def _check_one(eq: Equivalence, system: SetSystem) -> tuple[bool, bool | None, b
     return True, eq.direct(system), eq.exminor(system)
 
 
+def _new_totals() -> dict[str, int]:
+    return {"checked": 0, "ambient": 0, "direct_members": 0, "exminor_members": 0}
+
+
+def _tally(
+    eq: Equivalence, systems: Iterable[tuple[int, SetSystem]], max_witnesses: int
+) -> tuple[dict[str, int], list[dict]]:
+    """Totals over (family index, system) pairs, each counted once, and
+    the first max_witnesses discrepancies in iteration order."""
+    totals = _new_totals()
+    discrepancies: list[dict] = []
+    for index, system in systems:
+        totals["checked"] += 1
+        amb, direct, exm = _check_one(eq, system)
+        if not amb:
+            continue
+        totals["ambient"] += 1
+        totals["direct_members"] += 1 if direct else 0
+        totals["exminor_members"] += 1 if exm else 0
+        if direct != exm and len(discrepancies) < max_witnesses:
+            discrepancies.append({"family_index": index, "direct": direct, "exminor": exm})
+    return totals, discrepancies
+
+
 def verify_equivalence(
     n: int,
     theorem_id: str,
@@ -258,7 +221,6 @@ def verify_equivalence(
                          f"known: {sorted(REGISTRY)}")
     eq = REGISTRY[theorem_id]
     report = CensusReport(n=n, mode=mode, theorem=theorem_id)
-    checked = ambient = members_direct = members_exminor = 0
     if mode == "exhaustive" and dedupe and n <= EXHAUSTIVE_CAP:
         import numpy as np
 
@@ -266,15 +228,14 @@ def verify_equivalence(
         reps, inverse, counts = np.unique(
             canon[1:], return_inverse=True, return_counts=True
         )
-        rep_results = []
-        for rep in reps.tolist():
-            rep_results.append(_check_one(eq, family_system(n, rep)))
-        checked = int((1 << (1 << n)) - 1)
+        rep_results = [_check_one(eq, family_system(n, rep)) for rep in reps.tolist()]
+        totals = report.totals = _new_totals()
+        totals["checked"] = (1 << (1 << n)) - 1
         for (amb, direct, exm), size in zip(rep_results, counts.tolist()):
             if amb:
-                ambient += size
-                members_direct += size if direct else 0
-                members_exminor += size if exm else 0
+                totals["ambient"] += size
+                totals["direct_members"] += size if direct else 0
+                totals["exminor_members"] += size if exm else 0
         for rep_pos, (amb, direct, exm) in enumerate(rep_results):
             if amb and direct != exm:
                 bad_indices = (np.nonzero(inverse == rep_pos)[0] + 1)[:max_witnesses]
@@ -283,24 +244,9 @@ def verify_equivalence(
                         {"family_index": int(fi), "direct": direct, "exminor": exm}
                     )
     else:
-        for index, system in enumerate_proper_systems(n, mode, seed=seed, count=count):
-            checked += 1
-            amb, direct, exm = _check_one(eq, system)
-            if not amb:
-                continue
-            ambient += 1
-            members_direct += 1 if direct else 0
-            members_exminor += 1 if exm else 0
-            if direct != exm and len(report.discrepancies) < max_witnesses:
-                report.discrepancies.append(
-                    {"family_index": index, "direct": direct, "exminor": exm}
-                )
-    report.totals = {
-        "checked": checked,
-        "ambient": ambient,
-        "direct_members": members_direct,
-        "exminor_members": members_exminor,
-    }
+        report.totals, report.discrepancies = _tally(
+            eq, enumerate_proper_systems(n, mode, seed=seed, count=count), max_witnesses
+        )
     if mode == "sampled":
         report.mode = f"sampled(seed={seed}, count={count})"
     return report
@@ -335,7 +281,7 @@ def _count_flags(system: SetSystem) -> dict[str, bool]:
     flags["higgs"] = cls.is_higgs
     flags["full_higgs"] = cls.is_full
     stack = classify_stack(system)
-    flags["matroid"] = _equicardinal(system) and stack.matroid_stack
+    flags["matroid"] = stack.matroid_stack and not stack.rank_gaps
     flags["matroid_stack_dm"] = stack.matroid_stack
     flags["paving_dm"] = stack.paving_system
     flags["sparse_paving_dm"] = stack.sparse_paving_system
@@ -349,26 +295,24 @@ def count_census(n: int, mode: str = "exhaustive", *, seed: int = 0, count: int 
     delta-matroid lower bound 2^(2^(n-1))."""
     report = CensusReport(n=n, mode=mode, theorem=None)
     totals = dict.fromkeys(_COUNT_FLAGS, 0)
-    checked = 0
     if mode == "exhaustive" and n <= EXHAUSTIVE_CAP:
         import numpy as np
 
-        canon = _canonical_index_table(n)
-        reps, counts = np.unique(canon[1:], return_counts=True)
-        for rep, size in zip(reps.tolist(), counts.tolist()):
-            flags = _count_flags(family_system(n, rep))
-            for key, value in flags.items():
-                if value:
-                    totals[key] += size
-        checked = int((1 << (1 << n)) - 1)
+        reps, counts = np.unique(_canonical_index_table(n)[1:], return_counts=True)
+        weighted = (
+            (family_system(n, rep), size) for rep, size in zip(reps.tolist(), counts.tolist())
+        )
     else:
-        for _, system in enumerate_proper_systems(n, mode, seed=seed, count=count):
-            checked += 1
-            for key, value in _count_flags(system).items():
-                if value:
-                    totals[key] += 1
+        systems = enumerate_proper_systems(n, mode, seed=seed, count=count)
+        weighted = ((system, 1) for _, system in systems)
         if mode == "sampled":
             report.mode = f"sampled(seed={seed}, count={count})"
+    checked = 0
+    for system, size in weighted:
+        checked += size
+        for key, value in _count_flags(system).items():
+            if value:
+                totals[key] += size
     report.totals = {"checked": checked, **totals}
     if mode == "exhaustive":
         bound = 1 << (1 << (n - 1)) if n >= 1 else 1
@@ -432,23 +376,11 @@ def random_quotient_pair(n: int, r_q: int, r_l: int, seed: int) -> tuple[Matroid
 def _stream_range(
     n: int, theorem_id: str, start: int, stop: int, max_witnesses: int
 ) -> tuple[dict, list[dict]]:
-    eq = REGISTRY[theorem_id]
-    totals = {"checked": 0, "ambient": 0, "direct_members": 0, "exminor_members": 0}
-    discrepancies: list[dict] = []
-    for fi in range(start, stop):
-        system = family_system(n, fi)
-        totals["checked"] += 1
-        amb, direct, exm = _check_one(eq, system)
-        if not amb:
-            continue
-        totals["ambient"] += 1
-        totals["direct_members"] += 1 if direct else 0
-        totals["exminor_members"] += 1 if exm else 0
-        if direct != exm and len(discrepancies) < max_witnesses:
-            discrepancies.append(
-                {"family_index": fi, "direct": direct, "exminor": exm}
-            )
-    return totals, discrepancies
+    return _tally(
+        REGISTRY[theorem_id],
+        ((fi, family_system(n, fi)) for fi in range(start, stop)),
+        max_witnesses,
+    )
 
 
 def _stream_worker(task: tuple) -> tuple[dict, list[dict]]:
@@ -483,7 +415,7 @@ def run_streaming(
     if theorem_id not in REGISTRY:
         raise DmkitError(f"unknown theorem id {theorem_id!r}")
     end = stop if stop is not None else 1 << (1 << n)
-    totals = {"checked": 0, "ambient": 0, "direct_members": 0, "exminor_members": 0}
+    totals = _new_totals()
     discrepancies: list[dict] = []
     index = start
     if checkpoint_path:

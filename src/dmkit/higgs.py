@@ -4,9 +4,8 @@ built from index sets."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .bitset import down_closure, family_to_bitmap, iter_bits, masks_of_size, up_closure
+from .bitset import iter_bits, masks_of_size
 from .errors import InvalidIndexSetError, NotAQuotientError
 from .matroid import Matroid, is_quotient, min_max_matroids
 from .setsystem import SetSystem
@@ -32,16 +31,6 @@ def validate_index_set(k: int, index_set) -> frozenset[int]:
     return ks
 
 
-@lru_cache(maxsize=1 << 14)
-def _pair_bitmaps(q: Matroid, lift: Matroid) -> tuple[int, int]:
-    """(spanning-in-q bitmap, independent-in-lift bitmap)."""
-    n = q.n
-    return (
-        up_closure(family_to_bitmap(q.bases), n),
-        down_closure(family_to_bitmap(lift.bases), n),
-    )
-
-
 def _require_quotient(q: Matroid, lift: Matroid) -> None:
     if not is_quotient(q, lift):
         raise NotAQuotientError("first matroid is not a quotient of the second")
@@ -59,8 +48,7 @@ def higgs_lift(q: Matroid, lift: Matroid, i: int) -> Matroid:
         return q
     if i > k:
         return lift
-    span_q, indep_l = _pair_bitmaps(q, lift)
-    layer = span_q & indep_l & masks_of_size(q.n, q.rank + i)
+    layer = q.spanning_bitmap() & lift.independent_bitmap() & masks_of_size(q.n, q.rank + i)
     system = SetSystem(q.labels, frozenset(iter_bits(layer)))
     return Matroid._unchecked(system)
 
@@ -75,8 +63,7 @@ def build_higgs_dm(q: Matroid, lift: Matroid, index_set) -> SetSystem:
     _require_quotient(q, lift)
     k = lift.rank - q.rank
     ks = validate_index_set(k, index_set)
-    span_q, indep_l = _pair_bitmaps(q, lift)
-    sandwich = span_q & indep_l
+    sandwich = q.spanning_bitmap() & lift.independent_bitmap()
     masks: set[int] = set()
     for i in ks:
         masks.update(iter_bits(sandwich & masks_of_size(q.n, q.rank + i)))
@@ -124,9 +111,8 @@ def classify_higgs(system: SetSystem) -> HiggsClassification:
     lo, hi = min_max_matroids(system)
     k = hi.rank - lo.rank
     n = system.n
-    span_lo, indep_hi = _pair_bitmaps(lo, hi)
-    sandwich = span_lo & indep_hi
-    family = family_to_bitmap(system.masks)
+    sandwich = lo.spanning_bitmap() & hi.independent_bitmap()
+    family = system.family_bitmap
     occupied = []
     for i in range(k + 1):
         size_slice = masks_of_size(n, lo.rank + i)

@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple
 from .bitset import down_closure, iter_bits, minimal_members, up_closure
 from .errors import CapacityError, FormatError, InvalidRegionError, UnknownElementError
 from .higgs import full_higgs_dm
-from .matroid import Matroid, is_quotient
+from .matroid import Matroid, circuits_cover, is_quotient
 from .setsystem import SetSystem
 
 PATH_COUNT_CAP = 10**7
@@ -480,17 +480,8 @@ def verify_region_prop(region: Region) -> str | None:
     indep_hi = down_closure(hi_bm, n)
     if d_bm != span_lo & indep_hi:
         return "path image differs from full Higgs lift family"
-    dep_hi = full & ~indep_hi
-    circuits_hi = list(iter_bits(minimal_members(dep_hi, n)))
-    dep_lo = full & ~down_closure(lo_bm, n)
-    circuits_lo = list(iter_bits(minimal_members(dep_lo, n)))
-    for c_mask in circuits_hi:
-        covered = 0
-        for qc in circuits_lo:
-            if not qc & ~c_mask:
-                covered |= qc
-                if covered == c_mask:
-                    break
-        if covered != c_mask:
-            return "minimal matroid is not a quotient of the maximal"
+    circuits_hi = iter_bits(minimal_members(full & ~indep_hi, n))
+    circuits_lo = list(iter_bits(minimal_members(full & ~down_closure(lo_bm, n), n)))
+    if not circuits_cover(circuits_lo, circuits_hi):
+        return "minimal matroid is not a quotient of the maximal"
     return None

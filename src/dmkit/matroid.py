@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .bitset import (
     down_closure,
@@ -174,8 +174,13 @@ def is_quotient(q: Matroid, lift: Matroid) -> bool:
     """
     if q.labels != lift.labels:
         raise GroundSetMismatchError("quotient test needs a common ground set")
-    q_circuits = q.circuit_masks()
-    for c in lift.circuit_masks():
+    return circuits_cover(q.circuit_masks(), lift.circuit_masks())
+
+
+def circuits_cover(q_circuits: Sequence[int], lift_circuits: Iterable[int]) -> bool:
+    """True when every lift circuit mask is the union of the q circuit
+    masks inside it."""
+    for c in lift_circuits:
         covered = 0
         for qc in q_circuits:
             if not qc & ~c:
@@ -205,8 +210,8 @@ def min_max_matroids(system: SetSystem) -> tuple[Matroid, Matroid]:
         raise NotADeltaMatroidError("min/max matroids need the exchange axiom")
     lo = Matroid.from_system(SetSystem(system.labels, frozenset(system.min_sets())))
     hi = Matroid.from_system(SetSystem(system.labels, frozenset(system.max_sets())))
-    lo_up = up_closure(family_to_bitmap(lo.bases), system.n)
-    hi_down = down_closure(family_to_bitmap(hi.bases), system.n)
+    lo_up = lo.spanning_bitmap()
+    hi_down = hi.independent_bitmap()
     for m in system.masks:
         if not (lo_up >> m & 1 and hi_down >> m & 1):
             raise NotADeltaMatroidError(

@@ -1,5 +1,5 @@
-"""Minor enumeration in the delete/contract normal form and the
-excluded-minor membership classifiers."""
+"""Minor enumeration in the delete/contract normal form, the class table
+of the excluded-minor characterizations and their membership classifier."""
 
 from __future__ import annotations
 
@@ -8,11 +8,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .bitset import iter_bits, layer_selectors, permute_mask
 from .catalog import CatalogEntry, ExminorClassId, excluded_minor_set
 from .errors import AmbientHypothesisError, CapacityError
+from .higgs import classify_higgs
+from .matroid import is_matroid
 from .setsystem import SetSystem
 from .stacks import classify_stack, is_matroid_stack
 
@@ -299,40 +301,86 @@ def has_minor_from(
     return None
 
 
-def _ambient_ok(system: SetSystem, class_id: ExminorClassId) -> tuple[bool, str]:
-    """Check the side condition a classifier imposes on its inputs."""
-    cid = ExminorClassId(class_id)
-    if cid in (ExminorClassId.DELTA_MATROID, ExminorClassId.EVEN_DELTA_WITHIN_ALL,
-               ExminorClassId.BINARY):
-        return True, ""
-    if cid is ExminorClassId.EVEN_DELTA_WITHIN_EVEN:
-        return system.is_even, "system is not even"
-    if cid in (ExminorClassId.HIGGS_LIFT, ExminorClassId.FULL_HIGGS):
-        return system.is_delta_matroid(), "system is not a delta-matroid"
-    if cid is ExminorClassId.EVEN_HIGGS_WITHIN_EVEN:
-        return (
-            system.is_even and system.is_delta_matroid(),
-            "system is not an even delta-matroid",
-        )
-    if cid is ExminorClassId.MATROID_EQUICARDINAL:
-        sizes = {m.bit_count() for m in system.masks}
-        return len(sizes) == 1, "feasible sets are not equicardinal"
-    stack = is_matroid_stack(system)
-    if cid is ExminorClassId.MATROID_STACK:
-        return stack, "system is not a matroid stack system"
-    if cid is ExminorClassId.EVEN_MATROID_STACK:
-        return (
-            system.is_even and stack,
-            "system is not an even matroid stack system",
-        )
-    flags = classify_stack(system) if stack else None
-    if cid is ExminorClassId.PAVING:
-        return stack and flags.paving_system, "system is not a paving set system"
-    if cid is ExminorClassId.SPARSE_PAVING:
-        return stack and flags.sparse_paving_system, "system is not a sparse paving set system"
-    if cid is ExminorClassId.QUOTIENT_STACK:
-        return stack and flags.quotient_system, "system is not a quotient set system"
-    raise ValueError(f"unhandled class id {class_id}")
+def _always(system: SetSystem) -> bool:
+    return True
+
+
+def _is_dm(system: SetSystem) -> bool:
+    return system.is_delta_matroid()
+
+
+def _is_even_dm(system: SetSystem) -> bool:
+    return system.is_even and system.is_delta_matroid()
+
+
+@dataclass(frozen=True)
+class ClassSpec:
+    """One characterization "class X inside ambient Y": within the ambient,
+    the direct oracle holds exactly when the system has no minor in the
+    excluded-minor list of its class id.
+
+    refusal is the AmbientHypothesisError message of classify_by_exminors
+    outside the ambient (empty when every system is inside); theorem_id
+    and description name the census theorem, None with the direct oracle
+    for a class that has none.
+    """
+
+    ambient: Callable[[SetSystem], bool]
+    refusal: str
+    direct: Callable[[SetSystem], bool] | None
+    theorem_id: str | None
+    description: str | None
+
+
+CLASS_TABLE: dict[ExminorClassId, ClassSpec] = {
+    ExminorClassId.DELTA_MATROID: ClassSpec(
+        _always, "", _is_dm,
+        "exdelta", "delta-matroids within proper set systems"),
+    ExminorClassId.EVEN_DELTA_WITHIN_EVEN: ClassSpec(
+        lambda s: s.is_even, "system is not even", _is_dm,
+        "exevendelta", "even delta-matroids within even proper systems"),
+    ExminorClassId.EVEN_DELTA_WITHIN_ALL: ClassSpec(
+        _always, "", _is_even_dm,
+        "exevendelta2", "even delta-matroids within all proper systems"),
+    ExminorClassId.MATROID_EQUICARDINAL: ClassSpec(
+        lambda s: len({m.bit_count() for m in s.masks}) == 1,
+        "feasible sets are not equicardinal", is_matroid,
+        "exmatroid", "matroids within equicardinal proper systems"),
+    ExminorClassId.HIGGS_LIFT: ClassSpec(
+        _is_dm, "system is not a delta-matroid", lambda s: classify_higgs(s).is_higgs,
+        "exhiggs", "Higgs lift delta-matroids within delta-matroids"),
+    ExminorClassId.FULL_HIGGS: ClassSpec(
+        _is_dm, "system is not a delta-matroid", lambda s: classify_higgs(s).is_full,
+        "exfull", "full Higgs lift delta-matroids within delta-matroids"),
+    ExminorClassId.EVEN_HIGGS_WITHIN_EVEN: ClassSpec(
+        _is_even_dm, "system is not an even delta-matroid",
+        lambda s: classify_higgs(s).is_even_higgs,
+        "exevenhiggs", "even Higgs lift delta-matroids within even delta-matroids"),
+    ExminorClassId.MATROID_STACK: ClassSpec(
+        is_matroid_stack, "system is not a matroid stack system", _is_dm,
+        "exmatroidstack", "matroid stack delta-matroids within matroid stack systems"),
+    ExminorClassId.EVEN_MATROID_STACK: ClassSpec(
+        lambda s: s.is_even and is_matroid_stack(s),
+        "system is not an even matroid stack system", _is_dm,
+        "exevenmatroidstack",
+        "even matroid stack delta-matroids within even matroid stack systems"),
+    # The layer classes call classify_stack for matroid stacks only.
+    ExminorClassId.PAVING: ClassSpec(
+        lambda s: is_matroid_stack(s) and classify_stack(s).paving_system,
+        "system is not a paving set system", _is_dm,
+        "expaving", "paving delta-matroids within paving systems"),
+    ExminorClassId.SPARSE_PAVING: ClassSpec(
+        lambda s: is_matroid_stack(s) and classify_stack(s).sparse_paving_system,
+        "system is not a sparse paving set system", _is_dm,
+        "exsparsepaving", "sparse paving delta-matroids within sparse paving systems"),
+    ExminorClassId.QUOTIENT_STACK: ClassSpec(
+        lambda s: is_matroid_stack(s) and classify_stack(s).quotient_system,
+        "system is not a quotient set system", _is_dm,
+        "exquotient", "quotient delta-matroids within quotient systems"),
+    # Binary delta-matroids have no direct oracle here; gf2.is_binary_dm
+    # scans the P-twists of this list.
+    ExminorClassId.BINARY: ClassSpec(_always, "", None, None, None),
+}
 
 
 def classify_by_exminors(
@@ -355,8 +403,9 @@ def classify_by_exminors(
             f"with more than {cap} elements would go unscanned, so a member "
             "verdict would be unsound"
         )
-    ok, why = _ambient_ok(system, class_id)
-    if not ok:
-        raise AmbientHypothesisError(why)
-    witness = has_minor_from(system, excluded_minor_set(ExminorClassId(class_id), cap))
+    cid = ExminorClassId(class_id)
+    spec = CLASS_TABLE[cid]
+    if not spec.ambient(system):
+        raise AmbientHypothesisError(spec.refusal)
+    witness = has_minor_from(system, excluded_minor_set(cid, cap))
     return witness is None, witness

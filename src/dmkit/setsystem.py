@@ -265,17 +265,11 @@ class SetSystem:
     def canonical_permutation(self, cap: int = PERMUTATION_CAP) -> tuple[int, ...]:
         """A permutation (bit i -> position perm[i]) achieving canonical_form;
         ties broken by the lexicographically least permutation."""
-        if self.n > cap:
-            raise CapacityError(
-                f"canonical form needs {self.n}! permutations; cap is {cap}"
-            )
-        best_enc = None
-        best_perm = None
+        best = self.canonical_form(cap)[1:]
         for perm in permutations(range(self.n)):
             enc = tuple(sorted((m.bit_count(), permute_mask(m, perm)) for m in self.masks))
-            if best_enc is None or enc < best_enc:
-                best_enc, best_perm = enc, perm
-        return best_perm if best_perm is not None else ()
+            if enc == best:
+                return perm
 
     def is_isomorphic(self, other: SetSystem, cap: int = PERMUTATION_CAP) -> bool:
         """Relabeling equivalence via cached canonical forms (small n) or

@@ -1,0 +1,139 @@
+"""Record the golden CLI corpus replayed by tests/test_cli_corpus.py.
+
+Run from the repository root with ``PYTHONPATH=src python3
+tests/golden/make_cli_corpus.py``; it rewrites tests/golden/cli_corpus.json.
+Each case holds an argument vector (``{system}`` stands for a file holding
+the case's system), the exit code, and stdout and stderr as printed.  The
+corpus pins the verdicts, witnesses, refusals and census totals, so a
+refactor that changes any byte of them shows up as a failing case.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+from dmkit.catalog import ExminorClassId, make_named
+from dmkit.census import REGISTRY, random_quotient_pair
+from dmkit.cli import main
+from dmkit.gf2 import SkewSymMatrixGF2, d_of_c
+from dmkit.higgs import build_higgs_dm
+from dmkit.setsystem import SetSystem, serialize_set_system
+
+OUT = Path(__file__).with_name("cli_corpus.json")
+LABELS = "abcdefg"
+
+
+def _uniform_layers(n: int, sizes) -> SetSystem:
+    return SetSystem(tuple(LABELS[:n]),
+                     frozenset(m for m in range(1 << n) if m.bit_count() in sizes))
+
+
+def _random(seed: int, n: int, p: float) -> SetSystem:
+    rng = random.Random(seed)
+    masks = frozenset(m for m in range(1 << n) if rng.random() < p) or frozenset({0})
+    return SetSystem(tuple(LABELS[:n]), masks)
+
+
+def _dofc(seed: int, n: int) -> SetSystem:
+    rng = random.Random(seed)
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.5:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return d_of_c(SkewSymMatrixGF2(tuple(LABELS[:n]), tuple(rows)))
+
+
+def _higgs(seed: int, n: int, r_q: int, r_l: int, ks) -> SetSystem:
+    q, lift = random_quotient_pair(n, r_q, r_l, seed)
+    return build_higgs_dm(q, lift, ks)
+
+
+def systems() -> dict[str, SetSystem]:
+    """About twenty fixed systems on 3 to 7 elements: members and
+    non-members of every class, and refusals of every ambient."""
+    return {
+        "T1": make_named("T1"),
+        "P2": make_named("P2"),
+        "all3": _uniform_layers(3, range(4)),
+        "U24": _uniform_layers(4, {2}),
+        "U14+U34": _uniform_layers(4, {1, 3}),
+        "even4": SetSystem(tuple("abcd"), frozenset({0, 0b0011, 0b1100, 0b1111})),
+        "U3": make_named("U3"),
+        "P4": make_named("P4"),
+        "T5*{a,d}": make_named("T5*{a,d}"),
+        "S_5": make_named("S_5"),
+        "U25+U35": _uniform_layers(5, {2, 3}),
+        "dofc5": _dofc(3, 5),
+        "higgs5": _higgs(11, 5, 1, 3, [0, 1, 2]),
+        "even-higgs5": _higgs(12, 5, 1, 3, [0, 2]),
+        "random5": _random(5, 5, 0.5),
+        "sparse6": _random(6, 6, 0.08),
+        "higgs6": _higgs(13, 6, 2, 4, [0, 2]),
+        "dofc6*ab": _dofc(4, 6).twist(["a", "b"]),
+        "random6": _random(7, 6, 0.6),
+        "dofc7": _dofc(5, 7),
+        "U37": _uniform_layers(7, {3}),
+    }
+
+
+def cases() -> list[dict]:
+    out = []
+    classes = [c.value for c in ExminorClassId]
+    for name in systems():
+        for cls in classes:
+            out.append({"system": name, "argv": ["check", "--class", cls, "{system}"]})
+            out.append({"system": name,
+                        "argv": ["check", "--class", cls, "--json", "{system}"]})
+        out.append({"system": name, "argv": ["binary", "check", "{system}"]})
+        out.append({"system": name, "argv": ["binary", "check", "--json", "{system}"]})
+    for theorem in sorted(REGISTRY):
+        base = ["census", "run", "--n", "3", "--theorem", theorem]
+        out.append({"argv": base})
+        out.append({"argv": base + ["--json"]})
+        out.append({"argv": base + ["--no-dedupe"]})
+        out.append({"argv": base + ["--no-dedupe", "--json"]})
+        out.append({"argv": base + ["--long", "--chunk", "100", "--json"]})
+        out.append({"argv": ["census", "run", "--n", "4", "--theorem", theorem,
+                             "--mode", "sampled", "--seed", "3", "--count", "300", "--json"]})
+    out.append({"argv": ["census", "count", "--n", "3"]})
+    out.append({"argv": ["census", "count", "--n", "3", "--json"]})
+    for cls in classes:
+        out.append({"argv": ["catalog", "dump", "--class", cls, "--cap", "6"]})
+    return out
+
+
+def run_case(argv: list[str], system_path: str | None) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    argv = [system_path if a == "{system}" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def record() -> dict:
+    texts = {name: serialize_set_system(s) for name, s in systems().items()}
+    recorded = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in cases():
+            path = None
+            if "system" in case:
+                path = str(Path(tmp) / "system.json")
+                Path(path).write_text(texts[case["system"]], encoding="utf-8")
+            code, stdout, stderr = run_case(case["argv"], path)
+            recorded.append({**case, "exit": code, "stdout": stdout, "stderr": stderr})
+    return {"systems": texts, "cases": recorded}
+
+
+if __name__ == "__main__":
+    doc = record()
+    OUT.write_text(json.dumps(doc, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    print(f"{len(doc['cases'])} cases written to {OUT}", file=sys.stderr)

@@ -9,6 +9,7 @@ import pytest
 
 from dmkit.catalog import (
     ExminorClassId,
+    _s_twist_reps,
     excluded_minor_set,
     make_named,
     twist_classes,
@@ -189,6 +190,24 @@ class TestExcludedMinorSets:
     def test_no_excluded_minor_is_a_delta_matroid_for_delta_class(self):
         for e in excluded_minor_set(ExminorClassId.DELTA_MATROID, 6):
             assert not e.system.is_delta_matroid(), e.name
+
+    def test_s_twist_closed_form_equals_permutation_search(self):
+        # S_k twisted by a j-set: the closed-form canonical form must be the
+        # one the permutation search finds, for every k <= 7 and every j.
+        for k in range(3, 8):
+            for entry in _s_twist_reps(k, range(k + 1)):
+                assert entry.canonical == entry.system.canonical_form(), entry.name
+
+    def test_entries_match_named_construction_and_search(self):
+        # Every list entry, at every cap up to 7, carries the canonical form
+        # the permutation search finds, which is that of the system its name
+        # builds (a twist-class entry may hold another twist of the class).
+        for cid in ExminorClassId:
+            for cap in range(8):
+                for e in excluded_minor_set(cid, cap):
+                    canonical = e.system.canonical_form()
+                    assert e.canonical == canonical, (cid, cap, e.name)
+                    assert make_named(e.name).canonical_form() == canonical, (cid, cap, e.name)
 
 
 class TestNamedFacts:

@@ -3,6 +3,7 @@ seeded quotient-pair generator."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from dmkit.census import (
     REGISTRY,
     count_census,
     enumerate_proper_systems,
+    family_system,
     random_quotient_pair,
     run_streaming,
     verify_equivalence,
@@ -73,6 +75,25 @@ class TestStreaming:
         plain = verify_equivalence(2, "exdelta", dedupe=False)
         stream = run_streaming(2, "exdelta", chunk=7)
         assert stream.totals == plain.totals
+
+    def test_witnesses_keep_index_order_and_cut(self, monkeypatch):
+        # A wrong theorem (direct oracle always True) makes every family that
+        # is not a delta-matroid a discrepancy; every undeduplicated path
+        # keeps the first max_witnesses of them, in family-index order.
+        wrong = dataclasses.replace(REGISTRY["exdelta"], theorem_id="wrong",
+                                    direct=lambda s: True)
+        monkeypatch.setitem(REGISTRY, "wrong", wrong)
+        bad = [i for i in range(1, 256) if not family_system(3, i).is_delta_matroid()]
+        want = [{"family_index": i, "direct": True, "exminor": False} for i in bad[:5]]
+        plain = verify_equivalence(3, "wrong", dedupe=False, max_witnesses=5)
+        assert plain.discrepancies == want
+        assert plain.totals["ambient"] - plain.totals["exminor_members"] == len(bad)
+        streamed = run_streaming(3, "wrong", chunk=40, max_witnesses=5)
+        assert streamed.discrepancies == want and streamed.totals == plain.totals
+        sampled = verify_equivalence(3, "wrong", "sampled", seed=2, count=200, max_witnesses=3)
+        first = [i for i, s in enumerate_proper_systems(3, "sampled", seed=2, count=200)
+                 if not s.is_delta_matroid()][:3]
+        assert [d["family_index"] for d in sampled.discrepancies] == first
 
     def test_checkpoint_resume(self, tmp_path):
         ck = tmp_path / "census.ckpt"

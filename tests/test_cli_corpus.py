@@ -1,0 +1,45 @@
+"""Golden CLI corpus: every recorded invocation must reproduce its exit
+code, stdout and stderr byte for byte.
+
+The corpus (tests/golden/cli_corpus.json, written by
+tests/golden/make_cli_corpus.py) covers `check` for every class in text
+and --json form on 21 fixed 3-7-element systems, ambient refusals
+included, `binary check`, `census run --n 3` for every theorem with and
+without --no-dedupe and streamed, sampled n = 4 census runs, `census
+count --n 3` and `catalog dump --cap 6` for every class.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from dmkit.cli import main
+
+CORPUS = json.loads(
+    (Path(__file__).parent / "golden" / "cli_corpus.json").read_text(encoding="utf-8")
+)
+
+
+def _case_id(case: dict) -> str:
+    prefix = f"{case['system']}:" if "system" in case else ""
+    return prefix + " ".join(a for a in case["argv"] if a != "{system}")
+
+
+@pytest.mark.parametrize("case", CORPUS["cases"], ids=_case_id)
+def test_cli_output_matches_corpus(case, tmp_path):
+    argv = list(case["argv"])
+    if "system" in case:
+        path = tmp_path / "system.json"
+        path.write_text(CORPUS["systems"][case["system"]], encoding="utf-8")
+        argv = [str(path) if a == "{system}" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue(), err.getvalue()) == (
+        case["exit"], case["stdout"], case["stderr"]
+    )

@@ -11,11 +11,17 @@ import pytest
 from dmkit import minorscan
 from dmkit.bitset import permute_mask
 from dmkit.catalog import CatalogEntry, ExminorClassId, excluded_minor_set, make_named
-from dmkit.census import _canonical_index_table, family_system, random_quotient_pair
+from dmkit.census import (
+    REGISTRY,
+    _canonical_index_table,
+    enumerate_proper_systems,
+    family_system,
+    random_quotient_pair,
+)
 from dmkit.errors import AmbientHypothesisError, CapacityError
 from dmkit.gf2 import SkewSymMatrixGF2, d_of_c
 from dmkit.higgs import build_higgs_dm
-from dmkit.matroid import uniform_matroid
+from dmkit.matroid import is_matroid, uniform_matroid
 from dmkit.minorscan import (
     MinorWitness,
     classify_by_exminors,
@@ -23,8 +29,9 @@ from dmkit.minorscan import (
     has_minor_from,
 )
 from dmkit.setsystem import SetSystem
+from dmkit.stacks import classify_stack, stack_of
 
-from conftest import random_system
+from conftest import random_delta_matroid, random_system
 
 
 def system_of(labels: str, *sets: str) -> SetSystem:
@@ -370,3 +377,105 @@ class TestProjectionScan:
             s = SetSystem(labels, make_named(name).masks)
             got = has_minor_from(s, targets)
             assert got is not None and got == object_scan(s, targets), s
+
+
+# The refusal of each class whose ambient can fail, pinned word for word
+# (the CLI prints it), and the census theorem of each class.
+REFUSALS = {
+    ExminorClassId.EVEN_DELTA_WITHIN_EVEN: "system is not even",
+    ExminorClassId.HIGGS_LIFT: "system is not a delta-matroid",
+    ExminorClassId.FULL_HIGGS: "system is not a delta-matroid",
+    ExminorClassId.EVEN_HIGGS_WITHIN_EVEN: "system is not an even delta-matroid",
+    ExminorClassId.MATROID_EQUICARDINAL: "feasible sets are not equicardinal",
+    ExminorClassId.MATROID_STACK: "system is not a matroid stack system",
+    ExminorClassId.EVEN_MATROID_STACK: "system is not an even matroid stack system",
+    ExminorClassId.PAVING: "system is not a paving set system",
+    ExminorClassId.SPARSE_PAVING: "system is not a sparse paving set system",
+    ExminorClassId.QUOTIENT_STACK: "system is not a quotient set system",
+}
+THEOREMS = {
+    ExminorClassId.DELTA_MATROID: "exdelta",
+    ExminorClassId.EVEN_DELTA_WITHIN_EVEN: "exevendelta",
+    ExminorClassId.EVEN_DELTA_WITHIN_ALL: "exevendelta2",
+    ExminorClassId.MATROID_EQUICARDINAL: "exmatroid",
+    ExminorClassId.HIGGS_LIFT: "exhiggs",
+    ExminorClassId.FULL_HIGGS: "exfull",
+    ExminorClassId.EVEN_HIGGS_WITHIN_EVEN: "exevenhiggs",
+    ExminorClassId.MATROID_STACK: "exmatroidstack",
+    ExminorClassId.EVEN_MATROID_STACK: "exevenmatroidstack",
+    ExminorClassId.PAVING: "expaving",
+    ExminorClassId.SPARSE_PAVING: "exsparsepaving",
+    ExminorClassId.QUOTIENT_STACK: "exquotient",
+}
+
+
+def class_table_hosts() -> list[SetSystem]:
+    """Every proper family on at most three elements, seeded n = 4 and
+    n = 5 samples, every union of uniform layers on 4 and 5 elements
+    (matroid stacks, so the layer ambients hold) and seeded
+    delta-matroids."""
+    hosts = [family_system(n, i) for n in (1, 2, 3) for i in range(1, 1 << (1 << n))]
+    hosts += [s for _, s in enumerate_proper_systems(4, "sampled", seed=5, count=300)]
+    hosts += [s for _, s in enumerate_proper_systems(5, "sampled", seed=6, count=150)]
+    for n in (4, 5):
+        for sizes in range(1, 1 << (n + 1)):
+            hosts.append(family_system(n, sum(
+                1 << m for m in range(1 << n) if sizes >> m.bit_count() & 1)))
+    rng = random.Random(77)
+    hosts += [random_delta_matroid(rng, n) for n in (4, 5) for _ in range(40)]
+    return hosts
+
+
+def reference_ambients(s: SetSystem) -> dict[ExminorClassId, bool]:
+    """Each class's ambient from the definitions: the exchange axiom by
+    se_violation, the matroid-stack test layer by layer by is_matroid."""
+    dm = s.se_violation() is None
+    stack = all(is_matroid(layer) for _, layer in stack_of(s).proper_layers())
+    flags = classify_stack(s)
+    return {
+        ExminorClassId.DELTA_MATROID: True,
+        ExminorClassId.EVEN_DELTA_WITHIN_EVEN: s.is_even,
+        ExminorClassId.EVEN_DELTA_WITHIN_ALL: True,
+        ExminorClassId.MATROID_EQUICARDINAL: len(set(s.size_signature)) == 1,
+        ExminorClassId.HIGGS_LIFT: dm,
+        ExminorClassId.FULL_HIGGS: dm,
+        ExminorClassId.EVEN_HIGGS_WITHIN_EVEN: s.is_even and dm,
+        ExminorClassId.BINARY: True,
+        ExminorClassId.MATROID_STACK: stack,
+        ExminorClassId.EVEN_MATROID_STACK: s.is_even and stack,
+        ExminorClassId.PAVING: stack and flags.paving_system,
+        ExminorClassId.SPARSE_PAVING: stack and flags.sparse_paving_system,
+        ExminorClassId.QUOTIENT_STACK: stack and flags.quotient_system,
+    }
+
+
+class TestClassTable:
+    def test_refusals_and_scans_match_the_census_registry(self):
+        # classify_by_exminors refuses, with its message, exactly where the
+        # census ambient of the class fails, which is where the ambient of
+        # the definitions fails; inside it, the census exminor oracle gives
+        # the scan's verdict.
+        seen = dict.fromkeys(ExminorClassId, 0)
+        for s in class_table_hosts():
+            reference = reference_ambients(s)
+            for cid in ExminorClassId:
+                eq = REGISTRY.get(THEOREMS.get(cid))
+                ambient = eq.ambient(s) if eq is not None else True
+                assert ambient == reference[cid], (cid, s)
+                try:
+                    member, _ = classify_by_exminors(s, cid)
+                except AmbientHypothesisError as exc:
+                    assert not ambient and str(exc) == REFUSALS[cid], (cid, s)
+                    seen[cid] += 1
+                    continue
+                assert ambient, (cid, s)
+                if eq is not None:
+                    assert eq.exminor(s) == member, (cid, s)
+        # every class that can refuse did refuse somewhere
+        assert {cid for cid, count in seen.items() if count} == set(REFUSALS)
+
+    def test_registry_rows(self):
+        assert list(REGISTRY) == list(THEOREMS.values()) + ["speven"]
+        for cid, theorem in THEOREMS.items():
+            assert minorscan.CLASS_TABLE[cid].theorem_id == theorem
+        assert minorscan.CLASS_TABLE[ExminorClassId.BINARY].theorem_id is None
