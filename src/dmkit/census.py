@@ -14,7 +14,7 @@ import random
 import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .bitset import iter_bits, permute_mask
@@ -89,6 +89,31 @@ def _canonical_index_table(n: int) -> np.ndarray:
             table |= ((indices >> np.uint32(j)) & np.uint32(1)) << np.uint32(sub[j])
         np.minimum(best, table, out=best)
     return best
+
+
+def _by_class(n: int, mode: str, dedupe: bool) -> bool:
+    return dedupe and mode == "exhaustive" and n <= EXHAUSTIVE_CAP
+
+
+def _weighted_families(n: int, mode: str, *, seed: int, count: int,
+                       dedupe: bool) -> Iterator[tuple[int, SetSystem, int]]:
+    """Yield (family index, system, weight) triples whose weights add up to
+    the number of families in the run.
+
+    A deduplicated exhaustive run yields the least index of each
+    isomorphism class, in index order, weighted by the class size (every
+    census oracle is label-invariant); any other run yields every family
+    with weight 1.
+    """
+    if _by_class(n, mode, dedupe):
+        import numpy as np
+
+        reps, sizes = np.unique(_canonical_index_table(n)[1:], return_counts=True)
+        for rep, size in zip(reps.tolist(), sizes.tolist()):
+            yield rep, family_system(n, rep), size
+    else:
+        for index, system in enumerate_proper_systems(n, mode, seed=seed, count=count):
+            yield index, system, 1
 
 
 # -- the equivalence registry ---------------------------------------------
@@ -167,33 +192,30 @@ class CensusReport:
         return " | ".join(parts)
 
 
-def _check_one(eq: Equivalence, system: SetSystem) -> tuple[bool, bool | None, bool | None]:
-    """(ambient, direct, exminor) verdicts; oracles skipped outside the
-    hypothesis."""
-    if not eq.ambient(system):
-        return False, None, None
-    return True, eq.direct(system), eq.exminor(system)
-
-
 def _new_totals() -> dict[str, int]:
     return {"checked": 0, "ambient": 0, "direct_members": 0, "exminor_members": 0}
 
 
+def _mode_label(mode: str, seed: int, count: int) -> str:
+    return f"sampled(seed={seed}, count={count})" if mode == "sampled" else mode
+
+
 def _tally(
-    eq: Equivalence, systems: Iterable[tuple[int, SetSystem]], max_witnesses: int
+    eq: Equivalence, families: Iterable[tuple[int, SetSystem, int]], max_witnesses: int
 ) -> tuple[dict[str, int], list[dict]]:
-    """Totals over (family index, system) pairs, each counted once, and
-    the first max_witnesses discrepancies in iteration order."""
+    """Totals over (family index, system, weight) triples, each family
+    counted weight times, and the first max_witnesses discrepancies in
+    iteration order; both oracles are skipped outside the hypothesis."""
     totals = _new_totals()
     discrepancies: list[dict] = []
-    for index, system in systems:
-        totals["checked"] += 1
-        amb, direct, exm = _check_one(eq, system)
-        if not amb:
+    for index, system, weight in families:
+        totals["checked"] += weight
+        if not eq.ambient(system):
             continue
-        totals["ambient"] += 1
-        totals["direct_members"] += 1 if direct else 0
-        totals["exminor_members"] += 1 if exm else 0
+        direct, exm = eq.direct(system), eq.exminor(system)
+        totals["ambient"] += weight
+        totals["direct_members"] += weight if direct else 0
+        totals["exminor_members"] += weight if exm else 0
         if direct != exm and len(discrepancies) < max_witnesses:
             discrepancies.append({"family_index": index, "direct": direct, "exminor": exm})
     return totals, discrepancies
@@ -212,44 +234,29 @@ def verify_equivalence(
     """Compare a direct oracle with its excluded-minor classifier.
 
     Exhaustive runs with dedupe=True evaluate both oracles once per
-    isomorphism class (both sides are label-invariant; invariance itself
-    is covered by the unit tests) and replicate the verdict across the
-    class members, which all appear in the totals.
+    isomorphism class and weight the verdicts by the class size.  Every
+    run reports the first max_witnesses discrepant family indices, in
+    index order (draw order for sampled runs), so dedupe changes the cost
+    of a run, not its report.
     """
     if theorem_id not in REGISTRY:
         raise DmkitError(f"unknown theorem id {theorem_id!r}; "
                          f"known: {sorted(REGISTRY)}")
-    eq = REGISTRY[theorem_id]
-    report = CensusReport(n=n, mode=mode, theorem=theorem_id)
-    if mode == "exhaustive" and dedupe and n <= EXHAUSTIVE_CAP:
+    families = _weighted_families(n, mode, seed=seed, count=count, dedupe=dedupe)
+    totals, discrepancies = _tally(REGISTRY[theorem_id], families, max_witnesses)
+    if discrepancies and _by_class(n, mode, dedupe):
+        # Spread the representatives' verdicts over their classes.  A
+        # class's least index is its representative, so the first
+        # max_witnesses discrepant indices all lie in the classes of the
+        # first max_witnesses discrepant representatives.
         import numpy as np
 
+        by_rep = {d["family_index"]: d for d in discrepancies}
         canon = _canonical_index_table(n)
-        reps, inverse, counts = np.unique(
-            canon[1:], return_inverse=True, return_counts=True
-        )
-        rep_results = [_check_one(eq, family_system(n, rep)) for rep in reps.tolist()]
-        totals = report.totals = _new_totals()
-        totals["checked"] = (1 << (1 << n)) - 1
-        for (amb, direct, exm), size in zip(rep_results, counts.tolist()):
-            if amb:
-                totals["ambient"] += size
-                totals["direct_members"] += size if direct else 0
-                totals["exminor_members"] += size if exm else 0
-        for rep_pos, (amb, direct, exm) in enumerate(rep_results):
-            if amb and direct != exm:
-                bad_indices = (np.nonzero(inverse == rep_pos)[0] + 1)[:max_witnesses]
-                for fi in bad_indices.tolist():
-                    report.discrepancies.append(
-                        {"family_index": int(fi), "direct": direct, "exminor": exm}
-                    )
-    else:
-        report.totals, report.discrepancies = _tally(
-            eq, enumerate_proper_systems(n, mode, seed=seed, count=count), max_witnesses
-        )
-    if mode == "sampled":
-        report.mode = f"sampled(seed={seed}, count={count})"
-    return report
+        members = np.flatnonzero(np.isin(canon, list(by_rep)))[:max_witnesses].tolist()
+        discrepancies = [{**by_rep[int(canon[i])], "family_index": i} for i in members]
+    return CensusReport(n=n, mode=_mode_label(mode, seed, count), theorem=theorem_id,
+                        totals=totals, discrepancies=discrepancies)
 
 
 # -- counting --------------------------------------------------------------
@@ -293,26 +300,14 @@ def _count_flags(system: SetSystem) -> dict[str, bool]:
 def count_census(n: int, mode: str = "exhaustive", *, seed: int = 0, count: int = 0) -> CensusReport:
     """Class counts over the census; exhaustive runs assert the
     delta-matroid lower bound 2^(2^(n-1))."""
-    report = CensusReport(n=n, mode=mode, theorem=None)
+    report = CensusReport(n=n, mode=_mode_label(mode, seed, count))
     totals = dict.fromkeys(_COUNT_FLAGS, 0)
-    if mode == "exhaustive" and n <= EXHAUSTIVE_CAP:
-        import numpy as np
-
-        reps, counts = np.unique(_canonical_index_table(n)[1:], return_counts=True)
-        weighted = (
-            (family_system(n, rep), size) for rep, size in zip(reps.tolist(), counts.tolist())
-        )
-    else:
-        systems = enumerate_proper_systems(n, mode, seed=seed, count=count)
-        weighted = ((system, 1) for _, system in systems)
-        if mode == "sampled":
-            report.mode = f"sampled(seed={seed}, count={count})"
     checked = 0
-    for system, size in weighted:
-        checked += size
+    for _, system, weight in _weighted_families(n, mode, seed=seed, count=count, dedupe=True):
+        checked += weight
         for key, value in _count_flags(system).items():
             if value:
-                totals[key] += size
+                totals[key] += weight
     report.totals = {"checked": checked, **totals}
     if mode == "exhaustive":
         bound = 1 << (1 << (n - 1)) if n >= 1 else 1
@@ -378,20 +373,9 @@ def _stream_range(
 ) -> tuple[dict, list[dict]]:
     return _tally(
         REGISTRY[theorem_id],
-        ((fi, family_system(n, fi)) for fi in range(start, stop)),
+        ((fi, family_system(n, fi), 1) for fi in range(start, stop)),
         max_witnesses,
     )
-
-
-def _stream_worker(task: tuple) -> tuple[dict, list[dict]]:
-    return _stream_range(*task)
-
-
-def _merge_partials(totals: dict, discrepancies: list, partial) -> None:
-    part_totals, part_disc = partial
-    for key, value in part_totals.items():
-        totals[key] += value
-    discrepancies.extend(part_disc)
 
 
 def run_streaming(
@@ -410,7 +394,9 @@ def run_streaming(
 
     Chunks are processed in index order; with jobs > 1 the chunks of each
     round are distributed to worker processes and merged in order, so the
-    report is identical to the single-process one.
+    report is identical to the single-process one.  Each merge keeps the
+    first max_witnesses discrepancies, so a checkpoint holds exactly the
+    witnesses of the report it leads to.
     """
     if theorem_id not in REGISTRY:
         raise DmkitError(f"unknown theorem id {theorem_id!r}")
@@ -427,20 +413,18 @@ def run_streaming(
         if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            tasks = []
-            lo = index
-            while lo < round_end:
-                hi = min(lo + chunk, round_end)
-                tasks.append((n, theorem_id, lo, hi, max_witnesses))
-                lo = hi
+            los = range(index, round_end, chunk)
+            his = [min(lo + chunk, round_end) for lo in los]
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for partial in pool.map(_stream_worker, tasks):
-                    _merge_partials(totals, discrepancies, partial)
+                partials = list(pool.map(_stream_range, repeat(n), repeat(theorem_id),
+                                         los, his, repeat(max_witnesses)))
         else:
-            _merge_partials(
-                totals, discrepancies,
-                _stream_range(n, theorem_id, index, round_end, max_witnesses),
-            )
+            partials = [_stream_range(n, theorem_id, index, round_end, max_witnesses)]
+        for part_totals, part_disc in partials:
+            for key, value in part_totals.items():
+                totals[key] += value
+            discrepancies.extend(part_disc)
+            del discrepancies[max_witnesses:]
         index = round_end
         if checkpoint_path:
             _save_checkpoint(checkpoint_path, {
@@ -453,7 +437,6 @@ def run_streaming(
                 "totals": totals,
                 "discrepancies": discrepancies,
             })
-    del discrepancies[max_witnesses:]
     return CensusReport(
         n=n, mode=f"streaming[{start},{end})", theorem=theorem_id,
         totals=totals, discrepancies=discrepancies,
@@ -507,4 +490,4 @@ def _load_checkpoint(path, n, theorem_id, start, stop, max_witnesses):
         raise FormatError(
             f"checkpoint is at index {doc['next_index']}, past the requested stop {stop}"
         )
-    return doc["next_index"], doc["totals"], doc["discrepancies"]
+    return doc["next_index"], doc["totals"], doc["discrepancies"][:max_witnesses]

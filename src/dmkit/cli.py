@@ -56,6 +56,17 @@ def _class_choices() -> list[str]:
     return [c.value for c in ExminorClassId]
 
 
+def _with_witness(payload: dict, witness) -> dict:
+    """The verdict payload plus its minor witness, when there is one."""
+    if witness is not None:
+        payload["witness"] = {
+            "delete": list(witness.deleted),
+            "contract": list(witness.contracted),
+            "target": witness.target_name,
+        }
+    return payload
+
+
 def cmd_check(args) -> int:
     system = _read_system(args.file)
     cid = ExminorClassId(args.cls)
@@ -65,13 +76,7 @@ def cmd_check(args) -> int:
         payload = {"class": cid.value, "error": f"hypothesis violation: {exc}"}
         print(json.dumps(payload) if args.json else payload["error"], file=sys.stderr)
         return EXIT_ERROR
-    payload = {"class": cid.value, "member": member}
-    if witness is not None:
-        payload["witness"] = {
-            "delete": list(witness.deleted),
-            "contract": list(witness.contracted),
-            "target": witness.target_name,
-        }
+    payload = _with_witness({"class": cid.value, "member": member}, witness)
     print(json.dumps(payload) if args.json else _verdict_text(payload))
     return EXIT_YES if member else EXIT_NO
 
@@ -86,10 +91,6 @@ def _verdict_text(payload: dict) -> str:
             f"(delete {w['delete'] or '[]'}, contract {w['contract'] or '[]'})"
         )
     return f"not in class {payload['class']}"
-
-
-def cmd_scan(args) -> int:
-    return cmd_check(args)
 
 
 def cmd_minor(args) -> int:
@@ -198,13 +199,7 @@ def cmd_stack_classify(args) -> int:
 def cmd_binary_check(args) -> int:
     system = _read_system(args.file)
     member, witness = is_binary_dm(system)
-    payload = {"binary": member}
-    if witness is not None:
-        payload["witness"] = {
-            "delete": list(witness.deleted),
-            "contract": list(witness.contracted),
-            "target": witness.target_name,
-        }
+    payload = _with_witness({"binary": member}, witness)
     print(json.dumps(payload) if args.json else
           ("binary delta-matroid" if member else
            f"not binary: minor isomorphic to {witness.target_name}"))
@@ -308,19 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="excluded-minor class membership")
-    p.add_argument("--class", dest="cls", required=True, choices=_class_choices())
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("file")
-    _add_io_arguments(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("scan", help="alias of check")
-    p.add_argument("--class", dest="cls", required=True, choices=_class_choices())
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("file")
-    _add_io_arguments(p)
-    p.set_defaults(func=cmd_scan)
+    for name, text in (("check", "excluded-minor class membership"), ("scan", "alias of check")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--class", dest="cls", required=True, choices=_class_choices())
+        p.add_argument("--cap", type=int, default=None)
+        p.add_argument("file")
+        _add_io_arguments(p)
+        p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("minor", help="normal-form minor S\\X/Y")
     p.add_argument("--delete", default="", help="comma separated labels")

@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from .bitset import down_closure, iter_bits, minimal_members, up_closure
+from .bitset import down_closure, iter_bits, masks_of_size, minimal_members, up_closure
 from .errors import CapacityError, FormatError, InvalidRegionError, UnknownElementError
 from .higgs import full_higgs_dm
 from .matroid import Matroid, circuits_cover, is_quotient
@@ -118,20 +118,21 @@ class LatticePath(NamedTuple):
         return tuple(i + 1 for i, step in enumerate(self.word) if step == "N")
 
 
-def _level_bitmaps(region: Region, start_ys, end_offsets) -> int:
-    """Family bitmap of the north-label sets of in-region paths from the
-    given start heights (s_i has height i) to the given end offsets above
-    t_P (t_j is j above t_P).
+def _all_paths_bitmap(region: Region) -> int:
+    """Family bitmap of the north-label sets of the in-region paths from
+    every start point to every end point.
 
     A path at a level-l point has used labels 1..l only, so adding the
     north step into level l shifts a family bitmap left by 2**(l-1) bits.
+    A path from s_i (height i) to t_j (height v - c + j) has v - c + j - i
+    north steps, so the paths from s_Q to t_P are the label sets of size
+    v - c - d and those from s_P to t_Q the label sets of size v: the
+    minimal and maximal matroids are the extreme layers of the family.
     """
     hp, hq = region.hp, region.hq
-    n = region.n
-    wanted = set(start_ys)
     # maps[y] = family bitmap of paths reaching the current level at height y
-    maps = {y: 1 for y in range(hp[0], hq[0] + 1) if y in wanted}
-    for level in range(1, n + 1):
+    maps = dict.fromkeys(range(hp[0], hq[0] + 1), 1)
+    for level in range(1, region.n + 1):
         nxt: dict[int, int] = {}
         lo, hi = hp[level], hq[level]
         shift = 1 << (level - 1)
@@ -142,29 +143,17 @@ def _level_bitmaps(region: Region, start_ys, end_offsets) -> int:
                 nxt[y + 1] = nxt.get(y + 1, 0) | (bm << shift)
         maps = nxt
     out = 0
-    end_set = set(end_offsets)
-    for y, bm in maps.items():
-        if y - hp[n] in end_set:
-            out |= bm
+    for bm in maps.values():
+        out |= bm
     return out
 
 
-def _all_paths_bitmap(region: Region) -> int:
-    return _level_bitmaps(
-        region,
-        range(region.hp[0], region.hq[0] + 1),
-        range(0, region.c + 1),
-    )
-
-
-def _min_matroid_bitmap(region: Region) -> int:
-    # s_Q to t_P
-    return _level_bitmaps(region, [region.hq[0]], [0])
-
-
-def _max_matroid_bitmap(region: Region) -> int:
-    # s_P to t_Q
-    return _level_bitmaps(region, [region.hp[0]], [region.c])
+def _matroid_bitmaps(region: Region, d_bm: int) -> tuple[int, int]:
+    """Basis bitmaps of the minimal and maximal matroids, cut from the
+    path family d_bm of the region."""
+    n = region.n
+    return (d_bm & masks_of_size(n, region.v - region.c - region.d),
+            d_bm & masks_of_size(n, region.v))
 
 
 def count_paths(region: Region) -> int:
@@ -229,11 +218,8 @@ def lpdm(region: Region) -> LpdmResult:
     """
     region.validate()
     labels = region.labels()
-    d_bm, lo_bm, hi_bm = (
-        _all_paths_bitmap(region),
-        _min_matroid_bitmap(region),
-        _max_matroid_bitmap(region),
-    )
+    d_bm = _all_paths_bitmap(region)
+    lo_bm, hi_bm = _matroid_bitmaps(region, d_bm)
     system = SetSystem(labels, frozenset(iter_bits(d_bm)))
     lo = Matroid.from_system(SetSystem(labels, frozenset(iter_bits(lo_bm))))
     hi = Matroid.from_system(SetSystem(labels, frozenset(iter_bits(hi_bm))))
@@ -471,9 +457,8 @@ def verify_region_prop(region: Region) -> str | None:
     """
     n = region.n
     full = (1 << (1 << n)) - 1
-    lo_bm = _min_matroid_bitmap(region)
-    hi_bm = _max_matroid_bitmap(region)
     d_bm = _all_paths_bitmap(region)
+    lo_bm, hi_bm = _matroid_bitmaps(region, d_bm)
     if not lo_bm or not hi_bm or not d_bm:
         return "empty path family"
     span_lo = up_closure(lo_bm, n)

@@ -3,7 +3,8 @@
 Run from the repository root with ``PYTHONPATH=src python3
 tests/golden/make_cli_corpus.py``; it rewrites tests/golden/cli_corpus.json.
 Each case holds an argument vector (``{system}`` stands for a file holding
-the case's system), the exit code, and stdout and stderr as printed.  The
+the case's set system or lattice region), the exit code, and stdout and
+stderr as printed.  The
 corpus pins the verdicts, witnesses, refusals and census totals, so a
 refactor that changes any byte of them shows up as a failing case.
 """
@@ -23,6 +24,7 @@ from dmkit.census import REGISTRY, random_quotient_pair
 from dmkit.cli import main
 from dmkit.gf2 import SkewSymMatrixGF2, d_of_c
 from dmkit.higgs import build_higgs_dm
+from dmkit.latticepath import Region, serialize_region
 from dmkit.setsystem import SetSystem, serialize_set_system
 
 OUT = Path(__file__).with_name("cli_corpus.json")
@@ -84,6 +86,18 @@ def systems() -> dict[str, SetSystem]:
     }
 
 
+def regions() -> dict[str, Region]:
+    """Lattice regions for the ``lattice`` cases, the last one invalid
+    (P crosses above Q)."""
+    return {
+        "region-tiny": Region(1, 0, 1, 1, "EN", "EE"),
+        "region-fig1": Region(0, 0, 5, 4, "EENEENENN", "NNEENEENE"),
+        "region-dc": Region(1, 1, 2, 3, "ENEEN", "NENEE"),
+        "region-fig2": Region(3, 4, 4, 8, "EEENEENENEEN", "EEENEENNENNE"),
+        "region-crossing": Region(0, 0, 1, 1, "NE", "EN"),
+    }
+
+
 def cases() -> list[dict]:
     out = []
     classes = [c.value for c in ExminorClassId]
@@ -107,6 +121,22 @@ def cases() -> list[dict]:
     out.append({"argv": ["census", "count", "--n", "3", "--json"]})
     for cls in classes:
         out.append({"argv": ["catalog", "dump", "--class", cls, "--cap", "6"]})
+    for name in ("T1", "U14+U34", "random5", "dofc6*ab"):
+        for cls in classes:
+            out.append({"system": name, "argv": ["scan", "--class", cls, "{system}"]})
+        out.append({"system": name, "argv": ["scan", "--class", "delta", "--json", "{system}"]})
+    out.append({"system": "dofc7", "argv": ["scan", "--class", "delta", "--cap", "5", "{system}"]})
+    for name, region in regions().items():
+        out.append({"system": name, "argv": ["lattice", "build", "{system}"]})
+        out.append({"system": name, "argv": ["lattice", "dual", "{system}"]})
+        if name in ("region-fig2", "region-crossing"):
+            continue
+        for e in range(1, region.n + 1):
+            for op in ("delete", "contract"):
+                out.append({"system": name, "argv": ["lattice", "minor", "--element", str(e),
+                                                     "--op", op, "{system}"]})
+    out.append({"system": "region-tiny",
+                "argv": ["lattice", "minor", "--element", "3", "--op", "delete", "{system}"]})
     return out
 
 
@@ -121,6 +151,7 @@ def run_case(argv: list[str], system_path: str | None) -> tuple[int, str, str]:
 
 def record() -> dict:
     texts = {name: serialize_set_system(s) for name, s in systems().items()}
+    texts.update((name, serialize_region(r)) for name, r in regions().items())
     recorded = []
     with tempfile.TemporaryDirectory() as tmp:
         for case in cases():

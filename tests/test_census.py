@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from itertools import islice
 
 import pytest
 
@@ -19,6 +20,21 @@ from dmkit.census import (
 )
 from dmkit.errors import CapacityError, DmkitError
 from dmkit.matroid import is_matroid, is_quotient
+
+
+@pytest.fixture
+def wrong(monkeypatch):
+    """A deliberately wrong theorem (direct oracle always True) under the
+    id "wrong": every family that is not a delta-matroid is a discrepancy."""
+    monkeypatch.setitem(REGISTRY, "wrong", dataclasses.replace(
+        REGISTRY["exdelta"], theorem_id="wrong", direct=lambda s: True))
+    return "wrong"
+
+
+def first_non_delta(n: int, k: int) -> list[dict]:
+    """The discrepancies of the wrong theorem at its first k family indices."""
+    bad = (i for i in range(1, 1 << (1 << n)) if not family_system(n, i).is_delta_matroid())
+    return [{"family_index": i, "direct": True, "exminor": False} for i in islice(bad, k)]
 
 
 class TestEnumeration:
@@ -47,12 +63,18 @@ class TestVerifyEquivalence:
         with pytest.raises(DmkitError):
             verify_equivalence(3, "nope")
 
-    def test_dedupe_matches_full_run(self):
-        for tid in ("exdelta", "exhiggs", "exmatroidstack", "speven"):
+    def test_dedupe_matches_full_run(self, wrong):
+        # dedupe changes the cost of a run, not a byte of its report
+        for tid in REGISTRY:
             fast = verify_equivalence(3, tid, dedupe=True)
             slow = verify_equivalence(3, tid, dedupe=False)
             assert fast.totals == slow.totals, tid
-            assert fast.ok and slow.ok
+            assert fast.to_json() == slow.to_json(), tid
+            assert fast.ok == slow.ok == (tid != wrong), tid
+        for n in (3, 4):
+            fast = verify_equivalence(n, wrong, dedupe=True, max_witnesses=5)
+            slow = verify_equivalence(n, wrong, dedupe=False, max_witnesses=5)
+            assert fast.to_json() == slow.to_json(), n
 
     def test_sampled_run(self):
         rep = verify_equivalence(5, "exfull", "sampled", seed=5, count=300)
@@ -76,15 +98,12 @@ class TestStreaming:
         stream = run_streaming(2, "exdelta", chunk=7)
         assert stream.totals == plain.totals
 
-    def test_witnesses_keep_index_order_and_cut(self, monkeypatch):
-        # A wrong theorem (direct oracle always True) makes every family that
-        # is not a delta-matroid a discrepancy; every undeduplicated path
-        # keeps the first max_witnesses of them, in family-index order.
-        wrong = dataclasses.replace(REGISTRY["exdelta"], theorem_id="wrong",
-                                    direct=lambda s: True)
-        monkeypatch.setitem(REGISTRY, "wrong", wrong)
+    def test_witnesses_keep_index_order_and_cut(self, wrong):
+        # Every census path keeps the first max_witnesses discrepancies of
+        # the wrong theorem, in family-index order (draw order when sampled).
         bad = [i for i in range(1, 256) if not family_system(3, i).is_delta_matroid()]
         want = [{"family_index": i, "direct": True, "exminor": False} for i in bad[:5]]
+        assert first_non_delta(3, 5) == want
         plain = verify_equivalence(3, "wrong", dedupe=False, max_witnesses=5)
         assert plain.discrepancies == want
         assert plain.totals["ambient"] - plain.totals["exminor_members"] == len(bad)
@@ -94,6 +113,28 @@ class TestStreaming:
         first = [i for i, s in enumerate_proper_systems(3, "sampled", seed=2, count=200)
                  if not s.is_delta_matroid()][:3]
         assert [d["family_index"] for d in sampled.discrepancies] == first
+        deduped = verify_equivalence(3, "wrong", max_witnesses=5)
+        assert deduped.discrepancies == want and deduped.totals == plain.totals
+        for k in (1, 5, 100):
+            deduped = verify_equivalence(4, "wrong", max_witnesses=k)
+            assert deduped.discrepancies == first_non_delta(4, k), k
+
+    def test_checkpoint_keeps_the_report_witnesses(self, wrong, tmp_path):
+        ck = tmp_path / "census.ckpt"
+        report = run_streaming(3, wrong, chunk=40, max_witnesses=5, checkpoint_path=str(ck))
+        assert report.discrepancies == first_non_delta(3, 5)
+        assert json.loads(ck.read_text())["discrepancies"] == report.discrepancies
+        ck = tmp_path / "interrupted.ckpt"
+        run_streaming(3, wrong, stop=100, chunk=40, max_witnesses=5, checkpoint_path=str(ck))
+        assert json.loads(ck.read_text())["discrepancies"] == report.discrepancies
+        resumed = run_streaming(3, wrong, chunk=40, max_witnesses=5, checkpoint_path=str(ck))
+        assert resumed.to_json() == report.to_json()
+        # a finished checkpoint that kept more witnesses still reports the cut list
+        doc = json.loads(ck.read_text())
+        doc["discrepancies"] = first_non_delta(3, 9)
+        ck.write_text(json.dumps(doc))
+        resumed = run_streaming(3, wrong, chunk=40, max_witnesses=5, checkpoint_path=str(ck))
+        assert resumed.to_json() == report.to_json()
 
     def test_checkpoint_resume(self, tmp_path):
         ck = tmp_path / "census.ckpt"

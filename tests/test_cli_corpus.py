@@ -6,7 +6,9 @@ tests/golden/make_cli_corpus.py) covers `check` for every class in text
 and --json form on 21 fixed 3-7-element systems, ambient refusals
 included, `binary check`, `census run --n 3` for every theorem with and
 without --no-dedupe and streamed, sampled n = 4 census runs, `census
-count --n 3` and `catalog dump --cap 6` for every class.
+count --n 3`, `catalog dump --cap 6` for every class, the `scan` alias on
+four systems, and `lattice build`, `dual` and `minor` on five regions,
+one of them invalid.
 """
 
 from __future__ import annotations

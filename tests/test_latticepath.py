@@ -7,9 +7,12 @@ import itertools
 
 import pytest
 
+from dmkit.bitset import family_to_bitmap
 from dmkit.errors import UnknownElementError
 from dmkit.latticepath import (
     Region,
+    _all_paths_bitmap,
+    _matroid_bitmaps,
     count_paths,
     element_kind,
     enumerate_paths,
@@ -125,6 +128,20 @@ class TestLpdm:
     def test_empty_region(self):
         res = lpdm(Region(0, 0, 0, 0, "", ""))
         assert res.system.labels == () and res.system.masks == frozenset({0})
+
+
+    def test_matroids_are_the_extreme_path_layers(self):
+        # The one-pass path bitmap, cut to its layers of sizes v - c - d and
+        # v, gives the paths from s_Q to t_P and from s_P to t_Q, as walked
+        # one by one.
+        for region in iter_regions(6):
+            ends = {(region.d, 0): set(), (0, region.c): set()}
+            for path in enumerate_paths(region):
+                if (path.start, path.end) in ends:
+                    mask = sum(1 << (label - 1) for label in path.north_labels())
+                    ends[path.start, path.end].add(mask)
+            lo, hi = (family_to_bitmap(ends[key]) for key in ((region.d, 0), (0, region.c)))
+            assert _matroid_bitmaps(region, _all_paths_bitmap(region)) == (lo, hi), region
 
 
 class TestRegionDual:
