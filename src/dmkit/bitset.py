@@ -44,16 +44,6 @@ def masks_without_bit(n: int, i: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def masks_of_size(n: int, k: int) -> int:
-    """Family bitmap of all masks over n elements with exactly k bits."""
-    bm = 0
-    for m in range(1 << n):
-        if m.bit_count() == k:
-            bm |= 1 << m
-    return bm
-
-
-@lru_cache(maxsize=None)
 def layer_selectors(n: int) -> tuple[int, ...]:
     """Per size r, the bitmap of every r-element mask of an n-element
     ground set; bm & selector[r] is the r-layer of a family bitmap."""

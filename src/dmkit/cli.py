@@ -22,7 +22,7 @@ from .latticepath import lpdm, parse_region, region_dual, region_minor, region_s
 from .matroid import Matroid
 from .minorscan import classify_by_exminors
 from .setsystem import SetSystem, parse_set_system, serialize_set_system
-from .stacks import classify_stack, stack_of
+from .stacks import classify_stack, layer_bitmaps
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -172,11 +172,8 @@ def cmd_lattice_minor(args) -> int:
 def cmd_stack_classify(args) -> int:
     system = _read_system(args.file)
     flags = classify_stack(system)
-    stack = stack_of(system)
-    layers = [
-        {"size": size, "feasible": len(layer.masks)}
-        for size, layer in stack.proper_layers()
-    ]
+    layers = [{"size": size, "feasible": layer.bit_count()}
+              for size, layer in layer_bitmaps(system)]
     payload = {
         "matroid_stack": flags.matroid_stack,
         "paving_system": flags.paving_system,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import iter_bits, masks_of_size
+from .bitset import iter_bits, layer_selectors
 from .errors import InvalidIndexSetError, NotAQuotientError
 from .matroid import Matroid, is_quotient, min_max_matroids
 from .setsystem import SetSystem
@@ -48,7 +48,7 @@ def higgs_lift(q: Matroid, lift: Matroid, i: int) -> Matroid:
         return q
     if i > k:
         return lift
-    layer = q.spanning_bitmap() & lift.independent_bitmap() & masks_of_size(q.n, q.rank + i)
+    layer = q.spanning_bitmap() & lift.independent_bitmap() & layer_selectors(q.n)[q.rank + i]
     system = SetSystem(q.labels, frozenset(iter_bits(layer)))
     return Matroid._unchecked(system)
 
@@ -66,7 +66,7 @@ def build_higgs_dm(q: Matroid, lift: Matroid, index_set) -> SetSystem:
     sandwich = q.spanning_bitmap() & lift.independent_bitmap()
     masks: set[int] = set()
     for i in ks:
-        masks.update(iter_bits(sandwich & masks_of_size(q.n, q.rank + i)))
+        masks.update(iter_bits(sandwich & layer_selectors(q.n)[q.rank + i]))
     return SetSystem(q.labels, frozenset(masks))
 
 
@@ -115,7 +115,7 @@ def classify_higgs(system: SetSystem) -> HiggsClassification:
     family = system.family_bitmap
     occupied = []
     for i in range(k + 1):
-        size_slice = masks_of_size(n, lo.rank + i)
+        size_slice = layer_selectors(n)[lo.rank + i]
         layer = family & size_slice
         if not layer:
             continue

@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from .bitset import down_closure, iter_bits, masks_of_size, minimal_members, up_closure
+from .bitset import down_closure, iter_bits, layer_selectors, minimal_members, up_closure
 from .errors import CapacityError, FormatError, InvalidRegionError, UnknownElementError
 from .higgs import full_higgs_dm
 from .matroid import Matroid, circuits_cover, is_quotient
@@ -150,10 +150,10 @@ def _all_paths_bitmap(region: Region) -> int:
 
 def _matroid_bitmaps(region: Region, d_bm: int) -> tuple[int, int]:
     """Basis bitmaps of the minimal and maximal matroids, cut from the
-    path family d_bm of the region."""
-    n = region.n
-    return (d_bm & masks_of_size(n, region.v - region.c - region.d),
-            d_bm & masks_of_size(n, region.v))
+    path family d_bm of the region.  A size outside 0..n (only in an
+    invalid region; verify_region_prop does not validate) selects nothing."""
+    n, sizes = region.n, (region.v - region.c - region.d, region.v)
+    return tuple(d_bm & layer_selectors(n)[k] if 0 <= k <= n else 0 for k in sizes)
 
 
 def count_paths(region: Region) -> int:

@@ -104,7 +104,7 @@ class Matroid:
         return _spanning_bitmap(self)
 
     def circuit_masks(self) -> tuple[int, ...]:
-        return _circuit_masks(self)
+        return _circuit_masks(self.system.family_bitmap, self.n)
 
     def circuits(self) -> tuple[tuple[str, ...], ...]:
         """Minimal dependent sets, sorted by (size, members)."""
@@ -149,10 +149,11 @@ def _spanning_bitmap(m: Matroid) -> int:
 
 
 @lru_cache(maxsize=1 << 16)
-def _circuit_masks(m: Matroid) -> tuple[int, ...]:
-    dependent = ~_independent_bitmap(m) & ((1 << (1 << m.n)) - 1)
+def _circuit_masks(bases: int, n: int) -> tuple[int, ...]:
+    """Circuits of the matroid with basis bitmap bases, by (size, mask)."""
+    dependent = ~down_closure(bases, n) & ((1 << (1 << n)) - 1)
     return tuple(
-        sorted(iter_bits(minimal_members(dependent, m.n)), key=lambda c: (c.bit_count(), c))
+        sorted(iter_bits(minimal_members(dependent, n)), key=lambda c: (c.bit_count(), c))
     )
 
 

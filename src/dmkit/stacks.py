@@ -5,15 +5,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterator
 
-from .bitset import iter_bits, layer_selectors
+from .bitset import down_closure, iter_bits, layer_selectors, up_closure
 from .errors import AmbientHypothesisError
-from .matroid import Matroid, is_quotient, paving_flags
+from .matroid import _circuit_masks, circuits_cover
 from .setsystem import SetSystem
 
-# Bound of the per-layer verdict cache.  Every layer bitmap of a system on
-# at most five elements fits (2 116 of them, counting the empty layer of
-# each size); larger systems evict.
+# Bound of each per-layer verdict cache (layer_is_matroid and
+# layer_paving_flags).  Every nonempty layer bitmap of a system on at most
+# five elements fits (2 110 of them); larger systems evict.
 LAYER_CACHE_SIZE = 4096
 
 
@@ -38,13 +39,10 @@ class Stack:
 
 
 def stack_of(system: SetSystem) -> Stack:
-    system._require_proper()
-    sizes = [m.bit_count() for m in system.masks]
-    k, l = min(sizes), max(sizes)
-    layers = []
-    for size in range(k, l + 1):
-        masks = frozenset(m for m in system.masks if m.bit_count() == size)
-        layers.append(SetSystem(system.labels, masks))
+    sizes = [size for size, _ in layer_bitmaps(system)]
+    k, l = sizes[0], sizes[-1]
+    bm, sel = system.family_bitmap, layer_selectors(system.n)
+    layers = (SetSystem(system.labels, frozenset(iter_bits(bm & sel[r]))) for r in range(k, l + 1))
     return Stack(tuple(layers), k, l)
 
 
@@ -62,6 +60,15 @@ class StackClassification:
     # The motivating question bounds gaps by 1 <= gap <= 2; reported, not
     # enforced, because the formal definitions do not impose it.
     gaps_within_bounds: bool = True
+
+
+def layer_bitmaps(system: SetSystem) -> Iterator[tuple[int, int]]:
+    """Lazily, (size, layer bitmap) of each nonempty cardinality layer by size."""
+    system._require_proper()
+    bm = system.family_bitmap
+    for r, sel in enumerate(layer_selectors(system.n)):
+        if bm & sel:
+            yield r, bm & sel
 
 
 @lru_cache(maxsize=LAYER_CACHE_SIZE)
@@ -89,35 +96,40 @@ def layer_is_matroid(layer: int) -> bool:
     return True
 
 
-def is_matroid_stack(system: SetSystem) -> bool:
-    """True when every nonempty cardinality layer is a matroid.
+@lru_cache(maxsize=LAYER_CACHE_SIZE)
+def layer_paving_flags(layer: int, n: int) -> tuple[bool, bool]:
+    """(paving, sparse paving) of the rank-r matroid with basis bitmap
+    layer: every (r-1)-set is independent, and also every (r+1)-set is
+    spanning (the dual is paving); vacuous at r = 0 and r = n.  Keyed on
+    n as well, since a loop makes a 1-set dependent."""
+    r = next(iter_bits(layer)).bit_count()
+    sel = layer_selectors(n)
+    if r and sel[r - 1] & ~down_closure(layer, n):
+        return (False, False)
+    return (True, r == n or not sel[r + 1] & ~up_closure(layer, n))
 
-    Each layer is cut from the family bitmap and decided by the cached
-    layer_is_matroid; the first non-matroid layer ends the test.
-    """
-    system._require_proper()
-    bm = system.family_bitmap
-    for selector in layer_selectors(system.n):
-        layer = bm & selector
-        if layer and not layer_is_matroid(layer):
-            return False
-    return True
+
+def is_matroid_stack(system: SetSystem) -> bool:
+    """True when every nonempty cardinality layer is a matroid (cached
+    layer_is_matroid; the first non-matroid layer ends the test)."""
+    return all(layer_is_matroid(layer) for _, layer in layer_bitmaps(system))
 
 
 def classify_stack(system: SetSystem) -> StackClassification:
-    """Evaluate every layer flag directly from the definitions."""
-    stack = stack_of(system)
-    proper = stack.proper_layers()
-    matroid_stack = is_matroid_stack(system)
+    """Every layer flag from cached verdicts on the layer bitmaps:
+    layer_is_matroid, then for matroid stacks layer_paving_flags per layer
+    and circuits_cover on the cached _circuit_masks of consecutive layers."""
+    n = system.n
+    layers = list(layer_bitmaps(system))
+    matroid_stack = all(layer_is_matroid(layer) for _, layer in layers)
     paving = sparse = quotient = matroid_stack
     if matroid_stack:
-        matroids = [Matroid(layer, size) for size, layer in proper]
-        for m in matroids:
-            p, sp = paving_flags(m)
-            paving = paving and p
-            sparse = sparse and sp
-        quotient = all(is_quotient(below, above) for below, above in zip(matroids, matroids[1:]))
-    gaps = tuple(b - a for (a, _), (b, _) in zip(proper, proper[1:]))
+        flags = [layer_paving_flags(layer, n) for _, layer in layers]
+        paving = all(p for p, _ in flags)
+        sparse = all(sp for _, sp in flags)
+        quotient = all(circuits_cover(_circuit_masks(below, n), _circuit_masks(above, n))
+                       for (_, below), (_, above) in zip(layers, layers[1:]))
+    gaps = tuple(b - a for (a, _), (b, _) in zip(layers, layers[1:]))
     return StackClassification(
         matroid_stack=matroid_stack,
         paving_system=paving,

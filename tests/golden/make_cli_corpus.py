@@ -86,6 +86,19 @@ def systems() -> dict[str, SetSystem]:
     }
 
 
+def stack_systems() -> dict[str, SetSystem]:
+    """Extra systems for the ``stack classify`` cases: rank gaps (2, 2)
+    and (3,), a twisted rank-2 matroid (a delta-matroid that is not a
+    matroid stack), and an empty family (refused as improper)."""
+    rank2 = SetSystem(tuple("abcd"), frozenset({0b0011, 0b0101, 0b1001, 0b0110, 0b1010}))
+    return {
+        "T5": make_named("T5"),
+        "gap3": SetSystem(tuple("abcd"), frozenset({0, 0b0111})),
+        "rank2*ac": rank2.twist(["a", "c"]),
+        "empty": SetSystem(tuple("ab"), frozenset()),
+    }
+
+
 def regions() -> dict[str, Region]:
     """Lattice regions for the ``lattice`` cases, the last one invalid
     (P crosses above Q)."""
@@ -137,6 +150,9 @@ def cases() -> list[dict]:
                                                      "--op", op, "{system}"]})
     out.append({"system": "region-tiny",
                 "argv": ["lattice", "minor", "--element", "3", "--op", "delete", "{system}"]})
+    for name in [*systems(), *stack_systems()]:
+        out.append({"system": name, "argv": ["stack", "classify", "{system}"]})
+        out.append({"system": name, "argv": ["stack", "classify", "--json", "{system}"]})
     return out
 
 
@@ -150,7 +166,8 @@ def run_case(argv: list[str], system_path: str | None) -> tuple[int, str, str]:
 
 
 def record() -> dict:
-    texts = {name: serialize_set_system(s) for name, s in systems().items()}
+    texts = {name: serialize_set_system(s)
+             for name, s in {**systems(), **stack_systems()}.items()}
     texts.update((name, serialize_region(r)) for name, r in regions().items())
     recorded = []
     with tempfile.TemporaryDirectory() as tmp:

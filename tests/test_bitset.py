@@ -8,7 +8,7 @@ from dmkit.bitset import (
     down_closure,
     family_to_bitmap,
     iter_bits,
-    masks_of_size,
+    layer_selectors,
     minimal_members,
     permute_mask,
     up_closure,
@@ -25,11 +25,17 @@ def test_permute_mask():
     assert permute_mask(0, (1, 0)) == 0
 
 
-def test_masks_of_size():
-    bm = masks_of_size(4, 2)
-    assert [m for m in range(16) if bm >> m & 1] == [
-        m for m in range(16) if m.bit_count() == 2
-    ]
+def test_layer_selectors():
+    # selector k holds exactly the k-element masks, so the n + 1 selectors
+    # partition the 2^n masks by size
+    for n in range(7):
+        sel = layer_selectors(n)
+        assert len(sel) == n + 1
+        for k in range(n + 1):
+            assert [m for m in range(1 << n) if sel[k] >> m & 1] == [
+                m for m in range(1 << n) if m.bit_count() == k
+            ]
+        assert sum(sel) == (1 << (1 << n)) - 1
 
 
 def test_closures_against_enumeration():

@@ -7,8 +7,10 @@ and --json form on 21 fixed 3-7-element systems, ambient refusals
 included, `binary check`, `census run --n 3` for every theorem with and
 without --no-dedupe and streamed, sampled n = 4 census runs, `census
 count --n 3`, `catalog dump --cap 6` for every class, the `scan` alias on
-four systems, and `lattice build`, `dual` and `minor` on five regions,
-one of them invalid.
+four systems, `lattice build`, `dual` and `minor` on five regions, one of
+them invalid, and `stack classify` in text and --json form on the fixed
+systems and four more (rank gaps (2, 2) and (3,), a twisted rank-2
+matroid, an empty family).
 """
 
 from __future__ import annotations

@@ -255,3 +255,11 @@ class TestPropositionSamples:
         for region in itertools.islice(iter_regions(5), 0, 4000, 31):
             assert verify_region_prop(region) is None
             lpdm(region)  # raises if either claim fails
+
+    def test_fast_path_rejects_a_negative_minimal_size(self):
+        # verify_region_prop does not validate; with v - c < d no path has
+        # v - c - d north steps, so the minimal matroid is empty, not the
+        # layer that a negative index would wrap around to
+        for region in (Region(1, 0, 0, 0, "", ""), Region(2, 0, 1, 1, "EN", "NE")):
+            assert region.diagnostics()
+            assert verify_region_prop(region) == "empty path family"

@@ -143,6 +143,16 @@ class TestCircuits:
             got = {sum(1 << d.labels.index(e) for e in c) for c in m.circuits()}
             assert got == brute_circuits(m)
 
+    def test_circuit_masks_sorted_by_size_then_mask(self, rng):
+        # circuits() promises (size, members) order; mask order alone would
+        # put {1,2,3} = 0b0111 before {3,4} = 0b1100
+        assert pair_minus_34_matroid().circuit_masks() == (0b1100, 0b0111, 0b1011)
+        for _ in range(20):
+            d = random_delta_matroid(rng, 5)
+            m = Matroid.from_system(SetSystem(d.labels, frozenset(d.min_sets())))
+            by_size = sorted(brute_circuits(m), key=lambda c: (c.bit_count(), c))
+            assert m.circuit_masks() == tuple(by_size)
+
 
 class TestDuality:
     def test_involution(self, rng):

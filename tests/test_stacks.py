@@ -23,6 +23,7 @@ from dmkit.stacks import (
     classify_stack,
     is_matroid_stack,
     layer_is_matroid,
+    layer_paving_flags,
     stack_of,
 )
 
@@ -224,6 +225,12 @@ def reference_flags(s: SetSystem) -> tuple[bool, bool, bool, bool]:
     return (True, all(p for p, _ in pav), all(sp for _, sp in pav), quotient)
 
 
+def reference_gaps(s: SetSystem) -> tuple[int, ...]:
+    """Differences of consecutive nonempty layer sizes."""
+    sizes = [next(iter(layer.masks)).bit_count() for layer in reference_layers(s)]
+    return tuple(b - a for a, b in zip(sizes, sizes[1:]))
+
+
 def stack_like_systems(rng: random.Random, n: int):
     """Full Higgs delta-matroids (matroid stacks), their twists (mostly
     not), sparse families and dense random families."""
@@ -277,6 +284,21 @@ class TestIsMatroidStack:
                        flags.sparse_paving_system, flags.quotient_system)
                 assert got == reference_flags(s), s
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_classify_stack_flags_seeded_families(self, n):
+        rng = random.Random(f"classify-stack:{n}")
+        seen = []
+        for s in stack_like_systems(rng, n):
+            flags = classify_stack(s)
+            got = (flags.matroid_stack, flags.paving_system,
+                   flags.sparse_paving_system, flags.quotient_system)
+            assert got == reference_flags(s), s
+            assert flags.rank_gaps == reference_gaps(s), s
+            seen.append(got)
+        # every flag is seen both set and clear among the matroid stacks
+        for i in range(1, 4):
+            assert {got[i] for got in seen if got[0]} == {False, True}, i
+
     def test_every_layer_n5_fits_the_cache(self):
         # every nonempty r-layer on five elements, each as a one-layer
         # system: 2^C(5, r) - 1 of them per r, all cached at once
@@ -288,13 +310,25 @@ class TestIsMatroidStack:
                 layers.append(SetSystem(labels, frozenset(masks[i] for i in iter_bits(pick))))
         assert len(layers) == 2110 <= LAYER_CACHE_SIZE
         layer_is_matroid.cache_clear()
+        layer_paving_flags.cache_clear()
         for layer in layers:
             assert is_matroid_stack(layer) == reference_matroid_stack(layer), layer
-        info = layer_is_matroid.cache_info()
-        assert (info.misses, info.currsize) == (2110, 2110)
+            # paving_flags on the layer as a rank-r family, matroid or not
+            r = next(iter(layer.masks)).bit_count()
+            expect = paving_flags(Matroid(layer, r))
+            assert layer_paving_flags(layer.family_bitmap, 5) == expect, layer
+            flags = classify_stack(layer)
+            got = (flags.matroid_stack, flags.paving_system,
+                   flags.sparse_paving_system, flags.quotient_system)
+            assert got == reference_flags(layer), layer
+        for cached in (layer_is_matroid, layer_paving_flags):
+            info = cached.cache_info()
+            assert (info.misses, info.currsize) == (2110, 2110)
         for layer in layers:
             is_matroid_stack(layer)
+            layer_paving_flags(layer.family_bitmap, 5)
         assert layer_is_matroid.cache_info().misses == 2110
+        assert layer_paving_flags.cache_info().misses == 2110
 
     def test_improper_system_rejected(self):
         with pytest.raises(ImproperSystemError):
