@@ -14,17 +14,27 @@ import random
 import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations, repeat
+from itertools import islice, permutations, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .bitset import iter_bits, permute_mask
 from .catalog import excluded_minor_set
 from .errors import CapacityError, DmkitError, FormatError
+from .gf2 import binary_dm_bits, is_binary_dm
 from .higgs import classify_higgs
-from .matroid import Matroid, exchange_violation, is_matroid, is_quotient
-from .minorscan import CLASS_TABLE, has_minor_from
-from .setsystem import SetSystem
-from .stacks import classify_stack, is_matroid_stack
+from .matroid import Matroid, exchange_violation, is_quotient
+from .minorscan import (
+    CLASS_TABLE,
+    IndexForm,
+    every_index,
+    has_minor_from,
+    index_form,
+    is_equicardinal_index,
+    is_even_index,
+    no_minor_bits,
+)
+from .setsystem import SLICE_MAX_N, SetSystem, delta_matroid_bits
+from .stacks import classify_stack, is_matroid_stack, is_stack_bitmap, layer_is_matroid, stack_flags
 
 if TYPE_CHECKING:
     import numpy as np
@@ -41,9 +51,9 @@ def family_system(n: int, index: int) -> SetSystem:
     return SetSystem(labels, frozenset(iter_bits(index)))
 
 
-def enumerate_proper_systems(n: int, mode: str = "exhaustive", *, seed: int = 0,
-                             count: int = 0) -> Iterator[tuple[int, SetSystem]]:
-    """Yield (family index, system) pairs.
+def family_indices(n: int, mode: str = "exhaustive", *, seed: int = 0,
+                   count: int = 0) -> Iterator[int]:
+    """Yield the family indices of a run.
 
     Exhaustive mode requires n <= 4; sampled mode draws uniformly from the
     nonempty families, deterministically per seed.
@@ -54,8 +64,7 @@ def enumerate_proper_systems(n: int, mode: str = "exhaustive", *, seed: int = 0,
                 f"exhaustive enumeration of 2^{1 << n} families needs the "
                 "long-run census entry point"
             )
-        for index in range(1, 1 << (1 << n)):
-            yield index, family_system(n, index)
+        yield from range(1, 1 << (1 << n))
     elif mode == "sampled":
         rng = random.Random(seed)
         bits = 1 << n
@@ -63,9 +72,16 @@ def enumerate_proper_systems(n: int, mode: str = "exhaustive", *, seed: int = 0,
             index = 0
             while not index:
                 index = rng.getrandbits(bits)
-            yield index, family_system(n, index)
+            yield index
     else:
         raise ValueError(f"unknown mode {mode!r}")
+
+
+def enumerate_proper_systems(n: int, mode: str = "exhaustive", *, seed: int = 0,
+                             count: int = 0) -> Iterator[tuple[int, SetSystem]]:
+    """Yield (family index, system) pairs of family_indices."""
+    for index in family_indices(n, mode, seed=seed, count=count):
+        yield index, family_system(n, index)
 
 
 # -- isomorphism reduction over family indices ---------------------------
@@ -96,9 +112,9 @@ def _by_class(n: int, mode: str, dedupe: bool) -> bool:
 
 
 def _weighted_families(n: int, mode: str, *, seed: int, count: int,
-                       dedupe: bool) -> Iterator[tuple[int, SetSystem, int]]:
-    """Yield (family index, system, weight) triples whose weights add up to
-    the number of families in the run.
+                       dedupe: bool) -> Iterator[tuple[int, int]]:
+    """Yield (family index, weight) pairs whose weights add up to the
+    number of families in the run.
 
     A deduplicated exhaustive run yields the least index of each
     isomorphism class, in index order, weighted by the class size (every
@@ -109,26 +125,40 @@ def _weighted_families(n: int, mode: str, *, seed: int, count: int,
         import numpy as np
 
         reps, sizes = np.unique(_canonical_index_table(n)[1:], return_counts=True)
-        for rep, size in zip(reps.tolist(), sizes.tolist()):
-            yield rep, family_system(n, rep), size
+        yield from zip(reps.tolist(), sizes.tolist())
     else:
-        for index, system in enumerate_proper_systems(n, mode, seed=seed, count=count):
-            yield index, system, 1
+        yield from zip(family_indices(n, mode, seed=seed, count=count), repeat(1))
 
 
 # -- the equivalence registry ---------------------------------------------
 
 
+# One verdict of a census row: (totals key, index form or None, SetSystem
+# form).
+Column = tuple[str, IndexForm | None, Callable[[SetSystem], bool]]
+
+
 @dataclass(frozen=True)
 class Equivalence:
     """A registered theorem: direct oracle vs excluded-minor scan, within
-    an ambient hypothesis."""
+    an ambient hypothesis.  ambient, direct and exminor take a SetSystem;
+    the census runs the index forms beside them where they exist (None:
+    the census builds a SetSystem for the oracle)."""
 
     theorem_id: str
     description: str
     ambient: Callable[[SetSystem], bool]
     direct: Callable[[SetSystem], bool]
     exminor: Callable[[SetSystem], bool]
+    ambient_index: IndexForm | None = None
+    direct_index: IndexForm | None = None
+    exminor_index: IndexForm | None = None
+
+    @property
+    def columns(self) -> tuple[Column, Column, Column]:
+        return (("ambient", self.ambient_index, self.ambient),
+                ("direct_members", self.direct_index, self.direct),
+                ("exminor_members", self.exminor_index, self.exminor))
 
 
 def _registry() -> dict[str, Equivalence]:
@@ -139,6 +169,8 @@ def _registry() -> dict[str, Equivalence]:
         spec.theorem_id: Equivalence(
             spec.theorem_id, spec.description, spec.ambient, spec.direct,
             lambda s, cid=cid: has_minor_from(s, excluded_minor_set(cid, s.n)) is None,
+            spec.ambient_index, spec.direct_index,
+            lambda indices, n, cid=cid: no_minor_bits(indices, n, excluded_minor_set(cid, n)),
         )
         for cid, spec in CLASS_TABLE.items()
         if spec.theorem_id is not None
@@ -149,6 +181,9 @@ def _registry() -> dict[str, Equivalence]:
                    and classify_stack(s).sparse_paving_system),
         lambda s: classify_stack(s).quotient_system,
         lambda s: True,
+        index_form(lambda i, n: is_even_index(i, n) and stack_flags(i, n)[2]),
+        index_form(lambda i, n: stack_flags(i, n)[3]),
+        every_index,
     )
     return reg
 
@@ -192,32 +227,78 @@ class CensusReport:
         return " | ".join(parts)
 
 
-def _new_totals() -> dict[str, int]:
-    return {"checked": 0, "ambient": 0, "direct_members": 0, "exminor_members": 0}
+def _new_totals(columns: tuple[Column, ...]) -> dict[str, int]:
+    return dict.fromkeys(["checked", *(key for key, _, _ in columns)], 0)
 
 
 def _mode_label(mode: str, seed: int, count: int) -> str:
     return f"sampled(seed={seed}, count={count})" if mode == "sampled" else mode
 
 
+# Families per batch of the census loop: long enough that the bit-sliced
+# exchange oracle does its work on wide ints (about 0.5 us per family at
+# 512), short enough that the SetSystems a batch shares stay few when every
+# oracle is lifted (n > SLICE_MAX_N).
+BATCH = 512
+
+
+def _select(items: list, bits: int) -> list:
+    """The items at the set bits of a bitmask over their positions."""
+    return [item for item, bit in zip(items, format(bits, "b")[::-1]) if bit == "1"]
+
+
+def _column(col: Column, indices: list[int], n: int, systems: dict[int, SetSystem]) -> int:
+    """Bitmask of the indices where a column holds: its index form for
+    n <= SLICE_MAX_N, else its SetSystem form on the batch's shared
+    systems."""
+    _, form, scalar = col
+    if form is not None and n <= SLICE_MAX_N:
+        return form(indices, n)
+    bits = 0
+    for b, index in enumerate(indices):
+        system = systems.get(index)
+        if system is None:
+            system = systems[index] = family_system(n, index)
+        if scalar(system):
+            bits |= 1 << b
+    return bits
+
+
 def _tally(
-    eq: Equivalence, families: Iterable[tuple[int, SetSystem, int]], max_witnesses: int
+    columns: tuple[Column, ...], families: Iterable[tuple[int, int]], n: int,
+    max_witnesses: int = 0,
 ) -> tuple[dict[str, int], list[dict]]:
-    """Totals over (family index, system, weight) triples, each family
-    counted weight times, and the first max_witnesses discrepancies in
-    iteration order; both oracles are skipped outside the hypothesis."""
-    totals = _new_totals()
+    """Totals over (family index, weight) pairs, each family counted
+    weight times: "checked", then one total per column.  The first column
+    gates the others, which are decided only on the families inside it.
+    The first max_witnesses families inside on which the second and third
+    columns disagree (direct and exminor) are returned, in iteration
+    order.
+
+    Families go through in batches; each column is decided for a whole
+    batch at once, and a SetSystem is built only for a family that a
+    column without an index form decides.
+    """
+    totals = _new_totals(columns)
     discrepancies: list[dict] = []
-    for index, system, weight in families:
-        totals["checked"] += weight
-        if not eq.ambient(system):
-            continue
-        direct, exm = eq.direct(system), eq.exminor(system)
-        totals["ambient"] += weight
-        totals["direct_members"] += weight if direct else 0
-        totals["exminor_members"] += weight if exm else 0
-        if direct != exm and len(discrepancies) < max_witnesses:
-            discrepancies.append({"family_index": index, "direct": direct, "exminor": exm})
+    families = iter(families)
+    while batch := list(islice(families, BATCH)):
+        systems: dict[int, SetSystem] = {}
+        totals["checked"] += sum(w for _, w in batch)
+        inside = _select(batch, _column(columns[0], [i for i, _ in batch], n, systems))
+        totals[columns[0][0]] += sum(w for _, w in inside)
+        indices = [i for i, _ in inside]
+        verdicts = [_column(col, indices, n, systems) for col in columns[1:]]
+        for (key, _, _), bits in zip(columns[1:], verdicts):
+            totals[key] += sum(w for _, w in _select(inside, bits))
+        if max_witnesses:
+            direct, exm = verdicts[:2]
+            for b in iter_bits(direct ^ exm):
+                if len(discrepancies) >= max_witnesses:
+                    break
+                discrepancies.append({"family_index": indices[b],
+                                      "direct": bool(direct >> b & 1),
+                                      "exminor": bool(exm >> b & 1)})
     return totals, discrepancies
 
 
@@ -243,7 +324,7 @@ def verify_equivalence(
         raise DmkitError(f"unknown theorem id {theorem_id!r}; "
                          f"known: {sorted(REGISTRY)}")
     families = _weighted_families(n, mode, seed=seed, count=count, dedupe=dedupe)
-    totals, discrepancies = _tally(REGISTRY[theorem_id], families, max_witnesses)
+    totals, discrepancies = _tally(REGISTRY[theorem_id].columns, families, n, max_witnesses)
     if discrepancies and _by_class(n, mode, dedupe):
         # Spread the representatives' verdicts over their classes.  A
         # class's least index is its representative, so the first
@@ -262,62 +343,45 @@ def verify_equivalence(
 # -- counting --------------------------------------------------------------
 
 
-_COUNT_FLAGS = (
-    "delta_matroid",
-    "even_delta_matroid",
-    "higgs",
-    "full_higgs",
-    "matroid",
-    "matroid_stack_dm",
-    "paving_dm",
-    "sparse_paving_dm",
-    "quotient_dm",
-    "binary_consistent",
+# The two Higgs flags of count_census read one classification per system
+# of a batch; count_census empties the cache when it is done.
+_higgs = lru_cache(maxsize=BATCH)(lambda system: classify_higgs(system))
+
+# The class counts of count_census; every flag after the first is decided
+# on delta-matroids only.  A Higgs flag has no index form, so count_census
+# builds one SetSystem per delta-matroid.
+_COUNT_COLUMNS = (
+    ("delta_matroid", delta_matroid_bits, lambda s: s.is_delta_matroid()),
+    ("even_delta_matroid", index_form(is_even_index), lambda s: s.is_even),
+    ("higgs", None, lambda s: _higgs(s).is_higgs),
+    ("full_higgs", None, lambda s: _higgs(s).is_full),
+    ("matroid", index_form(lambda i, n: is_equicardinal_index(i, n) and layer_is_matroid(i)),
+     lambda s: (st := classify_stack(s)).matroid_stack and not st.rank_gaps),
+    ("matroid_stack_dm", index_form(is_stack_bitmap),
+     lambda s: classify_stack(s).matroid_stack),
+    ("paving_dm", index_form(lambda i, n: stack_flags(i, n)[1]),
+     lambda s: classify_stack(s).paving_system),
+    ("sparse_paving_dm", index_form(lambda i, n: stack_flags(i, n)[2]),
+     lambda s: classify_stack(s).sparse_paving_system),
+    ("quotient_dm", index_form(lambda i, n: stack_flags(i, n)[3]),
+     lambda s: classify_stack(s).quotient_system),
+    ("binary_consistent", binary_dm_bits, lambda s: is_binary_dm(s)[0]),
 )
-
-
-def _count_flags(system: SetSystem) -> dict[str, bool]:
-    from .gf2 import is_binary_dm
-
-    flags = dict.fromkeys(_COUNT_FLAGS, False)
-    if not system.is_delta_matroid():
-        return flags
-    flags["delta_matroid"] = True
-    flags["even_delta_matroid"] = system.is_even
-    cls = classify_higgs(system)
-    flags["higgs"] = cls.is_higgs
-    flags["full_higgs"] = cls.is_full
-    stack = classify_stack(system)
-    flags["matroid"] = stack.matroid_stack and not stack.rank_gaps
-    flags["matroid_stack_dm"] = stack.matroid_stack
-    flags["paving_dm"] = stack.paving_system
-    flags["sparse_paving_dm"] = stack.sparse_paving_system
-    flags["quotient_dm"] = stack.quotient_system
-    flags["binary_consistent"] = is_binary_dm(system)[0]
-    return flags
 
 
 def count_census(n: int, mode: str = "exhaustive", *, seed: int = 0, count: int = 0) -> CensusReport:
     """Class counts over the census; exhaustive runs assert the
     delta-matroid lower bound 2^(2^(n-1))."""
     report = CensusReport(n=n, mode=_mode_label(mode, seed, count))
-    totals = dict.fromkeys(_COUNT_FLAGS, 0)
-    checked = 0
-    for _, system, weight in _weighted_families(n, mode, seed=seed, count=count, dedupe=True):
-        checked += weight
-        for key, value in _count_flags(system).items():
-            if value:
-                totals[key] += weight
-    report.totals = {"checked": checked, **totals}
+    families = _weighted_families(n, mode, seed=seed, count=count, dedupe=True)
+    report.totals, _ = _tally(_COUNT_COLUMNS, families, n)
+    _higgs.cache_clear()
     if mode == "exhaustive":
         bound = 1 << (1 << (n - 1)) if n >= 1 else 1
-        if totals["delta_matroid"] < bound:
+        found = report.totals["delta_matroid"]
+        if found < bound:
             report.discrepancies.append(
-                {
-                    "class": "delta_matroid",
-                    "count": totals["delta_matroid"],
-                    "lower_bound": bound,
-                }
+                {"class": "delta_matroid", "count": found, "lower_bound": bound}
             )
     return report
 
@@ -371,11 +435,8 @@ def random_quotient_pair(n: int, r_q: int, r_l: int, seed: int) -> tuple[Matroid
 def _stream_range(
     n: int, theorem_id: str, start: int, stop: int, max_witnesses: int
 ) -> tuple[dict, list[dict]]:
-    return _tally(
-        REGISTRY[theorem_id],
-        ((fi, family_system(n, fi), 1) for fi in range(start, stop)),
-        max_witnesses,
-    )
+    return _tally(REGISTRY[theorem_id].columns, zip(range(start, stop), repeat(1)), n,
+                  max_witnesses)
 
 
 def run_streaming(
@@ -401,7 +462,7 @@ def run_streaming(
     if theorem_id not in REGISTRY:
         raise DmkitError(f"unknown theorem id {theorem_id!r}")
     end = stop if stop is not None else 1 << (1 << n)
-    totals = _new_totals()
+    totals = _new_totals(REGISTRY[theorem_id].columns)
     discrepancies: list[dict] = []
     index = start
     if checkpoint_path:

@@ -225,7 +225,7 @@ def cmd_census_run(args) -> int:
     if args.n > 4 and args.mode == "exhaustive" and not args.long:
         print(
             "census: exhaustive n > 4 needs --long (n = 5 is 2^32 families; exdelta "
-            "streams about 15 000 families/s per job on a Xeon core, about 3 days)",
+            "streams about 240 000 families/s per job on a Xeon core, about 5 hours)",
             file=sys.stderr,
         )
         return EXIT_ERROR
@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-dedupe", action="store_true",
                    help="evaluate every family index, not one per isomorphism class")
     p.add_argument("--long", action="store_true",
-                   help="allow exhaustive n = 5 runs (2^32 families, about 15 000 "
+                   help="allow exhaustive n = 5 runs (2^32 families, about 240 000 "
                    "families/s per job for exdelta)")
     p.add_argument("--resume", default=None, help="checkpoint file for long runs")
     p.add_argument("--chunk", type=int, default=1 << 24)

@@ -12,7 +12,7 @@ from .bitset import iter_bits
 from .catalog import CatalogEntry, ExminorClassId, excluded_minor_set
 from .errors import FormatError, NotADeltaMatroidError
 from .matroid import Matroid
-from .minorscan import MinorWitness, has_minor_from
+from .minorscan import MinorWitness, has_minor_from, no_minor_bits
 from .setsystem import SetSystem
 
 
@@ -197,6 +197,13 @@ def is_binary_dm(system: SetSystem) -> tuple[bool, MinorWitness | None]:
         raise NotADeltaMatroidError("binary test is defined for delta-matroids")
     witness = has_minor_from(system, _p_targets(system.n))
     return witness is None, witness
+
+
+def binary_dm_bits(indices: Sequence[int], n: int) -> int:
+    """The index form of is_binary_dm for the family indices of
+    delta-matroids on n <= TABLE_MAX_N elements: the bitmask of the binary
+    ones."""
+    return no_minor_bits(indices, n, _p_targets(n))
 
 
 @lru_cache(maxsize=None)

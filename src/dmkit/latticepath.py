@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from operator import gt
 from typing import Iterator, NamedTuple
 
 from .bitset import down_closure, iter_bits, layer_selectors, minimal_members, up_closure
@@ -71,27 +72,26 @@ class Region:
     def diagnostics(self) -> list[str]:
         """All violated region constraints, first one first."""
         out = []
-        if min(self.d, self.c, self.u, self.v) < 0:
+        d, c, u, v = self.d, self.c, self.u, self.v
+        if min(d, c, u, v) < 0:
             out.append("offsets and endpoint coordinates must be nonnegative")
-        if self.v - self.c < self.d:
-            out.append(f"v - c = {self.v - self.c} is below d = {self.d}")
-        if set(self.p_word) - {"E", "N"} or set(self.q_word) - {"E", "N"}:
+        if v - c < d:
+            out.append(f"v - c = {v - c} is below d = {d}")
+        if (self.p_word + self.q_word).strip("EN"):  # a step other than E or N
             out.append("path words must use steps E and N only")
             return out
-        if len(self.p_word) != self.n:
-            out.append(f"P has {len(self.p_word)} steps, expected {self.n}")
-        elif self.hp[-1] != self.v - self.c:
-            out.append(f"P ends at height {self.hp[-1]}, expected {self.v - self.c}")
-        if len(self.q_word) != self.n:
-            out.append(f"Q has {len(self.q_word)} steps, expected {self.n}")
-        elif self.hq[-1] != self.v:
-            out.append(f"Q ends at height {self.hq[-1]}, expected {self.v}")
-        if out:
-            return out
-        for level in range(self.n + 1):
-            if self.hp[level] > self.hq[level]:
-                out.append(f"P crosses above Q at level {level}")
-                break
+        hp, hq = self.hp, self.hq
+        if len(hp) != u + v + 1:
+            out.append(f"P has {len(hp) - 1} steps, expected {u + v}")
+        elif hp[-1] != v - c:
+            out.append(f"P ends at height {hp[-1]}, expected {v - c}")
+        if len(hq) != u + v + 1:
+            out.append(f"Q has {len(hq) - 1} steps, expected {u + v}")
+        elif hq[-1] != v:
+            out.append(f"Q ends at height {hq[-1]}, expected {v}")
+        if not out and any(map(gt, hp, hq)):
+            level = next(level for level, (a, b) in enumerate(zip(hp, hq)) if a > b)
+            out.append(f"P crosses above Q at level {level}")
         return out
 
     def validate(self) -> Region:
@@ -151,7 +151,8 @@ def _all_paths_bitmap(region: Region) -> int:
 def _matroid_bitmaps(region: Region, d_bm: int) -> tuple[int, int]:
     """Basis bitmaps of the minimal and maximal matroids, cut from the
     path family d_bm of the region.  A size outside 0..n (only in an
-    invalid region; verify_region_prop does not validate) selects nothing."""
+    invalid region, which verify_region_prop validates only after its bitmap
+    checks) selects nothing."""
     n, sizes = region.n, (region.v - region.c - region.d, region.v)
     return tuple(d_bm & layer_selectors(n)[k] if 0 <= k <= n else 0 for k in sizes)
 
@@ -450,7 +451,9 @@ def iter_regions(max_size: int) -> Iterator[Region]:
 
 def verify_region_prop(region: Region) -> str | None:
     """Fast bitmap check of the quotient and full-Higgs claims for one
-    region; returns None on success or a short failure tag.
+    region; returns None on success or a short failure tag.  A region
+    that passes the bitmap checks but is invalid gets the first entry of
+    its diagnostics() instead of None.
 
     This is the bulk-sweep counterpart of lpdm(), which performs the same
     checks through the validated matroid API.
@@ -469,4 +472,4 @@ def verify_region_prop(region: Region) -> str | None:
     circuits_lo = list(iter_bits(minimal_members(full & ~down_closure(lo_bm, n), n)))
     if not circuits_cover(circuits_lo, circuits_hi):
         return "minimal matroid is not a quotient of the maximal"
-    return None
+    return next(iter(region.diagnostics()), None)

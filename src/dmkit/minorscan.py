@@ -4,19 +4,19 @@ of the excluded-minor characterizations and their membership classifier."""
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from .bitset import iter_bits, layer_selectors, permute_mask
+from .bitset import iter_bits, layer_selectors
 from .catalog import CatalogEntry, ExminorClassId, excluded_minor_set
 from .errors import AmbientHypothesisError, CapacityError
 from .higgs import classify_higgs
 from .matroid import is_matroid
-from .setsystem import SetSystem
-from .stacks import classify_stack, is_matroid_stack
+from .setsystem import SetSystem, delta_matroid_bits
+from .stacks import classify_stack, is_matroid_stack, is_stack_bitmap, layer_is_matroid, stack_flags
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,12 @@ def _orbit_index(pool: Sequence[CatalogEntry]) -> dict[int, CatalogEntry]:
     """Family bitmap of every relabelling of every target of a nonempty
     pool of same-size targets, mapped to the first target it relabels."""
     m = pool[0].system.n
-    images = [[1 << permute_mask(f, perm) for f in range(1 << m)]
-              for perm in permutations(range(m))]
+    images = []
+    for perm in permutations(range(m)):
+        image = [0]  # image[f] is mask f relabelled by perm
+        for p in perm:
+            image += [f | 1 << p for f in image]
+        images.append([1 << f for f in image])
     index: dict[int, CatalogEntry] = {}
     for t in pool:
         for image in images:
@@ -163,6 +167,21 @@ class _ScanPlan:
     sizes: tuple[int, ...]
     orbits: dict[int, dict[int, CatalogEntry]]
     shapes: dict[int, dict[tuple[int, ...], tuple[CatalogEntry, ...]]]
+    index_scans: dict[int, tuple] = field(default_factory=dict, compare=False)
+
+    def index_scan(self, n: int) -> tuple[dict[int, CatalogEntry], tuple[tuple[array, dict], ...]]:
+        """(whole, splits) of the index-level scan of n-element systems,
+        n <= TABLE_MAX_N: the orbit index of the n-element targets, so a
+        family index is looked up as it is, then (table, orbit index) per
+        split of every smaller target size, largest first."""
+        scan = self.index_scans.get(n)
+        if scan is None:
+            pool = [t for t in self.targets if t.system.n == n]
+            whole = self.orbits.get(n) or (_orbit_index(pool) if pool else {})
+            splits = tuple((table, self.orbits[m]) for m in self.sizes if m < n
+                           for _, _, table in _split_tables(n, m))
+            scan = self.index_scans[n] = (whole, splits)
+        return scan
 
     @classmethod
     def of(cls, targets: tuple[CatalogEntry, ...]) -> _ScanPlan:
@@ -301,6 +320,32 @@ def has_minor_from(
     return None
 
 
+def no_minor_bits(indices: Sequence[int], n: int, targets: Sequence[CatalogEntry]) -> int:
+    """Bitmask over a batch of family indices of an n-element ground set,
+    n <= TABLE_MAX_N: bit b is set when has_minor_from(system, targets) is
+    None for the system of indices[b].
+
+    The verdict alone, from the index: the whole family is one lookup in
+    the orbit index of the n-element targets, every proper minor four
+    byte-table lookups of _split_tables; no witness is built.
+    """
+    whole, splits = _scan_plan(targets).index_scan(n)
+    out = 0
+    for b, index in enumerate(indices):
+        if index in whole:
+            continue
+        b0 = index & 255
+        b1 = 256 | index >> 8 & 255
+        b2 = 512 | index >> 16 & 255
+        b3 = 768 | index >> 24
+        for t, orbit in splits:
+            if t[b0] | t[b1] | t[b2] | t[b3] in orbit:
+                break
+        else:
+            out |= 1 << b
+    return out
+
+
 def _always(system: SetSystem) -> bool:
     return True
 
@@ -313,6 +358,46 @@ def _is_even_dm(system: SetSystem) -> bool:
     return system.is_even and system.is_delta_matroid()
 
 
+# An index form decides a property for a batch of family indices of an
+# n-element ground set, n <= SLICE_MAX_N, with no SetSystem built: it
+# returns the bitmask of the batch positions where the property holds.
+IndexForm = Callable[[Sequence[int], int], int]
+
+
+def index_form(pred: Callable[[int, int], bool]) -> IndexForm:
+    """The index form that decides pred(index, n) family by family."""
+    return lambda indices, n: sum(1 << b for b, i in enumerate(indices) if pred(i, n))
+
+
+def every_index(indices: Sequence[int], n: int) -> int:
+    return (1 << len(indices)) - 1
+
+
+@lru_cache(maxsize=None)
+def _odd_sets(n: int) -> int:
+    return sum(layer_selectors(n)[1::2])
+
+
+def is_even_index(index: int, n: int) -> bool:
+    """SetSystem.is_even of a nonempty family index: every feasible set
+    even, or every one odd."""
+    odd = _odd_sets(n)
+    return not index & odd or not index & ~odd
+
+
+def is_equicardinal_index(index: int, n: int) -> bool:
+    """True when a nonempty family index lies in one cardinality layer."""
+    return any(not index & ~sel for sel in layer_selectors(n))
+
+
+_even_bits = index_form(is_even_index)
+
+
+def _even_dm_bits(indices: Sequence[int], n: int) -> int:
+    even = _even_bits(indices, n)
+    return even and even & delta_matroid_bits(indices, n)
+
+
 @dataclass(frozen=True)
 class ClassSpec:
     """One characterization "class X inside ambient Y": within the ambient,
@@ -322,7 +407,9 @@ class ClassSpec:
     refusal is the AmbientHypothesisError message of classify_by_exminors
     outside the ambient (empty when every system is inside); theorem_id
     and description name the census theorem, None with the direct oracle
-    for a class that has none.
+    for a class that has none.  ambient_index and direct_index are the
+    index forms of the two oracles that the census runs on family indices;
+    None where an oracle has none, and the census runs the SetSystem form.
     """
 
     ambient: Callable[[SetSystem], bool]
@@ -330,56 +417,72 @@ class ClassSpec:
     direct: Callable[[SetSystem], bool] | None
     theorem_id: str | None
     description: str | None
+    ambient_index: IndexForm
+    direct_index: IndexForm | None
 
 
 CLASS_TABLE: dict[ExminorClassId, ClassSpec] = {
     ExminorClassId.DELTA_MATROID: ClassSpec(
         _always, "", _is_dm,
-        "exdelta", "delta-matroids within proper set systems"),
+        "exdelta", "delta-matroids within proper set systems",
+        every_index, delta_matroid_bits),
     ExminorClassId.EVEN_DELTA_WITHIN_EVEN: ClassSpec(
         lambda s: s.is_even, "system is not even", _is_dm,
-        "exevendelta", "even delta-matroids within even proper systems"),
+        "exevendelta", "even delta-matroids within even proper systems",
+        _even_bits, delta_matroid_bits),
     ExminorClassId.EVEN_DELTA_WITHIN_ALL: ClassSpec(
         _always, "", _is_even_dm,
-        "exevendelta2", "even delta-matroids within all proper systems"),
+        "exevendelta2", "even delta-matroids within all proper systems",
+        every_index, _even_dm_bits),
+    # Within equicardinal systems a family index is its only layer.
     ExminorClassId.MATROID_EQUICARDINAL: ClassSpec(
         lambda s: len({m.bit_count() for m in s.masks}) == 1,
         "feasible sets are not equicardinal", is_matroid,
-        "exmatroid", "matroids within equicardinal proper systems"),
+        "exmatroid", "matroids within equicardinal proper systems",
+        index_form(is_equicardinal_index), index_form(lambda i, n: layer_is_matroid(i))),
     ExminorClassId.HIGGS_LIFT: ClassSpec(
         _is_dm, "system is not a delta-matroid", lambda s: classify_higgs(s).is_higgs,
-        "exhiggs", "Higgs lift delta-matroids within delta-matroids"),
+        "exhiggs", "Higgs lift delta-matroids within delta-matroids",
+        delta_matroid_bits, None),
     ExminorClassId.FULL_HIGGS: ClassSpec(
         _is_dm, "system is not a delta-matroid", lambda s: classify_higgs(s).is_full,
-        "exfull", "full Higgs lift delta-matroids within delta-matroids"),
+        "exfull", "full Higgs lift delta-matroids within delta-matroids",
+        delta_matroid_bits, None),
     ExminorClassId.EVEN_HIGGS_WITHIN_EVEN: ClassSpec(
         _is_even_dm, "system is not an even delta-matroid",
         lambda s: classify_higgs(s).is_even_higgs,
-        "exevenhiggs", "even Higgs lift delta-matroids within even delta-matroids"),
+        "exevenhiggs", "even Higgs lift delta-matroids within even delta-matroids",
+        _even_dm_bits, None),
     ExminorClassId.MATROID_STACK: ClassSpec(
         is_matroid_stack, "system is not a matroid stack system", _is_dm,
-        "exmatroidstack", "matroid stack delta-matroids within matroid stack systems"),
+        "exmatroidstack", "matroid stack delta-matroids within matroid stack systems",
+        index_form(is_stack_bitmap), delta_matroid_bits),
     ExminorClassId.EVEN_MATROID_STACK: ClassSpec(
         lambda s: s.is_even and is_matroid_stack(s),
         "system is not an even matroid stack system", _is_dm,
         "exevenmatroidstack",
-        "even matroid stack delta-matroids within even matroid stack systems"),
+        "even matroid stack delta-matroids within even matroid stack systems",
+        index_form(lambda i, n: is_even_index(i, n) and is_stack_bitmap(i, n)),
+        delta_matroid_bits),
     # The layer classes call classify_stack for matroid stacks only.
     ExminorClassId.PAVING: ClassSpec(
         lambda s: is_matroid_stack(s) and classify_stack(s).paving_system,
         "system is not a paving set system", _is_dm,
-        "expaving", "paving delta-matroids within paving systems"),
+        "expaving", "paving delta-matroids within paving systems",
+        index_form(lambda i, n: stack_flags(i, n)[1]), delta_matroid_bits),
     ExminorClassId.SPARSE_PAVING: ClassSpec(
         lambda s: is_matroid_stack(s) and classify_stack(s).sparse_paving_system,
         "system is not a sparse paving set system", _is_dm,
-        "exsparsepaving", "sparse paving delta-matroids within sparse paving systems"),
+        "exsparsepaving", "sparse paving delta-matroids within sparse paving systems",
+        index_form(lambda i, n: stack_flags(i, n)[2]), delta_matroid_bits),
     ExminorClassId.QUOTIENT_STACK: ClassSpec(
         lambda s: is_matroid_stack(s) and classify_stack(s).quotient_system,
         "system is not a quotient set system", _is_dm,
-        "exquotient", "quotient delta-matroids within quotient systems"),
+        "exquotient", "quotient delta-matroids within quotient systems",
+        index_form(lambda i, n: stack_flags(i, n)[3]), delta_matroid_bits),
     # Binary delta-matroids have no direct oracle here; gf2.is_binary_dm
     # scans the P-twists of this list.
-    ExminorClassId.BINARY: ClassSpec(_always, "", None, None, None),
+    ExminorClassId.BINARY: ClassSpec(_always, "", None, None, None, every_index, None),
 }
 
 

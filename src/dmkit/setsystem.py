@@ -10,6 +10,8 @@ shared freely across threads.
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -330,6 +332,112 @@ def _se_holds_bitmap(bm: int, n: int) -> bool:
                 if not d & fw & ~ub:
                     return False
     return True
+
+
+# -- the bit-sliced exchange oracle over family indices ------------------
+
+# A family index of a system on at most SLICE_MAX_N elements fits one 32-bit
+# word, the unit of the bit-plane transpose.
+SLICE_MAX_N = 5
+
+
+@lru_cache(maxsize=64)
+def _transpose_masks(blocks: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of the five delta-swaps that transpose every 32 x 32
+    bit block of an int of blocks * 1024 bits: swap j exchanges bit j of
+    the in-block position with bit j + 5, so bit 32w + i of a block trades
+    places with bit 32i + w.  Its mask selects bit i of word w for i with
+    bit j set and w with bit j clear."""
+    swaps = []
+    for j in range(5):
+        word = sum(1 << i for i in range(32) if i >> j & 1)
+        block = sum(word << 32 * w for w in range(32) if not w >> j & 1)
+        mask = int.from_bytes(block.to_bytes(128, "little") * blocks, "little")
+        swaps.append(((1 << j + 5) - (1 << j), mask))
+    return tuple(swaps)
+
+
+def bit_planes(indices: Sequence[int]) -> list[int]:
+    """The 32 bit-planes of a batch of family indices below 2^32: bit b of
+    plane m is set when family indices[b] contains mask m.
+
+    The indices are packed as 32-bit words into one int, every block of 32
+    words is transposed in place by five delta-swaps, and plane m is word
+    m of every block, read by one strided slice.
+    """
+    words = array("I", indices)
+    words.frombytes(bytes(4 * (-len(words) % 32)))
+    if sys.byteorder != "little":
+        words.byteswap()
+    size = len(words)
+    x = int.from_bytes(words, "little")
+    for shift, mask in _transpose_masks(size // 32):
+        t = (x >> shift ^ x) & mask
+        x ^= t | t << shift
+    view = memoryview(x.to_bytes(4 * size, "little")).cast("I")
+    return [int.from_bytes(view[m::32].tobytes(), "little") for m in range(32)]
+
+
+@lru_cache(maxsize=None)
+def _exchange_steps(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, tuple, tuple], ...]]:
+    """(prevs, rows) of the bit-sliced exchange test.  The nonempty subsets
+    D' of the n - 1 elements other than u are taken by their index s among
+    those subsets, from 1 up, and prevs[s - 1] is s without its lowest bit.
+    rows holds (X, W, V, Y) per mask X and element u, X then u ascending,
+    with W = X ^ {u}, V[s - 1] = W ^ {v} for v the element of the lowest
+    bit of s, and Y[s - 1] = W ^ D'."""
+    subsets = range(1, (1 << n) >> 1)
+    prevs = tuple(s & s - 1 for s in subsets)
+    rows = []
+    for x in range(1 << n):
+        for u in range(n):
+            w = x ^ 1 << u
+            others = [1 << v for v in range(n) if v != u]
+            ys = [w]
+            for s in subsets:
+                ys.append(ys[s & s - 1] ^ others[(s & -s).bit_length() - 1])
+            vs = tuple(w ^ others[(s & -s).bit_length() - 1] for s in subsets)
+            rows.append((x, w, vs, tuple(ys[1:])))
+    return prevs, tuple(rows)
+
+
+def delta_matroid_bits(indices: Sequence[int], n: int) -> int:
+    """Bitmask over a batch of family indices of an n-element ground set,
+    n <= SLICE_MAX_N: bit b is set when family indices[b] satisfies the
+    exchange axiom (vacuously for the empty family).
+
+    For fixed X and u, with W = X ^ {u}, the axiom fails exactly when X is
+    feasible, W is not, and some feasible Y = W ^ D' (D' nonempty, u not
+    in D') has no feasible W ^ {v} with v in D'.  On the bit-planes P that
+    is, for every family at once,
+
+        P[X] & ~P[W] & OR over D' of (P[W ^ D'] & AND over v in D' of ~P[W ^ {v}]),
+
+    with each AND built from the AND of D' minus its lowest element.
+    Families that have failed drop out of the base, and the pass ends when
+    every family has failed.  The scalar references are _se_holds_bitmap
+    and se_violation.
+    """
+    planes = bit_planes(indices)
+    alive = (1 << len(indices)) - 1
+    missing = [alive ^ p for p in planes]
+    fail = 0
+    prevs, rows = _exchange_steps(n)
+    for x, w, vs, ys in rows:
+        base = planes[x] & missing[w] & ~fail
+        if not base:
+            continue
+        ands = [base]
+        hit = 0
+        for prev, v, y in zip(prevs, vs, ys):
+            a = ands[prev] & missing[v]
+            ands.append(a)
+            hit |= planes[y] & a
+        if hit:
+            fail |= hit
+            if fail == alive:
+                break
+    return alive ^ fail
 
 
 @lru_cache(maxsize=65536)

@@ -109,27 +109,43 @@ def layer_paving_flags(layer: int, n: int) -> tuple[bool, bool]:
     return (True, r == n or not sel[r + 1] & ~up_closure(layer, n))
 
 
+def is_stack_bitmap(bm: int, n: int) -> bool:
+    """True when every nonempty cardinality layer of a family bitmap over
+    n elements is a matroid (cached layer_is_matroid; the first
+    non-matroid layer ends the test)."""
+    return all(layer_is_matroid(bm & sel) for sel in layer_selectors(n) if bm & sel)
+
+
 def is_matroid_stack(system: SetSystem) -> bool:
-    """True when every nonempty cardinality layer is a matroid (cached
-    layer_is_matroid; the first non-matroid layer ends the test)."""
-    return all(layer_is_matroid(layer) for _, layer in layer_bitmaps(system))
+    """True when every nonempty cardinality layer is a matroid."""
+    system._require_proper()
+    return is_stack_bitmap(system.family_bitmap, system.n)
+
+
+def stack_flags(bm: int, n: int) -> tuple[bool, bool, bool, bool]:
+    """(matroid stack, paving, sparse paving, quotient) of a nonempty
+    family bitmap over n elements, from cached verdicts on its layers:
+    layer_is_matroid, then for matroid stacks layer_paving_flags per layer
+    and circuits_cover on the cached _circuit_masks of consecutive layers."""
+    if not is_stack_bitmap(bm, n):
+        return (False, False, False, False)
+    layers = [bm & sel for sel in layer_selectors(n) if bm & sel]
+    flags = [layer_paving_flags(layer, n) for layer in layers]
+    return (
+        True,
+        all(p for p, _ in flags),
+        all(sp for _, sp in flags),
+        all(circuits_cover(_circuit_masks(below, n), _circuit_masks(above, n))
+            for below, above in zip(layers, layers[1:])),
+    )
 
 
 def classify_stack(system: SetSystem) -> StackClassification:
-    """Every layer flag from cached verdicts on the layer bitmaps:
-    layer_is_matroid, then for matroid stacks layer_paving_flags per layer
-    and circuits_cover on the cached _circuit_masks of consecutive layers."""
-    n = system.n
-    layers = list(layer_bitmaps(system))
-    matroid_stack = all(layer_is_matroid(layer) for _, layer in layers)
-    paving = sparse = quotient = matroid_stack
-    if matroid_stack:
-        flags = [layer_paving_flags(layer, n) for _, layer in layers]
-        paving = all(p for p, _ in flags)
-        sparse = all(sp for _, sp in flags)
-        quotient = all(circuits_cover(_circuit_masks(below, n), _circuit_masks(above, n))
-                       for (_, below), (_, above) in zip(layers, layers[1:]))
-    gaps = tuple(b - a for (a, _), (b, _) in zip(layers, layers[1:]))
+    """Every layer flag of stack_flags, with the rank gaps, evenness and
+    the exchange-axiom verdict of the system."""
+    sizes = [size for size, _ in layer_bitmaps(system)]
+    matroid_stack, paving, sparse, quotient = stack_flags(system.family_bitmap, system.n)
+    gaps = tuple(b - a for a, b in zip(sizes, sizes[1:]))
     return StackClassification(
         matroid_stack=matroid_stack,
         paving_system=paving,

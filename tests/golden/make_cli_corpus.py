@@ -130,8 +130,20 @@ def cases() -> list[dict]:
         out.append({"argv": base + ["--long", "--chunk", "100", "--json"]})
         out.append({"argv": ["census", "run", "--n", "4", "--theorem", theorem,
                              "--mode", "sampled", "--seed", "3", "--count", "300", "--json"]})
+        out.append({"argv": ["census", "run", "--n", "4", "--theorem", theorem,
+                             "--mode", "sampled", "--seed", "4", "--count", "300",
+                             "--no-dedupe"]})
+        n5 = ["census", "run", "--n", "5", "--theorem", theorem,
+              "--mode", "sampled", "--seed", "5", "--count", "400"]
+        out.append({"argv": n5})
+        out.append({"argv": n5 + ["--json"]})
+    out.append({"argv": ["census", "run", "--n", "5", "--theorem", "exdelta"]})
     out.append({"argv": ["census", "count", "--n", "3"]})
     out.append({"argv": ["census", "count", "--n", "3", "--json"]})
+    out.append({"argv": ["census", "count", "--n", "5", "--mode", "sampled",
+                         "--seed", "5", "--count", "400"]})
+    out.append({"argv": ["census", "count", "--n", "5", "--mode", "sampled",
+                         "--seed", "5", "--count", "400", "--json"]})
     for cls in classes:
         out.append({"argv": ["catalog", "dump", "--class", cls, "--cap", "6"]})
     for name in ("T1", "U14+U34", "random5", "dofc6*ab"):

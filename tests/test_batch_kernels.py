@@ -1,0 +1,385 @@
+"""The index-level census kernels against their SetSystem references: the
+bit-sliced exchange oracle, the index-level excluded-minor scan, the index
+forms of the class table and the batched census loop."""
+
+from __future__ import annotations
+
+import itertools
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dmkit.bitset import permute_mask
+from dmkit.catalog import ExminorClassId, excluded_minor_set
+from dmkit.census import (
+    _COUNT_COLUMNS,
+    REGISTRY,
+    count_census,
+    family_indices,
+    family_system,
+    random_quotient_pair,
+    run_streaming,
+    verify_equivalence,
+)
+from dmkit.gf2 import SkewSymMatrixGF2, _p_targets, d_of_c
+from dmkit.higgs import build_higgs_dm
+from dmkit.minorscan import CLASS_TABLE, _removal_splits, has_minor_from, no_minor_bits
+from dmkit.setsystem import _se_holds_bitmap, bit_planes, delta_matroid_bits
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+FAST = settings(max_examples=40, deadline=None)
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def as_bools(bits: int, count: int) -> list[bool]:
+    return [bool(bits >> b & 1) for b in range(count)]
+
+
+def exchange_reference(index: int, n: int) -> bool:
+    """The exchange verdict of the scalar bitmap oracle, checked against
+    the object-level scan."""
+    verdict = _se_holds_bitmap(index, n)
+    assert verdict == (family_system(n, index).se_violation() is None), (n, index)
+    return verdict
+
+
+def higgs_index(rng: random.Random, n: int) -> int:
+    """A Higgs lift delta-matroid on n elements from a random quotient pair
+    and index set."""
+    r_l = rng.randrange(n + 1)
+    r_q = rng.randrange(r_l + 1)
+    q, lift = random_quotient_pair(n, r_q, r_l, rng.getrandbits(31))
+    k = r_l - r_q
+    while True:
+        ks = [i for i in range(k + 1) if rng.random() < 0.6] or [0]
+        missing = sorted(set(range(k + 1)) - set(ks))
+        if all(b != a + 1 for a, b in zip(missing, missing[1:])):
+            return build_higgs_dm(q, lift, ks).family_bitmap
+
+
+def dofc_index(rng: random.Random, n: int) -> int:
+    rows = [0] * n
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        if rng.random() < 0.5:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return d_of_c(SkewSymMatrixGF2(tuple("abcde"[:n]), tuple(rows))).family_bitmap
+
+
+# A perturbed D(C) delta-matroid on five elements whose only exchange
+# failure is at X = {b}, u = e.
+ONE_ROW = 590384839
+
+
+def twist_index(index: int, n: int, twist: int) -> int:
+    return sum(1 << (m ^ twist) for m in range(1 << n) if index >> m & 1)
+
+
+def n5_batch(seed: int) -> list[int]:
+    """A seeded batch of n = 5 family indices mixing every kind the census
+    meets: uniform, sparse, a streamed run of consecutive indices, and
+    Higgs and D(C) delta-matroids with their twists, each also with one
+    set added or removed (few violations, so every (X, u) row counts)."""
+    rng = random.Random(seed)
+    batch = [rng.getrandbits(32) or 1 for _ in range(rng.randrange(0, 80))]
+    batch += [sum(1 << m for m in rng.sample(range(32), rng.randrange(1, 6)))
+              for _ in range(rng.randrange(0, 40))]
+    start = rng.randrange(1, 2**32 - 64)
+    batch += range(start, start + rng.randrange(0, 64))
+    for make in (higgs_index, dofc_index):
+        for _ in range(rng.randrange(1, 6)):
+            index = make(rng, 5)
+            twisted = twist_index(index, 5, rng.randrange(32))
+            batch += [index, twisted, index ^ 1 << rng.randrange(32), twisted ^ 1 << rng.randrange(32)]
+    rng.shuffle(batch)
+    return [i for i in batch if i]
+
+
+class TestBitPlanes:
+    @FAST
+    @given(st.lists(st.integers(0, 2**32 - 1), max_size=100))
+    def test_transpose(self, indices):
+        planes = bit_planes(indices)
+        assert len(planes) == 32
+        for m, plane in enumerate(planes):
+            assert plane == sum(1 << b for b, i in enumerate(indices) if i >> m & 1)
+
+
+class TestExchangeOracle:
+    """delta_matroid_bits against _se_holds_bitmap and se_violation."""
+
+    def test_every_family_up_to_four_elements(self):
+        for n in range(5):
+            indices = list(range(1, 1 << (1 << n)))
+            for lo in range(0, len(indices), 2000):
+                batch = indices[lo:lo + 2000]
+                got = as_bools(delta_matroid_bits(batch, n), len(batch))
+                assert got == [exchange_reference(i, n) for i in batch], (n, lo)
+
+    @FAST
+    @given(seeds)
+    def test_seeded_five_element_batches(self, seed):
+        batch = n5_batch(seed)
+        got = as_bools(delta_matroid_bits(batch, 5), len(batch))
+        assert got == [exchange_reference(i, 5) for i in batch]
+
+    @FAST
+    @given(st.integers(1, 4), seeds)
+    def test_seeded_smaller_batches(self, n, seed):
+        rng = random.Random(seed)
+        batch = [rng.getrandbits(1 << n) or 1 for _ in range(rng.randrange(1, 200))]
+        batch += [higgs_index(rng, n), dofc_index(rng, n)]
+        got = as_bools(delta_matroid_bits(batch, n), len(batch))
+        assert got == [exchange_reference(i, n) for i in batch]
+
+    def test_every_row_alone_decides_a_family(self):
+        # ONE_ROW fails the exchange axiom at (X, u) = ({b}, e) alone; its
+        # relabellings and twists move that row to every (X, u), so a row
+        # that the oracle skipped would pass one of these families
+        families = []
+        for u in range(5):
+            perm = [u if i == 4 else 4 if i == u else i for i in range(5)]
+            relabelled = sum(1 << permute_mask(m, perm) for m in range(32) if ONE_ROW >> m & 1)
+            families += [twist_index(relabelled, 5, a) for a in range(32)]
+        assert not any(exchange_reference(i, 5) for i in families)
+        assert delta_matroid_bits(families, 5) == 0
+
+    def test_delta_matroid_batches_run_every_row(self):
+        # batches of delta-matroids never all fail, so every (X, u) row runs
+        rng = random.Random(81)
+        batch = [make(rng, 5) for _ in range(30) for make in (higgs_index, dofc_index)]
+        batch += [twist_index(i, 5, rng.randrange(32)) for i in batch]
+        assert delta_matroid_bits(batch, 5) == (1 << len(batch)) - 1
+        one_bad = batch + [1 | 1 << 0b111]  # {{}, {a,b,c}}: no exchange from {} to {a,b,c}
+        assert delta_matroid_bits(one_bad, 5) == (1 << len(batch)) - 1
+
+
+def minor_targets(n: int) -> list[tuple[str, tuple]]:
+    """Every target list an index scan runs on at n elements."""
+    out = [(cid.value, excluded_minor_set(cid, n)) for cid in ExminorClassId]
+    return out + [("binary P-twists", _p_targets(n))]
+
+
+def embedded_targets(n: int, targets) -> list[int]:
+    """Each target on n elements, and per target on m < n elements and per
+    delete/contract split leaving m elements, the sparse family whose minor
+    at that split is the target: the sets Y | (target set put on the kept
+    elements).  A scan that skipped a split misses one of them."""
+    out = []
+    for t in targets:
+        m = t.system.n
+        for removed in itertools.combinations(range(n), n - m):
+            kept = [i for i in range(n) if i not in removed]
+            for _, y in _removal_splits(removed):
+                out.append(sum(1 << (y | sum(1 << kept[j] for j in range(m) if f >> j & 1))
+                               for f in t.system.masks))
+    return out
+
+
+class TestIndexScan:
+    """no_minor_bits against has_minor_from(...) is None."""
+
+    def check(self, batch: list[int], n: int) -> None:
+        systems = [family_system(n, i) for i in batch]
+        for name, targets in minor_targets(n):
+            got = as_bools(no_minor_bits(batch, n, targets), len(batch))
+            want = [has_minor_from(s, targets) is None for s in systems]
+            assert got == want, name
+
+    def test_every_family_up_to_three_elements(self):
+        for n in range(1, 4):
+            self.check(list(range(1, 1 << (1 << n))), n)
+
+    def test_every_target_at_every_split(self):
+        for n in (4, 5):
+            for name, targets in minor_targets(n):
+                batch = embedded_targets(n, targets)
+                got = as_bools(no_minor_bits(batch, n, targets), len(batch))
+                want = [has_minor_from(family_system(n, i), targets) is None for i in batch]
+                assert got == want, (n, name)
+
+    @FAST
+    @given(seeds)
+    def test_seeded_four_element_families(self, seed):
+        rng = random.Random(seed)
+        batch = [rng.getrandbits(16) or 1 for _ in range(60)]
+        batch += [higgs_index(rng, 4), dofc_index(rng, 4)]
+        self.check(batch, 4)
+
+    @FAST
+    @given(seeds)
+    def test_seeded_five_element_batches(self, seed):
+        self.check(n5_batch(seed)[:120], 5)
+
+
+def class_forms():
+    """(name, index form, SetSystem form) of every oracle of the class table
+    that has an index form, every census theorem and every count column."""
+    for cid, spec in CLASS_TABLE.items():
+        yield f"{cid.value} ambient", spec.ambient_index, spec.ambient
+        if spec.direct_index is not None:
+            yield f"{cid.value} direct", spec.direct_index, spec.direct
+    for tid, eq in REGISTRY.items():
+        for key, form, scalar in eq.columns:
+            if form is not None:
+                yield f"{tid} {key}", form, scalar
+    for key, form, scalar in _COUNT_COLUMNS[1:]:
+        if form is not None:
+            yield f"count {key}", form, scalar
+
+
+class TestIndexForms:
+    def check(self, indices: list[int], n: int) -> None:
+        dms = [i for i in indices if family_system(n, i).is_delta_matroid()]
+        for name, form, scalar in class_forms():
+            # the count columns after the first are defined on delta-matroids
+            batch = dms if name.startswith("count") else indices
+            got = as_bools(form(batch, n), len(batch))
+            assert got == [bool(scalar(family_system(n, i))) for i in batch], (name, n)
+
+    def test_every_family_up_to_three_elements(self):
+        for n in range(1, 4):
+            self.check(list(range(1, 1 << (1 << n))), n)
+
+    @FAST
+    @given(st.integers(4, 5), seeds)
+    def test_seeded_families(self, n, seed):
+        rng = random.Random(seed)
+        batch = [rng.getrandbits(1 << n) or 1 for _ in range(30)]
+        batch += [higgs_index(rng, n) for _ in range(6)] + [dofc_index(rng, n) for _ in range(4)]
+        # matroid stacks: a random matroid layer or two
+        for _ in range(6):
+            _, lift = random_quotient_pair(n, 0, rng.randrange(n + 1), rng.getrandbits(31))
+            q, _ = random_quotient_pair(n, rng.randrange(n + 1), n, rng.getrandbits(31))
+            batch += [lift.system.family_bitmap, lift.system.family_bitmap | q.system.family_bitmap]
+        self.check(batch, n)
+
+    def test_every_equicardinal_five_element_family(self):
+        # the matroid theorem's ambient at n = 5: every family inside one layer
+        from dmkit.bitset import layer_selectors
+
+        batch = []
+        for sel in layer_selectors(5):
+            masks = [m for m in range(32) if sel >> m & 1]
+            for size in range(1, len(masks) + 1):
+                for chosen in itertools.combinations(masks, size):
+                    batch.append(sum(1 << m for m in chosen))
+        assert len(batch) == 2110
+        spec = CLASS_TABLE[ExminorClassId.MATROID_EQUICARDINAL]
+        for form, scalar in ((spec.ambient_index, spec.ambient), (spec.direct_index, spec.direct)):
+            got = as_bools(form(batch, 5), len(batch))
+            assert got == [bool(scalar(family_system(5, i))) for i in batch]
+
+
+def reference_census(theorem: str, indices, n: int = 5) -> tuple[dict, list]:
+    """The SetSystem-level census loop: every family built and every oracle
+    of the registry called on it, one family at a time."""
+    eq = REGISTRY[theorem]
+    totals = {"checked": 0, "ambient": 0, "direct_members": 0, "exminor_members": 0}
+    discrepancies = []
+    for index in indices:
+        totals["checked"] += 1
+        s = family_system(n, index)
+        if not eq.ambient(s):
+            continue
+        direct, exm = eq.direct(s), eq.exminor(s)
+        totals["ambient"] += 1
+        totals["direct_members"] += direct
+        totals["exminor_members"] += exm
+        if direct != exm:
+            discrepancies.append({"family_index": index, "direct": direct, "exminor": exm})
+    return totals, discrepancies
+
+
+# The exhaustive n = 4 census, (checked, ambient, direct, exminor) per
+# theorem, and the n = 4 class counts, as recorded before the batched loop.
+N4_TOTALS = {
+    "exdelta": (65535, 65535, 5959, 5959),
+    "exevendelta": (65535, 510, 294, 294),
+    "exevendelta2": (65535, 65535, 294, 294),
+    "exmatroid": (65535, 95, 68, 68),
+    "exhiggs": (65535, 5959, 811, 811),
+    "exfull": (65535, 5959, 558, 558),
+    "exevenhiggs": (65535, 294, 258, 258),
+    "exmatroidstack": (65535, 37887, 4438, 4438),
+    "exevenmatroidstack": (65535, 402, 267, 267),
+    "expaving": (65535, 5759, 1528, 1528),
+    "exsparsepaving": (65535, 1583, 766, 766),
+    "exquotient": (65535, 3319, 1740, 1740),
+    "speven": (65535, 78, 78, 78),
+}
+N4_COUNTS = {
+    "checked": 65535, "delta_matroid": 5959, "even_delta_matroid": 294, "higgs": 811,
+    "full_higgs": 558, "matroid": 68, "matroid_stack_dm": 4438, "paving_dm": 1528,
+    "sparse_paving_dm": 766, "quotient_dm": 1740, "binary_consistent": 2295,
+}
+
+
+class TestBatchedCensus:
+    def test_exhaustive_n4_totals(self):
+        for theorem, want in N4_TOTALS.items():
+            report = verify_equivalence(4, theorem)
+            assert report.ok and tuple(report.totals.values()) == want, theorem
+        assert count_census(4).totals == N4_COUNTS
+
+    def test_sampled_n5_matches_reference_every_theorem(self):
+        for theorem in REGISTRY:
+            report = verify_equivalence(5, theorem, "sampled", seed=9, count=300)
+            indices = family_indices(5, "sampled", seed=9, count=300)
+            assert (report.totals, report.discrepancies) == reference_census(theorem, indices)
+
+    def test_delta_matroid_stream_matches_reference(self):
+        # a batch dense in delta-matroids reaches every oracle of every theorem
+        rng = random.Random(82)
+        indices = [make(rng, 5) for _ in range(25) for make in (higgs_index, dofc_index)]
+        from dmkit.census import _tally
+
+        for theorem, eq in REGISTRY.items():
+            totals, disc = _tally(eq.columns, ((i, 1) for i in indices), 5, 100)
+            assert (totals, disc) == reference_census(theorem, indices), theorem
+
+    def test_streamed_n5_jobs_agree(self, tmp_path):
+        start = 3 << 30
+        one = run_streaming(5, "exdelta", start=start, stop=start + 300, chunk=64, jobs=1,
+                            checkpoint_path=str(tmp_path / "one.ckpt"))
+        two = run_streaming(5, "exdelta", start=start, stop=start + 300, chunk=64, jobs=2,
+                            checkpoint_path=str(tmp_path / "two.ckpt"))
+        assert one.to_json() == two.to_json()
+        assert (tmp_path / "one.ckpt").read_text() == (tmp_path / "two.ckpt").read_text()
+        assert (one.totals, one.discrepancies) == reference_census(
+            "exdelta", range(start, start + 300))
+
+    def test_sampled_count_matches_scalar_columns(self):
+        report = count_census(5, "sampled", seed=4, count=200)
+        want = dict.fromkeys(["checked", *(key for key, _, _ in _COUNT_COLUMNS)], 0)
+        for index in family_indices(5, "sampled", seed=4, count=200):
+            s = family_system(5, index)
+            want["checked"] += 1
+            if s.is_delta_matroid():
+                for key, _, scalar in _COUNT_COLUMNS:
+                    want[key] += bool(scalar(s))
+        assert report.totals == want
+
+
+def test_n5_census_runs_stay_numpy_free():
+    # numpy costs about 12 MB of resident memory; the n = 5 census paths
+    # never need it (only the n <= 4 isomorphism tables do)
+    code = """
+import sys
+from dmkit.census import run_streaming, verify_equivalence
+from dmkit.cli import main
+verify_equivalence(5, "exhiggs", "sampled", seed=1, count=200)
+run_streaming(5, "exdelta", start=1 << 31, stop=(1 << 31) + 200)
+assert main(["census", "run", "--n", "5", "--theorem", "exmatroidstack",
+             "--mode", "sampled", "--count", "100"]) == 0
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+

@@ -25,9 +25,11 @@ from dmkit.matroid import is_matroid, is_quotient
 @pytest.fixture
 def wrong(monkeypatch):
     """A deliberately wrong theorem (direct oracle always True) under the
-    id "wrong": every family that is not a delta-matroid is a discrepancy."""
+    id "wrong": every family that is not a delta-matroid is a discrepancy.
+    Its direct oracle has no index form, so the census runs it on a
+    SetSystem per family."""
     monkeypatch.setitem(REGISTRY, "wrong", dataclasses.replace(
-        REGISTRY["exdelta"], theorem_id="wrong", direct=lambda s: True))
+        REGISTRY["exdelta"], theorem_id="wrong", direct=lambda s: True, direct_index=None))
     return "wrong"
 
 

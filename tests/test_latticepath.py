@@ -256,6 +256,28 @@ class TestPropositionSamples:
             assert verify_region_prop(region) is None
             lpdm(region)  # raises if either claim fails
 
+    def test_fast_path_passes_exactly_the_valid_regions(self):
+        # every region with u <= 2, v <= 3, d, c <= 3 and E/N words of
+        # length u + v: the valid ones pass, and an invalid one that passes
+        # the bitmap checks gets its first diagnostic (253 of them)
+        bitmap_tags = {"empty path family", "path image differs from full Higgs lift family",
+                       "minimal matroid is not a quotient of the maximal"}
+        regions = diagnosed = 0
+        for u, v, d, c in itertools.product(range(3), range(4), range(4), range(4)):
+            words = ["".join(w) for w in itertools.product("EN", repeat=u + v)]
+            for p_word, q_word in itertools.product(words, words):
+                region = Region(d, c, u, v, p_word, q_word)
+                diags = region.diagnostics()
+                got = verify_region_prop(region)
+                regions += 1
+                if not diags:
+                    assert got is None, region
+                else:
+                    assert got == diags[0] or got in bitmap_tags, (region, got)
+                    diagnosed += got == diags[0]
+        assert (regions, diagnosed) == (28560, 253)
+        assert verify_region_prop(Region(1, 0, 0, 1, "E", "E")) == "P ends at height 0, expected 1"
+
     def test_fast_path_rejects_a_negative_minimal_size(self):
         # verify_region_prop does not validate; with v - c < d no path has
         # v - c - d north steps, so the minimal matroid is empty, not the
