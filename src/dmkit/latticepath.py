@@ -18,24 +18,29 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import gt
 from typing import Iterator, NamedTuple
 
-from .bitset import down_closure, iter_bits, layer_selectors, minimal_members, up_closure
+from .bitset import iter_bits, layer_selectors
 from .errors import CapacityError, FormatError, InvalidRegionError, UnknownElementError
 from .higgs import full_higgs_dm
-from .matroid import Matroid, circuits_cover, is_quotient
+from .matroid import (
+    Matroid,
+    _circuit_masks,
+    _independent_bitmap,
+    _spanning_bitmap,
+    circuits_cover,
+    is_quotient,
+)
 from .setsystem import SetSystem
 
 PATH_COUNT_CAP = 10**7
 
 
+@lru_cache(maxsize=1 << 16)
 def _heights(word: str, start_y: int) -> tuple[int, ...]:
-    hs = [start_y]
-    for step in word:
-        hs.append(hs[-1] + (1 if step == "N" else 0))
-    return tuple(hs)
+    return tuple(accumulate((step == "N" for step in word), initial=start_y))
 
 
 def _word_from_heights(hs) -> str:
@@ -445,7 +450,7 @@ def iter_regions(max_size: int) -> Iterator[Region]:
                     qs = _profiles(total, v - d, d)
                     for p_word, hp in ps:
                         for q_word, hq in qs:
-                            if all(a <= b for a, b in zip(hp, hq)):
+                            if not any(map(gt, hp, hq)):
                                 yield Region(d, c, u, v, p_word, q_word)
 
 
@@ -459,17 +464,12 @@ def verify_region_prop(region: Region) -> str | None:
     checks through the validated matroid API.
     """
     n = region.n
-    full = (1 << (1 << n)) - 1
     d_bm = _all_paths_bitmap(region)
     lo_bm, hi_bm = _matroid_bitmaps(region, d_bm)
     if not lo_bm or not hi_bm or not d_bm:
         return "empty path family"
-    span_lo = up_closure(lo_bm, n)
-    indep_hi = down_closure(hi_bm, n)
-    if d_bm != span_lo & indep_hi:
+    if d_bm != _spanning_bitmap(lo_bm, n) & _independent_bitmap(hi_bm, n):
         return "path image differs from full Higgs lift family"
-    circuits_hi = iter_bits(minimal_members(full & ~indep_hi, n))
-    circuits_lo = list(iter_bits(minimal_members(full & ~down_closure(lo_bm, n), n)))
-    if not circuits_cover(circuits_lo, circuits_hi):
+    if not circuits_cover(_circuit_masks(lo_bm, n), _circuit_masks(hi_bm, n)):
         return "minimal matroid is not a quotient of the maximal"
     return next(iter(region.diagnostics()), None)

@@ -7,13 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .bitset import (
-    down_closure,
-    family_to_bitmap,
-    iter_bits,
-    minimal_members,
-    up_closure,
-)
+from .bitset import down_closure, iter_bits, minimal_members, up_closure
 from .errors import (
     GroundSetMismatchError,
     NotADeltaMatroidError,
@@ -41,13 +35,10 @@ def exchange_violation(system: SetSystem) -> tuple[int, int, int] | None:
 
 
 def is_matroid(system: SetSystem) -> bool:
-    """True when the feasible sets are equicardinal and satisfy exchange."""
-    if not system.is_proper:
-        return False
+    """True when the feasible sets are equicardinal and satisfy basis exchange,
+    which an equicardinal family does exactly when it is a delta-matroid."""
     sizes = {m.bit_count() for m in system.masks}
-    if len(sizes) != 1:
-        return False
-    return exchange_violation(system) is None
+    return len(sizes) == 1 and system.is_delta_matroid()
 
 
 @dataclass(frozen=True)
@@ -64,9 +55,8 @@ class Matroid:
         sizes = {m.bit_count() for m in system.masks}
         if len(sizes) != 1:
             raise NotAMatroidError(f"basis sizes differ: {sorted(sizes)}")
-        bad = exchange_violation(system)
-        if bad is not None:
-            raise NotAMatroidError(f"basis exchange fails at {bad}")
+        if not system.is_delta_matroid():
+            raise NotAMatroidError(f"basis exchange fails at {exchange_violation(system)}")
         return cls(system, sizes.pop())
 
     @classmethod
@@ -97,11 +87,11 @@ class Matroid:
 
     def independent_bitmap(self) -> int:
         """Family bitmap of the independent sets (subsets of bases)."""
-        return _independent_bitmap(self)
+        return _independent_bitmap(self.system.family_bitmap, self.n)
 
     def spanning_bitmap(self) -> int:
         """Family bitmap of the spanning sets (supersets of bases)."""
-        return _spanning_bitmap(self)
+        return _spanning_bitmap(self.system.family_bitmap, self.n)
 
     def circuit_masks(self) -> tuple[int, ...]:
         return _circuit_masks(self.system.family_bitmap, self.n)
@@ -138,20 +128,21 @@ class Matroid:
         return out
 
 
+# Closures and circuits are keyed on (basis bitmap, n): no Matroid is kept alive.
 @lru_cache(maxsize=1 << 16)
-def _independent_bitmap(m: Matroid) -> int:
-    return down_closure(family_to_bitmap(m.bases), m.n)
+def _independent_bitmap(bases: int, n: int) -> int:
+    return down_closure(bases, n)
 
 
 @lru_cache(maxsize=1 << 16)
-def _spanning_bitmap(m: Matroid) -> int:
-    return up_closure(family_to_bitmap(m.bases), m.n)
+def _spanning_bitmap(bases: int, n: int) -> int:
+    return up_closure(bases, n)
 
 
 @lru_cache(maxsize=1 << 16)
 def _circuit_masks(bases: int, n: int) -> tuple[int, ...]:
     """Circuits of the matroid with basis bitmap bases, by (size, mask)."""
-    dependent = ~down_closure(bases, n) & ((1 << (1 << n)) - 1)
+    dependent = ~_independent_bitmap(bases, n) & ((1 << (1 << n)) - 1)
     return tuple(
         sorted(iter_bits(minimal_members(dependent, n)), key=lambda c: (c.bit_count(), c))
     )
@@ -211,12 +202,10 @@ def min_max_matroids(system: SetSystem) -> tuple[Matroid, Matroid]:
         raise NotADeltaMatroidError("min/max matroids need the exchange axiom")
     lo = Matroid.from_system(SetSystem(system.labels, frozenset(system.min_sets())))
     hi = Matroid.from_system(SetSystem(system.labels, frozenset(system.max_sets())))
-    lo_up = lo.spanning_bitmap()
-    hi_down = hi.independent_bitmap()
-    for m in system.masks:
-        if not (lo_up >> m & 1 and hi_down >> m & 1):
-            raise NotADeltaMatroidError(
-                f"feasible mask {m} is not sandwiched between minimal and "
-                "maximal bases"
-            )
+    outside = system.family_bitmap & ~(lo.spanning_bitmap() & hi.independent_bitmap())
+    if outside:
+        raise NotADeltaMatroidError(
+            f"feasible mask {(outside & -outside).bit_length() - 1} is not sandwiched "
+            "between minimal and maximal bases"
+        )
     return lo, hi

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from .bitset import family_to_bitmap, format_members, iter_bits, permute_mask
+from .bitset import family_to_bitmap, format_members, iter_bits, masks_without_bit, permute_mask
 from .errors import (
     CapacityError,
     FormatError,
@@ -233,10 +233,13 @@ class SetSystem:
 
     @cached_property
     def _exchange_holds(self) -> bool:
+        # the oracle by family size, at the crossovers measured on delta-matroids
         self._require_proper()
-        if self.n <= PERMUTATION_CAP and len(self.masks) ** 2 > (1 << self.n):
-            return _se_holds_bitmap(self.family_bitmap, self.n)
-        return self.se_violation() is None
+        n, pairs = self.n, len(self.masks) ** 2
+        if n > PERMUTATION_CAP or pairs <= 1 << n:
+            return self.se_violation() is None
+        oracle = _se_holds_lanes if pairs > (n << n) >> 1 else _se_holds_bitmap
+        return oracle(self.family_bitmap, n)
 
     def is_delta_matroid(self) -> bool:
         """True when the symmetric exchange axiom holds; decided once per
@@ -331,6 +334,54 @@ def _se_holds_bitmap(bm: int, n: int) -> bool:
                     flips[w] = fw
                 if not d & fw & ~ub:
                     return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _lane_schedule(n: int) -> tuple:
+    """Rows (steps, prev, flip, target) of _se_holds_lanes: per element u,
+    one per mask D = D' + u ascending, with target D, flip u and the lowest
+    element v of D' (u alone for D' empty), prev the row of D - v (the
+    family for D' empty) and steps the translations first read by the row,
+    parents first, as (S, S minus its lowest element i, 2^i, masks without i)."""
+    done, rows = {0}, []
+
+    def need(s: int, steps: list) -> list:
+        if s not in done:
+            need(s & s - 1, steps)
+            i = (s & -s).bit_length() - 1
+            steps.append((s, s & s - 1, 1 << i, masks_without_bit(n, i)))
+            done.add(s)
+        return steps
+
+    for u in range(n):
+        ub, pos = 1 << u, {1 << u: 0}
+        for d in range(ub, 1 << n):
+            if d & ub:
+                low = (d ^ ub) & -(d ^ ub)
+                rows.append((tuple(need(d, need(ub | low, []))), pos[d ^ low], ub | low, d))
+                pos[d] = len(rows)
+    return tuple(rows)
+
+
+def _se_holds_lanes(bm: int, n: int) -> bool:
+    """Exchange-axiom check on a family bitmap for dense families, with
+    lanes[S] the bitmap translated by S (bit X set when X ^ S is feasible).
+    For fixed u and D = D' + u the axiom fails for some X exactly when
+    bm & ~lanes[{u}] & lanes[D] & (AND over v in D' of ~lanes[{u, v}]) is
+    nonzero.  Each AND extends the AND of D' minus its lowest element,
+    and each translation is one butterfly step from its parent, made for
+    the first row that reads it, so a family that fails early costs little.
+    """
+    lanes, ands = [bm] * (1 << n), [bm]
+    for steps, prev, flip, target in _lane_schedule(n):
+        for s, p, shift, keep in steps:
+            t = lanes[p]
+            lanes[s] = (t & keep) << shift | t >> shift & keep
+        a = ands[prev] & ~lanes[flip]
+        if a & lanes[target]:
+            return False
+        ands.append(a)
     return True
 
 

@@ -7,7 +7,7 @@ import itertools
 
 import pytest
 
-from dmkit.bitset import family_to_bitmap
+from dmkit.bitset import down_closure, family_to_bitmap, iter_bits, minimal_members, up_closure
 from dmkit.errors import UnknownElementError
 from dmkit.latticepath import (
     Region,
@@ -26,7 +26,13 @@ from dmkit.latticepath import (
     validate_region,
     verify_region_prop,
 )
-from dmkit.matroid import is_matroid
+from dmkit.matroid import (
+    _circuit_masks,
+    _independent_bitmap,
+    _spanning_bitmap,
+    circuits_cover,
+    is_matroid,
+)
 from dmkit.setsystem import SetSystem
 
 TINY = Region(1, 0, 1, 1, "EN", "EE")
@@ -285,3 +291,43 @@ class TestPropositionSamples:
         for region in (Region(1, 0, 0, 0, "", ""), Region(2, 0, 1, 1, "EN", "NE")):
             assert region.diagnostics()
             assert verify_region_prop(region) == "empty path family"
+
+
+def closures(bases: int, n: int) -> tuple[int, int, list[int]]:
+    """Spanning and independent bitmaps and circuits of a basis bitmap,
+    computed without the matroid caches."""
+    full = (1 << (1 << n)) - 1
+    indep = down_closure(bases, n)
+    return up_closure(bases, n), indep, list(iter_bits(minimal_members(full & ~indep, n)))
+
+
+class TestCachedClosures:
+    def test_sweep_matches_the_uncached_formula(self):
+        # verify_region_prop reads the (basis bitmap, n) caches; here every
+        # region with u + v <= 6 is decided again from closures computed
+        # inline, and an lpdm slice decides it through the matroid API
+        for i, region in enumerate(iter_regions(6)):
+            n = region.n
+            d_bm = _all_paths_bitmap(region)
+            lo_bm, hi_bm = _matroid_bitmaps(region, d_bm)
+            span_lo, _, circuits_lo = closures(lo_bm, n)
+            _, indep_hi, circuits_hi = closures(hi_bm, n)
+            assert d_bm == span_lo & indep_hi, region
+            assert circuits_cover(circuits_lo, circuits_hi), region
+            assert verify_region_prop(region) is None, region
+            assert _spanning_bitmap(lo_bm, n) == span_lo
+            assert _independent_bitmap(hi_bm, n) == indep_hi
+            assert sorted(_circuit_masks(lo_bm, n)) == circuits_lo
+            assert sorted(_circuit_masks(hi_bm, n)) == circuits_hi
+            if i % 41 == 0:
+                assert lpdm(region).system.family_bitmap == d_bm
+
+    def test_ground_set_size_is_part_of_the_key(self):
+        bases = 1 << 0b011  # the one basis {a, b}
+        for n in (2, 3):
+            span, indep, circuits = closures(bases, n)
+            assert (_spanning_bitmap(bases, n), _independent_bitmap(bases, n)) == (span, indep)
+            assert sorted(_circuit_masks(bases, n)) == circuits
+        assert _spanning_bitmap(bases, 2) != _spanning_bitmap(bases, 3)
+        assert _circuit_masks(bases, 2) == ()
+        assert _circuit_masks(bases, 3) == (0b100,)

@@ -17,6 +17,7 @@ from dmkit.setsystem import (
     ElementStatus,
     SetSystem,
     _se_holds_bitmap,
+    _se_holds_lanes,
     parse_set_system,
     serialize_set_system,
 )
@@ -257,6 +258,7 @@ class TestExchangeAxiom:
                 s = SetSystem(tuple("abcd"[:n]), frozenset(i for i in range(1 << n) if index >> i & 1))
                 reference = s.se_violation() is None
                 assert _se_holds_bitmap(index, n) == reference, (n, index)
+                assert _se_holds_lanes(index, n) == reference, (n, index)
                 assert s.is_delta_matroid() == reference, (n, index)
 
     def test_d_of_c_members_pass_in_full(self, rng):
@@ -279,25 +281,36 @@ class TestExchangeAxiom:
                     assert s.is_delta_matroid()
 
     def test_verdict_is_decided_once_per_object(self, rng, monkeypatch):
+        # one case per oracle of the dispatch, by family size at n = 5:
+        # |F|^2 > 80 goes to the lanes, 32 < |F|^2 <= 80 to the bitmap pair
+        # loop, the rest to se_violation
         from dmkit import setsystem
 
         calls = []
-        bitmap_check = setsystem._se_holds_bitmap
+        reference = SetSystem.se_violation
+        for name in ("_se_holds_lanes", "_se_holds_bitmap"):
+            oracle = getattr(setsystem, name)
+            monkeypatch.setattr(
+                setsystem, name,
+                lambda bm, n, name=name, oracle=oracle: calls.append((name, bm)) or oracle(bm, n),
+            )
         monkeypatch.setattr(
-            setsystem, "_se_holds_bitmap", lambda bm, n: calls.append(bm) or bitmap_check(bm, n)
+            SetSystem, "se_violation",
+            lambda s: calls.append(("se_violation", s.family_bitmap)) or reference(s),
         )
-        for _ in range(20):
-            s = random_system(rng, 5)
-            # dense enough for the bitmap check
-            assert len(s.masks) ** 2 > 1 << s.n
-            calls.clear()
-            verdict = s.is_delta_matroid()
-            assert calls == [s.family_bitmap]
-            assert s.is_delta_matroid() == verdict == (s.se_violation() is None)
-            assert len(calls) == 1
-            # the verdict belongs to the object, not to equal values
-            assert SetSystem(s.labels, s.masks).is_delta_matroid() == verdict
-            assert len(calls) == 2
+        tiers = (("_se_holds_lanes", range(9, 33)), ("_se_holds_bitmap", range(6, 9)),
+                 ("se_violation", range(1, 6)))
+        for tier, sizes in tiers:
+            for _ in range(20):
+                s = SetSystem(tuple("abcde"), frozenset(rng.sample(range(32), rng.choice(sizes))))
+                calls.clear()
+                verdict = s.is_delta_matroid()
+                assert calls == [(tier, s.family_bitmap)]
+                assert s.is_delta_matroid() == verdict == (reference(s) is None)
+                assert len(calls) == 1
+                # the verdict belongs to the object, not to equal values
+                assert SetSystem(s.labels, s.masks).is_delta_matroid() == verdict
+                assert calls == [(tier, s.family_bitmap)] * 2
 
 
 class TestCanonicalForm:
