@@ -15,26 +15,29 @@ import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice, permutations, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .bitset import iter_bits, permute_mask
-from .catalog import excluded_minor_set
 from .errors import CapacityError, DmkitError, FormatError
 from .gf2 import binary_dm_bits, is_binary_dm
-from .higgs import classify_higgs
 from .matroid import Matroid, exchange_violation, is_quotient
 from .minorscan import (
     CLASS_TABLE,
-    IndexForm,
-    every_index,
-    has_minor_from,
-    index_form,
-    is_equicardinal_index,
-    is_even_index,
-    no_minor_bits,
+    DELTA,
+    EVEN,
+    FULL_HIGGS,
+    HIGGS,
+    MATROID,
+    MATROID_STACK,
+    PAVING,
+    QUOTIENT,
+    SPARSE_PAVING,
+    ClassSpec,
+    Column,
+    both,
+    cached_higgs,
 )
-from .setsystem import SLICE_MAX_N, SetSystem, delta_matroid_bits
-from .stacks import classify_stack, is_matroid_stack, is_stack_bitmap, layer_is_matroid, stack_flags
+from .setsystem import SLICE_MAX_N, SetSystem
 
 if TYPE_CHECKING:
     import numpy as np
@@ -133,62 +136,14 @@ def _weighted_families(n: int, mode: str, *, seed: int, count: int,
 # -- the equivalence registry ---------------------------------------------
 
 
-# One verdict of a census row: (totals key, index form or None, SetSystem
-# form).
-Column = tuple[str, IndexForm | None, Callable[[SetSystem], bool]]
-
-
-@dataclass(frozen=True)
-class Equivalence:
-    """A registered theorem: direct oracle vs excluded-minor scan, within
-    an ambient hypothesis.  ambient, direct and exminor take a SetSystem;
-    the census runs the index forms beside them where they exist (None:
-    the census builds a SetSystem for the oracle)."""
-
-    theorem_id: str
-    description: str
-    ambient: Callable[[SetSystem], bool]
-    direct: Callable[[SetSystem], bool]
-    exminor: Callable[[SetSystem], bool]
-    ambient_index: IndexForm | None = None
-    direct_index: IndexForm | None = None
-    exminor_index: IndexForm | None = None
-
-    @property
-    def columns(self) -> tuple[Column, Column, Column]:
-        return (("ambient", self.ambient_index, self.ambient),
-                ("direct_members", self.direct_index, self.direct),
-                ("exminor_members", self.exminor_index, self.exminor))
-
-
-def _registry() -> dict[str, Equivalence]:
-    """One theorem per class of the class table with a direct oracle, in
-    table order, then speven; the exminor side scans the class's list
-    capped at the ground-set size, inside an ambient already checked."""
-    reg = {
-        spec.theorem_id: Equivalence(
-            spec.theorem_id, spec.description, spec.ambient, spec.direct,
-            lambda s, cid=cid: has_minor_from(s, excluded_minor_set(cid, s.n)) is None,
-            spec.ambient_index, spec.direct_index,
-            lambda indices, n, cid=cid: no_minor_bits(indices, n, excluded_minor_set(cid, n)),
-        )
-        for cid, spec in CLASS_TABLE.items()
-        if spec.theorem_id is not None
-    }
-    reg["speven"] = Equivalence(
-        "speven", "even sparse paving systems are quotient systems",
-        lambda s: (s.is_even and is_matroid_stack(s)
-                   and classify_stack(s).sparse_paving_system),
-        lambda s: classify_stack(s).quotient_system,
-        lambda s: True,
-        index_form(lambda i, n: is_even_index(i, n) and stack_flags(i, n)[2]),
-        index_form(lambda i, n: stack_flags(i, n)[3]),
-        every_index,
-    )
-    return reg
-
-
-REGISTRY = _registry()
+# The census theorems: one per class of the class table with a theorem id,
+# in table order, then speven, which is not an excluded-minor class.
+SPEVEN = ClassSpec(None, "speven", "even sparse paving systems are quotient systems",
+                   "system is not an even sparse paving set system",
+                   *both(EVEN, SPARSE_PAVING), *QUOTIENT)
+REGISTRY: dict[str, ClassSpec] = {
+    spec.theorem_id: spec for spec in (*CLASS_TABLE.values(), SPEVEN) if spec.theorem_id
+}
 
 
 @dataclass
@@ -277,7 +232,8 @@ def _tally(
 
     Families go through in batches; each column is decided for a whole
     batch at once, and a SetSystem is built only for a family that a
-    column without an index form decides.
+    column without an index form decides.  The Higgs classifications of a
+    batch's systems are shared by its columns and dropped with the batch.
     """
     totals = _new_totals(columns)
     discrepancies: list[dict] = []
@@ -289,6 +245,7 @@ def _tally(
         totals[columns[0][0]] += sum(w for _, w in inside)
         indices = [i for i, _ in inside]
         verdicts = [_column(col, indices, n, systems) for col in columns[1:]]
+        cached_higgs.cache_clear()  # its systems are the batch's
         for (key, _, _), bits in zip(columns[1:], verdicts):
             totals[key] += sum(w for _, w in _select(inside, bits))
         if max_witnesses:
@@ -343,28 +300,19 @@ def verify_equivalence(
 # -- counting --------------------------------------------------------------
 
 
-# The two Higgs flags of count_census read one classification per system
-# of a batch; count_census empties the cache when it is done.
-_higgs = lru_cache(maxsize=BATCH)(lambda system: classify_higgs(system))
-
-# The class counts of count_census; every flag after the first is decided
-# on delta-matroids only.  A Higgs flag has no index form, so count_census
-# builds one SetSystem per delta-matroid.
-_COUNT_COLUMNS = (
-    ("delta_matroid", delta_matroid_bits, lambda s: s.is_delta_matroid()),
-    ("even_delta_matroid", index_form(is_even_index), lambda s: s.is_even),
-    ("higgs", None, lambda s: _higgs(s).is_higgs),
-    ("full_higgs", None, lambda s: _higgs(s).is_full),
-    ("matroid", index_form(lambda i, n: is_equicardinal_index(i, n) and layer_is_matroid(i)),
-     lambda s: (st := classify_stack(s)).matroid_stack and not st.rank_gaps),
-    ("matroid_stack_dm", index_form(is_stack_bitmap),
-     lambda s: classify_stack(s).matroid_stack),
-    ("paving_dm", index_form(lambda i, n: stack_flags(i, n)[1]),
-     lambda s: classify_stack(s).paving_system),
-    ("sparse_paving_dm", index_form(lambda i, n: stack_flags(i, n)[2]),
-     lambda s: classify_stack(s).sparse_paving_system),
-    ("quotient_dm", index_form(lambda i, n: stack_flags(i, n)[3]),
-     lambda s: classify_stack(s).quotient_system),
+# The class counts of count_census; every column after the first is
+# decided on delta-matroids only.  The Higgs columns have no index form, so
+# count_census builds one SetSystem per delta-matroid.
+_COUNT_COLUMNS: tuple[Column, ...] = (
+    ("delta_matroid", *DELTA),
+    ("even_delta_matroid", *EVEN),
+    ("higgs", *HIGGS),
+    ("full_higgs", *FULL_HIGGS),
+    ("matroid", *MATROID),
+    ("matroid_stack_dm", *MATROID_STACK),
+    ("paving_dm", *PAVING),
+    ("sparse_paving_dm", *SPARSE_PAVING),
+    ("quotient_dm", *QUOTIENT),
     ("binary_consistent", binary_dm_bits, lambda s: is_binary_dm(s)[0]),
 )
 
@@ -375,7 +323,6 @@ def count_census(n: int, mode: str = "exhaustive", *, seed: int = 0, count: int 
     report = CensusReport(n=n, mode=_mode_label(mode, seed, count))
     families = _weighted_families(n, mode, seed=seed, count=count, dedupe=True)
     report.totals, _ = _tally(_COUNT_COLUMNS, families, n)
-    _higgs.cache_clear()
     if mode == "exhaustive":
         bound = 1 << (1 << (n - 1)) if n >= 1 else 1
         found = report.totals["delta_matroid"]

@@ -16,7 +16,7 @@ from .errors import AmbientHypothesisError, CapacityError
 from .higgs import classify_higgs
 from .matroid import is_matroid
 from .setsystem import SetSystem, delta_matroid_bits
-from .stacks import classify_stack, is_matroid_stack, is_stack_bitmap, layer_is_matroid, stack_flags
+from .stacks import is_matroid_stack, is_stack_bitmap, layer_is_matroid, stack_flags
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,12 @@ def enumerate_minors(
                 yield dels, cons, system.minor(dels, cons) if x | y else system
 
 
-# Systems on at most TABLE_MAX_N elements look for minors on at most
-# TABLE_MAX_M elements by table lookup instead of building each minor: the
-# tables read a family bitmap of at most 32 bits as four bytes and hold
-# 16-bit minor bitmaps.  Per split they take 2 KB, and the count of splits
-# grows as 3^n, so larger systems project instead.
+# Systems on at most TABLE_MAX_N elements look for minors by lookup instead
+# of building each minor: the whole system in the orbit index of its size,
+# each proper minor (on at most TABLE_MAX_M elements) by byte tables that
+# read a family bitmap of at most 32 bits as four bytes and hold 16-bit
+# minor bitmaps.  Per split they take 2 KB, and the count of splits grows
+# as 3^n, so larger systems project instead.
 TABLE_MAX_N = 5
 TABLE_MAX_M = 4
 # Systems on TABLE_MAX_N < n <= PROJECTION_MAX_N elements find every proper
@@ -169,17 +170,17 @@ class _ScanPlan:
     shapes: dict[int, dict[tuple[int, ...], tuple[CatalogEntry, ...]]]
     index_scans: dict[int, tuple] = field(default_factory=dict, compare=False)
 
-    def index_scan(self, n: int) -> tuple[dict[int, CatalogEntry], tuple[tuple[array, dict], ...]]:
-        """(whole, splits) of the index-level scan of n-element systems,
-        n <= TABLE_MAX_N: the orbit index of the n-element targets, so a
-        family index is looked up as it is, then (table, orbit index) per
-        split of every smaller target size, largest first."""
+    def index_scan(self, n: int) -> tuple[dict[int, CatalogEntry], tuple[tuple, ...]]:
+        """(whole, splits) of the scan of n-element systems, n <= TABLE_MAX_N,
+        on family bitmaps: the orbit index of the n-element targets, so the
+        whole family is looked up as it is, then (X, Y, table, orbit index)
+        per split of every smaller target size, largest first."""
         scan = self.index_scans.get(n)
         if scan is None:
             pool = [t for t in self.targets if t.system.n == n]
             whole = self.orbits.get(n) or (_orbit_index(pool) if pool else {})
-            splits = tuple((table, self.orbits[m]) for m in self.sizes if m < n
-                           for _, _, table in _split_tables(n, m))
+            splits = tuple((x, y, table, self.orbits[m]) for m in self.sizes if m < n
+                           for x, y, table in _split_tables(n, m))
             scan = self.index_scans[n] = (whole, splits)
         return scan
 
@@ -214,23 +215,6 @@ def _scan_plan(targets: Sequence[CatalogEntry]) -> _ScanPlan:
             _scan_plans.clear()
         plan = _scan_plans[key] = _ScanPlan.of(tuple(targets))
     return plan
-
-
-def _table_scan(
-    system: SetSystem, m: int, orbit: dict[int, CatalogEntry]
-) -> MinorWitness | None:
-    bm = system.family_bitmap
-    b0 = bm & 255
-    b1 = 256 | bm >> 8 & 255
-    b2 = 512 | bm >> 16 & 255
-    b3 = 768 | bm >> 24
-    for x, y, t in _split_tables(system.n, m):
-        minor = t[b0] | t[b1] | t[b2] | t[b3]
-        if minor:
-            hit = orbit.get(minor)
-            if hit is not None:
-                return MinorWitness(system.members(x), system.members(y), hit.name)
-    return None
 
 
 def _first_isomorphic(
@@ -298,20 +282,33 @@ def has_minor_from(
     enumerate_minors order (removed sets lexicographically, then splits by
     (|X|, lex)); the witness names the first target, in list order,
     isomorphic to the first matching minor.  Three kernels give the same
-    witness: minors on at most TABLE_MAX_M elements of systems on at most
-    TABLE_MAX_N elements by table lookup, the other proper minors of
-    systems on at most PROJECTION_MAX_N elements by projection of the
-    family bitmap, and the rest (the whole system from five elements up,
-    every minor of a larger system) by building each minor.
+    witness: systems on at most TABLE_MAX_N elements by orbit and
+    byte-table lookups on the family bitmap (index_scan), the proper
+    minors of systems on at most PROJECTION_MAX_N elements by projection
+    of the family bitmap, and the rest (the whole system from six elements
+    up, every minor of a larger system) by building each minor.
     """
     plan = _scan_plan(targets)
     n = system.n
+    if n <= TABLE_MAX_N:
+        whole, splits = plan.index_scan(n)
+        bm = system.family_bitmap
+        hit = whole.get(bm)
+        if hit is not None:
+            return MinorWitness((), (), hit.name)
+        b0 = bm & 255
+        b1 = 256 | bm >> 8 & 255
+        b2 = 512 | bm >> 16 & 255
+        b3 = 768 | bm >> 24
+        for x, y, t, orbit in splits:
+            hit = orbit.get(t[b0] | t[b1] | t[b2] | t[b3])
+            if hit is not None:
+                return MinorWitness(system.members(x), system.members(y), hit.name)
+        return None
     for m in plan.sizes:
         if m > n:
             continue
-        if n <= TABLE_MAX_N and m <= TABLE_MAX_M:
-            witness = _table_scan(system, m, plan.orbits[m])
-        elif m == n or n > PROJECTION_MAX_N:
+        if m == n or n > PROJECTION_MAX_N:
             witness = _object_scan(system, m, plan)
         else:
             witness = _projection_scan(system, m, plan)
@@ -338,7 +335,7 @@ def no_minor_bits(indices: Sequence[int], n: int, targets: Sequence[CatalogEntry
         b1 = 256 | index >> 8 & 255
         b2 = 512 | index >> 16 & 255
         b3 = 768 | index >> 24
-        for t, orbit in splits:
+        for _, _, t, orbit in splits:
             if t[b0] | t[b1] | t[b2] | t[b3] in orbit:
                 break
         else:
@@ -346,22 +343,15 @@ def no_minor_bits(indices: Sequence[int], n: int, targets: Sequence[CatalogEntry
     return out
 
 
-def _always(system: SetSystem) -> bool:
-    return True
-
-
-def _is_dm(system: SetSystem) -> bool:
-    return system.is_delta_matroid()
-
-
-def _is_even_dm(system: SetSystem) -> bool:
-    return system.is_even and system.is_delta_matroid()
-
-
 # An index form decides a property for a batch of family indices of an
 # n-element ground set, n <= SLICE_MAX_N, with no SetSystem built: it
 # returns the bitmask of the batch positions where the property holds.
 IndexForm = Callable[[Sequence[int], int], int]
+# A census predicate, declared once as (index form, SetSystem form); the
+# index form is None where there is none, and the census runs the
+# SetSystem form.  A census column is (totals key, *predicate).
+Predicate = tuple[IndexForm | None, Callable[[SetSystem], bool]]
+Column = tuple[str, IndexForm | None, Callable[[SetSystem], bool]]
 
 
 def index_form(pred: Callable[[int, int], bool]) -> IndexForm:
@@ -390,12 +380,45 @@ def is_equicardinal_index(index: int, n: int) -> bool:
     return any(not index & ~sel for sel in layer_selectors(n))
 
 
-_even_bits = index_form(is_even_index)
+def both(first: Predicate, second: Predicate) -> Predicate:
+    """The conjunction of two predicates with index forms; the second is
+    decided only on the families where the first holds."""
+    (first_index, first_system), (second_index, second_system) = first, second
+
+    def index(indices: Sequence[int], n: int) -> int:
+        where = list(iter_bits(first_index(indices, n)))
+        bits = second_index([indices[b] for b in where], n) if where else 0
+        return sum(1 << where[j] for j in iter_bits(bits))
+
+    return index, lambda s: first_system(s) and second_system(s)
 
 
-def _even_dm_bits(indices: Sequence[int], n: int) -> int:
-    even = _even_bits(indices, n)
-    return even and even & delta_matroid_bits(indices, n)
+def _stack_flag(k: int) -> Predicate:
+    """Flag k of stack_flags (1 paving, 2 sparse paving, 3 quotient)."""
+    return (index_form(lambda i, n: stack_flags(i, n)[k]),
+            lambda s: is_matroid_stack(s) and stack_flags(s.family_bitmap, s.n)[k])
+
+
+# The Higgs predicates read one classification per system.  Sized for one
+# census batch, which empties it when the batch is done.
+cached_higgs = lru_cache(maxsize=512)(lambda system: classify_higgs(system))
+
+# The census predicates.  The SetSystem forms of EVEN, EQUICARDINAL, DELTA
+# and MATROID are the independent references of the index forms.
+ALWAYS: Predicate = (every_index, lambda s: True)
+EVEN: Predicate = (index_form(is_even_index), lambda s: s.is_even)
+DELTA: Predicate = (delta_matroid_bits, lambda s: s.is_delta_matroid())
+EVEN_DELTA = both(EVEN, DELTA)
+EQUICARDINAL: Predicate = (index_form(is_equicardinal_index),
+                           lambda s: len({m.bit_count() for m in s.masks}) == 1)
+MATROID: Predicate = (
+    index_form(lambda i, n: is_equicardinal_index(i, n) and layer_is_matroid(i)), is_matroid)
+MATROID_STACK: Predicate = (index_form(is_stack_bitmap), is_matroid_stack)
+EVEN_MATROID_STACK = both(EVEN, MATROID_STACK)
+PAVING, SPARSE_PAVING, QUOTIENT = map(_stack_flag, (1, 2, 3))
+HIGGS: Predicate = (None, lambda s: cached_higgs(s).is_higgs)
+FULL_HIGGS: Predicate = (None, lambda s: cached_higgs(s).is_full)
+EVEN_HIGGS: Predicate = (None, lambda s: cached_higgs(s).is_even_higgs)
 
 
 @dataclass(frozen=True)
@@ -404,86 +427,78 @@ class ClassSpec:
     the direct oracle holds exactly when the system has no minor in the
     excluded-minor list of its class id.
 
-    refusal is the AmbientHypothesisError message of classify_by_exminors
-    outside the ambient (empty when every system is inside); theorem_id
-    and description name the census theorem, None with the direct oracle
-    for a class that has none.  ambient_index and direct_index are the
-    index forms of the two oracles that the census runs on family indices;
-    None where an oracle has none, and the census runs the SetSystem form.
+    class_id is None for a census row that is not an excluded-minor class,
+    whose exminor oracle always holds.  refusal is the
+    AmbientHypothesisError message of classify_by_exminors outside the
+    ambient (empty when every system is inside); theorem_id and description
+    name the census theorem, None with the direct oracle for a class that
+    has none.  The ambient and direct oracles are predicates: an index form
+    the census runs on family indices and a SetSystem form.
     """
 
-    ambient: Callable[[SetSystem], bool]
-    refusal: str
-    direct: Callable[[SetSystem], bool] | None
+    class_id: ExminorClassId | None
     theorem_id: str | None
     description: str | None
+    refusal: str
     ambient_index: IndexForm
+    ambient: Callable[[SetSystem], bool]
     direct_index: IndexForm | None
+    direct: Callable[[SetSystem], bool] | None
+
+    def exminor(self, system: SetSystem) -> bool:
+        """No minor of the system in the class's list capped at its
+        ground-set size; the census asks inside the ambient only."""
+        return self.class_id is None or has_minor_from(
+            system, excluded_minor_set(self.class_id, system.n)) is None
+
+    def exminor_index(self, indices: Sequence[int], n: int) -> int:
+        if self.class_id is None:
+            return every_index(indices, n)
+        return no_minor_bits(indices, n, excluded_minor_set(self.class_id, n))
+
+    @property
+    def columns(self) -> tuple[Column, Column, Column]:
+        return (("ambient", self.ambient_index, self.ambient),
+                ("direct_members", self.direct_index, self.direct),
+                ("exminor_members", self.exminor_index, self.exminor))
 
 
-CLASS_TABLE: dict[ExminorClassId, ClassSpec] = {
-    ExminorClassId.DELTA_MATROID: ClassSpec(
-        _always, "", _is_dm,
-        "exdelta", "delta-matroids within proper set systems",
-        every_index, delta_matroid_bits),
-    ExminorClassId.EVEN_DELTA_WITHIN_EVEN: ClassSpec(
-        lambda s: s.is_even, "system is not even", _is_dm,
-        "exevendelta", "even delta-matroids within even proper systems",
-        _even_bits, delta_matroid_bits),
-    ExminorClassId.EVEN_DELTA_WITHIN_ALL: ClassSpec(
-        _always, "", _is_even_dm,
-        "exevendelta2", "even delta-matroids within all proper systems",
-        every_index, _even_dm_bits),
-    # Within equicardinal systems a family index is its only layer.
-    ExminorClassId.MATROID_EQUICARDINAL: ClassSpec(
-        lambda s: len({m.bit_count() for m in s.masks}) == 1,
-        "feasible sets are not equicardinal", is_matroid,
-        "exmatroid", "matroids within equicardinal proper systems",
-        index_form(is_equicardinal_index), index_form(lambda i, n: layer_is_matroid(i))),
-    ExminorClassId.HIGGS_LIFT: ClassSpec(
-        _is_dm, "system is not a delta-matroid", lambda s: classify_higgs(s).is_higgs,
-        "exhiggs", "Higgs lift delta-matroids within delta-matroids",
-        delta_matroid_bits, None),
-    ExminorClassId.FULL_HIGGS: ClassSpec(
-        _is_dm, "system is not a delta-matroid", lambda s: classify_higgs(s).is_full,
-        "exfull", "full Higgs lift delta-matroids within delta-matroids",
-        delta_matroid_bits, None),
-    ExminorClassId.EVEN_HIGGS_WITHIN_EVEN: ClassSpec(
-        _is_even_dm, "system is not an even delta-matroid",
-        lambda s: classify_higgs(s).is_even_higgs,
-        "exevenhiggs", "even Higgs lift delta-matroids within even delta-matroids",
-        _even_dm_bits, None),
-    ExminorClassId.MATROID_STACK: ClassSpec(
-        is_matroid_stack, "system is not a matroid stack system", _is_dm,
-        "exmatroidstack", "matroid stack delta-matroids within matroid stack systems",
-        index_form(is_stack_bitmap), delta_matroid_bits),
-    ExminorClassId.EVEN_MATROID_STACK: ClassSpec(
-        lambda s: s.is_even and is_matroid_stack(s),
-        "system is not an even matroid stack system", _is_dm,
-        "exevenmatroidstack",
-        "even matroid stack delta-matroids within even matroid stack systems",
-        index_form(lambda i, n: is_even_index(i, n) and is_stack_bitmap(i, n)),
-        delta_matroid_bits),
-    # The layer classes call classify_stack for matroid stacks only.
-    ExminorClassId.PAVING: ClassSpec(
-        lambda s: is_matroid_stack(s) and classify_stack(s).paving_system,
-        "system is not a paving set system", _is_dm,
-        "expaving", "paving delta-matroids within paving systems",
-        index_form(lambda i, n: stack_flags(i, n)[1]), delta_matroid_bits),
-    ExminorClassId.SPARSE_PAVING: ClassSpec(
-        lambda s: is_matroid_stack(s) and classify_stack(s).sparse_paving_system,
-        "system is not a sparse paving set system", _is_dm,
-        "exsparsepaving", "sparse paving delta-matroids within sparse paving systems",
-        index_form(lambda i, n: stack_flags(i, n)[2]), delta_matroid_bits),
-    ExminorClassId.QUOTIENT_STACK: ClassSpec(
-        lambda s: is_matroid_stack(s) and classify_stack(s).quotient_system,
-        "system is not a quotient set system", _is_dm,
-        "exquotient", "quotient delta-matroids within quotient systems",
-        index_form(lambda i, n: stack_flags(i, n)[3]), delta_matroid_bits),
+_C = ExminorClassId
+CLASS_TABLE: dict[ExminorClassId, ClassSpec] = {spec.class_id: spec for spec in (
+    ClassSpec(_C.DELTA_MATROID, "exdelta", "delta-matroids within proper set systems",
+              "", *ALWAYS, *DELTA),
+    ClassSpec(_C.EVEN_DELTA_WITHIN_EVEN, "exevendelta",
+              "even delta-matroids within even proper systems",
+              "system is not even", *EVEN, *DELTA),
+    ClassSpec(_C.EVEN_DELTA_WITHIN_ALL, "exevendelta2",
+              "even delta-matroids within all proper systems",
+              "", *ALWAYS, *EVEN_DELTA),
+    ClassSpec(_C.MATROID_EQUICARDINAL, "exmatroid", "matroids within equicardinal proper systems",
+              "feasible sets are not equicardinal", *EQUICARDINAL, *MATROID),
+    ClassSpec(_C.HIGGS_LIFT, "exhiggs", "Higgs lift delta-matroids within delta-matroids",
+              "system is not a delta-matroid", *DELTA, *HIGGS),
+    ClassSpec(_C.FULL_HIGGS, "exfull", "full Higgs lift delta-matroids within delta-matroids",
+              "system is not a delta-matroid", *DELTA, *FULL_HIGGS),
+    ClassSpec(_C.EVEN_HIGGS_WITHIN_EVEN, "exevenhiggs",
+              "even Higgs lift delta-matroids within even delta-matroids",
+              "system is not an even delta-matroid", *EVEN_DELTA, *EVEN_HIGGS),
+    ClassSpec(_C.MATROID_STACK, "exmatroidstack",
+              "matroid stack delta-matroids within matroid stack systems",
+              "system is not a matroid stack system", *MATROID_STACK, *DELTA),
+    ClassSpec(_C.EVEN_MATROID_STACK, "exevenmatroidstack",
+              "even matroid stack delta-matroids within even matroid stack systems",
+              "system is not an even matroid stack system", *EVEN_MATROID_STACK, *DELTA),
+    ClassSpec(_C.PAVING, "expaving", "paving delta-matroids within paving systems",
+              "system is not a paving set system", *PAVING, *DELTA),
+    ClassSpec(_C.SPARSE_PAVING, "exsparsepaving",
+              "sparse paving delta-matroids within sparse paving systems",
+              "system is not a sparse paving set system", *SPARSE_PAVING, *DELTA),
+    ClassSpec(_C.QUOTIENT_STACK, "exquotient", "quotient delta-matroids within quotient systems",
+              "system is not a quotient set system", *QUOTIENT, *DELTA),
     # Binary delta-matroids have no direct oracle here; gf2.is_binary_dm
     # scans the P-twists of this list.
-    ExminorClassId.BINARY: ClassSpec(_always, "", None, None, None, every_index, None),
-}
+    ClassSpec(_C.BINARY, None, None, "", *ALWAYS, None, None),
+)}
 
 
 def classify_by_exminors(

@@ -233,12 +233,12 @@ class SetSystem:
 
     @cached_property
     def _exchange_holds(self) -> bool:
-        # the oracle by family size, at the crossovers measured on delta-matroids
+        # the oracle by family size, at the crossover measured on delta-matroids
         self._require_proper()
-        n, pairs = self.n, len(self.masks) ** 2
-        if n > PERMUTATION_CAP or pairs <= 1 << n:
+        n = self.n
+        if n > PERMUTATION_CAP:
             return self.se_violation() is None
-        oracle = _se_holds_lanes if pairs > (n << n) >> 1 else _se_holds_bitmap
+        oracle = _se_holds_lanes if len(self.masks) ** 2 > (n << n) >> 1 else _se_holds_bitmap
         return oracle(self.family_bitmap, n)
 
     def is_delta_matroid(self) -> bool:

@@ -9,7 +9,9 @@ from itertools import islice
 
 import pytest
 
+from dmkit.catalog import ExminorClassId
 from dmkit.census import (
+    _COUNT_COLUMNS,
     REGISTRY,
     count_census,
     enumerate_proper_systems,
@@ -20,6 +22,7 @@ from dmkit.census import (
 )
 from dmkit.errors import CapacityError, DmkitError
 from dmkit.matroid import is_matroid, is_quotient
+from dmkit.minorscan import CLASS_TABLE
 
 
 @pytest.fixture
@@ -326,3 +329,39 @@ class TestRegistryCoverage:
             "exsparsepaving", "exquotient", "speven",
         }
         assert set(REGISTRY) == expected
+
+    def test_speven_scan_always_passes(self):
+        # speven is not an excluded-minor class, so its row has no list
+        speven = REGISTRY["speven"]
+        assert speven.class_id is None
+        indices = list(range(1, 1 << 8))
+        assert speven.exminor_index(indices, 3) == (1 << len(indices)) - 1
+        assert all(speven.exminor(family_system(3, i)) for i in indices)
+
+
+class TestSingleDeclaration:
+    """Each census predicate is declared once: the count columns and the
+    speven row hold the class table's oracle objects, not copies."""
+
+    def test_count_columns_are_class_table_oracles(self):
+        columns = {key: (form, scalar) for key, form, scalar in _COUNT_COLUMNS}
+        delta = CLASS_TABLE[ExminorClassId.DELTA_MATROID]
+        assert columns["delta_matroid"][0] is delta.direct_index
+        assert columns["delta_matroid"][1] is delta.direct
+        for key, cid in (("matroid_stack_dm", ExminorClassId.MATROID_STACK),
+                         ("paving_dm", ExminorClassId.PAVING),
+                         ("sparse_paving_dm", ExminorClassId.SPARSE_PAVING),
+                         ("quotient_dm", ExminorClassId.QUOTIENT_STACK)):
+            spec = CLASS_TABLE[cid]
+            assert columns[key][0] is spec.ambient_index, key
+            assert columns[key][1] is spec.ambient, key
+
+    def test_speven_direct_is_the_quotient_ambient(self):
+        speven, quotient = REGISTRY["speven"], CLASS_TABLE[ExminorClassId.QUOTIENT_STACK]
+        assert speven.direct_index is quotient.ambient_index
+        assert speven.direct is quotient.ambient
+
+    def test_registry_holds_the_class_table_rows(self):
+        for spec in CLASS_TABLE.values():
+            if spec.theorem_id is not None:
+                assert REGISTRY[spec.theorem_id] is spec

@@ -1,0 +1,35 @@
+"""The span tracer of perfbench names dmkit attributes by string; every one
+of them must still exist, or a traced benchmark run fails."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import dmkit.cli  # noqa: F401  (imports every dmkit module the tracer names)
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves(tracer):
+    names = [(module, attr) for module, attr, _ in (*tracer.SPANS, *tracer.COUNTED, *tracer.CACHES)]
+    names += [("dmkit.minorscan", "enumerate_minors"), ("dmkit.latticepath", "iter_regions"),
+              ("dmkit.census", "_canonical_index_table")]
+    for module, attr in names:
+        assert callable(tracer._resolve(module, attr)[2]), (module, attr)
+
+
+def test_every_traced_cache_is_an_lru_cache(tracer):
+    for module, attr, _ in tracer.CACHES:
+        hits, misses = tracer._cache_counts(module, attr)
+        assert hits >= 0 and misses >= 0, (module, attr)
