@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, combinations
-from operator import gt
+from operator import gt, or_
 from typing import Iterator, NamedTuple
 
 from .bitset import iter_bits, layer_selectors
@@ -62,12 +62,12 @@ class Region:
     def n(self) -> int:
         return self.u + self.v
 
-    @cached_property
+    @property
     def hp(self) -> tuple[int, ...]:
         """Lower-path height per level; hp[l] is the y of P at x+y = l."""
         return _heights(self.p_word, 0)
 
-    @cached_property
+    @property
     def hq(self) -> tuple[int, ...]:
         return _heights(self.q_word, self.d)
 
@@ -123,17 +123,52 @@ class LatticePath(NamedTuple):
         return tuple(i + 1 for i, step in enumerate(self.word) if step == "N")
 
 
+@lru_cache(maxsize=1 << 16)
+def _side_bitmap(word: str, start: int, above: bool) -> int:
+    """Family bitmap of the label sets X of {1, ..., len(word)} whose path,
+    at height |X & [l]| on level l, stays at or above (above=True) or at or
+    below (above=False) the path of word started at height start.
+
+    Adding the north step into level l shifts a family bitmap left by
+    2**(l-1) bits, since a path at level l has used labels 1..l only.
+    """
+    row = [1]  # row[y] = family bitmap of the paths at height y on this level
+    for level, h in enumerate(_heights(word, 0)):
+        if level:
+            shift = 1 << (level - 1)
+            row = [east | north << shift for east, north in zip(row + [0], [0] + row)]
+        bound = start + h
+        row = [bm if (y >= bound if above else y <= bound) else 0 for y, bm in enumerate(row)]
+    return reduce(or_, row, 0)
+
+
 def _all_paths_bitmap(region: Region) -> int:
     """Family bitmap of the north-label sets of the in-region paths from
     every start point to every end point.
 
-    A path at a level-l point has used labels 1..l only, so adding the
-    north step into level l shifts a family bitmap left by 2**(l-1) bits.
-    A path from s_i (height i) to t_j (height v - c + j) has v - c + j - i
-    north steps, so the paths from s_Q to t_P are the label sets of size
-    v - c - d and those from s_P to t_Q the label sets of size v: the
-    minimal and maximal matroids are the extreme layers of the family.
+    A path from s_i (height i) with north labels X is at height
+    i + |X & [l]| on level l, so it lies in the region exactly when it
+    stays at or above P (P starts i below it) and at or below Q (Q starts
+    d - i above it): the family is the union over i of two one-sided
+    families, each cached per bounding word.  A path from s_i to t_j has
+    v - c + j - i north steps, so the paths from s_Q to t_P are the label
+    sets of size v - c - d and those from s_P to t_Q the label sets of
+    size v: the minimal and maximal matroids are the extreme layers of the
+    family.  A word whose length is not u + v bounds no path of u + v
+    steps, so such a region gets the empty family.
     """
+    n, d, p_word, q_word = region.n, region.d, region.p_word, region.q_word
+    if len(p_word) != n or len(q_word) != n:
+        return 0
+    out = 0
+    for i in range(d + 1):
+        out |= _side_bitmap(p_word, -i, True) & _side_bitmap(q_word, d - i, False)
+    return out
+
+
+def _two_sided_paths_bitmap(region: Region) -> int:
+    """Slow reference for _all_paths_bitmap: one level DP over the points
+    between both bounding paths, for regions whose words have u + v steps."""
     hp, hq = region.hp, region.hq
     # maps[y] = family bitmap of paths reaching the current level at height y
     maps = dict.fromkeys(range(hp[0], hq[0] + 1), 1)
@@ -242,7 +277,11 @@ def region_dual(region: Region) -> Region:
     The dual region's delta-matroid is the dual of the original one after
     the label reversal e -> n+1-e induced by the flip.
     """
-    region.validate()
+    return _dual(region.validate())
+
+
+def _dual(region: Region) -> Region:
+    """region_dual of a valid region, whose dual is valid too."""
 
     def flip(word: str) -> str:
         return "".join("E" if s == "N" else "N" for s in reversed(word))
@@ -341,16 +380,20 @@ def region_minor(region: Region, e: int, op: str) -> Region:
     region.validate()
     if op not in ("delete", "contract"):
         raise ValueError(f"op must be 'delete' or 'contract', not {op!r}")
+    return _minor(region, e, op)
+
+
+def _minor(region: Region, e: int, op: str) -> Region:
+    """region_minor of a valid region; only the regions it builds from
+    height profiles are validated (by _region_from_heights)."""
     kind = element_kind(region, e)
     if op == "delete":
         if kind == "coloop":
-            return region_minor(region, e, "contract")
+            return _minor(region, e, "contract")
         return _region_from_heights(*_delete_heights(region, e))
     if kind == "loop":
         return _region_from_heights(*_delete_heights(region, e))
-    flipped = region_dual(region)
-    deleted = region_minor(flipped, region.n + 1 - e, "delete")
-    return region_dual(deleted)
+    return _dual(_minor(_dual(region), region.n + 1 - e, "delete"))
 
 
 # -- region file format --------------------------------------------------

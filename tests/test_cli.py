@@ -286,3 +286,20 @@ def test_console_script_smoke(t1_file):
         [exe, "check", "--class", "delta", t1_file], capture_output=True, text=True
     )
     assert proc.returncode == 1 and "T1" in proc.stdout
+
+
+def test_module_entry_point(t1_file):
+    # python -m dmkit runs the command line without the console script
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import dmkit
+
+    env = {**os.environ, "PYTHONPATH": str(Path(dmkit.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dmkit", "check", "--class", "delta", t1_file],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1 and "T1" in proc.stdout

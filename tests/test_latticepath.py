@@ -6,13 +6,17 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmkit.bitset import down_closure, family_to_bitmap, iter_bits, minimal_members, up_closure
 from dmkit.errors import UnknownElementError
 from dmkit.latticepath import (
     Region,
     _all_paths_bitmap,
+    _dual,
     _matroid_bitmaps,
+    _two_sided_paths_bitmap,
     count_paths,
     element_kind,
     enumerate_paths,
@@ -211,6 +215,30 @@ class TestRegionMinor:
                     assert got.masks == oracle.masks, (region, e, op)
 
 
+    def test_each_call_validates_its_region_and_the_built_one(self, monkeypatch):
+        # region_minor validates its argument and the one region it builds
+        # from height profiles; the regions it flips on the way are duals
+        # of valid regions, which are valid
+        diagnostics, seen = Region.diagnostics, []
+
+        def counted(region):
+            seen.append(region)
+            return diagnostics(region)
+
+        for region in iter_regions(6):
+            assert not diagnostics(_dual(region)), region
+        monkeypatch.setattr(Region, "diagnostics", counted)
+        for region in iter_regions(4):
+            seen.clear()
+            region_dual(region)
+            assert seen == [region]
+            for e in range(1, region.n + 1):
+                for op in ("delete", "contract"):
+                    seen.clear()
+                    region_minor(region, e, op)
+                    assert len(seen) == 2 and seen[0] is region, (region, e, op)
+
+
 class TestNonClosureUnderTwists:
     def test_lpm_twist_leaves_the_class(self):
         # M = 2-subsets of {1,2,3,4} minus {3,4} is an LPDM; its twist by
@@ -273,6 +301,7 @@ class TestPropositionSamples:
             words = ["".join(w) for w in itertools.product("EN", repeat=u + v)]
             for p_word, q_word in itertools.product(words, words):
                 region = Region(d, c, u, v, p_word, q_word)
+                assert _all_paths_bitmap(region) == _two_sided_paths_bitmap(region), region
                 diags = region.diagnostics()
                 got = verify_region_prop(region)
                 regions += 1
@@ -291,6 +320,59 @@ class TestPropositionSamples:
         for region in (Region(1, 0, 0, 0, "", ""), Region(2, 0, 1, 1, "EN", "NE")):
             assert region.diagnostics()
             assert verify_region_prop(region) == "empty path family"
+
+
+    def test_fast_path_tags_words_of_the_wrong_length(self):
+        # a word shorter than u + v once ran the path DP off its end; a word
+        # of the wrong length bounds no path of u + v steps
+        for region in (Region(0, 0, 1, 1, "E", "E"), Region(0, 0, 1, 1, "EN", "E"),
+                       Region(0, 0, 1, 1, "ENE", "NEE")):
+            assert region.diagnostics()
+            assert _all_paths_bitmap(region) == 0
+            assert verify_region_prop(region) == "empty path family"
+
+
+words = st.text(alphabet="EN", max_size=8)
+
+
+@st.composite
+def loose_regions(draw):
+    """Regions with any small offsets (negative ones and v - c < d too) and
+    E/N words of any length up to 8, half of them of length u + v."""
+    d, c, v = (draw(st.integers(-2, 5)) for _ in range(3))
+    p_word = draw(words)
+    q_word = draw(st.one_of(st.text(alphabet="EN", min_size=len(p_word),
+                                    max_size=len(p_word)), words))
+    u = draw(st.one_of(st.just(len(p_word) - v), st.integers(-2, 8)))
+    return Region(d, c, u, v, p_word, q_word)
+
+
+class TestSideFamilies:
+    """_all_paths_bitmap (one-sided families per word) against the
+    two-sided level DP and the path enumerator."""
+
+    def test_every_region_up_to_seven(self):
+        for region in iter_regions(7):
+            assert _all_paths_bitmap(region) == _two_sided_paths_bitmap(region), region
+
+    def test_union_of_enumerated_paths(self):
+        for region in iter_regions(5):
+            labels = {
+                sum(1 << (e - 1) for e in path.north_labels())
+                for path in enumerate_paths(region)
+            }
+            assert _all_paths_bitmap(region) == family_to_bitmap(labels), region
+
+    @given(loose_regions())
+    @settings(max_examples=400, deadline=None)
+    def test_loose_regions(self, region):
+        d_bm = _all_paths_bitmap(region)
+        if len(region.p_word) == len(region.q_word) == region.n:
+            assert d_bm == _two_sided_paths_bitmap(region)
+        else:
+            assert d_bm == 0
+        got = verify_region_prop(region)
+        assert got is None if not region.diagnostics() else isinstance(got, str)
 
 
 def closures(bases: int, n: int) -> tuple[int, int, list[int]]:
