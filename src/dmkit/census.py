@@ -35,7 +35,6 @@ from .minorscan import (
     ClassSpec,
     Column,
     both,
-    cached_higgs,
 )
 from .setsystem import SLICE_MAX_N, SetSystem
 
@@ -231,9 +230,10 @@ def _tally(
     order.
 
     Families go through in batches; each column is decided for a whole
-    batch at once, and a SetSystem is built only for a family that a
-    column without an index form decides.  The Higgs classifications of a
-    batch's systems are shared by its columns and dropped with the batch.
+    batch at once.  Up to SLICE_MAX_N elements every census column runs its
+    index form and no SetSystem is built; a column without one, or any
+    column above SLICE_MAX_N, runs its SetSystem form on one SetSystem per
+    family, shared by the batch's columns and dropped with the batch.
     """
     totals = _new_totals(columns)
     discrepancies: list[dict] = []
@@ -245,7 +245,6 @@ def _tally(
         totals[columns[0][0]] += sum(w for _, w in inside)
         indices = [i for i, _ in inside]
         verdicts = [_column(col, indices, n, systems) for col in columns[1:]]
-        cached_higgs.cache_clear()  # its systems are the batch's
         for (key, _, _), bits in zip(columns[1:], verdicts):
             totals[key] += sum(w for _, w in _select(inside, bits))
         if max_witnesses:
@@ -301,8 +300,7 @@ def verify_equivalence(
 
 
 # The class counts of count_census; every column after the first is
-# decided on delta-matroids only.  The Higgs columns have no index form, so
-# count_census builds one SetSystem per delta-matroid.
+# decided on delta-matroids only, which the Higgs index forms assume.
 _COUNT_COLUMNS: tuple[Column, ...] = (
     ("delta_matroid", *DELTA),
     ("even_delta_matroid", *EVEN),

@@ -6,9 +6,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import iter_bits, layer_selectors
-from .errors import InvalidIndexSetError, NotAQuotientError
-from .matroid import Matroid, is_quotient, min_max_matroids
+from .errors import (
+    InvalidIndexSetError,
+    NotADeltaMatroidError,
+    NotAMatroidError,
+    NotAQuotientError,
+)
+from .matroid import (
+    Matroid,
+    _independent_bitmap,
+    _spanning_bitmap,
+    exchange_violation,
+    is_quotient,
+    min_max_matroids,
+)
 from .setsystem import SetSystem
+from .stacks import layer_is_matroid
 
 
 def validate_index_set(k: int, index_set) -> frozenset[int]:
@@ -108,6 +121,57 @@ def classify_higgs(system: SetSystem) -> HiggsClassification:
     corresponding Higgs lift of (D_min, D_max); the first layer where the
     feasibility criterion fails is reported.
     """
+    if not system.is_delta_matroid():
+        raise NotADeltaMatroidError("min/max matroids need the exchange axiom")
+    return classify_higgs_bitmap(system.family_bitmap, system.n)
+
+
+def classify_higgs_bitmap(bm: int, n: int) -> HiggsClassification:
+    """classify_higgs of the delta-matroid with family bitmap bm over n
+    elements; unspecified on a family that is not a delta-matroid.
+
+    D_min and D_max are the lowest and highest nonempty layers, checked
+    with the cached layer_is_matroid, and the sandwich is read from the
+    closures cached on (basis bitmap, n).
+    """
+    sel = layer_selectors(n)
+    sizes = [r for r in range(n + 1) if bm & sel[r]]
+    r_lo, r_hi = sizes[0], sizes[-1]
+    lo, hi = bm & sel[r_lo], bm & sel[r_hi]
+    for layer in (lo, hi):
+        if not layer_is_matroid(layer):
+            bases = SetSystem(tuple(map(str, range(n))), frozenset(iter_bits(layer)))
+            raise NotAMatroidError(f"basis exchange fails at {exchange_violation(bases)}")
+    sandwich = _spanning_bitmap(lo, n) & _independent_bitmap(hi, n)
+    outside = bm & ~sandwich
+    if outside:
+        raise NotADeltaMatroidError(
+            f"feasible mask {(outside & -outside).bit_length() - 1} is not sandwiched "
+            "between minimal and maximal bases"
+        )
+    k = r_hi - r_lo
+    occupied = []
+    for i in range(k + 1):
+        size_slice = sel[r_lo + i]
+        layer = bm & size_slice
+        if not layer:
+            continue
+        if layer != sandwich & size_slice:
+            return HiggsClassification("not_higgs", failing_layer=r_lo + i)
+        occupied.append(i)
+    ks = frozenset(occupied)
+    if len(ks) == k + 1:
+        kind = "full"
+    elif k % 2 == 0 and all(i % 2 == 0 for i in ks):
+        kind = "even"
+    else:
+        kind = "higgs"
+    return HiggsClassification(kind, index_set=ks, k=k)
+
+
+def _classify_higgs_reference(system: SetSystem) -> HiggsClassification:
+    """classify_higgs on freshly built min/max matroids, the reference of
+    the differential tests."""
     lo, hi = min_max_matroids(system)
     k = hi.rank - lo.rank
     n = system.n

@@ -13,7 +13,7 @@ from typing import Callable, Iterator, Sequence
 from .bitset import iter_bits, layer_selectors
 from .catalog import CatalogEntry, ExminorClassId, excluded_minor_set
 from .errors import AmbientHypothesisError, CapacityError
-from .higgs import classify_higgs
+from .higgs import classify_higgs, classify_higgs_bitmap
 from .matroid import is_matroid
 from .setsystem import SetSystem, delta_matroid_bits
 from .stacks import is_matroid_stack, is_stack_bitmap, layer_is_matroid, stack_flags
@@ -399,10 +399,6 @@ def _stack_flag(k: int) -> Predicate:
             lambda s: is_matroid_stack(s) and stack_flags(s.family_bitmap, s.n)[k])
 
 
-# The Higgs predicates read one classification per system.  Sized for one
-# census batch, which empties it when the batch is done.
-cached_higgs = lru_cache(maxsize=512)(lambda system: classify_higgs(system))
-
 # The census predicates.  The SetSystem forms of EVEN, EQUICARDINAL, DELTA
 # and MATROID are the independent references of the index forms.
 ALWAYS: Predicate = (every_index, lambda s: True)
@@ -416,9 +412,14 @@ MATROID: Predicate = (
 MATROID_STACK: Predicate = (index_form(is_stack_bitmap), is_matroid_stack)
 EVEN_MATROID_STACK = both(EVEN, MATROID_STACK)
 PAVING, SPARSE_PAVING, QUOTIENT = map(_stack_flag, (1, 2, 3))
-HIGGS: Predicate = (None, lambda s: cached_higgs(s).is_higgs)
-FULL_HIGGS: Predicate = (None, lambda s: cached_higgs(s).is_full)
-EVEN_HIGGS: Predicate = (None, lambda s: cached_higgs(s).is_even_higgs)
+# The Higgs index forms run the classify_higgs kernel, which assumes a
+# delta-matroid: every Higgs column is decided inside a DELTA ambient.
+HIGGS: Predicate = (index_form(lambda i, n: classify_higgs_bitmap(i, n).is_higgs),
+                    lambda s: classify_higgs(s).is_higgs)
+FULL_HIGGS: Predicate = (index_form(lambda i, n: classify_higgs_bitmap(i, n).is_full),
+                         lambda s: classify_higgs(s).is_full)
+EVEN_HIGGS: Predicate = (index_form(lambda i, n: classify_higgs_bitmap(i, n).is_even_higgs),
+                         lambda s: classify_higgs(s).is_even_higgs)
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,16 @@ def stack_systems() -> dict[str, SetSystem]:
     }
 
 
+def higgs_systems() -> dict[str, SetSystem]:
+    """Extra systems for the ``higgs classify`` cases: S2 (even, K = {0, 2})
+    and a twist of a full Higgs lift that is not one, failing above a
+    rank-1 minimal matroid."""
+    return {
+        "S2": make_named("S2"),
+        "higgs5*a": _higgs(11, 5, 1, 3, [0, 1, 2]).twist(["a"]),
+    }
+
+
 def regions() -> dict[str, Region]:
     """Lattice regions for the ``lattice`` cases, the last one invalid
     (P crosses above Q)."""
@@ -165,6 +175,9 @@ def cases() -> list[dict]:
     for name in [*systems(), *stack_systems()]:
         out.append({"system": name, "argv": ["stack", "classify", "{system}"]})
         out.append({"system": name, "argv": ["stack", "classify", "--json", "{system}"]})
+    for name in [*systems(), *stack_systems(), *higgs_systems()]:
+        out.append({"system": name, "argv": ["higgs", "classify", "{system}"]})
+        out.append({"system": name, "argv": ["higgs", "classify", "--json", "{system}"]})
     return out
 
 
@@ -179,7 +192,7 @@ def run_case(argv: list[str], system_path: str | None) -> tuple[int, str, str]:
 
 def record() -> dict:
     texts = {name: serialize_set_system(s)
-             for name, s in {**systems(), **stack_systems()}.items()}
+             for name, s in {**systems(), **stack_systems(), **higgs_systems()}.items()}
     texts.update((name, serialize_region(r)) for name, r in regions().items())
     recorded = []
     with tempfile.TemporaryDirectory() as tmp:

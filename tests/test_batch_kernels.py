@@ -13,6 +13,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmkit import census
 from dmkit.bitset import permute_mask
 from dmkit.catalog import ExminorClassId, excluded_minor_set
 from dmkit.census import (
@@ -27,7 +28,15 @@ from dmkit.census import (
 )
 from dmkit.gf2 import SkewSymMatrixGF2, _p_targets, d_of_c
 from dmkit.higgs import build_higgs_dm
-from dmkit.minorscan import CLASS_TABLE, _removal_splits, has_minor_from, no_minor_bits
+from dmkit.minorscan import (
+    CLASS_TABLE,
+    EVEN_HIGGS,
+    FULL_HIGGS,
+    HIGGS,
+    _removal_splits,
+    has_minor_from,
+    no_minor_bits,
+)
 from dmkit.setsystem import _se_holds_bitmap, bit_planes, delta_matroid_bits
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -233,12 +242,18 @@ def class_forms():
             yield f"count {key}", form, scalar
 
 
+# The Higgs index forms run classify_higgs_bitmap, which is specified on
+# delta-matroids only, their ambient; their SetSystem forms refuse the rest.
+HIGGS_FORMS = {HIGGS[0], FULL_HIGGS[0], EVEN_HIGGS[0]}
+
+
 class TestIndexForms:
     def check(self, indices: list[int], n: int) -> None:
         dms = [i for i in indices if family_system(n, i).is_delta_matroid()]
         for name, form, scalar in class_forms():
-            # the count columns after the first are defined on delta-matroids
-            batch = dms if name.startswith("count") else indices
+            # the count columns after the first and the Higgs forms are
+            # defined on delta-matroids
+            batch = dms if name.startswith("count") or form in HIGGS_FORMS else indices
             got = as_bools(form(batch, n), len(batch))
             assert got == [bool(scalar(family_system(n, i))) for i in batch], (name, n)
 
@@ -353,6 +368,20 @@ class TestBatchedCensus:
         assert (tmp_path / "one.ckpt").read_text() == (tmp_path / "two.ckpt").read_text()
         assert (one.totals, one.discrepancies) == reference_census(
             "exdelta", range(start, start + 300))
+
+    def test_census_builds_no_set_system_up_to_five_elements(self, monkeypatch):
+        # every census column runs its index form at n <= 5, the Higgs
+        # columns included
+        built = []
+        real = census.family_system
+        monkeypatch.setattr(census, "family_system",
+                            lambda n, index: built.append((n, index)) or real(n, index))
+        for theorem in ("exhiggs", "exfull", "exevenhiggs"):
+            assert verify_equivalence(4, theorem).ok
+        sampled = verify_equivalence(5, "exhiggs", "sampled", seed=5, count=20000)
+        assert sampled.ok and sampled.totals["ambient"] > 0
+        assert count_census(4).totals == N4_COUNTS
+        assert built == []
 
     def test_sampled_count_matches_scalar_columns(self):
         report = count_census(5, "sampled", seed=4, count=200)

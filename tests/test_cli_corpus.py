@@ -11,9 +11,11 @@ and --json form and the refusal of an exhaustive n = 5 run without
 --long, `census count --n 3` and a sampled `census count --n 5`,
 `catalog dump --cap 6` for every class, the `scan` alias on
 four systems, `lattice build`, `dual` and `minor` on five regions, one of
-them invalid, and `stack classify` in text and --json form on the fixed
+them invalid, `stack classify` in text and --json form on the fixed
 systems and four more (rank gaps (2, 2) and (3,), a twisted rank-2
-matroid, an empty family).
+matroid, an empty family), and `higgs classify` in text and --json form
+on all of those and two more (S2, and a twist of a full Higgs lift that
+is not one).
 """
 
 from __future__ import annotations

@@ -3,13 +3,24 @@ minor commutation, classification round trips."""
 
 from __future__ import annotations
 
-import pytest
+import random
 
-from dmkit.census import random_quotient_pair
-from dmkit.errors import InvalidIndexSetError, NotADeltaMatroidError, NotAQuotientError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dmkit.census import family_system, random_quotient_pair
+from dmkit.errors import (
+    InvalidIndexSetError,
+    NotADeltaMatroidError,
+    NotAMatroidError,
+    NotAQuotientError,
+)
 from dmkit.higgs import (
+    _classify_higgs_reference,
     build_higgs_dm,
     classify_higgs,
+    classify_higgs_bitmap,
     full_higgs_dm,
     higgs_lift,
     validate_index_set,
@@ -18,6 +29,7 @@ from dmkit.matroid import Matroid, min_max_matroids, uniform_matroid
 from dmkit.setsystem import SetSystem
 
 from conftest import random_delta_matroid
+from test_batch_kernels import dofc_index, higgs_index, twist_index
 
 
 def system_of(labels: str, *sets: str) -> SetSystem:
@@ -201,6 +213,61 @@ class TestClassify:
                 assert cls.is_higgs
                 got = {i + min_size(d) for i in cls.index_set}
                 assert got == {q.rank + i for i in ks}
+
+
+class TestBitmapKernel:
+    """classify_higgs_bitmap against the min_max_matroids reference, on the
+    whole classification: kind, index set, k and failing layer."""
+
+    def test_every_delta_matroid_up_to_four_elements(self):
+        seen = 0
+        for n in range(1, 5):
+            for index in range(1, 1 << (1 << n)):
+                s = family_system(n, index)
+                if s.is_delta_matroid():
+                    seen += 1
+                    assert classify_higgs_bitmap(index, n) == _classify_higgs_reference(s), (n, index)
+        assert seen == 6132
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(5, 6), st.integers(0, 2**32 - 1))
+    def test_seeded_higgs_and_dofc_with_twists(self, n, seed):
+        rng = random.Random(seed)
+        for make in (higgs_index, dofc_index):
+            index = make(rng, n)
+            for bm in (index, twist_index(index, n, rng.randrange(1 << n))):
+                s = family_system(n, bm)
+                assert s.is_delta_matroid()
+                assert classify_higgs_bitmap(bm, n) == _classify_higgs_reference(s), (n, bm)
+
+    def test_non_delta_matroids_refused_as_before(self):
+        for n in range(1, 4):
+            for index in range(1, 1 << (1 << n)):
+                s = family_system(n, index)
+                if s.is_delta_matroid():
+                    continue
+                with pytest.raises(NotADeltaMatroidError) as got:
+                    classify_higgs(s)
+                with pytest.raises(NotADeltaMatroidError) as want:
+                    _classify_higgs_reference(s)
+                assert str(got.value) == str(want.value) == "min/max matroids need the exchange axiom"
+
+    def test_extreme_layer_not_a_matroid(self):
+        # off delta-matroids: the top layer {ab, cd} fails basis exchange,
+        # reported with the witness Matroid.from_system gives
+        top = system_of("abcd", "ab", "cd")
+        with pytest.raises(NotAMatroidError) as want:
+            Matroid.from_system(top)
+        for bm in (top.family_bitmap, top.family_bitmap | 1):
+            with pytest.raises(NotAMatroidError) as got:
+                classify_higgs_bitmap(bm, 4)
+            assert str(got.value) == str(want.value)
+
+    def test_feasible_set_outside_the_sandwich(self):
+        # off delta-matroids: {b} is not independent in the top layer {ac}
+        s = system_of("abc", "", "b", "ac")
+        with pytest.raises(NotADeltaMatroidError, match="feasible mask 2 is not sandwiched"):
+            classify_higgs_bitmap(s.family_bitmap, 3)
 
 
 def min_size(system: SetSystem) -> int:
