@@ -36,7 +36,7 @@ from .minorscan import (
     Column,
     both,
 )
-from .setsystem import SLICE_MAX_N, SetSystem
+from .setsystem import SetSystem
 
 if TYPE_CHECKING:
     import numpy as np
@@ -191,31 +191,13 @@ def _mode_label(mode: str, seed: int, count: int) -> str:
 
 # Families per batch of the census loop: long enough that the bit-sliced
 # exchange oracle does its work on wide ints (about 0.5 us per family at
-# 512), short enough that the SetSystems a batch shares stay few when every
-# oracle is lifted (n > SLICE_MAX_N).
+# 512).
 BATCH = 512
 
 
 def _select(items: list, bits: int) -> list:
     """The items at the set bits of a bitmask over their positions."""
     return [item for item, bit in zip(items, format(bits, "b")[::-1]) if bit == "1"]
-
-
-def _column(col: Column, indices: list[int], n: int, systems: dict[int, SetSystem]) -> int:
-    """Bitmask of the indices where a column holds: its index form for
-    n <= SLICE_MAX_N, else its SetSystem form on the batch's shared
-    systems."""
-    _, form, scalar = col
-    if form is not None and n <= SLICE_MAX_N:
-        return form(indices, n)
-    bits = 0
-    for b, index in enumerate(indices):
-        system = systems.get(index)
-        if system is None:
-            system = systems[index] = family_system(n, index)
-        if scalar(system):
-            bits |= 1 << b
-    return bits
 
 
 def _tally(
@@ -229,23 +211,21 @@ def _tally(
     columns disagree (direct and exminor) are returned, in iteration
     order.
 
-    Families go through in batches; each column is decided for a whole
-    batch at once.  Up to SLICE_MAX_N elements every census column runs its
-    index form and no SetSystem is built; a column without one, or any
-    column above SLICE_MAX_N, runs its SetSystem form on one SetSystem per
-    family, shared by the batch's columns and dropped with the batch.
+    Families go through in batches; each column runs its index form on a
+    whole batch at once, at every n, so the loop builds no SetSystem of a
+    family.
     """
     totals = _new_totals(columns)
     discrepancies: list[dict] = []
     families = iter(families)
+    (gate_key, gate, _), rest = columns[0], columns[1:]
     while batch := list(islice(families, BATCH)):
-        systems: dict[int, SetSystem] = {}
         totals["checked"] += sum(w for _, w in batch)
-        inside = _select(batch, _column(columns[0], [i for i, _ in batch], n, systems))
-        totals[columns[0][0]] += sum(w for _, w in inside)
+        inside = _select(batch, gate([i for i, _ in batch], n))
+        totals[gate_key] += sum(w for _, w in inside)
         indices = [i for i, _ in inside]
-        verdicts = [_column(col, indices, n, systems) for col in columns[1:]]
-        for (key, _, _), bits in zip(columns[1:], verdicts):
+        verdicts = [form(indices, n) for _, form, _ in rest]
+        for (key, _, _), bits in zip(rest, verdicts):
             totals[key] += sum(w for _, w in _select(inside, bits))
         if max_witnesses:
             direct, exm = verdicts[:2]

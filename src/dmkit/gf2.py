@@ -201,8 +201,7 @@ def is_binary_dm(system: SetSystem) -> tuple[bool, MinorWitness | None]:
 
 def binary_dm_bits(indices: Sequence[int], n: int) -> int:
     """The index form of is_binary_dm for the family indices of
-    delta-matroids on n <= TABLE_MAX_N elements: the bitmask of the binary
-    ones."""
+    delta-matroids on n elements: the bitmask of the binary ones."""
     return no_minor_bits(indices, n, _p_targets(n))
 
 

@@ -75,17 +75,33 @@ def enumerate_minors(
 # as 3^n, so larger systems project instead.
 TABLE_MAX_N = 5
 TABLE_MAX_M = 4
-# Systems on TABLE_MAX_N < n <= PROJECTION_MAX_N elements find every proper
-# minor by gathering its bitmap from the family bitmap, 2^m positions per
-# split: 65 280 positions over every m < n at n = 8 (about 1.7 MB, built in
-# about 30 ms).  Larger systems build each minor.
+# Systems on TABLE_MAX_N < n <= PROJECTION_MAX_N elements find every minor,
+# the whole system included, by gathering its bitmap from the family
+# bitmap, 2^m positions per split: 65 536 positions over every m <= n at
+# n = 8 (about 1.7 MB, built in about 30 ms).  Larger systems build each
+# minor.
 PROJECTION_MAX_N = 8
+
+
+def _split_positions(n: int, m: int) -> Iterator[tuple[int, int, list[int]]]:
+    """(X, Y, positions) per delete/contract split of an n-element ground
+    set that leaves m elements, in enumerate_minors order.
+
+    positions[k] = Y | expand(k) for k < 2^m, where expand puts bit j of k
+    on the j-th kept element: k is a feasible set of S\\X/Y exactly when
+    mask positions[k] is feasible.  Not cached: the tables read them for
+    n <= TABLE_MAX_N, the gathers above, and each keeps what it needs.
+    """
+    for removed in combinations(range(n), n - m):
+        kept = [i for i in range(n) if i not in removed]
+        expand = [sum(1 << kept[j] for j in iter_bits(k)) for k in range(1 << m)]
+        for x, y in _removal_splits(removed):
+            yield x, y, [y | e for e in expand]
 
 
 @lru_cache(maxsize=None)
 def _split_tables(n: int, m: int) -> tuple[tuple[int, int, array], ...]:
-    """(X, Y, table) per delete/contract split of an n-element ground set
-    that leaves m elements, in enumerate_minors order.
+    """(X, Y, table) per split of _split_positions(n, m).
 
     A family bitmap of up to 32 bits is read as four bytes; entry
     256 * j + b of the table is the bitmap, over the m kept elements, of the
@@ -94,45 +110,30 @@ def _split_tables(n: int, m: int) -> tuple[tuple[int, int, array], ...]:
     invalid).
     """
     out = []
-    for removed in combinations(range(n), n - m):
-        kept = [i for i in range(n) if i not in removed]
-        removed_mask = sum(1 << i for i in removed)
-        bit_of = [1 << sum(1 << j for j, i in enumerate(kept) if f >> i & 1)
-                  for f in range(1 << n)]
-        for x, y in _removal_splits(removed):
-            table = []
-            for chunk in range(0, 32, 8):
-                part = [0]
-                for f in range(chunk, min(chunk + 8, 1 << n)):
-                    if f & removed_mask == y:
-                        bit = bit_of[f]
-                        part += [v | bit for v in part]
-                    else:
-                        part += part
-                table += part * (256 // len(part))
-            out.append((x, y, array("H", table)))
+    for x, y, positions in _split_positions(n, m):
+        bit_of = {f: 1 << k for k, f in enumerate(positions)}
+        table = []
+        for chunk in range(0, 32, 8):
+            part = [0]
+            for f in range(chunk, min(chunk + 8, 1 << n)):
+                bit = bit_of.get(f)
+                part += [v | bit for v in part] if bit else part
+            table += part * (256 // len(part))
+        out.append((x, y, array("H", table)))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _split_projections(n: int, m: int) -> tuple[tuple[int, int, itemgetter], ...]:
-    """(X, Y, gather) per delete/contract split of an n-element ground set
-    that leaves m elements, in enumerate_minors order.
+    """(X, Y, gather) per split of _split_positions(n, m).
 
-    The positions of a split are Y | expand(k) for k < 2^m, where expand
-    puts bit j of k on the j-th kept element: k is a feasible set of
-    S\\X/Y exactly when mask Y | expand(k) is feasible.  gather takes the
-    positions from highest k to lowest, so on the family bitmap written as
-    a bit string, bit p at index p, int("".join(gather(bits)), 2) is the
-    minor bitmap (0 when the split is invalid).
+    gather takes the positions from highest k to lowest, so on the family
+    bitmap written as a bit string, bit p at index p,
+    int("".join(gather(bits)), 2) is the minor bitmap (0 when the split is
+    invalid).  At m = n the one split is the identity.
     """
-    out = []
-    for removed in combinations(range(n), n - m):
-        kept = [i for i in range(n) if i not in removed]
-        expand = [sum(1 << kept[j] for j in iter_bits(k)) for k in range(1 << m)]
-        for x, y in _removal_splits(removed):
-            out.append((x, y, itemgetter(*[y | e for e in reversed(expand)])))
-    return tuple(out)
+    return tuple((x, y, itemgetter(*reversed(positions)))
+                 for x, y, positions in _split_positions(n, m))
 
 
 def _orbit_index(pool: Sequence[CatalogEntry]) -> dict[int, CatalogEntry]:
@@ -217,6 +218,10 @@ def _scan_plan(targets: Sequence[CatalogEntry]) -> _ScanPlan:
     return plan
 
 
+# A scan hit: (delete mask X, contract mask Y, target) of a minor S\\X/Y.
+_Hit = tuple[int, int, CatalogEntry]
+
+
 def _first_isomorphic(
     minor: SetSystem, candidates: Sequence[CatalogEntry]
 ) -> CatalogEntry | None:
@@ -234,20 +239,22 @@ def _first_isomorphic(
     return None
 
 
-def _projection_scan(system: SetSystem, m: int, plan: _ScanPlan) -> MinorWitness | None:
-    n = system.n
-    bits = format(system.family_bitmap, f"0{1 << n}b")[::-1]
+def _labels(n: int) -> tuple[str, ...]:
+    return tuple(map(str, range(n)))
+
+
+def _projection_scan(bm: int, n: int, m: int, plan: _ScanPlan) -> _Hit | None:
+    bits = format(bm, f"0{1 << n}b")[::-1]
     splits = _split_projections(n, m)
     orbit = plan.orbits.get(m)
     if orbit is not None:
         for x, y, gather in splits:
             hit = orbit.get(int("".join(gather(bits)), 2))
             if hit is not None:
-                return MinorWitness(system.members(x), system.members(y), hit.name)
+                return x, y, hit
         return None
     shapes = plan.shapes[m]
     sizes = {sum(shape) for shape in shapes}
-    full = (1 << n) - 1
     for x, y, gather in splits:
         minor = int("".join(gather(bits)), 2)
         if minor.bit_count() not in sizes:
@@ -255,103 +262,90 @@ def _projection_scan(system: SetSystem, m: int, plan: _ScanPlan) -> MinorWitness
         candidates = shapes.get(_shape(minor, m))
         if candidates is None:
             continue
-        found = SetSystem(system.members(full ^ x ^ y), frozenset(iter_bits(minor)))
-        hit = _first_isomorphic(found, candidates)
+        hit = _first_isomorphic(SetSystem(_labels(m), frozenset(iter_bits(minor))), candidates)
         if hit is not None:
-            return MinorWitness(system.members(x), system.members(y), hit.name)
+            return x, y, hit
     return None
 
 
-def _object_scan(system: SetSystem, m: int, plan: _ScanPlan) -> MinorWitness | None:
+def _object_scan(bm: int, n: int, m: int, plan: _ScanPlan) -> _Hit | None:
+    system = SetSystem(_labels(n), frozenset(iter_bits(bm)))
     shapes = plan.shapes[m]
     for dels, cons, minor in enumerate_minors(system, m):
         candidates = shapes.get(_shape(minor.family_bitmap, m))
         if candidates is not None:
             hit = _first_isomorphic(minor, candidates)
             if hit is not None:
-                return MinorWitness(dels, cons, hit.name)
+                return system.mask_of(dels), system.mask_of(cons), hit
+    return None
+
+
+def _first_minor(bm: int, n: int, plan: _ScanPlan) -> _Hit | None:
+    """(X, Y, target) of the first minor S\\X/Y of the family bitmap bm
+    over n elements isomorphic to a target of the plan, or None.
+
+    Minors are scanned by ground-set size, largest first; within a size in
+    enumerate_minors order (removed sets lexicographically, then splits by
+    (|X|, lex)); the hit names the first target, in list order, isomorphic
+    to the first matching minor.  Three kernels give the same hit: up to
+    TABLE_MAX_N elements the orbit index of the whole family and byte-table
+    lookups of every proper minor (index_scan), up to PROJECTION_MAX_N
+    projections of the family bitmap onto every split (the identity split
+    is the whole system), and above that each minor built by
+    enumerate_minors.
+    """
+    if n <= TABLE_MAX_N:
+        whole, splits = plan.index_scan(n)
+        if bm in whole:
+            return 0, 0, whole[bm]
+        b0 = bm & 255
+        b1 = 256 | bm >> 8 & 255
+        b2 = 512 | bm >> 16 & 255
+        b3 = 768 | bm >> 24
+        for x, y, t, orbit in splits:
+            minor = t[b0] | t[b1] | t[b2] | t[b3]
+            if minor in orbit:
+                return x, y, orbit[minor]
+        return None
+    scan = _projection_scan if n <= PROJECTION_MAX_N else _object_scan
+    for m in plan.sizes:
+        if m <= n:
+            found = scan(bm, n, m, plan)
+            if found is not None:
+                return found
     return None
 
 
 def has_minor_from(
     system: SetSystem, targets: Sequence[CatalogEntry]
 ) -> MinorWitness | None:
-    """First minor of the system isomorphic to a target, or None.
-
-    Minors are scanned by ground-set size, largest first; within a size in
-    enumerate_minors order (removed sets lexicographically, then splits by
-    (|X|, lex)); the witness names the first target, in list order,
-    isomorphic to the first matching minor.  Three kernels give the same
-    witness: systems on at most TABLE_MAX_N elements by orbit and
-    byte-table lookups on the family bitmap (index_scan), the proper
-    minors of systems on at most PROJECTION_MAX_N elements by projection
-    of the family bitmap, and the rest (the whole system from six elements
-    up, every minor of a larger system) by building each minor.
-    """
-    plan = _scan_plan(targets)
-    n = system.n
-    if n <= TABLE_MAX_N:
-        whole, splits = plan.index_scan(n)
-        bm = system.family_bitmap
-        hit = whole.get(bm)
-        if hit is not None:
-            return MinorWitness((), (), hit.name)
-        b0 = bm & 255
-        b1 = 256 | bm >> 8 & 255
-        b2 = 512 | bm >> 16 & 255
-        b3 = 768 | bm >> 24
-        for x, y, t, orbit in splits:
-            hit = orbit.get(t[b0] | t[b1] | t[b2] | t[b3])
-            if hit is not None:
-                return MinorWitness(system.members(x), system.members(y), hit.name)
+    """First minor of the system isomorphic to a target, or None; the scan
+    order is that of _first_minor."""
+    found = _first_minor(system.family_bitmap, system.n, _scan_plan(targets))
+    if found is None:
         return None
-    for m in plan.sizes:
-        if m > n:
-            continue
-        if m == n or n > PROJECTION_MAX_N:
-            witness = _object_scan(system, m, plan)
-        else:
-            witness = _projection_scan(system, m, plan)
-        if witness is not None:
-            return witness
-    return None
+    x, y, hit = found
+    return MinorWitness(system.members(x), system.members(y), hit.name)
 
 
 def no_minor_bits(indices: Sequence[int], n: int, targets: Sequence[CatalogEntry]) -> int:
-    """Bitmask over a batch of family indices of an n-element ground set,
-    n <= TABLE_MAX_N: bit b is set when has_minor_from(system, targets) is
-    None for the system of indices[b].
-
-    The verdict alone, from the index: the whole family is one lookup in
-    the orbit index of the n-element targets, every proper minor four
-    byte-table lookups of _split_tables; no witness is built.
-    """
-    whole, splits = _scan_plan(targets).index_scan(n)
-    out = 0
-    for b, index in enumerate(indices):
-        if index in whole:
-            continue
-        b0 = index & 255
-        b1 = 256 | index >> 8 & 255
-        b2 = 512 | index >> 16 & 255
-        b3 = 768 | index >> 24
-        for _, _, t, orbit in splits:
-            if t[b0] | t[b1] | t[b2] | t[b3] in orbit:
-                break
-        else:
-            out |= 1 << b
-    return out
+    """Bitmask over a batch of family indices of an n-element ground set:
+    bit b is set when has_minor_from(system, targets) is None for the
+    system of indices[b].  The verdict alone, from the index by
+    _first_minor; no witness is built."""
+    plan = _scan_plan(targets)
+    return sum(1 << b for b, index in enumerate(indices) if _first_minor(index, n, plan) is None)
 
 
 # An index form decides a property for a batch of family indices of an
-# n-element ground set, n <= SLICE_MAX_N, with no SetSystem built: it
+# n-element ground set, at any n, with no SetSystem built by the census: it
 # returns the bitmask of the batch positions where the property holds.
 IndexForm = Callable[[Sequence[int], int], int]
 # A census predicate, declared once as (index form, SetSystem form); the
-# index form is None where there is none, and the census runs the
-# SetSystem form.  A census column is (totals key, *predicate).
-Predicate = tuple[IndexForm | None, Callable[[SetSystem], bool]]
-Column = tuple[str, IndexForm | None, Callable[[SetSystem], bool]]
+# census runs the index form, and the SetSystem form is the object API and
+# the reference.  A census column is (totals key, *predicate).
+Predicate = tuple[IndexForm, Callable[[SetSystem], bool]]
+Column = tuple[str, IndexForm, Callable[[SetSystem], bool]]
 
 
 def index_form(pred: Callable[[int, int], bool]) -> IndexForm:

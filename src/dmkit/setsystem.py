@@ -233,13 +233,8 @@ class SetSystem:
 
     @cached_property
     def _exchange_holds(self) -> bool:
-        # the oracle by family size, at the crossover measured on delta-matroids
         self._require_proper()
-        n = self.n
-        if n > PERMUTATION_CAP:
-            return self.se_violation() is None
-        oracle = _se_holds_lanes if len(self.masks) ** 2 > (n << n) >> 1 else _se_holds_bitmap
-        return oracle(self.family_bitmap, n)
+        return exchange_holds(self.family_bitmap, self.n)
 
     def is_delta_matroid(self) -> bool:
         """True when the symmetric exchange axiom holds; decided once per
@@ -385,6 +380,17 @@ def _se_holds_lanes(bm: int, n: int) -> bool:
     return True
 
 
+def exchange_holds(bm: int, n: int) -> bool:
+    """The exchange-axiom verdict of a family bitmap over n elements, by
+    family size at the crossover measured on delta-matroids: the lanes for
+    dense families on at most PERMUTATION_CAP elements (whose 2^n lanes of
+    2^n bits stay small), the pair loop otherwise.  Both oracles are looked
+    up at call time, so a wrapper set on the module sees every call."""
+    if n <= PERMUTATION_CAP and bm.bit_count() ** 2 > (n << n) >> 1:
+        return _se_holds_lanes(bm, n)
+    return _se_holds_bitmap(bm, n)
+
+
 # -- the bit-sliced exchange oracle over family indices ------------------
 
 # A family index of a system on at most SLICE_MAX_N elements fits one 32-bit
@@ -453,14 +459,15 @@ def _exchange_steps(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, tupl
 
 
 def delta_matroid_bits(indices: Sequence[int], n: int) -> int:
-    """Bitmask over a batch of family indices of an n-element ground set,
-    n <= SLICE_MAX_N: bit b is set when family indices[b] satisfies the
-    exchange axiom (vacuously for the empty family).
+    """Bitmask over a batch of family indices of an n-element ground set:
+    bit b is set when family indices[b] satisfies the exchange axiom
+    (vacuously for the empty family).  Above SLICE_MAX_N elements each
+    family is decided by exchange_holds.
 
-    For fixed X and u, with W = X ^ {u}, the axiom fails exactly when X is
-    feasible, W is not, and some feasible Y = W ^ D' (D' nonempty, u not
-    in D') has no feasible W ^ {v} with v in D'.  On the bit-planes P that
-    is, for every family at once,
+    Up to SLICE_MAX_N, for fixed X and u, with W = X ^ {u}, the axiom
+    fails exactly when X is feasible, W is not, and some feasible
+    Y = W ^ D' (D' nonempty, u not in D') has no feasible W ^ {v} with v
+    in D'.  On the bit-planes P that is, for every family at once,
 
         P[X] & ~P[W] & OR over D' of (P[W ^ D'] & AND over v in D' of ~P[W ^ {v}]),
 
@@ -469,6 +476,8 @@ def delta_matroid_bits(indices: Sequence[int], n: int) -> int:
     every family has failed.  The scalar references are _se_holds_bitmap
     and se_violation.
     """
+    if n > SLICE_MAX_N:
+        return sum(1 << b for b, index in enumerate(indices) if exchange_holds(index, n))
     planes = bit_planes(indices)
     alive = (1 << len(indices)) - 1
     missing = [alive ^ p for p in planes]

@@ -28,7 +28,7 @@ from dmkit.latticepath import Region, serialize_region
 from dmkit.setsystem import SetSystem, serialize_set_system
 
 OUT = Path(__file__).with_name("cli_corpus.json")
-LABELS = "abcdefg"
+LABELS = "abcdefghijk"
 
 
 def _uniform_layers(n: int, sizes) -> SetSystem:
@@ -42,12 +42,12 @@ def _random(seed: int, n: int, p: float) -> SetSystem:
     return SetSystem(tuple(LABELS[:n]), masks)
 
 
-def _dofc(seed: int, n: int) -> SetSystem:
+def _dofc(seed: int, n: int, p: float = 0.5) -> SetSystem:
     rng = random.Random(seed)
     rows = [0] * n
     for i in range(n):
         for j in range(i, n):
-            if rng.random() < 0.5:
+            if rng.random() < p:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return d_of_c(SkewSymMatrixGF2(tuple(LABELS[:n]), tuple(rows)))
@@ -109,6 +109,22 @@ def higgs_systems() -> dict[str, SetSystem]:
     }
 
 
+def large_systems() -> dict[str, SetSystem]:
+    """Systems on 6 to 11 elements: the whole-system delta excluded minors
+    S_6, a twist of it and S_8 for the ``check --class delta`` cases, and a
+    sparse 11-element D(C) (matrix density 0.15, 102 feasible sets), alone
+    and with the set {a, b, c} flipped, for the ``stack classify`` and
+    ``higgs classify`` cases."""
+    dofc11 = _dofc(1, 11, 0.15)
+    return {
+        "S_6": make_named("S_6"),
+        "S_6*{e1,e2}": make_named("S_6*{e1,e2}"),
+        "S_8": make_named("S_8"),
+        "dofc11": dofc11,
+        "dofc11^abc": SetSystem(dofc11.labels, dofc11.masks ^ {0b111}),
+    }
+
+
 def regions() -> dict[str, Region]:
     """Lattice regions for the ``lattice`` cases, the last one invalid
     (P crosses above Q)."""
@@ -148,6 +164,10 @@ def cases() -> list[dict]:
         out.append({"argv": n5})
         out.append({"argv": n5 + ["--json"]})
     out.append({"argv": ["census", "run", "--n", "5", "--theorem", "exdelta"]})
+    for theorem in ("exdelta", "exhiggs"):
+        out.append({"argv": ["census", "run", "--n", "6", "--theorem", theorem,
+                             "--mode", "sampled", "--count", "300", "--json"]})
+    out.append({"argv": ["census", "count", "--n", "6", "--mode", "sampled", "--count", "300"]})
     out.append({"argv": ["census", "count", "--n", "3"]})
     out.append({"argv": ["census", "count", "--n", "3", "--json"]})
     out.append({"argv": ["census", "count", "--n", "5", "--mode", "sampled",
@@ -178,6 +198,13 @@ def cases() -> list[dict]:
     for name in [*systems(), *stack_systems(), *higgs_systems()]:
         out.append({"system": name, "argv": ["higgs", "classify", "{system}"]})
         out.append({"system": name, "argv": ["higgs", "classify", "--json", "{system}"]})
+    for name in ("S_6", "S_6*{e1,e2}", "S_8"):
+        out.append({"system": name, "argv": ["check", "--class", "delta", "{system}"]})
+        out.append({"system": name, "argv": ["check", "--class", "delta", "--json", "{system}"]})
+    for name in ("dofc11", "dofc11^abc"):
+        for command in ("stack", "higgs"):
+            out.append({"system": name, "argv": [command, "classify", "{system}"]})
+            out.append({"system": name, "argv": [command, "classify", "--json", "{system}"]})
     return out
 
 
@@ -192,7 +219,8 @@ def run_case(argv: list[str], system_path: str | None) -> tuple[int, str, str]:
 
 def record() -> dict:
     texts = {name: serialize_set_system(s)
-             for name, s in {**systems(), **stack_systems(), **higgs_systems()}.items()}
+             for name, s in {**systems(), **stack_systems(), **higgs_systems(),
+                             **large_systems()}.items()}
     texts.update((name, serialize_region(r)) for name, r in regions().items())
     recorded = []
     with tempfile.TemporaryDirectory() as tmp:

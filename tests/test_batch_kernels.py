@@ -5,6 +5,7 @@ forms of the class table and the batched census loop."""
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import subprocess
 import sys
@@ -138,8 +139,9 @@ class TestExchangeOracle:
         assert got == [exchange_reference(i, 5) for i in batch]
 
     @FAST
-    @given(st.integers(1, 4), seeds)
+    @given(st.sampled_from([1, 2, 3, 4, 6, 7, 8]), seeds)
     def test_seeded_smaller_batches(self, n, seed):
+        # above five elements each family goes to exchange_holds
         rng = random.Random(seed)
         batch = [rng.getrandbits(1 << n) or 1 for _ in range(rng.randrange(1, 200))]
         batch += [higgs_index(rng, n), dofc_index(rng, n)]
@@ -228,18 +230,17 @@ class TestIndexScan:
 
 def class_forms():
     """(name, index form, SetSystem form) of every oracle of the class table
-    that has an index form, every census theorem and every count column."""
+    (binary has no direct oracle), every census theorem and every count
+    column."""
     for cid, spec in CLASS_TABLE.items():
         yield f"{cid.value} ambient", spec.ambient_index, spec.ambient
         if spec.direct_index is not None:
             yield f"{cid.value} direct", spec.direct_index, spec.direct
     for tid, eq in REGISTRY.items():
         for key, form, scalar in eq.columns:
-            if form is not None:
-                yield f"{tid} {key}", form, scalar
+            yield f"{tid} {key}", form, scalar
     for key, form, scalar in _COUNT_COLUMNS[1:]:
-        if form is not None:
-            yield f"count {key}", form, scalar
+        yield f"count {key}", form, scalar
 
 
 # The Higgs index forms run classify_higgs_bitmap, which is specified on
@@ -262,7 +263,7 @@ class TestIndexForms:
             self.check(list(range(1, 1 << (1 << n))), n)
 
     @FAST
-    @given(st.integers(4, 5), seeds)
+    @given(st.integers(4, 7), seeds)
     def test_seeded_families(self, n, seed):
         rng = random.Random(seed)
         batch = [rng.getrandbits(1 << n) or 1 for _ in range(30)]
@@ -349,14 +350,19 @@ class TestBatchedCensus:
             assert (report.totals, report.discrepancies) == reference_census(theorem, indices)
 
     def test_delta_matroid_stream_matches_reference(self):
-        # a batch dense in delta-matroids reaches every oracle of every theorem
-        rng = random.Random(82)
-        indices = [make(rng, 5) for _ in range(25) for make in (higgs_index, dofc_index)]
+        # a batch dense in delta-matroids reaches every oracle of every
+        # theorem, and one-set flips of some of them the minor hits; above
+        # five elements every column runs its index form all the same
         from dmkit.census import _tally
 
-        for theorem, eq in REGISTRY.items():
-            totals, disc = _tally(eq.columns, ((i, 1) for i in indices), 5, 100)
-            assert (totals, disc) == reference_census(theorem, indices), theorem
+        for n in (5, 6):
+            rng = random.Random(82)
+            indices = [make(rng, n) for _ in range(25) for make in (higgs_index, dofc_index)]
+            indices += [i ^ 1 << rng.randrange(1 << n) for i in indices[:16]]
+            indices = [i for i in indices if i]
+            for theorem, eq in REGISTRY.items():
+                totals, disc = _tally(eq.columns, ((i, 1) for i in indices), n, 100)
+                assert (totals, disc) == reference_census(theorem, indices, n), (n, theorem)
 
     def test_streamed_n5_jobs_agree(self, tmp_path):
         start = 3 << 30
@@ -369,8 +375,8 @@ class TestBatchedCensus:
         assert (one.totals, one.discrepancies) == reference_census(
             "exdelta", range(start, start + 300))
 
-    def test_census_builds_no_set_system_up_to_five_elements(self, monkeypatch):
-        # every census column runs its index form at n <= 5, the Higgs
+    def test_census_builds_no_set_system(self, monkeypatch):
+        # every census column runs its index form at every n, the Higgs
         # columns included
         built = []
         real = census.family_system
@@ -381,6 +387,9 @@ class TestBatchedCensus:
         sampled = verify_equivalence(5, "exhiggs", "sampled", seed=5, count=20000)
         assert sampled.ok and sampled.totals["ambient"] > 0
         assert count_census(4).totals == N4_COUNTS
+        for theorem in ("exhiggs", "exmatroidstack"):
+            assert verify_equivalence(6, theorem, "sampled", seed=6, count=200).ok
+        assert count_census(6, "sampled", seed=6, count=200).totals["checked"] == 200
         assert built == []
 
     def test_sampled_count_matches_scalar_columns(self):
@@ -408,7 +417,7 @@ assert main(["census", "run", "--n", "5", "--theorem", "exmatroidstack",
              "--mode", "sampled", "--count", "100"]) == 0
 assert "numpy" not in sys.modules, "numpy was imported"
 """
-    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 

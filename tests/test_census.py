@@ -22,17 +22,16 @@ from dmkit.census import (
 )
 from dmkit.errors import CapacityError, DmkitError
 from dmkit.matroid import is_matroid, is_quotient
-from dmkit.minorscan import CLASS_TABLE
+from dmkit.minorscan import CLASS_TABLE, every_index
 
 
 @pytest.fixture
 def wrong(monkeypatch):
-    """A deliberately wrong theorem (direct oracle always True) under the
-    id "wrong": every family that is not a delta-matroid is a discrepancy.
-    Its direct oracle has no index form, so the census runs it on a
-    SetSystem per family."""
+    """A deliberately wrong theorem (direct oracle always True, in both
+    forms) under the id "wrong": every family that is not a delta-matroid
+    is a discrepancy."""
     monkeypatch.setitem(REGISTRY, "wrong", dataclasses.replace(
-        REGISTRY["exdelta"], theorem_id="wrong", direct=lambda s: True, direct_index=None))
+        REGISTRY["exdelta"], theorem_id="wrong", direct=lambda s: True, direct_index=every_index))
     return "wrong"
 
 

@@ -27,6 +27,7 @@ from dmkit.minorscan import (
     classify_by_exminors,
     enumerate_minors,
     has_minor_from,
+    no_minor_bits,
 )
 from dmkit.setsystem import SetSystem
 from dmkit.stacks import classify_stack, stack_of
@@ -345,17 +346,22 @@ class TestProjectionScan:
 
     @pytest.mark.parametrize("n, count", [(6, 6), (7, 3), (8, 1)])
     def test_seeded_hosts_every_class(self, n, count):
-        for s in projection_hosts(n, count, seed=428):
-            for cid in ExminorClassId:
-                targets = excluded_minor_set(cid, n)
-                assert has_minor_from(s, targets) == object_scan(s, targets), (cid, s)
+        hosts = projection_hosts(n, count, seed=428)
+        for cid in ExminorClassId:
+            targets = excluded_minor_set(cid, n)
+            want = [object_scan(s, targets) for s in hosts]
+            for s, witness in zip(hosts, want):
+                assert has_minor_from(s, targets) == witness, (cid, s)
+            # the verdict alone, from the family indices
+            assert no_minor_bits([s.family_bitmap for s in hosts], n, targets) == sum(
+                1 << b for b, witness in enumerate(want) if witness is None), cid
 
     def test_gathered_bitmaps_are_the_minors_in_scan_order(self):
         rng = random.Random(429)
         for n in (6, 7, 8):
             s = random_system(rng, n)
             bits = format(s.family_bitmap, f"0{1 << n}b")[::-1]
-            for m in range(n):
+            for m in range(n + 1):
                 got = [
                     (x, y, bm)
                     for x, y, gather in minorscan._split_projections(n, m)
@@ -377,6 +383,12 @@ class TestProjectionScan:
             s = SetSystem(labels, make_named(name).masks)
             got = has_minor_from(s, targets)
             assert got is not None and got == object_scan(s, targets), s
+            assert no_minor_bits([s.family_bitmap], 9, targets) == 0, s
+        # a delta-matroid on nine elements (U_{2,4} and five loops) has none
+        s = SetSystem(labels, frozenset(m for m in range(16) if m.bit_count() == 2))
+        assert object_scan(s, targets) is None
+        assert has_minor_from(s, targets) is None
+        assert no_minor_bits([s.family_bitmap], 9, targets) == 1
 
 
 # The refusal of each class whose ambient can fail, pinned word for word

@@ -283,7 +283,8 @@ class TestExchangeAxiom:
     def test_verdict_is_decided_once_per_object(self, rng, monkeypatch):
         # one case per oracle of the dispatch, by family size at n = 5:
         # |F|^2 > 80 goes to the lanes, the rest to the bitmap pair loop;
-        # se_violation, spied on too, is never called
+        # above PERMUTATION_CAP = 10 elements every family goes to the pair
+        # loop; se_violation, spied on too, is never called
         from dmkit import setsystem
 
         calls = []
@@ -298,10 +299,12 @@ class TestExchangeAxiom:
             SetSystem, "se_violation",
             lambda s: calls.append(("se_violation", s.family_bitmap)) or reference(s),
         )
-        tiers = (("_se_holds_lanes", range(9, 33)), ("_se_holds_bitmap", range(1, 9)))
-        for tier, sizes in tiers:
+        tiers = (("_se_holds_lanes", 5, range(9, 33)), ("_se_holds_bitmap", 5, range(1, 9)),
+                 ("_se_holds_bitmap", 11, range(1, 1 << 11)))
+        for tier, n, sizes in tiers:
             for _ in range(20):
-                s = SetSystem(tuple("abcde"), frozenset(rng.sample(range(32), rng.choice(sizes))))
+                masks = frozenset(rng.sample(range(1 << n), rng.choice(sizes)))
+                s = SetSystem(tuple("abcdefghijk"[:n]), masks)
                 calls.clear()
                 verdict = s.is_delta_matroid()
                 assert calls == [(tier, s.family_bitmap)]
