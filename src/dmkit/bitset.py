@@ -6,7 +6,8 @@ Two encodings are used throughout the package:
   ground set, so a subset of an n-element set is an int < 2**n;
 * a *family bitmap* is an int over 2**n bit positions whose bit m is set
   when mask m belongs to the family.  Whole-family transforms (upward and
-  downward closure, layer slicing) become a handful of big-int operations.
+  downward closure, layer slicing, relabelling) become a handful of
+  big-int operations.
 """
 
 from __future__ import annotations
@@ -41,6 +42,45 @@ def masks_without_bit(n: int, i: int) -> int:
         if not m >> i & 1:
             bm |= 1 << m
     return bm
+
+
+@lru_cache(maxsize=None)
+def transposition(n: int, i: int, j: int) -> tuple[int, int]:
+    """(shift, mask) of the delta swap t = (bm ^ bm >> shift) & mask;
+    bm ^= t ^ t << shift that exchanges elements i < j of a family bitmap
+    over n elements: each mask with bit i set and bit j clear trades places
+    with the mask shift = 2^j - 2^i above it."""
+    return (1 << j) - (1 << i), masks_without_bit(n, j) & ~masks_without_bit(n, i)
+
+
+def relabellings(bm: int, n: int) -> Iterator[int]:
+    """The family bitmap bm over n elements under each of the n!
+    relabellings of its ground set, lazily, in the order of Heap's
+    algorithm (B. R. Heap, "Permutations by interchanges", 1963): each is
+    one delta swap from the one before, every other one the exchange of
+    elements 0 and 1."""
+    yield bm
+    if n < 2:
+        return
+    swaps = [[transposition(n, k, i) for k in range(i)] for i in range(n)]
+    s01, m01 = swaps[1][0]
+    c = [0] * n  # Heap's counters: swaps made at each level since its reset
+    i = 2
+    while True:
+        t = (bm ^ bm >> s01) & m01
+        bm ^= t ^ t << s01
+        yield bm
+        while i < n and c[i] == i:
+            c[i] = 0
+            i += 1
+        if i == n:
+            return
+        shift, mask = swaps[i][c[i] if i & 1 else 0]
+        t = (bm ^ bm >> shift) & mask
+        bm ^= t ^ t << shift
+        yield bm
+        c[i] += 1
+        i = 2
 
 
 @lru_cache(maxsize=None)

@@ -5,12 +5,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations, permutations
-from operator import itemgetter
+from functools import lru_cache, partial
+from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
-from .bitset import iter_bits, layer_selectors
+from .bitset import iter_bits, layer_selectors, relabellings, transposition
 from .catalog import CatalogEntry, ExminorClassId, excluded_minor_set
 from .errors import AmbientHypothesisError, CapacityError
 from .higgs import classify_higgs, classify_higgs_bitmap
@@ -72,15 +71,10 @@ def enumerate_minors(
 # each proper minor (on at most TABLE_MAX_M elements) by byte tables that
 # read a family bitmap of at most 32 bits as four bytes and hold 16-bit
 # minor bitmaps.  Per split they take 2 KB, and the count of splits grows
-# as 3^n, so larger systems project instead.
+# as 3^n, so larger systems relabel their family bitmap instead
+# (_removal_moves).
 TABLE_MAX_N = 5
 TABLE_MAX_M = 4
-# Systems on TABLE_MAX_N < n <= PROJECTION_MAX_N elements find every minor,
-# the whole system included, by gathering its bitmap from the family
-# bitmap, 2^m positions per split: 65 536 positions over every m <= n at
-# n = 8 (about 1.7 MB, built in about 30 ms).  Larger systems build each
-# minor.
-PROJECTION_MAX_N = 8
 
 
 def _split_positions(n: int, m: int) -> Iterator[tuple[int, int, list[int]]]:
@@ -89,8 +83,8 @@ def _split_positions(n: int, m: int) -> Iterator[tuple[int, int, list[int]]]:
 
     positions[k] = Y | expand(k) for k < 2^m, where expand puts bit j of k
     on the j-th kept element: k is a feasible set of S\\X/Y exactly when
-    mask positions[k] is feasible.  Not cached: the tables read them for
-    n <= TABLE_MAX_N, the gathers above, and each keeps what it needs.
+    mask positions[k] is feasible.  Not cached: the tables read them, and
+    keep what they need.
     """
     for removed in combinations(range(n), n - m):
         kept = [i for i in range(n) if i not in removed]
@@ -124,32 +118,47 @@ def _split_tables(n: int, m: int) -> tuple[tuple[int, int, array], ...]:
 
 
 @lru_cache(maxsize=None)
-def _split_projections(n: int, m: int) -> tuple[tuple[int, int, itemgetter], ...]:
-    """(X, Y, gather) per split of _split_positions(n, m).
+def _removal_moves(n: int, m: int) -> tuple[tuple[tuple[int, ...], tuple], ...]:
+    """(R, swaps) per removed set R of n - m elements, in combinations
+    order: the delta swaps (bitset.transposition) that take a family
+    bitmap from the previous R's relabelling (at first the identity) to
+    R's, with the kept elements on bits 0..m-1 and R on bits m..n-1, both
+    in order.  The minor S\\X/Y of a split of R is then the 2^m-bit chunk
+    j, j being Y written on R's bits.  At n = 7, m = 4 the 35 removed sets
+    take 58 swaps."""
+    out = []
+    at = list(range(n))  # at[q] is the element on bit q
+    for removed in combinations(range(n), n - m):
+        swaps = []
+        for q, e in enumerate([i for i in range(n) if i not in removed] + list(removed)):
+            p = at.index(e, q)
+            if p != q:
+                swaps.append(transposition(n, q, p))
+                at[q], at[p] = e, at[q]
+        out.append((removed, tuple(swaps)))
+    return tuple(out)
 
-    gather takes the positions from highest k to lowest, so on the family
-    bitmap written as a bit string, bit p at index p,
-    int("".join(gather(bits)), 2) is the minor bitmap (0 when the split is
-    invalid).  At m = n the one split is the identity.
-    """
-    return tuple((x, y, itemgetter(*reversed(positions)))
-                 for x, y, positions in _split_positions(n, m))
+
+@lru_cache(maxsize=None)
+def _chunk_shifts(r: int, m: int) -> tuple[int, ...]:
+    """Offsets j << m of the minor chunks of the splits of a removed set of
+    r elements (_removal_moves), in split order."""
+    return tuple(y << m for _, y in _removal_splits(tuple(range(r))))
+
+
+def _split_of(removed: tuple[int, ...], j: int) -> tuple[int, int]:
+    """(X, Y) of the split of a removed set whose Y is j on its bits."""
+    y = sum(1 << removed[k] for k in iter_bits(j))
+    return sum(1 << i for i in removed) ^ y, y
 
 
 def _orbit_index(pool: Sequence[CatalogEntry]) -> dict[int, CatalogEntry]:
     """Family bitmap of every relabelling of every target of a nonempty
     pool of same-size targets, mapped to the first target it relabels."""
-    m = pool[0].system.n
-    images = []
-    for perm in permutations(range(m)):
-        image = [0]  # image[f] is mask f relabelled by perm
-        for p in perm:
-            image += [f | 1 << p for f in image]
-        images.append([1 << f for f in image])
     index: dict[int, CatalogEntry] = {}
     for t in pool:
-        for image in images:
-            index.setdefault(sum(image[f] for f in t.system.masks), t)
+        for image in relabellings(t.system.family_bitmap, t.system.n):
+            index.setdefault(image, t)
     return index
 
 
@@ -243,40 +252,38 @@ def _labels(n: int) -> tuple[str, ...]:
     return tuple(map(str, range(n)))
 
 
-def _projection_scan(bm: int, n: int, m: int, plan: _ScanPlan) -> _Hit | None:
-    bits = format(bm, f"0{1 << n}b")[::-1]
-    splits = _split_projections(n, m)
-    orbit = plan.orbits.get(m)
-    if orbit is not None:
-        for x, y, gather in splits:
-            hit = orbit.get(int("".join(gather(bits)), 2))
-            if hit is not None:
-                return x, y, hit
+def _shape_lookup(shapes: dict[tuple[int, ...], tuple[CatalogEntry, ...]], m: int,
+                  minor: int) -> CatalogEntry | None:
+    """The first target of the shape of an m-element minor bitmap that is
+    isomorphic to the minor, or None."""
+    candidates = shapes.get(_shape(minor, m))
+    if candidates is None:
         return None
+    return _first_isomorphic(SetSystem(_labels(m), frozenset(iter_bits(minor))), candidates)
+
+
+def _chunk_scan(bm: int, n: int, m: int, plan: _ScanPlan) -> _Hit | None:
+    """The first hit among the m-element minors of the family bitmap bm
+    over n elements, each read as a chunk of bm relabelled by
+    _removal_moves.  A minor with as many sets as some target is looked up
+    in the orbit index for m <= TABLE_MAX_M, and otherwise filtered by
+    shape before it is built and compared."""
     shapes = plan.shapes[m]
     sizes = {sum(shape) for shape in shapes}
-    for x, y, gather in splits:
-        minor = int("".join(gather(bits)), 2)
-        if minor.bit_count() not in sizes:
-            continue
-        candidates = shapes.get(_shape(minor, m))
-        if candidates is None:
-            continue
-        hit = _first_isomorphic(SetSystem(_labels(m), frozenset(iter_bits(minor))), candidates)
-        if hit is not None:
-            return x, y, hit
-    return None
-
-
-def _object_scan(bm: int, n: int, m: int, plan: _ScanPlan) -> _Hit | None:
-    system = SetSystem(_labels(n), frozenset(iter_bits(bm)))
-    shapes = plan.shapes[m]
-    for dels, cons, minor in enumerate_minors(system, m):
-        candidates = shapes.get(_shape(minor.family_bitmap, m))
-        if candidates is not None:
-            hit = _first_isomorphic(minor, candidates)
-            if hit is not None:
-                return system.mask_of(dels), system.mask_of(cons), hit
+    lookup = plan.orbits[m].get if m in plan.orbits else partial(_shape_lookup, shapes, m)
+    full = (1 << (1 << m)) - 1
+    shifts = _chunk_shifts(n - m, m)
+    p = bm
+    for removed, swaps in _removal_moves(n, m):
+        for shift, mask in swaps:
+            t = (p ^ p >> shift) & mask
+            p ^= t ^ t << shift
+        for shift in shifts:
+            minor = p >> shift & full
+            if minor.bit_count() in sizes:
+                hit = lookup(minor)
+                if hit is not None:
+                    return *_split_of(removed, shift >> m), hit
     return None
 
 
@@ -287,12 +294,11 @@ def _first_minor(bm: int, n: int, plan: _ScanPlan) -> _Hit | None:
     Minors are scanned by ground-set size, largest first; within a size in
     enumerate_minors order (removed sets lexicographically, then splits by
     (|X|, lex)); the hit names the first target, in list order, isomorphic
-    to the first matching minor.  Three kernels give the same hit: up to
+    to the first matching minor.  Two kernels give the same hit: up to
     TABLE_MAX_N elements the orbit index of the whole family and byte-table
-    lookups of every proper minor (index_scan), up to PROJECTION_MAX_N
-    projections of the family bitmap onto every split (the identity split
-    is the whole system), and above that each minor built by
-    enumerate_minors.
+    lookups of every proper minor (index_scan), and above that the chunks
+    of the relabelled family bitmap (_chunk_scan; the whole system is the
+    one chunk of m = n).
     """
     if n <= TABLE_MAX_N:
         whole, splits = plan.index_scan(n)
@@ -307,10 +313,9 @@ def _first_minor(bm: int, n: int, plan: _ScanPlan) -> _Hit | None:
             if minor in orbit:
                 return x, y, orbit[minor]
         return None
-    scan = _projection_scan if n <= PROJECTION_MAX_N else _object_scan
     for m in plan.sizes:
         if m <= n:
-            found = scan(bm, n, m, plan)
+            found = _chunk_scan(bm, n, m, plan)
             if found is not None:
                 return found
     return None

@@ -18,7 +18,8 @@ from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from .bitset import family_to_bitmap, format_members, iter_bits, masks_without_bit, permute_mask
+from .bitset import (family_to_bitmap, format_members, iter_bits, masks_without_bit,
+                     permute_mask, relabellings)
 from .errors import (
     CapacityError,
     FormatError,
@@ -273,7 +274,7 @@ class SetSystem:
 
     def is_isomorphic(self, other: SetSystem, cap: int = PERMUTATION_CAP) -> bool:
         """Relabeling equivalence via cached canonical forms (small n) or
-        an early-exit permutation search."""
+        an early-exit walk over the relabellings of the family bitmap."""
         if self.n != other.n or len(self.masks) != len(other.masks):
             return False
         if self.size_signature != other.size_signature:
@@ -282,11 +283,7 @@ class SetSystem:
             return self.canonical_form(cap) == other.canonical_form(cap)
         if self.n > cap:
             raise CapacityError(f"isomorphism search cap is {cap} elements")
-        target = other.masks
-        for perm in permutations(range(self.n)):
-            if all(permute_mask(m, perm) in target for m in self.masks):
-                return True
-        return False
+        return other.family_bitmap in relabellings(self.family_bitmap, self.n)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         fam = ";".join(

@@ -111,15 +111,23 @@ def higgs_systems() -> dict[str, SetSystem]:
 
 def large_systems() -> dict[str, SetSystem]:
     """Systems on 6 to 11 elements: the whole-system delta excluded minors
-    S_6, a twist of it and S_8 for the ``check --class delta`` cases, and a
-    sparse 11-element D(C) (matrix density 0.15, 102 feasible sets), alone
-    and with the set {a, b, c} flipped, for the ``stack classify`` and
-    ``higgs classify`` cases."""
+    S_6, a twist of it and S_8 for the ``check --class delta`` cases; for
+    the ``check --class delta`` and ``binary check`` cases a 9-element
+    binary D(C) (matrix density 0.3, 57 feasible sets), whose scans run to
+    the end, and two 7-element two-set systems, one with a 6-element minor
+    isomorphic to S_6*{e1,e2,e3} and one whose whole system has the shape
+    of S_7*{e1,e2,e3} but is not isomorphic to it; and a sparse 11-element
+    D(C) (matrix density 0.15, 102 feasible sets), alone and with the set
+    {a, b, c} flipped, for the ``stack classify`` and ``higgs classify``
+    cases."""
     dofc11 = _dofc(1, 11, 0.15)
     return {
         "S_6": make_named("S_6"),
         "S_6*{e1,e2}": make_named("S_6*{e1,e2}"),
         "S_8": make_named("S_8"),
+        "dofc9": _dofc(2, 9, 0.3),
+        "pair7-hit": SetSystem.from_sets(tuple(LABELS[:7]), ["abc", "def"]),
+        "pair7-near": SetSystem.from_sets(tuple(LABELS[:7]), ["abc", "cdef"]),
         "dofc11": dofc11,
         "dofc11^abc": SetSystem(dofc11.labels, dofc11.masks ^ {0b111}),
     }
@@ -201,6 +209,11 @@ def cases() -> list[dict]:
     for name in ("S_6", "S_6*{e1,e2}", "S_8"):
         out.append({"system": name, "argv": ["check", "--class", "delta", "{system}"]})
         out.append({"system": name, "argv": ["check", "--class", "delta", "--json", "{system}"]})
+    for name in ("dofc9", "pair7-hit", "pair7-near"):
+        out.append({"system": name, "argv": ["check", "--class", "delta", "{system}"]})
+        out.append({"system": name, "argv": ["check", "--class", "delta", "--json", "{system}"]})
+        out.append({"system": name, "argv": ["binary", "check", "{system}"]})
+        out.append({"system": name, "argv": ["binary", "check", "--json", "{system}"]})
     for name in ("dofc11", "dofc11^abc"):
         for command in ("stack", "higgs"):
             out.append({"system": name, "argv": [command, "classify", "{system}"]})

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
+from math import factorial
 
 from dmkit.bitset import (
     down_closure,
@@ -11,6 +13,8 @@ from dmkit.bitset import (
     layer_selectors,
     minimal_members,
     permute_mask,
+    relabellings,
+    transposition,
     up_closure,
 )
 
@@ -52,3 +56,31 @@ def test_closures_against_enumeration():
                 m for m in ups if not any((m ^ (1 << i)) in ups for i in iter_bits(m))
             }
             assert minimal_members(family_to_bitmap(ups), n) == family_to_bitmap(mins)
+
+
+def relabelled(bm: int, n: int, perm: tuple[int, ...]) -> int:
+    return family_to_bitmap(permute_mask(m, perm) for m in range(1 << n) if bm >> m & 1)
+
+
+def test_delta_swap_exchanges_two_elements():
+    rng = random.Random(8)
+    for n in range(2, 8):
+        for _ in range(5):
+            bm = rng.getrandbits(1 << n)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    shift, mask = transposition(n, i, j)
+                    t = (bm ^ bm >> shift) & mask
+                    perm = list(range(n))
+                    perm[i], perm[j] = j, i
+                    assert bm ^ t ^ t << shift == relabelled(bm, n, tuple(perm))
+
+
+def test_relabellings_visit_every_permutation_once():
+    # the maximal chain {0} < {0,1} < ... is rigid: its n! relabellings are
+    # distinct, so the walk yields each permutation's image exactly once
+    for n in range(8):
+        chain = family_to_bitmap((1 << k) - 1 for k in range(1, n + 1))
+        walk = list(relabellings(chain, n))
+        assert len(walk) == factorial(n)
+        assert set(walk) == {relabelled(chain, n, perm) for perm in permutations(range(n))}

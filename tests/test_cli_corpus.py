@@ -16,7 +16,10 @@ systems and four more (rank gaps (2, 2) and (3,), a twisted rank-2
 matroid, an empty family), and `higgs classify` in text and --json form
 on all of those and two more (S2, and a twist of a full Higgs lift that
 is not one). Systems on 6 to 11 elements add `check --class delta` on
-S_6, S_6*{e1,e2} and S_8 (whole-system witnesses), `stack classify` and
+S_6, S_6*{e1,e2} and S_8 (whole-system witnesses), `check --class delta`
+and `binary check` on a 9-element D(C) (scans that run to the end) and
+on two 7-element systems whose minors on six or seven elements have a
+target's shape (one isomorphic, one not), `stack classify` and
 `higgs classify` on a sparse 11-element D(C) and on the same family with
 one set flipped, and sampled n = 6 runs of 300 families: `census run`
 for exdelta and exhiggs, and `census count`.

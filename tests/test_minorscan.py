@@ -182,7 +182,7 @@ def projection_hosts(n: int, count: int, seed: int) -> list[SetSystem]:
     whole system), D(C) members and Higgs index-set unions (delta-matroids,
     so the delta scan runs to the end)."""
     rng = random.Random(f"{seed}:{n}")
-    labels = tuple("abcdefgh"[:n])
+    labels = tuple("abcdefghij"[:n])
     out = []
     for _ in range(count):
         out.append(SetSystem(labels, frozenset(
@@ -196,14 +196,16 @@ def projection_hosts(n: int, count: int, seed: int) -> list[SetSystem]:
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
         out.append(d_of_c(SkewSymMatrixGF2(labels, tuple(rows))))
-        r_l = rng.randrange(1, n + 1)
-        q, lift = random_quotient_pair(n, rng.randrange(r_l + 1), r_l, rng.getrandbits(31))
+        # quotient pairs have at most eight elements; the rest are loops
+        r_l = rng.randrange(1, min(n, 8) + 1)
+        q, lift = random_quotient_pair(
+            min(n, 8), rng.randrange(r_l + 1), r_l, rng.getrandbits(31))
         k = lift.rank - q.rank
         # index sets K in [0, k] whose complement has no consecutive pair
         full = (1 << (k + 1)) - 1
         ks = rng.choice([ks for ks in range(1, full + 1) if not (full & ~ks) & (full & ~ks) >> 1])
         index_set = [i for i in range(k + 1) if ks >> i & 1]
-        out.append(build_higgs_dm(q, lift, index_set))
+        out.append(SetSystem(labels, build_higgs_dm(q, lift, index_set).masks))
     return out
 
 
@@ -306,7 +308,7 @@ class TestTableScan:
         # pairs of equal-but-relabelled targets on 4, 5 and 6 elements; each
         # host is a relabelling of the target with loops added up to seven
         # elements, so every kernel meets the pair: the whole-system check,
-        # the tables, the orbit index and the shape-filtered projection
+        # the tables, the orbit index and the shape-filtered chunk scan
         rng = random.Random(427)
         t5 = make_named("T5")
         pairs = [
@@ -340,9 +342,24 @@ class TestTableScan:
         assert len(minorscan._scan_plans) <= minorscan.SCAN_PLAN_CACHE_SIZE
 
 
+def chunk_minors(bm: int, n: int, m: int):
+    """(X, Y, minor bitmap) of every valid split of a family bitmap that
+    leaves m elements, as the chunk scan reads them: each removed set's
+    relabelling applied by its delta swaps, then one chunk per split."""
+    full = (1 << (1 << m)) - 1
+    p = bm
+    for removed, swaps in minorscan._removal_moves(n, m):
+        for shift, mask in swaps:
+            t = (p ^ p >> shift) & mask
+            p ^= t ^ t << shift
+        for shift in minorscan._chunk_shifts(n - m, m):
+            if p >> shift & full:
+                yield (*minorscan._split_of(removed, shift >> m), p >> shift & full)
+
+
 class TestProjectionScan:
-    """The projection scan of systems on six to eight elements against the
-    object path, witness for witness, for every class."""
+    """The chunk scan of systems on six or more elements against the
+    object path, witness for witness."""
 
     @pytest.mark.parametrize("n, count", [(6, 6), (7, 3), (8, 1)])
     def test_seeded_hosts_every_class(self, n, count):
@@ -357,17 +374,15 @@ class TestProjectionScan:
                 1 << b for b, witness in enumerate(want) if witness is None), cid
 
     def test_gathered_bitmaps_are_the_minors_in_scan_order(self):
+        # every chunk, at every m, is the bitmap of its minor with the kept
+        # elements in order; a sparse family keeps the nine-element
+        # reference quick
         rng = random.Random(429)
-        for n in (6, 7, 8):
-            s = random_system(rng, n)
-            bits = format(s.family_bitmap, f"0{1 << n}b")[::-1]
+        for n, density in ((6, 0.5), (7, 0.5), (8, 0.5), (9, 0.1)):
+            s = SetSystem(tuple("abcdefghi"[:n]), frozenset(
+                m for m in range(1 << n) if rng.random() < density))
             for m in range(n + 1):
-                got = [
-                    (x, y, bm)
-                    for x, y, gather in minorscan._split_projections(n, m)
-                    for bm in [int("".join(gather(bits)), 2)]
-                    if bm
-                ]
+                got = list(chunk_minors(s.family_bitmap, n, m))
                 want = [
                     (s.mask_of(dels), s.mask_of(cons), minor.family_bitmap)
                     for dels, cons, minor in enumerate_minors(s, m)
@@ -375,20 +390,46 @@ class TestProjectionScan:
                 assert got == want, (n, m)
 
     def test_larger_systems_build_each_minor(self):
-        # nine-element hosts: T5, S_5*{e1,e2} and S_8*{e2,e3} with loops added
-        assert minorscan.PROJECTION_MAX_N == 8
-        targets = excluded_minor_set(ExminorClassId.DELTA_MATROID, 8)
-        labels = tuple("abcdefghi")
-        for name in ("T5", "S_5*{e1,e2}", "S_8*{e2,e3}"):
-            s = SetSystem(labels, make_named(name).masks)
-            got = has_minor_from(s, targets)
-            assert got is not None and got == object_scan(s, targets), s
-            assert no_minor_bits([s.family_bitmap], 9, targets) == 0, s
-        # a delta-matroid on nine elements (U_{2,4} and five loops) has none
-        s = SetSystem(labels, frozenset(m for m in range(16) if m.bit_count() == 2))
-        assert object_scan(s, targets) is None
-        assert has_minor_from(s, targets) is None
-        assert no_minor_bits([s.family_bitmap], 9, targets) == 1
+        for n in (9, 10):
+            # T5, S_5*{e1,e2} and S_8*{e2,e3} with loops added
+            targets = excluded_minor_set(ExminorClassId.DELTA_MATROID, 8)
+            labels = tuple("abcdefghij"[:n])
+            for name in ("T5", "S_5*{e1,e2}", "S_8*{e2,e3}"):
+                s = SetSystem(labels, make_named(name).masks)
+                got = has_minor_from(s, targets)
+                assert got is not None and got == object_scan(s, targets), s
+                assert no_minor_bits([s.family_bitmap], n, targets) == 0, s
+            # members have none, and their scans run to the end: U_{2,4} with
+            # loops, a delta-matroid, and a D(C) on every element, also binary
+            rng = random.Random(f"431:{n}")
+            rows = [0] * n
+            for i in range(n):
+                for j in range(i, n):
+                    if rng.random() < 0.15:
+                        rows[i] |= 1 << j
+                        rows[j] |= 1 << i
+            u24 = SetSystem(labels, frozenset(m for m in range(16) if m.bit_count() == 2))
+            dofc = d_of_c(SkewSymMatrixGF2(labels, tuple(rows)))
+            delta, binary = ExminorClassId.DELTA_MATROID, ExminorClassId.BINARY
+            for s, cid in ((u24, delta), (dofc, delta), (dofc, binary)):
+                targets = excluded_minor_set(cid, n)
+                assert object_scan(s, targets) is None
+                assert has_minor_from(s, targets) is None
+                assert no_minor_bits([s.family_bitmap], n, targets) == 1
+
+    def test_seeded_nine_element_hosts(self):
+        # the differential set of test_seeded_hosts_every_class on nine
+        # elements, for the delta-matroid class, whose list has targets of
+        # every size up to nine
+        n = 9
+        hosts = projection_hosts(n, 1, seed=432)
+        targets = excluded_minor_set(ExminorClassId.DELTA_MATROID, n)
+        want = [object_scan(s, targets) for s in hosts]
+        for s, witness in zip(hosts, want):
+            assert has_minor_from(s, targets) == witness, s
+        assert any(witness is None for witness in want)
+        assert no_minor_bits([s.family_bitmap for s in hosts], n, targets) == sum(
+            1 << b for b, witness in enumerate(want) if witness is None)
 
 
 # The refusal of each class whose ambient can fail, pinned word for word

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dmkit.bitset import relabellings
 from dmkit.errors import (
     CapacityError,
     FormatError,
@@ -14,6 +18,7 @@ from dmkit.errors import (
     UnknownElementError,
 )
 from dmkit.setsystem import (
+    PERMUTATION_CAP,
     ElementStatus,
     SetSystem,
     _se_holds_bitmap,
@@ -347,6 +352,39 @@ class TestCanonicalForm:
 
     def test_different_sizes_never_isomorphic(self):
         assert not system_of("a", "").is_isomorphic(system_of("ab", ""))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(6, 7), st.integers(0, 2**32 - 1))
+    def test_relabelling_walk_agrees_with_canonical_forms(self, n, seed):
+        # a random relabelling is always isomorphic; trading one feasible
+        # set for another of its size keeps the size signature and mostly
+        # is not.  Few sets keep the n! canonical forms quick.
+        rng = random.Random(seed)
+        labels = tuple("abcdefg"[:n])
+        masks = rng.sample(range(1 << n), rng.randrange(1, 12))
+        a = SetSystem(labels, frozenset(masks))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moved = SetSystem(labels, frozenset(sum(1 << perm[i] for i in range(n) if m >> i & 1)
+                                            for m in masks))
+        m = rng.choice(masks)
+        free = [f for f in range(1 << n) if f.bit_count() == m.bit_count() and f not in a.masks]
+        swapped = SetSystem(labels, a.masks - {m} | {rng.choice(free)}) if free else a
+        for b in (moved, swapped):
+            assert a.size_signature == b.size_signature
+            assert a.is_isomorphic(b) == (a.canonical_form() == b.canonical_form())
+        assert a.is_isomorphic(moved)
+
+    def test_nine_element_walk_runs_lazily(self):
+        # equal size signatures, not isomorphic (disjoint pair against a
+        # crossing one): the walk tries all 9! relabellings, one at a time
+        a = system_of("abcdefghi", "", "ab", "cd")
+        b = system_of("abcdefghi", "", "ab", "bc")
+        assert not a.is_isomorphic(b)
+        assert a.is_isomorphic(system_of("abcdefghi", "", "hi", "ac"))
+        # the first relabellings at the cap come without the other 10!
+        walk = relabellings(1 << 0b11, PERMUTATION_CAP)
+        assert list(itertools.islice(walk, 3)) == [1 << 0b11, 1 << 0b11, 1 << 0b110]
 
     def test_canonical_serialization_is_invariant(self, rng):
         for _ in range(20):
