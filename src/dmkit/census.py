@@ -109,6 +109,16 @@ def _canonical_index_table(n: int) -> np.ndarray:
     return best
 
 
+@lru_cache(maxsize=None)
+def _class_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(representatives, class sizes): the least family index of each
+    isomorphism class of nonempty families, ascending, and the number of
+    families in its class."""
+    import numpy as np
+
+    return np.unique(_canonical_index_table(n)[1:], return_counts=True)
+
+
 def _by_class(n: int, mode: str, dedupe: bool) -> bool:
     return dedupe and mode == "exhaustive" and n <= EXHAUSTIVE_CAP
 
@@ -124,9 +134,7 @@ def _weighted_families(n: int, mode: str, *, seed: int, count: int,
     with weight 1.
     """
     if _by_class(n, mode, dedupe):
-        import numpy as np
-
-        reps, sizes = np.unique(_canonical_index_table(n)[1:], return_counts=True)
+        reps, sizes = _class_weights(n)
         yield from zip(reps.tolist(), sizes.tolist())
     else:
         yield from zip(family_indices(n, mode, seed=seed, count=count), repeat(1))
@@ -320,8 +328,12 @@ def random_quotient_pair(n: int, r_q: int, r_l: int, seed: int) -> tuple[Matroid
     L is repaired from a random basis family by deleting an offending
     basis until exchange holds; Q is the contraction of L by a random
     rank-(r_l - r_q) subset, put back on the full ground set with the
-    contracted elements as loops.
+    contracted elements as loops.  The ground set is a prefix of
+    CENSUS_LABELS, so n is at most eight.
     """
+    if n > len(CENSUS_LABELS):
+        raise CapacityError(f"random quotient pairs have at most {len(CENSUS_LABELS)} "
+                            f"elements, got n = {n}")
     if not 0 <= r_q <= r_l <= n:
         raise DmkitError(f"need 0 <= r_q <= r_l <= n, got ({r_q}, {r_l}, {n})")
     rng = random.Random(seed)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from typing import Iterator
 
 from .bitset import down_closure, iter_bits, layer_selectors, up_closure
@@ -13,8 +14,10 @@ from .matroid import _circuit_masks, circuits_cover
 from .setsystem import SetSystem
 
 # Bound of each per-layer verdict cache (layer_is_matroid and
-# layer_paving_flags).  Every nonempty layer bitmap of a system on at most
-# five elements fits (2 110 of them); larger systems evict.
+# layer_paving_flags) and of the per-family stack_flags memo.  Every
+# nonempty layer bitmap of a system on at most five elements fits (2 110
+# of them), and so does every isomorphism-class representative on at most
+# four elements (4 077 of them); larger runs evict.
 LAYER_CACHE_SIZE = 4096
 
 
@@ -122,22 +125,30 @@ def is_matroid_stack(system: SetSystem) -> bool:
     return is_stack_bitmap(system.family_bitmap, system.n)
 
 
+# Every value stack_flags returns is one of these nine tuples, so that a
+# memo entry holds a reference, not a tuple of its own.
+_NOT_A_STACK = (False, False, False, False)
+_STACK_FLAGS = {flags: (True, *flags) for flags in product((False, True), repeat=3)}
+
+
+@lru_cache(maxsize=LAYER_CACHE_SIZE)
 def stack_flags(bm: int, n: int) -> tuple[bool, bool, bool, bool]:
     """(matroid stack, paving, sparse paving, quotient) of a nonempty
     family bitmap over n elements, from cached verdicts on its layers:
     layer_is_matroid, then for matroid stacks layer_paving_flags per layer
-    and circuits_cover on the cached _circuit_masks of consecutive layers."""
+    and circuits_cover on the cached _circuit_masks of consecutive layers.
+    Memoized per family on (bm, n): the paving and sparse-paving flags of
+    the same bitmap differ between ground sets."""
     if not is_stack_bitmap(bm, n):
-        return (False, False, False, False)
+        return _NOT_A_STACK
     layers = [bm & sel for sel in layer_selectors(n) if bm & sel]
     flags = [layer_paving_flags(layer, n) for layer in layers]
-    return (
-        True,
+    return _STACK_FLAGS[
         all(p for p, _ in flags),
         all(sp for _, sp in flags),
         all(circuits_cover(_circuit_masks(below, n), _circuit_masks(above, n))
             for below, above in zip(layers, layers[1:])),
-    )
+    ]
 
 
 def classify_stack(system: SetSystem) -> StackClassification:

@@ -6,7 +6,11 @@ Each case holds an argument vector (``{system}`` stands for a file holding
 the case's set system or lattice region), the exit code, and stdout and
 stderr as printed.  The
 corpus pins the verdicts, witnesses, refusals and census totals, so a
-refactor that changes any byte of them shows up as a failing case.
+refactor that changes any byte of them shows up as a failing case.  The
+exhaustive n = 4 cases (`census run --n 4 --json` for every theorem,
+`exquotient` also with --no-dedupe, and `census count --n 4` in text and
+--json form) pin the totals of the memoized per-family stack flags, with
+and without eviction from the memo.
 """
 
 from __future__ import annotations
@@ -171,6 +175,10 @@ def cases() -> list[dict]:
               "--mode", "sampled", "--seed", "5", "--count", "400"]
         out.append({"argv": n5})
         out.append({"argv": n5 + ["--json"]})
+    for theorem in sorted(REGISTRY):
+        out.append({"argv": ["census", "run", "--n", "4", "--theorem", theorem, "--json"]})
+    out.append({"argv": ["census", "run", "--n", "4", "--theorem", "exquotient",
+                         "--no-dedupe", "--json"]})
     out.append({"argv": ["census", "run", "--n", "5", "--theorem", "exdelta"]})
     for theorem in ("exdelta", "exhiggs"):
         out.append({"argv": ["census", "run", "--n", "6", "--theorem", theorem,
@@ -178,6 +186,8 @@ def cases() -> list[dict]:
     out.append({"argv": ["census", "count", "--n", "6", "--mode", "sampled", "--count", "300"]})
     out.append({"argv": ["census", "count", "--n", "3"]})
     out.append({"argv": ["census", "count", "--n", "3", "--json"]})
+    out.append({"argv": ["census", "count", "--n", "4"]})
+    out.append({"argv": ["census", "count", "--n", "4", "--json"]})
     out.append({"argv": ["census", "count", "--n", "5", "--mode", "sampled",
                          "--seed", "5", "--count", "400"]})
     out.append({"argv": ["census", "count", "--n", "5", "--mode", "sampled",

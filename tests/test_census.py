@@ -13,6 +13,8 @@ from dmkit.catalog import ExminorClassId
 from dmkit.census import (
     _COUNT_COLUMNS,
     REGISTRY,
+    _canonical_index_table,
+    _class_weights,
     count_census,
     enumerate_proper_systems,
     family_system,
@@ -288,6 +290,20 @@ class TestCounting:
         assert totals4["full_higgs"] == 558
 
 
+class TestClassWeights:
+    def test_weights_per_n(self):
+        # the cached class arrays of each n, asked for in alternation
+        import numpy as np
+
+        classes = {0: 1, 1: 3, 2: 11, 3: 79, 4: 3983}
+        for n in (3, 4, 2, 4, 3, 0, 1):
+            reps, sizes = _class_weights(n)
+            assert len(reps) == classes[n] and int(sizes.sum()) == (1 << (1 << n)) - 1
+            canon = _canonical_index_table(n)
+            assert reps.tolist() == np.unique(canon[1:]).tolist()
+            assert sizes.tolist() == [int((canon == r).sum()) for r in reps.tolist()]
+
+
 class TestRandomQuotientPair:
     def test_spec_example(self):
         q, lift = random_quotient_pair(4, 1, 3, seed=7)
@@ -311,6 +327,20 @@ class TestRandomQuotientPair:
     def test_bad_parameters(self):
         with pytest.raises(DmkitError):
             random_quotient_pair(3, 2, 1, seed=0)
+
+    def test_seeded_n6_pair_pinned(self):
+        # masks of one seeded pair above the exhaustive range, as first drawn
+        q, lift = random_quotient_pair(6, 2, 4, seed=7)
+        assert (q.rank, sorted(q.system.masks)) == (2, [6, 10, 18, 20, 24])
+        assert (lift.rank, sorted(lift.system.masks)) == (
+            4, [15, 23, 29, 39, 43, 46, 51, 53, 54, 57, 60])
+
+    def test_more_than_eight_elements_refused(self):
+        # the ground set is a prefix of the eight census labels
+        with pytest.raises(CapacityError, match="at most 8 elements"):
+            random_quotient_pair(9, 1, 2, seed=5)
+        q, lift = random_quotient_pair(8, 1, 2, seed=5)
+        assert is_quotient(q, lift) and len(q.system.labels) == 8
 
     def test_many_seeds_valid(self):
         for seed in range(30):

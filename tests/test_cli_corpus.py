@@ -6,9 +6,12 @@ tests/golden/make_cli_corpus.py) covers `check` for every class in text
 and --json form on 21 fixed 3-7-element systems, ambient refusals
 included, `binary check`, `census run --n 3` for every theorem with and
 without --no-dedupe and streamed, sampled n = 4 census runs with and
-without --no-dedupe, sampled n = 5 census runs of 400 families in text
+without --no-dedupe, exhaustive `census run --n 4 --json` for every
+theorem (and for exquotient with --no-dedupe, 65 535 families through
+the stack-flag memo), sampled n = 5 census runs of 400 families in text
 and --json form and the refusal of an exhaustive n = 5 run without
---long, `census count --n 3` and a sampled `census count --n 5`,
+--long, `census count --n 3` and `--n 4` in text and --json form, a
+sampled `census count --n 5`,
 `catalog dump --cap 6` for every class, the `scan` alias on
 four systems, `lattice build`, `dual` and `minor` on five regions, one of
 them invalid, `stack classify` in text and --json form on the fixed

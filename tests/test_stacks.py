@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from dmkit.bitset import iter_bits
 from dmkit.catalog import ExminorClassId, make_named
-from dmkit.census import enumerate_proper_systems, random_quotient_pair
+from dmkit.census import (
+    REGISTRY,
+    _class_weights,
+    count_census,
+    enumerate_proper_systems,
+    random_quotient_pair,
+    verify_equivalence,
+)
 from dmkit.errors import AmbientHypothesisError, ImproperSystemError
 from dmkit.higgs import full_higgs_dm
 from dmkit.matroid import Matroid, is_matroid, is_quotient, paving_flags, uniform_matroid
@@ -24,6 +31,7 @@ from dmkit.stacks import (
     is_matroid_stack,
     layer_is_matroid,
     layer_paving_flags,
+    stack_flags,
     stack_of,
 )
 
@@ -334,3 +342,85 @@ class TestIsMatroidStack:
         with pytest.raises(ImproperSystemError):
             is_matroid_stack(SetSystem(tuple("ab"), frozenset()))
 
+
+
+# -- the per-family stack_flags memo ------------------------------------------
+
+def memo_families(n: int):
+    """Family bitmaps on n elements: sparse and dense random families, and
+    full Higgs delta-matroids of seeded quotient pairs (matroid stacks)."""
+    masks = st.one_of(
+        st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=2 * n),
+        st.integers(1, (1 << (1 << n)) - 1).map(lambda bm: set(iter_bits(bm))),
+        st.tuples(st.integers(0, n), st.integers(0, n), st.integers(0, 1 << 30)).map(
+            lambda t: full_higgs_dm(*random_quotient_pair(n, min(t[:2]), max(t[:2]), t[2])).masks),
+    )
+    return masks.map(lambda ms: sum(1 << m for m in ms))
+
+
+def census_reports(items) -> list[str]:
+    """to_json() of each n = 4 run, a theorem id or None for count_census,
+    from an empty memo."""
+    stack_flags.cache_clear()
+    return [verify_equivalence(4, t).to_json() if t else count_census(4).to_json()
+            for t in items]
+
+
+class TestStackFlagsMemo:
+    def test_memo_matches_unmemoized_every_family_n_le_4(self):
+        stack_flags.cache_clear()
+        for n in range(5):
+            for bm in range(1, 1 << (1 << n)):
+                assert stack_flags(bm, n) == stack_flags.__wrapped__(bm, n), (bm, n)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from([5, 6]).flatmap(lambda n: st.tuples(st.just(n), memo_families(n))))
+    def test_memo_matches_unmemoized_seeded_n5_n6(self, case):
+        n, bm = case
+        want = stack_flags.__wrapped__(bm, n)
+        assert stack_flags(bm, n) == want
+        assert stack_flags(bm, n) == want
+
+    def test_key_includes_n(self):
+        # {a} is sparse paving on two elements, not on three ({b, c} is a
+        # non-spanning 2-set)
+        stack_flags.cache_clear()
+        assert stack_flags(0b10, 2) == (True, True, True, True)
+        assert stack_flags(0b10, 3) == (True, True, False, True)
+        assert stack_flags(0b10, 2) == (True, True, True, True)
+
+    def test_every_representative_n_le_4_fits(self):
+        reps = [(rep, n) for n in range(5) for rep in _class_weights(n)[0].tolist()]
+        assert len(reps) == 1 + 3 + 11 + 79 + 3983 == 4077 <= LAYER_CACHE_SIZE
+        stack_flags.cache_clear()
+        first = [stack_flags(rep, n) for rep, n in reps]
+        info = stack_flags.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 4077, 4077)
+        assert [stack_flags(rep, n) for rep, n in reps] == first
+        assert stack_flags.cache_info().hits == 4077
+
+    def test_census_decides_each_representative_once(self, monkeypatch):
+        # the stack columns (paving, sparse paving, quotient) of the 13
+        # n = 4 theorems and of count_census reach stack_flags through
+        # minorscan; each representative is decided on its first call only
+        import dmkit.minorscan as minorscan
+
+        calls = []
+
+        def spy(bm, n):
+            calls.append((bm, n))
+            return stack_flags(bm, n)
+
+        monkeypatch.setattr(minorscan, "stack_flags", spy)
+        census_reports([*REGISTRY, None])
+        distinct = set(calls)
+        reps = set(_class_weights(4)[0].tolist())
+        assert distinct <= {(rep, 4) for rep in reps}
+        info = stack_flags.cache_info()
+        assert info.misses == len(distinct)
+        assert info.hits == len(calls) - len(distinct) > 0
+
+    def test_reverse_theorem_order_same_reports(self):
+        items = [*REGISTRY, None]
+        forward = census_reports(items)
+        assert census_reports(items[::-1]) == forward[::-1]
