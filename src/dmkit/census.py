@@ -12,12 +12,13 @@ import json
 import os
 import random
 import tempfile
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice, permutations, repeat
-from typing import TYPE_CHECKING, Iterable, Iterator
+from itertools import islice, repeat
+from typing import Iterable, Iterator
 
-from .bitset import iter_bits, permute_mask
+from .bitset import iter_bits, relabellings
 from .errors import CapacityError, DmkitError, FormatError
 from .gf2 import binary_dm_bits, is_binary_dm
 from .matroid import Matroid, exchange_violation, is_quotient
@@ -38,9 +39,6 @@ from .minorscan import (
 )
 from .setsystem import SetSystem
 
-if TYPE_CHECKING:
-    import numpy as np
-
 CENSUS_LABELS = "abcdefgh"
 EXHAUSTIVE_CAP = 4
 CHECKPOINT_VERSION = 2
@@ -60,6 +58,8 @@ def family_indices(n: int, mode: str = "exhaustive", *, seed: int = 0,
     Exhaustive mode requires n <= 4; sampled mode draws uniformly from the
     nonempty families, deterministically per seed.
     """
+    if n < 0:
+        raise DmkitError(f"a census needs n >= 0, got n = {n}")
     if mode == "exhaustive":
         if n > EXHAUSTIVE_CAP:
             raise CapacityError(
@@ -90,37 +90,38 @@ def enumerate_proper_systems(n: int, mode: str = "exhaustive", *, seed: int = 0,
 
 
 @lru_cache(maxsize=None)
-def _canonical_index_table(n: int) -> np.ndarray:
-    """canonical[f] = least family index isomorphic to f, for all indices."""
-    import numpy as np
-
-    size = 1 << n
-    count = 1 << size
+def _isomorphism_classes(n: int) -> tuple[array, array, array]:
+    """(canonical table, representatives, class sizes) on n elements, by
+    one walk in index order: each index not yet assigned is the least of
+    its class, and its relabellings are the whole class."""
     if n > EXHAUSTIVE_CAP:
         raise CapacityError(f"no canonical table for n = {n}")
-    indices = np.arange(count, dtype=np.uint32)
-    best = indices.copy()
-    for perm in permutations(range(n)):
-        sub = [permute_mask(m, perm) for m in range(size)]
-        table = np.zeros(count, dtype=np.uint32)
-        for j in range(size):
-            table |= ((indices >> np.uint32(j)) & np.uint32(1)) << np.uint32(sub[j])
-        np.minimum(best, table, out=best)
-    return best
+    table = array("I", bytes(4 << (1 << n)))
+    reps, sizes = array("I"), array("I")
+    for f in range(1, len(table)):
+        if not table[f]:
+            orbit = set(relabellings(f, n))
+            for g in orbit:
+                table[g] = f
+            reps.append(f)
+            sizes.append(len(orbit))
+    return table, reps, sizes
 
 
-@lru_cache(maxsize=None)
-def _class_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_index_table(n: int) -> array:
+    """canonical[f] = least family index isomorphic to f, for all indices."""
+    return _isomorphism_classes(n)[0]
+
+
+def _class_weights(n: int) -> tuple[array, array]:
     """(representatives, class sizes): the least family index of each
     isomorphism class of nonempty families, ascending, and the number of
     families in its class."""
-    import numpy as np
-
-    return np.unique(_canonical_index_table(n)[1:], return_counts=True)
+    return _isomorphism_classes(n)[1:]
 
 
 def _by_class(n: int, mode: str, dedupe: bool) -> bool:
-    return dedupe and mode == "exhaustive" and n <= EXHAUSTIVE_CAP
+    return dedupe and mode == "exhaustive" and 0 <= n <= EXHAUSTIVE_CAP
 
 
 def _weighted_families(n: int, mode: str, *, seed: int, count: int,
@@ -134,8 +135,7 @@ def _weighted_families(n: int, mode: str, *, seed: int, count: int,
     with weight 1.
     """
     if _by_class(n, mode, dedupe):
-        reps, sizes = _class_weights(n)
-        yield from zip(reps.tolist(), sizes.tolist())
+        yield from zip(*_class_weights(n))
     else:
         yield from zip(family_indices(n, mode, seed=seed, count=count), repeat(1))
 
@@ -274,12 +274,10 @@ def verify_equivalence(
         # class's least index is its representative, so the first
         # max_witnesses discrepant indices all lie in the classes of the
         # first max_witnesses discrepant representatives.
-        import numpy as np
-
         by_rep = {d["family_index"]: d for d in discrepancies}
-        canon = _canonical_index_table(n)
-        members = np.flatnonzero(np.isin(canon, list(by_rep)))[:max_witnesses].tolist()
-        discrepancies = [{**by_rep[int(canon[i])], "family_index": i} for i in members]
+        spread = ({**by_rep[rep], "family_index": i}
+                  for i, rep in enumerate(_canonical_index_table(n)) if rep in by_rep)
+        discrepancies = list(islice(spread, max_witnesses))
     return CensusReport(n=n, mode=_mode_label(mode, seed, count), theorem=theorem_id,
                         totals=totals, discrepancies=discrepancies)
 
@@ -398,6 +396,8 @@ def run_streaming(
     """
     if theorem_id not in REGISTRY:
         raise DmkitError(f"unknown theorem id {theorem_id!r}")
+    if n < 0 or chunk < 1:
+        raise DmkitError(f"need n >= 0 and chunk >= 1, got n = {n}, chunk = {chunk}")
     end = stop if stop is not None else 1 << (1 << n)
     totals = _new_totals(REGISTRY[theorem_id].columns)
     discrepancies: list[dict] = []

@@ -405,16 +405,25 @@ class TestBatchedCensus:
 
 
 def test_n5_census_runs_stay_numpy_free():
-    # numpy costs about 12 MB of resident memory; the n = 5 census paths
-    # never need it (only the n <= 4 isomorphism tables do)
+    # numpy costs about 12 MB of resident memory, and no census path needs
+    # it: not the n = 5 runs, and not the n <= 4 isomorphism tables, class
+    # weights or witness spreading
     code = """
+import dataclasses
 import sys
-from dmkit.census import run_streaming, verify_equivalence
+from dmkit.census import REGISTRY, count_census, run_streaming, verify_equivalence
 from dmkit.cli import main
+from dmkit.minorscan import every_index
 verify_equivalence(5, "exhiggs", "sampled", seed=1, count=200)
 run_streaming(5, "exdelta", start=1 << 31, stop=(1 << 31) + 200)
 assert main(["census", "run", "--n", "5", "--theorem", "exmatroidstack",
              "--mode", "sampled", "--count", "100"]) == 0
+assert verify_equivalence(4, "exdelta").ok
+assert main(["census", "run", "--n", "3", "--theorem", "exhiggs", "--no-dedupe"]) == 0
+assert count_census(4).ok
+REGISTRY["wrong"] = dataclasses.replace(
+    REGISTRY["exdelta"], theorem_id="wrong", direct=lambda s: True, direct_index=every_index)
+assert len(verify_equivalence(4, "wrong", max_witnesses=7).discrepancies) == 7
 assert "numpy" not in sys.modules, "numpy was imported"
 """
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},

@@ -5,10 +5,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from itertools import islice
+import math
+import os
+import subprocess
+import sys
+from itertools import islice, permutations
+from pathlib import Path
 
 import pytest
 
+from dmkit.bitset import permute_mask
 from dmkit.catalog import ExminorClassId
 from dmkit.census import (
     _COUNT_COLUMNS,
@@ -25,6 +31,9 @@ from dmkit.census import (
 from dmkit.errors import CapacityError, DmkitError
 from dmkit.matroid import is_matroid, is_quotient
 from dmkit.minorscan import CLASS_TABLE, every_index
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -68,6 +77,16 @@ class TestVerifyEquivalence:
     def test_unknown_theorem(self):
         with pytest.raises(DmkitError):
             verify_equivalence(3, "nope")
+
+    def test_refuses_negative_n(self):
+        for run in (lambda: verify_equivalence(-1, "exdelta"),
+                    lambda: verify_equivalence(-1, "exdelta", dedupe=False),
+                    lambda: verify_equivalence(-2, "exdelta", "sampled", count=5),
+                    lambda: count_census(-1),
+                    lambda: run_streaming(-1, "exdelta"),
+                    lambda: run_streaming(-1, "exdelta", stop=5)):
+            with pytest.raises(DmkitError, match=r"n = -[12]"):
+                run()
 
     def test_dedupe_matches_full_run(self, wrong):
         # dedupe changes the cost of a run, not a byte of its report
@@ -124,6 +143,31 @@ class TestStreaming:
         for k in (1, 5, 100):
             deduped = verify_equivalence(4, "wrong", max_witnesses=k)
             assert deduped.discrepancies == first_non_delta(4, k), k
+
+    def test_refuses_chunk_below_one(self, tmp_path):
+        # A chunk below 1 never advanced the scan, so the refusal is
+        # checked in a subprocess under a timeout: before any work, and
+        # before any checkpoint write.
+        ck = tmp_path / "census.ckpt"
+        code = f"""
+import sys
+from dmkit.census import run_streaming
+from dmkit.cli import main
+from dmkit.errors import DmkitError
+for chunk in (0, -3):
+    try:
+        run_streaming(2, "exdelta", chunk=chunk)
+    except DmkitError as exc:
+        assert f"chunk = {{chunk}}" in str(exc), exc
+    else:
+        sys.exit("no refusal")
+    assert main(["census", "run", "--n", "3", "--theorem", "exdelta", "--long",
+                 "--chunk", str(chunk), "--resume", {str(ck)!r}]) == 2
+"""
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.count("chunk = ") == 2 and not ck.exists()
 
     def test_checkpoint_keeps_the_report_witnesses(self, wrong, tmp_path):
         ck = tmp_path / "census.ckpt"
@@ -290,6 +334,25 @@ class TestCounting:
         assert totals4["full_higgs"] == 558
 
 
+def permutation_table(n: int):
+    """The canonical index table the census built before its orbit walk:
+    the least image of every family index under all n! permutations, each
+    applied to every index at once on numpy arrays.  The reference for the
+    walk."""
+    import numpy as np
+
+    size = 1 << n
+    indices = np.arange(1 << size, dtype=np.uint32)
+    best = indices.copy()
+    for perm in permutations(range(n)):
+        sub = [permute_mask(m, perm) for m in range(size)]
+        table = np.zeros(len(indices), dtype=np.uint32)
+        for j in range(size):
+            table |= ((indices >> np.uint32(j)) & np.uint32(1)) << np.uint32(sub[j])
+        np.minimum(best, table, out=best)
+    return best
+
+
 class TestClassWeights:
     def test_weights_per_n(self):
         # the cached class arrays of each n, asked for in alternation
@@ -297,11 +360,31 @@ class TestClassWeights:
 
         classes = {0: 1, 1: 3, 2: 11, 3: 79, 4: 3983}
         for n in (3, 4, 2, 4, 3, 0, 1):
-            reps, sizes = _class_weights(n)
+            reps, sizes = (np.asarray(a) for a in _class_weights(n))
             assert len(reps) == classes[n] and int(sizes.sum()) == (1 << (1 << n)) - 1
-            canon = _canonical_index_table(n)
+            canon = np.asarray(_canonical_index_table(n))
             assert reps.tolist() == np.unique(canon[1:]).tolist()
             assert sizes.tolist() == [int((canon == r).sum()) for r in reps.tolist()]
+
+    def test_orbit_walk_matches_permutation_table(self):
+        import numpy as np
+
+        for n in range(5):
+            want = permutation_table(n)
+            table = _canonical_index_table(n)
+            reps, sizes = _class_weights(n)
+            assert np.asarray(table).dtype == want.dtype and np.array_equal(table, want), n
+            distinct, counts = np.unique(want[1:], return_counts=True)
+            assert reps.tolist() == distinct.tolist(), n
+            assert sizes.tolist() == counts.tolist(), n
+            assert all(math.factorial(n) % size == 0 for size in sizes), n
+            assert sum(sizes) == (1 << (1 << n)) - 1, n
+
+    def test_no_table_above_the_exhaustive_cap(self):
+        with pytest.raises(CapacityError):
+            _canonical_index_table(5)
+        with pytest.raises(CapacityError):
+            _class_weights(5)
 
 
 class TestRandomQuotientPair:

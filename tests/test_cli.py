@@ -109,6 +109,19 @@ def test_census_long_guard(capsys):
     assert main(["census", "run", "--n", "5", "--theorem", "exdelta"]) == 2
 
 
+def test_census_refuses_negative_n(capsys):
+    # exit 2 with an explanation, not a traceback and the negative-verdict
+    # exit code
+    for argv in (["run", "--n", "-1", "--theorem", "exdelta"],
+                 ["run", "--n", "-1", "--theorem", "exdelta", "--no-dedupe"],
+                 ["run", "--n", "-1", "--theorem", "exdelta", "--mode", "sampled"],
+                 ["run", "--n", "-1", "--theorem", "exdelta", "--long"],
+                 ["count", "--n", "-1"],
+                 ["count", "--n", "-1", "--mode", "sampled"]):
+        assert main(["census", *argv]) == 2, argv
+        assert "n = -1" in capsys.readouterr().err, argv
+
+
 def test_census_output_deterministic(capsys):
     main(["census", "run", "--n", "2", "--theorem", "exdelta", "--json"])
     first = capsys.readouterr().out
@@ -246,7 +259,8 @@ def test_parser_reuse_leaks_no_state(t1_file, tmp_path, capsys):
 
 
 def test_check_does_not_import_numpy(t1_file, tmp_path):
-    # numpy is imported by the deduplicated census only
+    # dmkit has no runtime dependency: not even the deduplicated census
+    # imports numpy
     import os
     import subprocess
     import sys
@@ -271,7 +285,7 @@ def test_check_does_not_import_numpy(t1_file, tmp_path):
     out, (numpy, rc) = run("check", "--class", "delta", "--json", t1_file)
     assert (numpy, rc) == ("False", "1") and json.loads(out)["member"] is False
     out, (numpy, rc) = run("census", "run", "--n", "4", "--theorem", "exdelta", "--json")
-    assert (numpy, rc) == ("True", "0")
+    assert (numpy, rc) == ("False", "0")
     assert json.loads(out)["totals"] == verify_equivalence(4, "exdelta").totals
 
 

@@ -220,7 +220,7 @@ def projection_witnesses(n: int, targets) -> dict[int, tuple[int, int, str]]:
     out: dict[int, tuple[int, int, str]] = {}
     names = [t.name for t in targets]
     for m in sorted({t.system.n for t in targets if t.system.n <= n}, reverse=True):
-        canon = _canonical_index_table(m)
+        canon = np.asarray(_canonical_index_table(m))
         first = np.full(len(canon), -1)
         for k, t in reversed(list(enumerate(targets))):
             if t.system.n == m:

@@ -1,8 +1,10 @@
 """The span tracer of perfbench names dmkit attributes by string; every one
-of them must still exist, or a traced benchmark run fails."""
+of them must still exist, or a traced benchmark run fails.  The package
+itself has no runtime dependency."""
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -10,7 +12,8 @@ import pytest
 
 import dmkit.cli  # noqa: F401  (imports every dmkit module the tracer names)
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -33,3 +36,23 @@ def test_every_traced_cache_is_an_lru_cache(tracer):
     for module, attr, _ in tracer.CACHES:
         hits, misses = tracer._cache_counts(module, attr)
         assert hits >= 0 and misses >= 0, (module, attr)
+
+
+def test_no_runtime_dependency():
+    # numpy belongs to the test extra only; no module of the package
+    # imports it
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+    assert "numpy" in " ".join(project["optional-dependencies"]["test"])
+    sources = sorted((ROOT / "src" / "dmkit").glob("*.py"))
+    assert len(sources) > 10
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "numpy" for name in names), path
