@@ -47,8 +47,7 @@ DEFAULT_CHUNK = 1 << 24
 
 def family_system(n: int, index: int) -> SetSystem:
     """The set system encoded by a family index."""
-    labels = tuple(CENSUS_LABELS[:n])
-    return SetSystem(labels, frozenset(iter_bits(index)))
+    return SetSystem.from_bitmap(CENSUS_LABELS[:n], index)
 
 
 def family_indices(n: int, mode: str = "exhaustive", *, seed: int = 0,
@@ -60,6 +59,8 @@ def family_indices(n: int, mode: str = "exhaustive", *, seed: int = 0,
     """
     if n < 0:
         raise DmkitError(f"a census needs n >= 0, got n = {n}")
+    if mode == "sampled" and count < 0:
+        raise DmkitError(f"a sampled census needs count >= 0, got count = {count}")
     if mode == "exhaustive":
         if n > EXHAUSTIVE_CAP:
             raise CapacityError(
@@ -396,8 +397,9 @@ def run_streaming(
     """
     if theorem_id not in REGISTRY:
         raise DmkitError(f"unknown theorem id {theorem_id!r}")
-    if n < 0 or chunk < 1:
-        raise DmkitError(f"need n >= 0 and chunk >= 1, got n = {n}, chunk = {chunk}")
+    if n < 0 or chunk < 1 or jobs < 1:
+        raise DmkitError(f"need n >= 0, chunk >= 1 and jobs >= 1, got n = {n}, "
+                         f"chunk = {chunk}, jobs = {jobs}")
     end = stop if stop is not None else 1 << (1 << n)
     totals = _new_totals(REGISTRY[theorem_id].columns)
     discrepancies: list[dict] = []
@@ -407,7 +409,7 @@ def run_streaming(
         if loaded is not None:
             index, totals, discrepancies = loaded
     while index < end:
-        round_end = min(index + chunk * max(jobs, 1), end)
+        round_end = min(index + chunk * jobs, end)
         if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
 

@@ -222,6 +222,9 @@ def _print_report(report, args) -> None:
 
 
 def cmd_census_run(args) -> int:
+    if args.jobs < 1:
+        print(f"census: --jobs needs at least 1, got jobs = {args.jobs}", file=sys.stderr)
+        return EXIT_ERROR
     if args.n > 4 and args.mode == "exhaustive" and not args.long:
         print(
             "census: exhaustive n > 4 needs --long (n = 5 is 2^32 families; exdelta "

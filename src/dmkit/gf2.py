@@ -82,29 +82,30 @@ def principal_nonsingular(matrix: SkewSymMatrixGF2, subset: int) -> bool:
     return gf2_rank(rows) == k
 
 
-def _feasible_masks(rows: list[int], elems: int) -> set[int]:
-    """Subsets of the elems mask whose principal submatrix is nonsingular.
+def _feasible_bitmap(rows: list[int], elems: int) -> int:
+    """Family bitmap of the subsets of the elems mask whose principal
+    submatrix is nonsingular.
 
     Recursive principal pivoting: an invertible 1x1 or 2x2 principal block
     is eliminated and replaced by its Schur complement, which preserves
     nonsingularity of the remaining principal minors.
     """
     if not elems:
-        return {0}
+        return 1
     low = elems & -elems
     e = low.bit_length() - 1
     rest = elems ^ low
-    out = set(_feasible_masks(rows, rest))
+    out = _feasible_bitmap(rows, rest)
     row_e = rows[e]
     if row_e >> e & 1:
         pivoted = [
             rows[i] ^ row_e if (i != e and rows[i] >> e & 1) else rows[i]
             for i in range(len(rows))
         ]
-        out.update(a | low for a in _feasible_masks(pivoted, rest))
-        return out
+        return out | _feasible_bitmap(pivoted, rest) << low
     # Diagonal entry of e is zero: a feasible set containing e must pair it
     # with a partner f where C[e][f] = 1; split by the least such partner.
+    # A branch's sets avoid e and f, so a shift by low | flow adds both.
     partners = row_e & rest
     smaller = 0
     while partners:
@@ -132,7 +133,7 @@ def _feasible_masks(rows: list[int], elems: int) -> set[int]:
                 adj ^= row_f
             if adj:
                 new_rows[i] = ri ^ adj
-        out.update(a | low | flow for a in _feasible_masks(new_rows, rest2))
+        out |= _feasible_bitmap(new_rows, rest2) << (low | flow)
         smaller |= flow
     return out
 
@@ -140,8 +141,8 @@ def _feasible_masks(rows: list[int], elems: int) -> set[int]:
 def d_of_c(matrix: SkewSymMatrixGF2) -> SetSystem:
     """Feasible sets are the index sets of nonsingular principal
     submatrices; the empty set is always feasible."""
-    masks = frozenset(_feasible_masks(list(matrix.rows), (1 << matrix.n) - 1))
-    return SetSystem(matrix.labels, masks)
+    return SetSystem.from_bitmap(matrix.labels,
+                                 _feasible_bitmap(list(matrix.rows), (1 << matrix.n) - 1))
 
 
 def representation_twist(

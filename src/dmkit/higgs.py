@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import iter_bits, layer_selectors
+from .bitset import layer_selectors
 from .errors import (
     InvalidIndexSetError,
     NotADeltaMatroidError,
@@ -62,8 +62,7 @@ def higgs_lift(q: Matroid, lift: Matroid, i: int) -> Matroid:
     if i > k:
         return lift
     layer = q.spanning_bitmap() & lift.independent_bitmap() & layer_selectors(q.n)[q.rank + i]
-    system = SetSystem(q.labels, frozenset(iter_bits(layer)))
-    return Matroid._unchecked(system)
+    return Matroid._unchecked(SetSystem.from_bitmap(q.labels, layer))
 
 
 def build_higgs_dm(q: Matroid, lift: Matroid, index_set) -> SetSystem:
@@ -76,11 +75,11 @@ def build_higgs_dm(q: Matroid, lift: Matroid, index_set) -> SetSystem:
     _require_quotient(q, lift)
     k = lift.rank - q.rank
     ks = validate_index_set(k, index_set)
-    sandwich = q.spanning_bitmap() & lift.independent_bitmap()
-    masks: set[int] = set()
+    sel = layer_selectors(q.n)
+    layers = 0
     for i in ks:
-        masks.update(iter_bits(sandwich & layer_selectors(q.n)[q.rank + i]))
-    return SetSystem(q.labels, frozenset(masks))
+        layers |= sel[q.rank + i]
+    return SetSystem.from_bitmap(q.labels, q.spanning_bitmap() & lift.independent_bitmap() & layers)
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,7 @@ def classify_higgs_bitmap(bm: int, n: int) -> HiggsClassification:
     lo, hi = bm & sel[r_lo], bm & sel[r_hi]
     for layer in (lo, hi):
         if not layer_is_matroid(layer):
-            bases = SetSystem(tuple(map(str, range(n))), frozenset(iter_bits(layer)))
+            bases = SetSystem.from_bitmap(tuple(map(str, range(n))), layer)
             raise NotAMatroidError(f"basis exchange fails at {exchange_violation(bases)}")
     sandwich = _spanning_bitmap(lo, n) & _independent_bitmap(hi, n)
     outside = bm & ~sandwich

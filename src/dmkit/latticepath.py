@@ -22,7 +22,7 @@ from itertools import accumulate, combinations
 from operator import gt, or_
 from typing import Iterator, NamedTuple
 
-from .bitset import iter_bits, layer_selectors
+from .bitset import layer_selectors
 from .errors import CapacityError, FormatError, InvalidRegionError, UnknownElementError
 from .higgs import full_higgs_dm
 from .matroid import (
@@ -261,9 +261,9 @@ def lpdm(region: Region) -> LpdmResult:
     labels = region.labels()
     d_bm = _all_paths_bitmap(region)
     lo_bm, hi_bm = _matroid_bitmaps(region, d_bm)
-    system = SetSystem(labels, frozenset(iter_bits(d_bm)))
-    lo = Matroid.from_system(SetSystem(labels, frozenset(iter_bits(lo_bm))))
-    hi = Matroid.from_system(SetSystem(labels, frozenset(iter_bits(hi_bm))))
+    system = SetSystem.from_bitmap(labels, d_bm)
+    lo = Matroid.from_system(SetSystem.from_bitmap(labels, lo_bm))
+    hi = Matroid.from_system(SetSystem.from_bitmap(labels, hi_bm))
     if not is_quotient(lo, hi):
         raise InvalidRegionError("minimal matroid is not a quotient of the maximal")
     if system != full_higgs_dm(lo, hi):

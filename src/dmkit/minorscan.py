@@ -259,7 +259,7 @@ def _shape_lookup(shapes: dict[tuple[int, ...], tuple[CatalogEntry, ...]], m: in
     candidates = shapes.get(_shape(minor, m))
     if candidates is None:
         return None
-    return _first_isomorphic(SetSystem(_labels(m), frozenset(iter_bits(minor))), candidates)
+    return _first_isomorphic(SetSystem.from_bitmap(_labels(m), minor), candidates)
 
 
 def _chunk_scan(bm: int, n: int, m: int, plan: _ScanPlan) -> _Hit | None:
@@ -507,15 +507,14 @@ def classify_by_exminors(
     """Membership verdict for a minor-closed class by excluded-minor scan.
 
     Raises AmbientHypothesisError when the side condition of the class
-    fails, which is distinct from a negative scan verdict.  The cap for
-    infinite excluded-minor families defaults to the scanned ground-set
-    size (minors never gain elements); a cap below it raises
-    CapacityError, since the excluded minors it drops could be minors of
-    the system and a "member" verdict would be unsound.
+    fails, which is distinct from a negative scan verdict.  Minors never
+    gain elements, so the list is scanned up to the ground-set size
+    whatever the cap for infinite excluded-minor families; a cap below the
+    ground-set size raises CapacityError, since the excluded minors it
+    drops could be minors of the system and a "member" verdict would be
+    unsound.
     """
-    if cap is None:
-        cap = system.n
-    elif cap < system.n:
+    if cap is not None and cap < system.n:
         raise CapacityError(
             f"cap {cap} is below the ground-set size {system.n}: excluded minors "
             f"with more than {cap} elements would go unscanned, so a member "
@@ -525,5 +524,5 @@ def classify_by_exminors(
     spec = CLASS_TABLE[cid]
     if not spec.ambient(system):
         raise AmbientHypothesisError(spec.refusal)
-    witness = has_minor_from(system, excluded_minor_set(cid, cap))
+    witness = has_minor_from(system, excluded_minor_set(cid, system.n))
     return witness is None, witness

@@ -69,6 +69,15 @@ class SetSystem:
             masks.add(m)
         return cls(labels, frozenset(masks))
 
+    @classmethod
+    def from_bitmap(cls, labels: Sequence[str], bm: int) -> SetSystem:
+        """The system with family bitmap bm over the labels, kept as its
+        family_bitmap."""
+        # copied from a set, the frozenset's table is sized to its members
+        system = cls(tuple(labels), frozenset(set(iter_bits(bm))))
+        system.__dict__["family_bitmap"] = bm
+        return system
+
     # -- basic queries ------------------------------------------------
 
     @property
@@ -330,61 +339,58 @@ def _se_holds_bitmap(bm: int, n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _lane_schedule(n: int) -> tuple:
-    """Rows (steps, prev, flip, target) of _se_holds_lanes: per element u,
-    one per mask D = D' + u ascending, with target D, flip u and the lowest
-    element v of D' (u alone for D' empty), prev the row of D - v (the
-    family for D' empty) and steps the translations first read by the row,
-    parents first, as (S, S minus its lowest element i, 2^i, masks without i)."""
-    done, rows = {0}, []
-
-    def need(s: int, steps: list) -> list:
-        if s not in done:
-            need(s & s - 1, steps)
-            i = (s & -s).bit_length() - 1
-            steps.append((s, s & s - 1, 1 << i, masks_without_bit(n, i)))
-            done.add(s)
-        return steps
-
-    for u in range(n):
-        ub, pos = 1 << u, {1 << u: 0}
-        for d in range(ub, 1 << n):
-            if d & ub:
-                low = (d ^ ub) & -(d ^ ub)
-                rows.append((tuple(need(d, need(ub | low, []))), pos[d ^ low], ub | low, d))
-                pos[d] = len(rows)
-    return tuple(rows)
+def _square_stages(n: int) -> tuple[tuple[int, int, int], ...]:
+    """Per element k, (2^k, keep, width) of stage k of _se_holds_square:
+    keep selects the masks that avoid k in each of the 2^k blocks of 2^n
+    bits, and width = 2^k * 2^n is the width of the square before it."""
+    return tuple((1 << k, masks_without_bit(n, k) * sum(1 << (j << n) for j in range(1 << k)),
+                  1 << k + n) for k in range(n))
 
 
-def _se_holds_lanes(bm: int, n: int) -> bool:
-    """Exchange-axiom check on a family bitmap for dense families, with
-    lanes[S] the bitmap translated by S (bit X set when X ^ S is feasible).
-    For fixed u and D = D' + u the axiom fails for some X exactly when
-    bm & ~lanes[{u}] & lanes[D] & (AND over v in D' of ~lanes[{u, v}]) is
-    nonzero.  Each AND extends the AND of D' minus its lowest element,
-    and each translation is one butterfly step from its parent, made for
-    the first row that reads it, so a family that fails early costs little.
+def _se_holds_square(bm: int, n: int) -> bool:
+    """Exchange-axiom check on a family bitmap for dense families.
+
+    With W = X ^ {u} the axiom fails exactly when some infeasible W has a
+    feasible flip W ^ {u}, and some nonempty K has no feasible flip W ^ {k}
+    with k in K while W ^ K is feasible (K = W ^ Y; conversely X = W ^ {u}
+    and Y = W ^ K), so u drops out.  The square holds one block of 2^n
+    bits per K: block K of t is the family translated by K, block K of h
+    the infeasible W with a feasible flip and none in K.  Element k
+    doubles the blocks: the new blocks K + k of t are one masked butterfly
+    of t, those of h one AND-NOT of h with the family translated by k,
+    replicated over the blocks by r, a copy of the family that doubles
+    with them.  Only the new blocks are tested, so a failing family exits
+    after a few small stages and a delta-matroid costs about twice the
+    last stage.
     """
-    lanes, ands = [bm] * (1 << n), [bm]
-    for steps, prev, flip, target in _lane_schedule(n):
-        for s, p, shift, keep in steps:
-            t = lanes[p]
-            lanes[s] = (t & keep) << shift | t >> shift & keep
-        a = ands[prev] & ~lanes[flip]
-        if a & lanes[target]:
+    stages = _square_stages(n)
+    near = 0
+    for s, keep, _ in stages:
+        near |= (bm & keep) << s | bm >> s & keep
+    t = r = bm
+    h = near & ~bm
+    for s, keep, width in stages:
+        tk = (t & keep) << s | t >> s & keep
+        hk = h & ~((r & keep) << s | r >> s & keep)
+        if hk & tk:
             return False
-        ands.append(a)
+        if s >> n - 1:
+            break
+        t |= tk << width
+        h |= hk << width
+        r |= r << width
     return True
 
 
 def exchange_holds(bm: int, n: int) -> bool:
     """The exchange-axiom verdict of a family bitmap over n elements, by
-    family size at the crossover measured on delta-matroids: the lanes for
-    dense families on at most PERMUTATION_CAP elements (whose 2^n lanes of
-    2^n bits stay small), the pair loop otherwise.  Both oracles are looked
-    up at call time, so a wrapper set on the module sees every call."""
-    if n <= PERMUTATION_CAP and bm.bit_count() ** 2 > (n << n) >> 1:
-        return _se_holds_lanes(bm, n)
+    family size at the crossover measured on delta-matroids: the square
+    for families of more than 2^(n - 5) sets on at most PERMUTATION_CAP
+    elements (whose square of 2^(2n) bits stays small), the pair loop
+    otherwise.  Both oracles are looked up at call time, so a wrapper set
+    on the module sees every call."""
+    if n <= PERMUTATION_CAP and bm.bit_count() << 5 > 1 << n:
+        return _se_holds_square(bm, n)
     return _se_holds_bitmap(bm, n)
 
 

@@ -45,7 +45,7 @@ def stack_of(system: SetSystem) -> Stack:
     sizes = [size for size, _ in layer_bitmaps(system)]
     k, l = sizes[0], sizes[-1]
     bm, sel = system.family_bitmap, layer_selectors(system.n)
-    layers = (SetSystem(system.labels, frozenset(iter_bits(bm & sel[r]))) for r in range(k, l + 1))
+    layers = (SetSystem.from_bitmap(system.labels, bm & sel[r]) for r in range(k, l + 1))
     return Stack(tuple(layers), k, l)
 
 

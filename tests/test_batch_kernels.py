@@ -78,7 +78,7 @@ def dofc_index(rng: random.Random, n: int) -> int:
         if rng.random() < 0.5:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-    return d_of_c(SkewSymMatrixGF2(tuple("abcdefgh"[:n]), tuple(rows))).family_bitmap
+    return d_of_c(SkewSymMatrixGF2(tuple("abcdefghij"[:n]), tuple(rows))).family_bitmap
 
 
 # A perturbed D(C) delta-matroid on five elements whose only exchange

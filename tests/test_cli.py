@@ -122,6 +122,31 @@ def test_census_refuses_negative_n(capsys):
         assert "n = -1" in capsys.readouterr().err, argv
 
 
+def test_census_refuses_a_negative_sample_count(capsys):
+    # a negative count used to print a 0-family report and exit 0
+    for argv in (["run", "--n", "4", "--theorem", "exdelta", "--mode", "sampled"],
+                 ["run", "--n", "4", "--theorem", "exdelta", "--mode", "sampled", "--no-dedupe"],
+                 ["count", "--n", "4", "--mode", "sampled"],
+                 ["count", "--n", "4", "--mode", "sampled", "--json"]):
+        assert main(["census", *argv, "--count", "-3"]) == 2, argv
+        captured = capsys.readouterr()
+        assert "count = -3" in captured.err and not captured.out, argv
+
+
+def test_census_refuses_jobs_below_one(capsys):
+    # jobs below one used to run silently as one job
+    from dmkit.census import run_streaming
+    from dmkit.errors import DmkitError
+
+    for jobs, extra in (("0", []), ("-2", ["--long"]), ("0", ["--no-dedupe"])):
+        argv = ["census", "run", "--n", "3", "--theorem", "exdelta", "--jobs", jobs, *extra]
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert f"jobs = {jobs}" in captured.err and not captured.out, argv
+    with pytest.raises(DmkitError, match="jobs = 0"):
+        run_streaming(2, "exdelta", jobs=0)
+
+
 def test_census_output_deterministic(capsys):
     main(["census", "run", "--n", "2", "--theorem", "exdelta", "--json"])
     first = capsys.readouterr().out
@@ -317,3 +342,26 @@ def test_module_entry_point(t1_file):
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 1 and "T1" in proc.stdout
+
+
+def test_a_cap_far_above_the_system_answers_at_once(tmp_path):
+    # the excluded minors of a 2-element system are scanned up to two
+    # elements whatever the cap, so a cap of 30 shapes no 30-element target
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import dmkit
+
+    path = tmp_path / "two.json"
+    path.write_text('{"elements":["a","b"],"feasible":[[],["a","b"]]}')
+    env = {**os.environ, "PYTHONPATH": str(Path(dmkit.__file__).parents[1])}
+    for command in ("check", "scan"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dmkit", command, "--class", "delta", "--cap", "30",
+             "--json", str(path)],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"class": "delta", "member": True}

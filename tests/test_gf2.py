@@ -104,14 +104,15 @@ class TestDofC:
 
     def test_agrees_with_principal_quantifier(self, rng):
         # the pivoting recursion against the definitional subset scan
-        for n in range(0, 5):
+        for n in range(0, 7):
             for _ in range(40):
                 c = random_matrix(rng, n)
-                got = d_of_c(c).masks
+                got = d_of_c(c)
                 expected = frozenset(
                     a for a in range(1 << n) if principal_nonsingular(c, a)
                 )
-                assert got == expected
+                assert got.masks == expected
+                assert got.family_bitmap == sum(1 << a for a in expected)
 
     def test_always_delta_matroid(self, rng):
         for _ in range(150):

@@ -171,6 +171,20 @@ class TestBuildHiggsDm:
             for ks in valid_index_sets(k):
                 assert build_higgs_dm(q, lift, ks).is_delta_matroid()
 
+    def test_union_of_the_indexed_lifts(self):
+        # the sandwich cut once by the OR of the layer selectors is the
+        # union of the basis families of the Higgs lifts, bitmap included
+        for seed in range(10):
+            q, lift = random_quotient_pair(5, seed % 3, 5 - seed % 2, seed)
+            k = lift.rank - q.rank
+            lifts = [higgs_lift(q, lift, i).system for i in range(k + 1)]
+            for i, s in enumerate(lifts):
+                assert s.family_bitmap == sum(1 << m for m in s.masks), (seed, i)
+            for ks in valid_index_sets(k):
+                d = build_higgs_dm(q, lift, ks)
+                assert d.masks == frozenset().union(*(lifts[i].masks for i in ks))
+                assert d.family_bitmap == sum(1 << m for m in d.masks)
+
 
 def valid_index_sets(k: int) -> list[tuple[int, ...]]:
     """All nonempty K in [0, k] whose complement has no consecutive pair."""

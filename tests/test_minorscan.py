@@ -159,6 +159,17 @@ class TestClassifiers:
         assert not ok and witness.target_name == "S_5"
         assert classify_by_exminors(s5, ExminorClassId.DELTA_MATROID, cap=7)[1] == witness
 
+    def test_a_cap_above_the_ground_set_scans_the_same_list(self):
+        # minors never gain elements, so classify_by_exminors scans the
+        # list at the ground-set size: every longer list, cut to that size,
+        # is the same list in the same order
+        for cid in ExminorClassId:
+            for n in range(9):
+                reference = excluded_minor_set(cid, n)
+                for cap in range(n, 13):
+                    cut = tuple(e for e in excluded_minor_set(cid, cap) if e.system.n <= n)
+                    assert cut == reference, (cid, n, cap)
+
 
 def object_scan(system: SetSystem, targets) -> MinorWitness | None:
     """Reference scan: build every minor, largest first, in enumerate_minors

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmkit.bitset import relabellings
+from dmkit.bitset import family_to_bitmap, relabellings
 from dmkit.errors import (
     CapacityError,
     FormatError,
@@ -22,7 +22,7 @@ from dmkit.setsystem import (
     ElementStatus,
     SetSystem,
     _se_holds_bitmap,
-    _se_holds_lanes,
+    _se_holds_square,
     parse_set_system,
     serialize_set_system,
 )
@@ -81,6 +81,20 @@ class TestParsing:
             parse_set_system("no separator here")
         with pytest.raises(FormatError):
             parse_set_system("{bad json")
+
+
+class TestFromBitmap:
+    def test_keeps_the_bitmap_it_was_built_from(self, rng):
+        for n in range(6):
+            for _ in range(20):
+                bm = rng.getrandbits(1 << n)
+                s = SetSystem.from_bitmap("abcdef"[:n], bm)
+                assert s == SetSystem(tuple("abcdef"[:n]), frozenset(m for m in range(1 << n) if bm >> m & 1))
+                assert s.__dict__["family_bitmap"] == bm == family_to_bitmap(s.masks)
+
+    def test_rejects_sets_outside_the_ground_set(self):
+        with pytest.raises(FormatError):
+            SetSystem.from_bitmap("ab", 1 << 4)
 
 
 class TestElementStatus:
@@ -263,7 +277,7 @@ class TestExchangeAxiom:
                 s = SetSystem(tuple("abcd"[:n]), frozenset(i for i in range(1 << n) if index >> i & 1))
                 reference = s.se_violation() is None
                 assert _se_holds_bitmap(index, n) == reference, (n, index)
-                assert _se_holds_lanes(index, n) == reference, (n, index)
+                assert _se_holds_square(index, n) == reference, (n, index)
                 assert s.is_delta_matroid() == reference, (n, index)
 
     def test_d_of_c_members_pass_in_full(self, rng):
@@ -287,14 +301,14 @@ class TestExchangeAxiom:
 
     def test_verdict_is_decided_once_per_object(self, rng, monkeypatch):
         # one case per oracle of the dispatch, by family size at n = 5:
-        # |F|^2 > 80 goes to the lanes, the rest to the bitmap pair loop;
-        # above PERMUTATION_CAP = 10 elements every family goes to the pair
-        # loop; se_violation, spied on too, is never called
+        # more than 2^(5 - 5) = 1 set goes to the square, one set to the
+        # bitmap pair loop; above PERMUTATION_CAP = 10 elements every family
+        # goes to the pair loop; se_violation, spied on too, is never called
         from dmkit import setsystem
 
         calls = []
         reference = SetSystem.se_violation
-        for name in ("_se_holds_lanes", "_se_holds_bitmap"):
+        for name in ("_se_holds_square", "_se_holds_bitmap"):
             oracle = getattr(setsystem, name)
             monkeypatch.setattr(
                 setsystem, name,
@@ -304,7 +318,7 @@ class TestExchangeAxiom:
             SetSystem, "se_violation",
             lambda s: calls.append(("se_violation", s.family_bitmap)) or reference(s),
         )
-        tiers = (("_se_holds_lanes", 5, range(9, 33)), ("_se_holds_bitmap", 5, range(1, 9)),
+        tiers = (("_se_holds_square", 5, range(2, 33)), ("_se_holds_bitmap", 5, range(1, 2)),
                  ("_se_holds_bitmap", 11, range(1, 1 << 11)))
         for tier, n, sizes in tiers:
             for _ in range(20):
