@@ -120,34 +120,23 @@ def twist_classes(system: SetSystem, base_name: str = "S") -> list[CatalogEntry]
     if n > TWIST_CLASS_CAP:
         raise CapacityError(f"twist enumeration capped at {TWIST_CLASS_CAP} elements")
     order = sorted(range(1 << n), key=lambda a: (a.bit_count(), system.members(a)))
-    classes: list[dict] = []
-    by_signature: dict[tuple, list[int]] = {}
+    classes: dict[tuple, tuple[int, SetSystem]] = {}
+    class_of: dict[int, tuple] = {}
     for a in order:
         twisted = system.twist(system.members(a))
-        bucket = by_signature.setdefault(twisted.size_signature, [])
-        for idx in bucket:
-            if twisted.is_isomorphic(classes[idx]["system"]):
-                classes[idx]["twists"].append(a)
-                break
-        else:
-            bucket.append(len(classes))
-            classes.append({"rep": a, "system": twisted, "twists": [a]})
+        canonical = class_of[a] = twisted.canonical_form()
+        classes.setdefault(canonical, (a, twisted))
     # Dual pairing: the dual of the class of A is the class of A ^ E.
     full = (1 << n) - 1
-    index_of = {a: i for i, cls in enumerate(classes) for a in cls["twists"]}
-    names: dict[int, str] = {}
-    for i, cls in enumerate(classes):
-        if i in names:
+    names: dict[tuple, str] = {}
+    for canonical, (rep, _) in classes.items():
+        if canonical in names:
             continue
-        partner = index_of[cls["rep"] ^ full]
-        names[i] = _twist_name(base_name, system.members(cls["rep"]), n)
-        if partner != i:
-            names[partner] = _twist_name(
-                base_name, system.members(cls["rep"] ^ full), n
-            )
-    return [
-        CatalogEntry.of(names[i], cls["system"]) for i, cls in enumerate(classes)
-    ]
+        names[canonical] = _twist_name(base_name, system.members(rep), n)
+        partner = class_of[rep ^ full]
+        if partner != canonical:
+            names[partner] = _twist_name(base_name, system.members(rep ^ full), n)
+    return [CatalogEntry(names[c], rep_system, c) for c, (_, rep_system) in classes.items()]
 
 
 class ExminorClassId(Enum):
@@ -188,9 +177,11 @@ def _s_twist_reps(k: int, sizes) -> list[CatalogEntry]:
     """Twist classes of S_k by twist-set size; S_k is symmetric, so the
     size determines the class.
 
-    Twisting {0, E} by a j-set gives two complementary sets of sizes j and
-    k - j, so the canonical form, found without a permutation search, puts
-    the smaller one, of size t = min(j, k - j), on the lowest t bits.
+    Twisting {0, E} by a j-set gives two complementary sets of sizes t and
+    k - t, t = min(j, k - j).  The least relabelled family bitmap, found
+    without a relabelling walk, gives the top element to the t-set with
+    the t - 1 lowest ones, since the set holding the top element is the
+    larger mask; for t = 0 the family is {0, E} itself.
     """
     base = make_named(f"S_{k}")
     full = (1 << k) - 1
@@ -198,8 +189,8 @@ def _s_twist_reps(k: int, sizes) -> list[CatalogEntry]:
     for j in sizes:
         members = base.labels[:j]
         t = min(j, k - j)
-        low = (1 << t) - 1
-        canonical = (k, (t, low), (k - t, full ^ low))
+        small = 1 << k - 1 | (1 << t - 1) - 1 if t else 0
+        canonical = (k, 1 << small | 1 << (full ^ small))
         name = _twist_name(f"S_{k}", members, k)
         out.append(CatalogEntry(name, base.twist(members), canonical))
     return out

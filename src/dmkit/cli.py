@@ -286,9 +286,20 @@ def cmd_catalog_twists(args) -> int:
     return EXIT_YES
 
 
-def _add_io_arguments(p: argparse.ArgumentParser) -> None:
+def _add_output_argument(p: argparse.ArgumentParser) -> None:
+    """-o, on the commands that write through _write_or_print."""
     p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
+
+
+def _add_system_output_arguments(p: argparse.ArgumentParser) -> None:
+    """-o and --format, on the commands that write a set system through
+    _emit_system."""
+    _add_output_argument(p)
     p.add_argument("--format", choices=["json", "compact"], default="json")
+
+
+def _add_json_argument(p: argparse.ArgumentParser) -> None:
+    """--json, on the verdict and report commands."""
     p.add_argument("--json", action="store_true", help="machine-readable verdicts")
 
 
@@ -308,25 +319,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--class", dest="cls", required=True, choices=_class_choices())
         p.add_argument("--cap", type=int, default=None)
         p.add_argument("file")
-        _add_io_arguments(p)
+        _add_json_argument(p)
         p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("minor", help="normal-form minor S\\X/Y")
     p.add_argument("--delete", default="", help="comma separated labels")
     p.add_argument("--contract", default="", help="comma separated labels")
     p.add_argument("file")
-    _add_io_arguments(p)
+    _add_system_output_arguments(p)
     p.set_defaults(func=cmd_minor)
 
     p = sub.add_parser("twist", help="partial dual on a subset")
     p.add_argument("--set", required=True, help="comma separated labels")
     p.add_argument("file")
-    _add_io_arguments(p)
+    _add_system_output_arguments(p)
     p.set_defaults(func=cmd_twist)
 
     p = sub.add_parser("dual", help="twist on the whole ground set")
     p.add_argument("file")
-    _add_io_arguments(p)
+    _add_system_output_arguments(p)
     p.set_defaults(func=cmd_dual)
 
     higgs = sub.add_parser("higgs", help="Higgs lift operations").add_subparsers(
@@ -336,17 +347,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quotient", required=True, help="basis-system file of Q")
     p.add_argument("--lift", required=True, help="basis-system file of L")
     p.add_argument("-i", "--index", type=int, required=True)
-    _add_io_arguments(p)
+    _add_system_output_arguments(p)
     p.set_defaults(func=cmd_higgs_lift)
     p = higgs.add_parser("build")
     p.add_argument("--quotient", required=True)
     p.add_argument("--lift", required=True)
     p.add_argument("--index-set", required=True, help="comma separated layer indices")
-    _add_io_arguments(p)
+    _add_system_output_arguments(p)
     p.set_defaults(func=cmd_higgs_build)
     p = higgs.add_parser("classify")
     p.add_argument("file")
-    _add_io_arguments(p)
+    _add_json_argument(p)
     p.set_defaults(func=cmd_higgs_classify)
 
     lattice = sub.add_parser("lattice", help="lattice-path regions").add_subparsers(
@@ -354,21 +365,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = lattice.add_parser("build")
     p.add_argument("file")
-    _add_io_arguments(p)
+    _add_system_output_arguments(p)
     p.set_defaults(func=cmd_lattice_build)
     p = lattice.add_parser("svg")
     p.add_argument("file")
-    _add_io_arguments(p)
+    _add_output_argument(p)
     p.set_defaults(func=cmd_lattice_svg)
     p = lattice.add_parser("dual")
     p.add_argument("file")
-    _add_io_arguments(p)
+    _add_output_argument(p)
     p.set_defaults(func=cmd_lattice_dual)
     p = lattice.add_parser("minor")
     p.add_argument("--element", type=int, required=True)
     p.add_argument("--op", choices=["delete", "contract"], required=True)
     p.add_argument("file")
-    _add_io_arguments(p)
+    _add_output_argument(p)
     p.set_defaults(func=cmd_lattice_minor)
 
     stack = sub.add_parser("stack", help="layer classification").add_subparsers(
@@ -376,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = stack.add_parser("classify")
     p.add_argument("file")
-    _add_io_arguments(p)
+    _add_json_argument(p)
     p.set_defaults(func=cmd_stack_classify)
 
     binary = sub.add_parser("binary", help="GF(2) representability").add_subparsers(
@@ -384,11 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = binary.add_parser("check")
     p.add_argument("file")
-    _add_io_arguments(p)
+    _add_json_argument(p)
     p.set_defaults(func=cmd_binary_check)
     p = binary.add_parser("dofc")
     p.add_argument("file", help="skew-symmetric matrix JSON")
-    _add_io_arguments(p)
+    _add_system_output_arguments(p)
     p.set_defaults(func=cmd_binary_dofc)
 
     census = sub.add_parser("census", help="exhaustive verification").add_subparsers(
@@ -411,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for exhaustive index-range scans")
     p.add_argument("--timestamps", action="store_true",
                    help="include a wall-clock stamp in JSON output")
-    _add_io_arguments(p)
+    _add_json_argument(p)
     p.set_defaults(func=cmd_census_run)
     p = census.add_parser("count")
     p.add_argument("--n", type=int, required=True)
@@ -420,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=10000)
     p.add_argument("--timestamps", action="store_true",
                    help="include a wall-clock stamp in JSON output")
-    _add_io_arguments(p)
+    _add_json_argument(p)
     p.set_defaults(func=cmd_census_count)
 
     cat = sub.add_parser("catalog", help="named systems and tables").add_subparsers(
@@ -429,15 +440,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = cat.add_parser("dump")
     p.add_argument("--class", dest="cls", required=True, choices=_class_choices())
     p.add_argument("--cap", type=int, default=8)
-    _add_io_arguments(p)
+    _add_output_argument(p)
     p.set_defaults(func=cmd_catalog_dump)
     p = cat.add_parser("make")
     p.add_argument("--name", required=True)
-    _add_io_arguments(p)
+    _add_system_output_arguments(p)
     p.set_defaults(func=cmd_catalog_make)
     p = cat.add_parser("twists")
     p.add_argument("--name", required=True)
-    _add_io_arguments(p)
+    _add_output_argument(p)
     p.set_defaults(func=cmd_catalog_twists)
 
     return parser

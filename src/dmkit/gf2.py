@@ -226,13 +226,17 @@ def parse_matrix(text: str) -> SkewSymMatrixGF2:
         raise FormatError(f"bad JSON: {exc}") from None
     if not isinstance(doc, dict) or "labels" not in doc or "rows" not in doc:
         raise FormatError('matrix JSON needs "labels" and "rows"')
-    labels = tuple(doc["labels"])
+    labels = doc["labels"]
+    if not isinstance(labels, list) or not all(isinstance(e, str) for e in labels):
+        raise FormatError('"labels" must be a list of strings')
+    if not isinstance(doc["rows"], list):
+        raise FormatError('"rows" must be a list of bit strings')
     rows = []
     for s in doc["rows"]:
         if not isinstance(s, str) or len(s) != len(labels) or set(s) - {"0", "1"}:
             raise FormatError(f"bad row bit string {s!r}")
         rows.append(sum(1 << j for j, ch in enumerate(s) if ch == "1"))
-    return SkewSymMatrixGF2(labels, tuple(rows))
+    return SkewSymMatrixGF2(tuple(labels), tuple(rows))
 
 
 def serialize_matrix(matrix: SkewSymMatrixGF2) -> str:

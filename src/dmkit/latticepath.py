@@ -405,17 +405,15 @@ def parse_region(text: str) -> Region:
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad JSON: {exc}") from None
     try:
-        region = Region(
-            d=int(doc["d"]),
-            c=int(doc["c"]),
-            u=int(doc["u"]),
-            v=int(doc["v"]),
-            p_word=str(doc["P"]),
-            q_word=str(doc["Q"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        *coords, p_word, q_word = (doc[key] for key in ("d", "c", "u", "v", "P", "Q"))
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"region JSON needs d, c, u, v, P, Q: {exc}") from None
-    return region.validate()
+    # type(), not isinstance(): JSON true and false are bools, a subclass of int
+    if any(type(x) is not int for x in coords):
+        raise FormatError("region coordinates d, c, u, v must be integers")
+    if not isinstance(p_word, str) or not isinstance(q_word, str):
+        raise FormatError("region path words P, Q must be strings")
+    return Region(*coords, p_word, q_word).validate()
 
 
 def serialize_region(region: Region) -> str:

@@ -231,35 +231,15 @@ def _scan_plan(targets: Sequence[CatalogEntry]) -> _ScanPlan:
 _Hit = tuple[int, int, CatalogEntry]
 
 
-def _first_isomorphic(
-    minor: SetSystem, candidates: Sequence[CatalogEntry]
-) -> CatalogEntry | None:
-    """First candidate, in list order, isomorphic to the minor; the
-    candidates have the minor's shape."""
-    if minor.n <= 5:
-        canon = minor.canonical_form()
-        for t in candidates:
-            if t.canonical == canon:
-                return t
-    else:
-        for t in candidates:
-            if minor.is_isomorphic(t.system):
-                return t
-    return None
-
-
-def _labels(n: int) -> tuple[str, ...]:
-    return tuple(map(str, range(n)))
-
-
 def _shape_lookup(shapes: dict[tuple[int, ...], tuple[CatalogEntry, ...]], m: int,
                   minor: int) -> CatalogEntry | None:
-    """The first target of the shape of an m-element minor bitmap that is
-    isomorphic to the minor, or None."""
+    """The first target, in list order, of the shape of an m-element minor
+    bitmap whose canonical form is the minor's, or None."""
     candidates = shapes.get(_shape(minor, m))
     if candidates is None:
         return None
-    return _first_isomorphic(SetSystem.from_bitmap(_labels(m), minor), candidates)
+    canon = SetSystem.from_bitmap(tuple(map(str, range(m))), minor).canonical_form()
+    return next((t for t in candidates if t.canonical == canon), None)
 
 
 def _chunk_scan(bm: int, n: int, m: int, plan: _ScanPlan) -> _Hit | None:

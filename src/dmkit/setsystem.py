@@ -28,7 +28,7 @@ from .errors import (
     UnknownElementError,
 )
 
-# Exhaustive permutation canonicalization is meant for small ground sets.
+# Canonicalization walks all n! relabellings; it is meant for small ground sets.
 PERMUTATION_CAP = 10
 
 
@@ -263,36 +263,32 @@ class SetSystem:
 
     # -- isomorphism ---------------------------------------------------
 
-    def canonical_form(self, cap: int = PERMUTATION_CAP) -> tuple:
-        """Minimum over ground-set permutations of the sorted (size, mask)
-        family encoding, prefixed with the ground-set size."""
+    def canonical_form(self, cap: int = PERMUTATION_CAP) -> tuple[int, int]:
+        """(n, least family bitmap over the n! relabellings of the ground
+        set); two systems are isomorphic exactly when their forms are
+        equal."""
         if self.n > cap:
             raise CapacityError(
-                f"canonical form needs {self.n}! permutations; cap is {cap}"
+                f"canonical form needs {self.n}! relabellings; cap is {cap}"
             )
-        return _canonical_form(self.n, tuple(sorted(self.masks)))
+        return _canonical_form(self.n, self.family_bitmap)
 
     def canonical_permutation(self, cap: int = PERMUTATION_CAP) -> tuple[int, ...]:
-        """A permutation (bit i -> position perm[i]) achieving canonical_form;
-        ties broken by the lexicographically least permutation."""
-        best = self.canonical_form(cap)[1:]
+        """A permutation (bit i -> position perm[i]) taking the family
+        bitmap to that of canonical_form; the lexicographically least."""
+        best = self.canonical_form(cap)[1]
         for perm in permutations(range(self.n)):
-            enc = tuple(sorted((m.bit_count(), permute_mask(m, perm)) for m in self.masks))
-            if enc == best:
+            if family_to_bitmap(permute_mask(m, perm) for m in self.masks) == best:
                 return perm
 
     def is_isomorphic(self, other: SetSystem, cap: int = PERMUTATION_CAP) -> bool:
-        """Relabeling equivalence via cached canonical forms (small n) or
-        an early-exit walk over the relabellings of the family bitmap."""
+        """Relabelling equivalence: equal cached canonical forms, after a
+        size-signature prefilter."""
         if self.n != other.n or len(self.masks) != len(other.masks):
             return False
         if self.size_signature != other.size_signature:
             return False
-        if self.n <= 5:
-            return self.canonical_form(cap) == other.canonical_form(cap)
-        if self.n > cap:
-            raise CapacityError(f"isomorphism search cap is {cap} elements")
-        return other.family_bitmap in relabellings(self.family_bitmap, self.n)
+        return self.canonical_form(cap) == other.canonical_form(cap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         fam = ";".join(
@@ -504,15 +500,8 @@ def delta_matroid_bits(indices: Sequence[int], n: int) -> int:
 
 
 @lru_cache(maxsize=65536)
-def _canonical_form(n: int, masks: tuple[int, ...]) -> tuple:
-    best = None
-    for perm in permutations(range(n)):
-        enc = tuple(sorted((m.bit_count(), permute_mask(m, perm)) for m in masks))
-        if best is None or enc < best:
-            best = enc
-    if best is None:
-        best = tuple(sorted((m.bit_count(), m) for m in masks))
-    return (n,) + best
+def _canonical_form(n: int, bm: int) -> tuple[int, int]:
+    return n, min(relabellings(bm, n))
 
 
 # -- serialization -----------------------------------------------------
@@ -538,9 +527,14 @@ def parse_set_system(text: str) -> SetSystem:
         feasible = doc["feasible"]
         if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
             raise FormatError('"elements" must be a list of strings')
-        if not isinstance(feasible, list):
+        if not isinstance(feasible, list) or not all(type(fs) is list for fs in feasible):
             raise FormatError('"feasible" must be a list of label lists')
-        return SetSystem.from_sets(elements, feasible)
+        # from_sets refuses any label that is not an element, a non-string
+        # one included; an unhashable one raises TypeError there
+        try:
+            return SetSystem.from_sets(elements, feasible)
+        except TypeError:
+            raise FormatError('"feasible" must be a list of label lists') from None
     if "|" not in stripped:
         raise FormatError("compact form needs a '|' separating labels from sets")
     head, _, tail = stripped.partition("|")

@@ -11,7 +11,7 @@ from typing import Iterator
 from .bitset import down_closure, iter_bits, layer_selectors, up_closure
 from .errors import AmbientHypothesisError
 from .matroid import _circuit_masks, circuits_cover
-from .setsystem import SetSystem
+from .setsystem import SetSystem, exchange_holds
 
 # Bound of each per-layer verdict cache (layer_is_matroid and
 # layer_paving_flags) and of the per-family stack_flags memo.  Every
@@ -76,27 +76,12 @@ def layer_bitmaps(system: SetSystem) -> Iterator[tuple[int, int]]:
 
 @lru_cache(maxsize=LAYER_CACHE_SIZE)
 def layer_is_matroid(layer: int) -> bool:
-    """Basis exchange on a nonempty equicardinal family bitmap.
-
-    reach[x] is the set of y outside B1 with (B1 - x) + y feasible, so
-    exchange holds for (B1, B2, x) when reach[x] meets B2.  The verdict
-    depends on the bitmap alone, not on the ground set around it, which
-    is why the cache is keyed on the bitmap.
-    """
-    bases = list(iter_bits(layer))
-    ground = 0
-    for b in bases:
-        ground |= b
-    for b1 in bases:
-        reach = {}
-        for x in iter_bits(b1):
-            w = b1 ^ (1 << x)
-            reach[x] = sum(1 << y for y in iter_bits(ground & ~b1) if layer >> (w | 1 << y) & 1)
-        for b2 in bases:
-            for x in iter_bits(b1 & ~b2):
-                if not reach[x] & b2:
-                    return False
-    return True
+    """Basis exchange on a nonempty equicardinal family bitmap, which is
+    the exchange axiom of exchange_holds on the least ground set holding
+    its masks.  An element in no mask never enters an exchange, so the
+    verdict depends on the bitmap alone, which is why the cache is keyed
+    on the bitmap."""
+    return exchange_holds(layer, (layer.bit_length() - 1).bit_length())
 
 
 @lru_cache(maxsize=LAYER_CACHE_SIZE)

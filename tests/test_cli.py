@@ -365,3 +365,71 @@ def test_a_cap_far_above_the_system_answers_at_once(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"class": "delta", "member": True}
+
+
+# The options a command used to accept and then ignore: -o where the
+# output is not written through _write_or_print or _emit_system, --format
+# where no set system is written, --json where no verdict or report is
+# printed.  Each input file holds what the command reads, so that the
+# command alone runs.
+IGNORED_OPTIONS = [
+    (["check", "--class", "delta", "{system}"], ["-o", "--format"]),
+    (["scan", "--class", "delta", "{system}"], ["-o", "--format"]),
+    (["minor", "--delete", "a", "{system}"], ["--json"]),
+    (["twist", "--set", "a", "{system}"], ["--json"]),
+    (["dual", "{system}"], ["--json"]),
+    (["higgs", "lift", "--quotient", "{quotient}", "--lift", "{lift}", "-i", "1"], ["--json"]),
+    (["higgs", "build", "--quotient", "{quotient}", "--lift", "{lift}", "--index-set", "0,2"],
+     ["--json"]),
+    (["higgs", "classify", "{system}"], ["-o", "--format"]),
+    (["lattice", "build", "{region}"], ["--json"]),
+    (["lattice", "svg", "{region}"], ["--format", "--json"]),
+    (["lattice", "dual", "{region}"], ["--format", "--json"]),
+    (["lattice", "minor", "--element", "2", "--op", "delete", "{region}"], ["--format", "--json"]),
+    (["stack", "classify", "{system}"], ["-o", "--format"]),
+    (["binary", "check", "{system}"], ["-o", "--format"]),
+    (["binary", "dofc", "{matrix}"], ["--json"]),
+    (["census", "run", "--n", "2", "--theorem", "exdelta"], ["-o", "--format"]),
+    (["census", "count", "--n", "2"], ["-o", "--format"]),
+    (["catalog", "dump", "--class", "full-higgs", "--cap", "4"], ["--format", "--json"]),
+    (["catalog", "make", "--name", "T3"], ["--json"]),
+    (["catalog", "twists", "--name", "T3"], ["--format", "--json"]),
+]
+
+
+def test_every_subcommand_is_listed_with_its_ignored_options():
+    assert len(IGNORED_OPTIONS) == 20
+    assert sum(len(options) for _, options in IGNORED_OPTIONS) == 32
+
+
+@pytest.mark.parametrize("argv, option", [(argv, option) for argv, options in IGNORED_OPTIONS
+                                          for option in options])
+def test_an_option_the_command_would_ignore_is_refused(argv, option, t1_file, tmp_path, capsys):
+    files = {"system": t1_file}
+    for name, text in (("quotient", '{"elements":["a","b"],"feasible":[[]]}'),
+                       ("lift", '{"elements":["a","b"],"feasible":[["a","b"]]}'),
+                       ("region", '{"d":1,"c":0,"u":1,"v":1,"P":"EN","Q":"EE"}'),
+                       ("matrix", '{"labels":["a","b"],"rows":["01","10"]}')):
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(text)
+    argv = [arg.format(**files) for arg in argv]
+    build_parser().parse_args(argv)  # the command alone parses
+    out = tmp_path / "out.json"
+    extra = {"-o": ["-o", str(out)], "--format": ["--format", "compact"], "--json": ["--json"]}
+    assert main(argv + extra[option]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, name, text", [
+    (["check", "--class", "delta"], "s.json", '{"elements":["a"],"feasible":[1]}'),
+    (["stack", "classify"], "s.json", '{"elements":["a"],"feasible":[null]}'),
+    (["dual"], "s.json", '{"elements":["a","b"],"feasible":["ab"]}'),
+    (["lattice", "build"], "r.json", '{"d":1.5,"c":0,"u":1,"v":1,"P":"EN","Q":"EE"}'),
+    (["binary", "dofc"], "c.json", '{"labels":"ab","rows":["01","10"]}'),
+])
+def test_malformed_input_exits_2(command, name, text, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(command + [str(path)]) == 2
+    assert capsys.readouterr().err.startswith("dmkit: ")

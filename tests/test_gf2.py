@@ -212,3 +212,10 @@ class TestMatrixIO:
             parse_matrix('{"labels":["a","b"],"rows":["01","1"]}')
         with pytest.raises(FormatError):
             parse_matrix('{"labels":["a"],"rows":["2"]}')
+
+    @pytest.mark.parametrize("labels, rows", [('"ab"', '["01","10"]'), ('[1,2]', '["01","10"]'),
+                                              ('["a",null]', '["01","10"]'), ('["a","b"]', '5'),
+                                              ('["a","b"]', '"0110"')])
+    def test_labels_and_rows_must_be_lists(self, labels, rows):
+        with pytest.raises(FormatError):
+            parse_matrix('{"labels":%s,"rows":%s}' % (labels, rows))

@@ -4,13 +4,14 @@ minors at the region level."""
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmkit.bitset import down_closure, family_to_bitmap, iter_bits, minimal_members, up_closure
-from dmkit.errors import UnknownElementError
+from dmkit.errors import FormatError, UnknownElementError
 from dmkit.latticepath import (
     Region,
     _all_paths_bitmap,
@@ -277,6 +278,16 @@ class TestSerialization:
     def test_round_trip(self):
         for region in (TINY, FIG1, FIG2):
             assert parse_region(serialize_region(region)) == region
+
+    @pytest.mark.parametrize("key, value", [("d", 0.9), ("d", 1.0), ("d", True), ("u", "1"),
+                                            ("v", None), ("P", ["E", "N"]), ("Q", 0)])
+    def test_malformed_fields_rejected(self, key, value):
+        # the serialized TINY with one field replaced by a non-integer
+        # coordinate or a non-string path word
+        doc = json.loads(serialize_region(TINY))
+        doc[key] = value
+        with pytest.raises(FormatError):
+            parse_region(json.dumps(doc))
 
     def test_svg_smoke(self):
         svg = region_svg(FIG2)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmkit.bitset import family_to_bitmap, relabellings
+from dmkit.bitset import family_to_bitmap, permute_mask, relabellings
 from dmkit.errors import (
     CapacityError,
     FormatError,
@@ -27,7 +27,7 @@ from dmkit.setsystem import (
     serialize_set_system,
 )
 
-from conftest import random_delta_matroid, random_system
+from conftest import LABELS, random_delta_matroid, random_system
 
 
 def fam(system: SetSystem) -> set[frozenset[str]]:
@@ -36,6 +36,15 @@ def fam(system: SetSystem) -> set[frozenset[str]]:
 
 def system_of(labels: str, *sets: str) -> SetSystem:
     return SetSystem.from_sets(tuple(labels), [list(s) for s in sets])
+
+
+def reference_canonical_form(s: SetSystem) -> tuple:
+    """The least sorted (size, mask) encoding of the family over all n!
+    permutations of the ground set, prefixed with n: a canonical form
+    computed without the relabelling walk, kept as the reference for the
+    isomorphism classes canonical_form induces."""
+    return (s.n,) + min(tuple(sorted((m.bit_count(), permute_mask(m, perm)) for m in s.masks))
+                        for perm in itertools.permutations(range(s.n)))
 
 
 class TestParsing:
@@ -75,6 +84,13 @@ class TestParsing:
         assert not s.is_proper
         with pytest.raises(ImproperSystemError):
             s.is_delta_matroid()
+
+    @pytest.mark.parametrize("feasible", ['[1]', '[null]', '["ab"]', '[["a"], "b"]',
+                                          '[[1]]', '[["a", null]]', '[{"a": 1}]', '[[["a"]]]',
+                                          '[[{}]]'])
+    def test_feasible_entries_must_be_label_lists(self, feasible):
+        with pytest.raises(FormatError):
+            parse_set_system('{"elements":["a","b"],"feasible":%s}' % feasible)
 
     def test_malformed_text(self):
         with pytest.raises(FormatError):
@@ -367,12 +383,42 @@ class TestCanonicalForm:
     def test_different_sizes_never_isomorphic(self):
         assert not system_of("a", "").is_isomorphic(system_of("ab", ""))
 
+    @staticmethod
+    def assert_same_classes(systems):
+        # the two forms induce the same partition exactly when each pairs
+        # with one value of the other
+        pairs = {(s.canonical_form(), reference_canonical_form(s)) for s in systems}
+        assert len({a for a, _ in pairs}) == len(pairs) == len({b for _, b in pairs})
+
+    def test_same_classes_as_reference_for_every_family_up_to_three(self):
+        for n in range(4):
+            labels = tuple("abc"[:n])
+            self.assert_same_classes(SetSystem.from_bitmap(labels, bm)
+                                     for bm in range(1 << (1 << n)))
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_same_classes_as_reference_on_seeded_families(self, n):
+        # each random family with a relabelling of it (same class) and
+        # with one set traded for another of its size (mostly not)
+        rng = random.Random(7000 + n)
+        systems = []
+        for _ in range(12 if n == 6 else 40):
+            masks = rng.sample(range(1 << n), rng.randrange(1, 2 * n))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            m = rng.choice(masks)
+            other = rng.choice([f for f in range(1 << n) if f.bit_count() == m.bit_count()])
+            for family in (masks, [permute_mask(f, tuple(perm)) for f in masks],
+                           [f for f in masks if f != m] + [other]):
+                systems.append(SetSystem(tuple(LABELS[:n]), frozenset(family)))
+        self.assert_same_classes(systems)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(6, 7), st.integers(0, 2**32 - 1))
     def test_relabelling_walk_agrees_with_canonical_forms(self, n, seed):
         # a random relabelling is always isomorphic; trading one feasible
         # set for another of its size keeps the size signature and mostly
-        # is not.  Few sets keep the n! canonical forms quick.
+        # is not.  Few sets keep the n! reference forms quick.
         rng = random.Random(seed)
         labels = tuple("abcdefg"[:n])
         masks = rng.sample(range(1 << n), rng.randrange(1, 12))
@@ -386,12 +432,14 @@ class TestCanonicalForm:
         swapped = SetSystem(labels, a.masks - {m} | {rng.choice(free)}) if free else a
         for b in (moved, swapped):
             assert a.size_signature == b.size_signature
-            assert a.is_isomorphic(b) == (a.canonical_form() == b.canonical_form())
+            assert a.is_isomorphic(b) == (reference_canonical_form(a)
+                                          == reference_canonical_form(b))
         assert a.is_isomorphic(moved)
 
     def test_nine_element_walk_runs_lazily(self):
         # equal size signatures, not isomorphic (disjoint pair against a
-        # crossing one): the walk tries all 9! relabellings, one at a time
+        # crossing one): each canonical form walks all 9! relabellings,
+        # one at a time
         a = system_of("abcdefghi", "", "ab", "cd")
         b = system_of("abcdefghi", "", "ab", "bc")
         assert not a.is_isomorphic(b)

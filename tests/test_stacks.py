@@ -21,7 +21,8 @@ from dmkit.census import (
 )
 from dmkit.errors import AmbientHypothesisError, ImproperSystemError
 from dmkit.higgs import full_higgs_dm
-from dmkit.matroid import Matroid, is_matroid, is_quotient, paving_flags, uniform_matroid
+from dmkit.matroid import (Matroid, exchange_violation, is_matroid, is_quotient, paving_flags,
+                           uniform_matroid)
 from dmkit.minorscan import classify_by_exminors
 from dmkit.setsystem import SetSystem
 from dmkit.stacks import (
@@ -310,12 +311,7 @@ class TestIsMatroidStack:
     def test_every_layer_n5_fits_the_cache(self):
         # every nonempty r-layer on five elements, each as a one-layer
         # system: 2^C(5, r) - 1 of them per r, all cached at once
-        labels = tuple(LABELS[:5])
-        layers = []
-        for r in range(6):
-            masks = [m for m in range(32) if m.bit_count() == r]
-            for pick in range(1, 1 << len(masks)):
-                layers.append(SetSystem(labels, frozenset(masks[i] for i in iter_bits(pick))))
+        layers = every_layer_n5()
         assert len(layers) == 2110 <= LAYER_CACHE_SIZE
         layer_is_matroid.cache_clear()
         layer_paving_flags.cache_clear()
@@ -341,6 +337,40 @@ class TestIsMatroidStack:
     def test_improper_system_rejected(self):
         with pytest.raises(ImproperSystemError):
             is_matroid_stack(SetSystem(tuple("ab"), frozenset()))
+
+    def test_layer_verdict_is_basis_exchange(self):
+        # layer_is_matroid decides by the exchange axiom, which on an
+        # equicardinal family is basis exchange: exchange_violation is the
+        # reference, on every five-element layer and on seeded six- and
+        # seven-element ones, random picks and matroid basis families
+        layers = every_layer_n5()
+        rng = random.Random(2026)
+        for n in (6, 7):
+            labels = tuple(LABELS[:n])
+            for _ in range(150):
+                r = rng.randrange(n + 1)
+                masks = [m for m in range(1 << n) if m.bit_count() == r]
+                pick = rng.sample(masks, rng.randrange(1, len(masks) + 1))
+                layers.append(SetSystem(labels, frozenset(pick)))
+                layers.append(random_quotient_pair(n, r, r, rng.randrange(1 << 30))[1].system)
+        verdicts = set()
+        for layer in layers:
+            verdict = layer_is_matroid(layer.family_bitmap)
+            assert verdict == (exchange_violation(layer) is None), layer
+            verdicts.add((layer.n, verdict))
+        assert verdicts == {(n, v) for n in (5, 6, 7) for v in (False, True)}
+
+
+def every_layer_n5() -> list[SetSystem]:
+    """Every nonempty cardinality layer on five elements (2 110 of them),
+    each as a one-layer system, by size, then by pick of its masks."""
+    labels = tuple(LABELS[:5])
+    layers = []
+    for r in range(6):
+        masks = [m for m in range(32) if m.bit_count() == r]
+        for pick in range(1, 1 << len(masks)):
+            layers.append(SetSystem(labels, frozenset(masks[i] for i in iter_bits(pick))))
+    return layers
 
 
 
