@@ -222,9 +222,20 @@ def _print_report(report, args) -> None:
 
 
 def cmd_census_run(args) -> int:
-    if args.jobs < 1:
-        print(f"census: --jobs needs at least 1, got jobs = {args.jobs}", file=sys.stderr)
-        return EXIT_ERROR
+    for option, value in (("jobs", args.jobs), ("chunk", args.chunk)):
+        if value < 1:
+            print(f"census: --{option} needs at least 1, got {option} = {value}",
+                  file=sys.stderr)
+            return EXIT_ERROR
+    if args.mode == "sampled":
+        streaming = [flag for flag, given in (
+            (f"--resume {args.resume}", args.resume is not None),
+            ("--long", args.long),
+            (f"--jobs {args.jobs}", args.jobs != 1)) if given]
+        if streaming:
+            print(f"census: a sampled run is neither streamed nor checkpointed; drop "
+                  f"{', '.join(streaming)}", file=sys.stderr)
+            return EXIT_ERROR
     if args.n > 4 and args.mode == "exhaustive" and not args.long:
         print(
             "census: exhaustive n > 4 needs --long (n = 5 is 2^32 families; exdelta "

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
-from .bitset import iter_bits, layer_selectors, relabellings, transposition
+from .bitset import iter_bits, layer_selectors, orbit, transposition
 from .catalog import CatalogEntry, ExminorClassId, excluded_minor_set
 from .errors import AmbientHypothesisError, CapacityError
 from .higgs import classify_higgs, classify_higgs_bitmap
@@ -66,15 +66,12 @@ def enumerate_minors(
                 yield dels, cons, system.minor(dels, cons) if x | y else system
 
 
-# Systems on at most TABLE_MAX_N elements look for minors by lookup instead
-# of building each minor: the whole system in the orbit index of its size,
-# each proper minor (on at most TABLE_MAX_M elements) by byte tables that
-# read a family bitmap of at most 32 bits as four bytes and hold 16-bit
-# minor bitmaps.  Per split they take 2 KB, and the count of splits grows
-# as 3^n, so larger systems relabel their family bitmap instead
-# (_removal_moves).
+# Systems on at most TABLE_MAX_N elements read each proper minor, on at
+# most four elements, by byte tables that read a family bitmap of at most
+# 32 bits as four bytes and hold 16-bit minor bitmaps.  Per split they take
+# 2 KB, and the count of splits grows as 3^n, so larger systems relabel
+# their family bitmap instead (_removal_moves).
 TABLE_MAX_N = 5
-TABLE_MAX_M = 4
 
 
 def _split_positions(n: int, m: int) -> Iterator[tuple[int, int, list[int]]]:
@@ -153,31 +150,26 @@ def _split_of(removed: tuple[int, ...], j: int) -> tuple[int, int]:
 
 
 def _orbit_index(pool: Sequence[CatalogEntry]) -> dict[int, CatalogEntry]:
-    """Family bitmap of every relabelling of every target of a nonempty
-    pool of same-size targets, mapped to the first target it relabels."""
+    """Family bitmap of every relabelling of every target of a pool of
+    same-size targets, mapped to the first target, in pool order, it
+    relabels."""
     index: dict[int, CatalogEntry] = {}
     for t in pool:
-        for image in relabellings(t.system.family_bitmap, t.system.n):
+        for image in orbit(t.system.family_bitmap, t.system.n):
             index.setdefault(image, t)
     return index
-
-
-def _shape(bm: int, m: int) -> tuple[int, ...]:
-    """Count of feasible sets of each size 0..m in a family bitmap over an
-    m-element ground set; isomorphic systems have equal shapes."""
-    return tuple((bm & selector).bit_count() for selector in layer_selectors(m))
 
 
 @dataclass(frozen=True)
 class _ScanPlan:
     """A target list grouped by ground-set size: the sizes, largest first,
-    the orbit index of every group small enough for a bitmap lookup and,
-    for every group, its targets by shape in list order."""
+    and per size the orbit index of its targets and their counts of
+    feasible sets, which filter the minors before the lookup."""
 
     targets: tuple[CatalogEntry, ...]
     sizes: tuple[int, ...]
     orbits: dict[int, dict[int, CatalogEntry]]
-    shapes: dict[int, dict[tuple[int, ...], tuple[CatalogEntry, ...]]]
+    set_counts: dict[int, frozenset[int]]
     index_scans: dict[int, tuple] = field(default_factory=dict, compare=False)
 
     def index_scan(self, n: int) -> tuple[dict[int, CatalogEntry], tuple[tuple, ...]]:
@@ -187,8 +179,7 @@ class _ScanPlan:
         per split of every smaller target size, largest first."""
         scan = self.index_scans.get(n)
         if scan is None:
-            pool = [t for t in self.targets if t.system.n == n]
-            whole = self.orbits.get(n) or (_orbit_index(pool) if pool else {})
+            whole = self.orbits.get(n, {})
             splits = tuple((x, y, table, self.orbits[m]) for m in self.sizes if m < n
                            for x, y, table in _split_tables(n, m))
             scan = self.index_scans[n] = (whole, splits)
@@ -199,14 +190,10 @@ class _ScanPlan:
         by_size: dict[int, list[CatalogEntry]] = {}
         for t in targets:
             by_size.setdefault(t.system.n, []).append(t)
-        orbits = {m: _orbit_index(pool) for m, pool in by_size.items() if m <= TABLE_MAX_M}
-        shapes = {}
-        for m, pool in by_size.items():
-            by_shape: dict[tuple[int, ...], list[CatalogEntry]] = {}
-            for t in pool:
-                by_shape.setdefault(_shape(t.system.family_bitmap, m), []).append(t)
-            shapes[m] = {shape: tuple(ts) for shape, ts in by_shape.items()}
-        return cls(targets, tuple(sorted(by_size, reverse=True)), orbits, shapes)
+        orbits = {m: _orbit_index(pool) for m, pool in by_size.items()}
+        set_counts = {m: frozenset(len(t.system.masks) for t in pool)
+                      for m, pool in by_size.items()}
+        return cls(targets, tuple(sorted(by_size, reverse=True)), orbits, set_counts)
 
 
 # Scan plans keyed by the identities of the target entries.  A cached plan
@@ -231,26 +218,13 @@ def _scan_plan(targets: Sequence[CatalogEntry]) -> _ScanPlan:
 _Hit = tuple[int, int, CatalogEntry]
 
 
-def _shape_lookup(shapes: dict[tuple[int, ...], tuple[CatalogEntry, ...]], m: int,
-                  minor: int) -> CatalogEntry | None:
-    """The first target, in list order, of the shape of an m-element minor
-    bitmap whose canonical form is the minor's, or None."""
-    candidates = shapes.get(_shape(minor, m))
-    if candidates is None:
-        return None
-    canon = SetSystem.from_bitmap(tuple(map(str, range(m))), minor).canonical_form()
-    return next((t for t in candidates if t.canonical == canon), None)
-
-
 def _chunk_scan(bm: int, n: int, m: int, plan: _ScanPlan) -> _Hit | None:
     """The first hit among the m-element minors of the family bitmap bm
     over n elements, each read as a chunk of bm relabelled by
     _removal_moves.  A minor with as many sets as some target is looked up
-    in the orbit index for m <= TABLE_MAX_M, and otherwise filtered by
-    shape before it is built and compared."""
-    shapes = plan.shapes[m]
-    sizes = {sum(shape) for shape in shapes}
-    lookup = plan.orbits[m].get if m in plan.orbits else partial(_shape_lookup, shapes, m)
+    in the orbit index."""
+    counts = plan.set_counts[m]
+    lookup = plan.orbits[m].get
     full = (1 << (1 << m)) - 1
     shifts = _chunk_shifts(n - m, m)
     p = bm
@@ -260,7 +234,7 @@ def _chunk_scan(bm: int, n: int, m: int, plan: _ScanPlan) -> _Hit | None:
             p ^= t ^ t << shift
         for shift in shifts:
             minor = p >> shift & full
-            if minor.bit_count() in sizes:
+            if minor.bit_count() in counts:
                 hit = lookup(minor)
                 if hit is not None:
                     return *_split_of(removed, shift >> m), hit
@@ -274,11 +248,11 @@ def _first_minor(bm: int, n: int, plan: _ScanPlan) -> _Hit | None:
     Minors are scanned by ground-set size, largest first; within a size in
     enumerate_minors order (removed sets lexicographically, then splits by
     (|X|, lex)); the hit names the first target, in list order, isomorphic
-    to the first matching minor.  Two kernels give the same hit: up to
-    TABLE_MAX_N elements the orbit index of the whole family and byte-table
-    lookups of every proper minor (index_scan), and above that the chunks
-    of the relabelled family bitmap (_chunk_scan; the whole system is the
-    one chunk of m = n).
+    to the first matching minor.  Two kernels read the minors and give the
+    same hit: up to TABLE_MAX_N elements byte tables (index_scan), above
+    that the chunks of the relabelled family bitmap (_chunk_scan; the whole
+    system is the one chunk of m = n).  Both look every minor up in the
+    orbit index of its size.
     """
     if n <= TABLE_MAX_N:
         whole, splits = plan.index_scan(n)
@@ -288,10 +262,10 @@ def _first_minor(bm: int, n: int, plan: _ScanPlan) -> _Hit | None:
         b1 = 256 | bm >> 8 & 255
         b2 = 512 | bm >> 16 & 255
         b3 = 768 | bm >> 24
-        for x, y, t, orbit in splits:
+        for x, y, t, index in splits:
             minor = t[b0] | t[b1] | t[b2] | t[b3]
-            if minor in orbit:
-                return x, y, orbit[minor]
+            if minor in index:
+                return x, y, index[minor]
         return None
     for m in plan.sizes:
         if m <= n:

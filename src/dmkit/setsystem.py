@@ -147,38 +147,17 @@ class SetSystem:
     def dual(self) -> SetSystem:
         return self.twist(self.labels)
 
-    def _drop(self, bit_index: int) -> tuple[str, ...]:
-        return self.labels[:bit_index] + self.labels[bit_index + 1 :]
-
-    def _squeeze(self, m: int, bit_index: int) -> int:
-        low = m & ((1 << bit_index) - 1)
-        return low | ((m >> (bit_index + 1)) << bit_index)
-
     def delete(self, e: str) -> SetSystem:
         """Single-element deletion; a coloop is contracted instead."""
-        self._require_proper()
         if self.element_status(e) is ElementStatus.COLOOP:
-            return self._contract_raw(e)
-        return self._delete_raw(e)
+            return self.minor(contract=[e])
+        return self.minor(delete=[e])
 
     def contract(self, e: str) -> SetSystem:
         """Single-element contraction; a loop is deleted instead."""
-        self._require_proper()
         if self.element_status(e) is ElementStatus.LOOP:
-            return self._delete_raw(e)
-        return self._contract_raw(e)
-
-    def _delete_raw(self, e: str) -> SetSystem:
-        i = self.labels.index(e)
-        bit = 1 << i
-        masks = frozenset(self._squeeze(m, i) for m in self.masks if not m & bit)
-        return SetSystem(self._drop(i), masks)
-
-    def _contract_raw(self, e: str) -> SetSystem:
-        i = self.labels.index(e)
-        bit = 1 << i
-        masks = frozenset(self._squeeze(m ^ bit, i) for m in self.masks if m & bit)
-        return SetSystem(self._drop(i), masks)
+            return self.minor(delete=[e])
+        return self.minor(contract=[e])
 
     def minor(self, delete: Iterable[str] = (), contract: Iterable[str] = ()) -> SetSystem:
         """Normal-form minor S\\X/Y.
@@ -198,12 +177,17 @@ class SetSystem:
                 "no feasible set is disjoint from the deleted part and "
                 "contains the contracted part"
             )
-        keep = [i for i in range(self.n) if not (x | y) >> i & 1]
-        labels = tuple(self.labels[i] for i in keep)
+        removed = x | y
+        labels = tuple(e for i, e in enumerate(self.labels) if not removed >> i & 1)
+        # the removed bits are squeezed out highest first, so that each
+        # squeeze leaves the positions of the lower ones as they are
+        lows = [(1 << i) - 1 for i in reversed(range(self.n)) if removed >> i & 1]
         masks = set()
         for m in self.masks:
             if m & y == y and not m & x:
-                masks.add(sum(1 << j for j, i in enumerate(keep) if m >> i & 1))
+                for low in lows:
+                    m = m & low | m >> 1 & ~low
+                masks.add(m)
         return SetSystem(labels, frozenset(masks))
 
     def restrict(self, elements: Iterable[str]) -> SetSystem:

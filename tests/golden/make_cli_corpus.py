@@ -180,6 +180,15 @@ def cases() -> list[dict]:
     out.append({"argv": ["census", "run", "--n", "4", "--theorem", "exquotient",
                          "--no-dedupe", "--json"]})
     out.append({"argv": ["census", "run", "--n", "5", "--theorem", "exdelta"]})
+    # options a route would ignore are refused on it: a chunk below 1 on
+    # every route, and the streaming options on a sampled run
+    n3 = ["census", "run", "--n", "3", "--theorem", "exdelta"]
+    sampled = ["census", "run", "--n", "4", "--theorem", "exdelta", "--mode", "sampled",
+               "--count", "50"]
+    for argv in (n3, n3 + ["--long"], n3 + ["--no-dedupe"], sampled):
+        out.append({"argv": argv + ["--chunk", "0"]})
+    for extra in (["--resume", "ck.json"], ["--long"], ["--jobs", "2"], ["--jobs", "1"]):
+        out.append({"argv": sampled + extra})
     for theorem in ("exdelta", "exhiggs"):
         out.append({"argv": ["census", "run", "--n", "6", "--theorem", theorem,
                              "--mode", "sampled", "--count", "300", "--json"]})

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 
 from dmkit.bitset import (
     down_closure,
@@ -12,6 +12,7 @@ from dmkit.bitset import (
     iter_bits,
     layer_selectors,
     minimal_members,
+    orbit,
     permute_mask,
     relabellings,
     transposition,
@@ -84,3 +85,32 @@ def test_relabellings_visit_every_permutation_once():
         walk = list(relabellings(chain, n))
         assert len(walk) == factorial(n)
         assert set(walk) == {relabelled(chain, n, perm) for perm in permutations(range(n))}
+
+
+def test_orbit_is_the_set_of_relabellings():
+    # every family on at most three elements, then seeded dense, sparse and
+    # layer-union families (few, some and many automorphisms) on four to
+    # seven elements
+    for n in range(4):
+        for bm in range(1 << (1 << n)):
+            assert orbit(bm, n) == set(relabellings(bm, n)), (n, bm)
+    rng = random.Random(9)
+    for n in range(4, 8):
+        selectors = layer_selectors(n)
+        for _ in range(4):
+            families = (rng.getrandbits(1 << n),
+                        family_to_bitmap(rng.sample(range(1 << n), rng.randrange(1, 4))),
+                        sum(sel for sel in selectors if rng.random() < 0.5))
+            for bm in families:
+                assert orbit(bm, n) == set(relabellings(bm, n)), (n, bm)
+
+
+def test_orbit_sizes_of_the_s_k_twists():
+    # S_k twisted by a t-set is {A, E - A} with |A| = t: its images are the
+    # C(k, t) t-sets A, each pair counted once when t = k / 2
+    for k in range(1, 11):
+        full = (1 << k) - 1
+        for t in range(k + 1):
+            a = (1 << t) - 1
+            want = comb(k, t) // 2 if 2 * t == k else comb(k, t)
+            assert len(orbit(1 << a | 1 << (full ^ a), k)) == want, (k, t)

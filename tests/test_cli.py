@@ -346,7 +346,7 @@ def test_module_entry_point(t1_file):
 
 def test_a_cap_far_above_the_system_answers_at_once(tmp_path):
     # the excluded minors of a 2-element system are scanned up to two
-    # elements whatever the cap, so a cap of 30 shapes no 30-element target
+    # elements whatever the cap, so a cap of 30 indexes no 30-element target
     import os
     import subprocess
     import sys

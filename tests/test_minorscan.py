@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
+from math import factorial
 
 import numpy as np
 import pytest
 
 from dmkit import minorscan
-from dmkit.bitset import permute_mask
+from dmkit.bitset import iter_bits, orbit, permute_mask
 from dmkit.catalog import CatalogEntry, ExminorClassId, excluded_minor_set, make_named
 from dmkit.census import (
     REGISTRY,
@@ -318,8 +319,8 @@ class TestTableScan:
     def test_isomorphic_targets_resolve_to_the_first_in_list_order(self):
         # pairs of equal-but-relabelled targets on 4, 5 and 6 elements; each
         # host is a relabelling of the target with loops added up to seven
-        # elements, so every kernel meets the pair: the whole-system check,
-        # the tables, the orbit index and the shape-filtered chunk scan
+        # elements, so every kernel meets the pair in its orbit index: the
+        # whole-system check, the tables and the chunk scan
         rng = random.Random(427)
         t5 = make_named("T5")
         pairs = [
@@ -399,6 +400,39 @@ class TestProjectionScan:
                     for dels, cons, minor in enumerate_minors(s, m)
                 ]
                 assert got == want, (n, m)
+
+    def test_asymmetric_targets_on_five_and_six_elements(self):
+        # targets with no automorphism, whose orbit indices hold all m!
+        # images; each host hides one of them as the minor of one split
+        # (chunk y of the extra elements), and is then relabelled
+        rng = random.Random(433)
+        targets = []
+        for name, m in (("A", 6), ("B", 5), ("C", 5)):
+            while True:
+                bm = rng.getrandbits(1 << m)
+                if len(orbit(bm, m)) == factorial(m):
+                    break
+            targets.append(CatalogEntry.of(name, SetSystem.from_bitmap(tuple("uvwxyz"[:m]), bm)))
+        for n in (6, 7):
+            labels = tuple("abcdefg"[:n])
+            hosts = [SetSystem(labels, frozenset(rng.sample(range(1 << n), 1 << n - 1)))
+                     for _ in range(2)]
+            for target in targets:
+                m = target.system.n
+                for _ in range(3):
+                    y = rng.randrange(1 << n - m)
+                    chunks = [rng.getrandbits(1 << m) & rng.getrandbits(1 << m)
+                              for _ in range(1 << n - m)]
+                    chunks[y] = target.system.family_bitmap
+                    masks = [f | j << m for j, chunk in enumerate(chunks) for f in iter_bits(chunk)]
+                    perm = tuple(rng.sample(range(n), n))
+                    hosts.append(SetSystem(labels, frozenset(permute_mask(f, perm) for f in masks)))
+            want = [object_scan(s, targets) for s in hosts]
+            assert sum(witness is not None for witness in want) >= 9
+            for s, witness in zip(hosts, want):
+                assert has_minor_from(s, targets) == witness, s
+            assert no_minor_bits([s.family_bitmap for s in hosts], n, targets) == sum(
+                1 << b for b, witness in enumerate(want) if witness is None)
 
     def test_larger_systems_build_each_minor(self):
         for n in (9, 10):
@@ -537,6 +571,19 @@ class TestClassTable:
                     assert eq.exminor(s) == member, (cid, s)
         # every class that can refuse did refuse somewhere
         assert {cid for cid, count in seen.items() if count} == set(REFUSALS)
+
+    def test_excluded_minor_lists_are_minimal(self):
+        # each entry lies in its class's ambient and fails the direct
+        # oracle, while every valid single-element deletion and
+        # contraction of it passes
+        for cid, spec in minorscan.CLASS_TABLE.items():
+            if spec.direct is None:
+                continue
+            for entry in excluded_minor_set(cid, 8):
+                s = entry.system
+                assert spec.ambient(s) and not spec.direct(s), (cid, entry.name)
+                for dels, cons, minor in enumerate_minors(s, s.n - 1):
+                    assert spec.direct(minor), (cid, entry.name, dels, cons)
 
     def test_registry_rows(self):
         assert list(REGISTRY) == list(THEOREMS.values()) + ["speven"]

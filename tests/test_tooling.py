@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,22 @@ def test_every_traced_cache_is_an_lru_cache(tracer):
     for module, attr, _ in tracer.CACHES:
         hits, misses = tracer._cache_counts(module, attr)
         assert hits >= 0 and misses >= 0, (module, attr)
+
+
+def test_every_readme_reference_resolves():
+    # a `module.name` reference in the README to a dmkit module names an
+    # attribute that exists, so a rename or a deletion cannot leave the
+    # documentation behind
+    modules = {m.name for m in pkgutil.iter_modules([str(ROOT / "src" / "dmkit")])}
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    refs = {(module, path.rstrip(".")) for module, path in re.findall(r"`(\w+)\.([\w.]+)", text)
+            if module in modules}
+    assert len(refs) > 40
+    for module, path in sorted(refs):
+        target = importlib.import_module(f"dmkit.{module}")
+        for part in path.split("."):
+            assert hasattr(target, part), f"README names {module}.{path}"
+            target = getattr(target, part)
 
 
 def test_no_runtime_dependency():
