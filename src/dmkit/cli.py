@@ -14,7 +14,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .catalog import ExminorClassId, excluded_minor_set, make_named, twist_classes
-from .census import REGISTRY, count_census, run_streaming, verify_equivalence
+from .census import DEFAULT_CHUNK, REGISTRY, count_census, run_streaming, verify_equivalence
 from .errors import AmbientHypothesisError, DmkitError
 from .gf2 import d_of_c, is_binary_dm, parse_matrix
 from .higgs import build_higgs_dm, classify_higgs, higgs_lift
@@ -27,6 +27,8 @@ from .stacks import classify_stack, layer_bitmaps
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
+# Families a sampled census draws when --count is not given.
+DEFAULT_COUNT = 10000
 
 
 def _read_system(path: str) -> SetSystem:
@@ -221,21 +223,38 @@ def _print_report(report, args) -> None:
         print(report.summary())
 
 
+def _refuse_ignored(route: str, ignored: list[tuple[str, bool]]) -> bool:
+    """Print the refusal of the given options a route ignores, if any;
+    True when there was one."""
+    given = [flag for flag, present in ignored if present]
+    if given:
+        print(f"census: {route}; drop {', '.join(given)}", file=sys.stderr)
+    return bool(given)
+
+
 def cmd_census_run(args) -> int:
     for option, value in (("jobs", args.jobs), ("chunk", args.chunk)):
-        if value < 1:
+        if value is not None and value < 1:
             print(f"census: --{option} needs at least 1, got {option} = {value}",
                   file=sys.stderr)
             return EXIT_ERROR
+    streamed = args.mode == "exhaustive" and (args.long or args.resume or args.jobs > 1)
+    chunk = (f"--chunk {args.chunk}", args.chunk is not None)
+    sample = [(f"--seed {args.seed}", args.seed is not None),
+              (f"--count {args.count}", args.count is not None)]
     if args.mode == "sampled":
-        streaming = [flag for flag, given in (
+        refused = _refuse_ignored("a sampled run is neither streamed nor checkpointed", [
             (f"--resume {args.resume}", args.resume is not None),
             ("--long", args.long),
-            (f"--jobs {args.jobs}", args.jobs != 1)) if given]
-        if streaming:
-            print(f"census: a sampled run is neither streamed nor checkpointed; drop "
-                  f"{', '.join(streaming)}", file=sys.stderr)
-            return EXIT_ERROR
+            (f"--jobs {args.jobs}", args.jobs != 1), chunk])
+    elif streamed:
+        refused = _refuse_ignored("a streamed run draws no sample and evaluates every "
+                                  "family index", [*sample, ("--no-dedupe", args.no_dedupe)])
+    else:
+        refused = _refuse_ignored("an exhaustive run draws no sample and is streamed only "
+                                  "with --long, --resume or --jobs above 1", [*sample, chunk])
+    if refused:
+        return EXIT_ERROR
     if args.n > 4 and args.mode == "exhaustive" and not args.long:
         print(
             "census: exhaustive n > 4 needs --long (n = 5 is 2^32 families; exdelta "
@@ -243,24 +262,30 @@ def cmd_census_run(args) -> int:
             file=sys.stderr,
         )
         return EXIT_ERROR
-    if args.mode == "exhaustive" and (args.long or args.resume or args.jobs > 1):
+    if streamed:
         report = run_streaming(
             args.n, args.theorem,
             checkpoint_path=args.resume,
-            chunk=args.chunk,
+            chunk=args.chunk or DEFAULT_CHUNK,
             jobs=args.jobs,
         )
     else:
         report = verify_equivalence(
-            args.n, args.theorem, args.mode, seed=args.seed,
-            count=args.count, dedupe=not args.no_dedupe,
+            args.n, args.theorem, args.mode, seed=args.seed or 0,
+            count=DEFAULT_COUNT if args.count is None else args.count,
+            dedupe=not args.no_dedupe,
         )
     _print_report(report, args)
     return EXIT_YES if report.ok else EXIT_NO
 
 
 def cmd_census_count(args) -> int:
-    report = count_census(args.n, args.mode, seed=args.seed, count=args.count)
+    if args.mode == "exhaustive" and _refuse_ignored("an exhaustive count draws no sample", [
+            (f"--seed {args.seed}", args.seed is not None),
+            (f"--count {args.count}", args.count is not None)]):
+        return EXIT_ERROR
+    report = count_census(args.n, args.mode, seed=args.seed or 0,
+                          count=DEFAULT_COUNT if args.count is None else args.count)
     if args.json:
         _print_report(report, args)
     else:
@@ -420,15 +445,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theorem", required=True, choices=sorted(REGISTRY))
     p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=10000)
-    p.add_argument("--no-dedupe", action="store_true",
+    p.add_argument("--seed", type=int, default=None, help="sampled runs only (default 0)")
+    p.add_argument("--count", type=int, default=None,
+                   help=f"sampled runs only (default {DEFAULT_COUNT})")
+    p.add_argument("--no-dedupe", action="store_true", default=None,
                    help="evaluate every family index, not one per isomorphism class")
     p.add_argument("--long", action="store_true",
                    help="allow exhaustive n = 5 runs (2^32 families, about 240 000 "
                    "families/s per job for exdelta)")
     p.add_argument("--resume", default=None, help="checkpoint file for long runs")
-    p.add_argument("--chunk", type=int, default=1 << 24)
+    p.add_argument("--chunk", type=int, default=None,
+                   help=f"streamed runs only (default {DEFAULT_CHUNK})")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for exhaustive index-range scans")
     p.add_argument("--timestamps", action="store_true",
@@ -438,8 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = census.add_parser("count")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=10000)
+    p.add_argument("--seed", type=int, default=None, help="sampled counts only (default 0)")
+    p.add_argument("--count", type=int, default=None,
+                   help=f"sampled counts only (default {DEFAULT_COUNT})")
     p.add_argument("--timestamps", action="store_true",
                    help="include a wall-clock stamp in JSON output")
     _add_json_argument(p)

@@ -52,18 +52,18 @@ class Matroid:
     def from_system(cls, system: SetSystem) -> Matroid:
         if not system.is_proper:
             raise NotAMatroidError("empty basis family")
-        sizes = {m.bit_count() for m in system.masks}
+        sizes = system.layer_sizes
         if len(sizes) != 1:
-            raise NotAMatroidError(f"basis sizes differ: {sorted(sizes)}")
+            raise NotAMatroidError(f"basis sizes differ: {list(sizes)}")
         if not system.is_delta_matroid():
             raise NotAMatroidError(f"basis exchange fails at {exchange_violation(system)}")
-        return cls(system, sizes.pop())
+        return cls(system, sizes[0])
 
     @classmethod
     def _unchecked(cls, system: SetSystem) -> Matroid:
         # For constructions whose output is a matroid by theorem; tests
         # re-validate on small instances.
-        return cls(system, next(iter(system.masks)).bit_count())
+        return cls(system, system.layer_sizes[0])
 
     @property
     def labels(self) -> tuple[str, ...]:

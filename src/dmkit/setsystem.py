@@ -12,14 +12,13 @@ from __future__ import annotations
 import json
 import sys
 from array import array
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from .bitset import (family_to_bitmap, format_members, iter_bits, masks_without_bit,
-                     permute_mask, relabellings)
+from .bitset import (family_to_bitmap, format_members, iter_bits, layer_selectors,
+                     masks_without_bit, permute_mask, relabellings)
 from .errors import (
     CapacityError,
     FormatError,
@@ -38,27 +37,34 @@ class ElementStatus(Enum):
     NEITHER = "neither"
 
 
-@dataclass(frozen=True)
+def _check_labels(labels: tuple[str, ...]) -> None:
+    if len(set(labels)) != len(labels):
+        raise FormatError("duplicate element labels")
+
+
 class SetSystem:
-    """A set system (E, F) with E ordered and F stored as bitmasks."""
+    """A set system (E, F) with E ordered and F stored as bitmasks.
+
+    A system keeps the form of F it was built from, the frozenset of masks
+    or the family bitmap, and derives the other once, on first use.
+    Equality and hash read (labels, family_bitmap).
+    """
 
     labels: tuple[str, ...]
-    masks: frozenset[int]
 
-    def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
-            raise FormatError("duplicate element labels")
-        full = (1 << len(self.labels)) - 1
-        for m in self.masks:
+    def __init__(self, labels: Sequence[str], masks: frozenset[int]) -> None:
+        labels = tuple(labels)
+        _check_labels(labels)
+        full = (1 << len(labels)) - 1
+        for m in masks:
             if m < 0 or m & ~full:
                 raise FormatError(f"mask {m} uses bits outside the ground set")
+        self.__dict__.update(labels=labels, masks=masks)
 
     @classmethod
     def from_sets(cls, labels: Sequence[str], feasible: Iterable[Iterable[str]]) -> SetSystem:
         labels = tuple(labels)
         index = {e: i for i, e in enumerate(labels)}
-        if len(index) != len(labels):
-            raise FormatError("duplicate element labels")
         masks = set()
         for fs in feasible:
             m = 0
@@ -71,12 +77,29 @@ class SetSystem:
 
     @classmethod
     def from_bitmap(cls, labels: Sequence[str], bm: int) -> SetSystem:
-        """The system with family bitmap bm over the labels, kept as its
-        family_bitmap."""
-        # copied from a set, the frozenset's table is sized to its members
-        system = cls(tuple(labels), frozenset(set(iter_bits(bm))))
-        system.__dict__["family_bitmap"] = bm
+        """The system with family bitmap bm over the labels, kept as that
+        int alone."""
+        labels = tuple(labels)
+        _check_labels(labels)
+        if bm < 0 or bm.bit_length() > 1 << len(labels):
+            raise FormatError(f"family bitmap {bm} is not a family over {len(labels)} elements")
+        system = cls.__new__(cls)
+        system.__dict__.update(labels=labels, family_bitmap=bm)
         return system
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.labels == other.labels and self.family_bitmap == other.family_bitmap
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.family_bitmap))
 
     # -- basic queries ------------------------------------------------
 
@@ -86,7 +109,14 @@ class SetSystem:
 
     @property
     def is_proper(self) -> bool:
-        return bool(self.masks)
+        # read off whichever form the system was built from
+        stored = self.__dict__
+        return bool(stored["masks"] if "masks" in stored else stored["family_bitmap"])
+
+    @cached_property
+    def masks(self) -> frozenset[int]:
+        # copied from a set, the frozenset's table is sized to its members
+        return frozenset(set(iter_bits(self.family_bitmap)))
 
     @cached_property
     def sorted_masks(self) -> tuple[int, ...]:
@@ -103,14 +133,19 @@ class SetSystem:
         """Sorted multiset of feasible-set sizes; isomorphism prefilter."""
         return tuple(sorted(m.bit_count() for m in self.masks))
 
+    @property
+    def layer_sizes(self) -> tuple[int, ...]:
+        """The sizes of the feasible sets, ascending, each once."""
+        bm = self.family_bitmap
+        return tuple(r for r, sel in enumerate(layer_selectors(self.n)) if bm & sel)
+
     @cached_property
     def is_even(self) -> bool:
         self._require_proper()
-        parities = {m.bit_count() & 1 for m in self.masks}
-        return len(parities) == 1
+        return len({r & 1 for r in self.layer_sizes}) == 1
 
     def _require_proper(self) -> None:
-        if not self.masks:
+        if not self.is_proper:
             raise ImproperSystemError("operation requires a proper set system")
 
     def mask_of(self, elements: Iterable[str]) -> int:
@@ -235,15 +270,17 @@ class SetSystem:
         object, like family_bitmap."""
         return self._exchange_holds
 
+    def _layer(self, r: int) -> tuple[int, ...]:
+        """The feasible masks of size r, ascending."""
+        return tuple(iter_bits(self.family_bitmap & layer_selectors(self.n)[r]))
+
     def min_sets(self) -> tuple[int, ...]:
         self._require_proper()
-        k = min(m.bit_count() for m in self.masks)
-        return tuple(m for m in self.sorted_masks if m.bit_count() == k)
+        return self._layer(self.layer_sizes[0])
 
     def max_sets(self) -> tuple[int, ...]:
         self._require_proper()
-        k = max(m.bit_count() for m in self.masks)
-        return tuple(m for m in self.sorted_masks if m.bit_count() == k)
+        return self._layer(self.layer_sizes[-1])
 
     # -- isomorphism ---------------------------------------------------
 

@@ -189,6 +189,15 @@ def cases() -> list[dict]:
         out.append({"argv": argv + ["--chunk", "0"]})
     for extra in (["--resume", "ck.json"], ["--long"], ["--jobs", "2"], ["--jobs", "1"]):
         out.append({"argv": sampled + extra})
+    # and so are the sampling options on an exhaustive run, --chunk on a
+    # run that is not streamed and --no-dedupe on one that is
+    for extra in (["--chunk", "7"], ["--seed", "9"], ["--count", "5"],
+                  ["--seed", "9", "--count", "5"], ["--long", "--no-dedupe"],
+                  ["--long", "--no-dedupe", "--seed", "9"], ["--jobs", "2", "--count", "5"]):
+        out.append({"argv": n3 + extra})
+    out.append({"argv": sampled + ["--chunk", "7"]})
+    for extra in (["--seed", "9"], ["--count", "5"], ["--seed", "9", "--count", "5"]):
+        out.append({"argv": ["census", "count", "--n", "3"] + extra})
     for theorem in ("exdelta", "exhiggs"):
         out.append({"argv": ["census", "run", "--n", "6", "--theorem", theorem,
                              "--mode", "sampled", "--count", "300", "--json"]})

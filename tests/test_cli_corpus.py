@@ -10,8 +10,10 @@ without --no-dedupe, exhaustive `census run --n 4 --json` for every
 theorem (and for exquotient with --no-dedupe, 65 535 families through
 the stack-flag memo), sampled n = 5 census runs of 400 families in text
 and --json form and the refusal of an exhaustive n = 5 run without
---long, the refusals of a --chunk of 0 on every route and of the
-streaming options (--resume, --long, --jobs 2) on a sampled run, `census
+--long, the refusals of a --chunk of 0 on every route, of the
+streaming options (--resume, --long, --jobs 2, --chunk) on a sampled run,
+of --seed, --count and an unstreamed --chunk on exhaustive runs and
+counts, and of --no-dedupe on a streamed run, `census
 count --n 3` and `--n 4` in text and --json form, a sampled `census
 count --n 5`, `catalog dump --cap 6` for every class, the `scan` alias on
 four systems, `lattice build`, `dual` and `minor` on five regions, one of

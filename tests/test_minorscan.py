@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dmkit import minorscan
-from dmkit.bitset import iter_bits, orbit, permute_mask
+from dmkit.bitset import iter_bits, orbit, permute_mask, transposition
 from dmkit.catalog import CatalogEntry, ExminorClassId, excluded_minor_set, make_named
 from dmkit.census import (
     REGISTRY,
@@ -30,7 +30,7 @@ from dmkit.minorscan import (
     has_minor_from,
     no_minor_bits,
 )
-from dmkit.setsystem import SetSystem
+from dmkit.setsystem import SetSystem, _canonical_form
 from dmkit.stacks import classify_stack, stack_of
 
 from conftest import random_delta_matroid, random_system
@@ -507,6 +507,45 @@ THEOREMS = {
 }
 
 
+def index_forms_hold(form, indices: list[int], n: int) -> list[int]:
+    """The indices on which an index form holds, in their order."""
+    return [indices[b] for b in iter_bits(form(indices, n))] if indices else []
+
+
+def minimal_non_member_classes(spec, top: int) -> dict[int, set[tuple[int, int]]]:
+    """Per n <= top, the canonical forms of the minimal non-members of a
+    class: the ambient families that fail the direct oracle while each of
+    their nonempty halves (single-element deletions and contractions) is a
+    member.  Candidates at n join two members below on the top element and
+    keep the families whose halves at every other element, read as the top
+    halves after exchanging that element with the top one, are members too
+    (membership is label-invariant)."""
+    out = {}
+    members = {0}  # the members on n - 1 elements, and the empty half
+    for n in range(top + 1):
+        half = (1 << n) >> 1
+        swaps = [transposition(n, e, n - 1) for e in range(n - 1)]
+        candidates = [1] if n == 0 else []
+        for low in members if n else ():
+            for high in members:
+                f = low | high << half
+                for shift, mask in swaps:
+                    t = (f ^ f >> shift) & mask
+                    g = f ^ t ^ t << shift
+                    if g & (1 << half) - 1 not in members or g >> half not in members:
+                        break
+                else:
+                    if f:
+                        candidates.append(f)
+        ambient = index_forms_hold(spec.ambient_index, candidates, n)
+        direct = set(index_forms_hold(spec.direct_index, ambient, n))
+        out[n] = {_canonical_form(n, f) for f in ambient if f not in direct}
+        if n < top:
+            every = index_forms_hold(spec.ambient_index, list(range(1, 1 << (1 << n))), n)
+            members = {0, *index_forms_hold(spec.direct_index, every, n)}
+    return out
+
+
 def class_table_hosts() -> list[SetSystem]:
     """Every proper family on at most three elements, seeded n = 4 and
     n = 5 samples, every union of uniform layers on 4 and 5 elements
@@ -584,6 +623,23 @@ class TestClassTable:
                 assert spec.ambient(s) and not spec.direct(s), (cid, entry.name)
                 for dels, cons, minor in enumerate_minors(s, s.n - 1):
                     assert spec.direct(minor), (cid, entry.name, dels, cons)
+
+    def test_excluded_minor_lists_hold_every_minimal_non_member_up_to_four(self):
+        # both ways: up to isomorphism, the minimal non-members of each
+        # class on n <= 4 elements are the list entries of that size, each
+        # class listed once
+        counts = []
+        for cid, spec in minorscan.CLASS_TABLE.items():
+            if spec.direct is None:
+                continue
+            derived = minimal_non_member_classes(spec, 4)
+            listed = {n: [] for n in derived}
+            for entry in excluded_minor_set(cid, 4):
+                listed[entry.system.n].append(entry.system.canonical_form())
+            for n, forms in listed.items():
+                assert sorted(forms) == sorted(derived[n]), (cid, n)
+            counts.append(sum(map(len, derived.values())))
+        assert counts == [56, 24, 27, 3, 7, 2, 5, 45, 15, 20, 7, 15]
 
     def test_registry_rows(self):
         assert list(REGISTRY) == list(THEOREMS.values()) + ["speven"]

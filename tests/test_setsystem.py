@@ -3,20 +3,27 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmkit.bitset import family_to_bitmap, permute_mask, relabellings
+from dmkit.bitset import family_to_bitmap, iter_bits, permute_mask, relabellings
+from dmkit.census import family_system, random_quotient_pair
 from dmkit.errors import (
     CapacityError,
     FormatError,
     ImproperSystemError,
     InvalidMinorError,
+    NotAMatroidError,
     UnknownElementError,
 )
+from dmkit.gf2 import SkewSymMatrixGF2, d_of_c
+from dmkit.higgs import build_higgs_dm, higgs_lift
+from dmkit.latticepath import iter_regions, lpdm
+from dmkit.matroid import Matroid
 from dmkit.setsystem import (
     PERMUTATION_CAP,
     ElementStatus,
@@ -112,6 +119,95 @@ class TestFromBitmap:
         with pytest.raises(FormatError):
             SetSystem.from_bitmap("ab", 1 << 4)
 
+    @pytest.mark.parametrize("bm", [-1, -16, 1 << 16, (1 << 17) - 1])
+    def test_rejects_negative_and_too_wide_bitmaps(self, bm):
+        with pytest.raises(FormatError):
+            SetSystem.from_bitmap("abcd", bm)
+
+    def test_rejects_duplicate_labels(self):
+        with pytest.raises(FormatError):
+            SetSystem.from_bitmap("aa", 1)
+
+    @staticmethod
+    def assert_same_system(labels, bm):
+        s = SetSystem.from_bitmap(labels, bm)
+        t = SetSystem(tuple(labels), frozenset(iter_bits(bm)))
+        assert s == t and t == s and hash(s) == hash(t)
+        # built from the bitmap, the system holds no masks until asked
+        assert "masks" not in s.__dict__
+        assert s.masks == t.masks and s.family_bitmap == t.family_bitmap
+
+    def test_equals_the_mask_form_for_every_family_up_to_three(self):
+        for n in range(4):
+            labels = LABELS[:n]
+            for bm in range(1 << (1 << n)):
+                self.assert_same_system(labels, bm)
+                for m in range(1 << n):
+                    # equality reads the family, not the labels alone
+                    assert SetSystem.from_bitmap(labels, bm) != SetSystem.from_bitmap(
+                        labels, bm ^ 1 << m)
+                assert SetSystem.from_bitmap(labels, bm) != SetSystem.from_bitmap(
+                    labels[::-1], bm) or n < 2
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_equals_the_mask_form_on_seeded_families(self, rng, n):
+        for _ in range(50):
+            self.assert_same_system(LABELS[:n], rng.getrandbits(1 << n))
+
+    def test_is_immutable(self):
+        for s in (SetSystem.from_bitmap("abc", 0b10010110),
+                  SetSystem(tuple("abc"), frozenset({1, 2, 4, 7}))):
+            for name in ("labels", "masks", "family_bitmap", "n", "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(s, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(s, name)
+            assert s.labels == tuple("abc") and s.masks == frozenset({1, 2, 4, 7})
+
+    def test_pickle_round_trip(self, rng):
+        # census --jobs hands work to other processes
+        for n in range(6):
+            bm = rng.getrandbits(1 << n)
+            for s in (SetSystem.from_bitmap(LABELS[:n], bm),
+                      SetSystem(tuple(LABELS[:n]), frozenset(iter_bits(bm)))):
+                s.is_proper and s.is_delta_matroid()
+                t = pickle.loads(pickle.dumps(s))
+                assert t == s and hash(t) == hash(s) and t.masks == s.masks
+
+    def test_constructions_are_decided_on_their_bitmaps(self, rng):
+        # the exchange axiom and the matroid checks read the family bitmap,
+        # so a construction built as a bitmap never decodes its masks
+        def decided(s):
+            if s.is_delta_matroid() and len(s.layer_sizes) == 1:
+                assert Matroid.from_system(s).system is s
+            else:
+                with pytest.raises(NotAMatroidError):
+                    Matroid.from_system(s)
+            return s
+
+        systems = []
+        for n in range(1, 7):
+            for _ in range(10):
+                rows = [0] * n
+                for i, j in itertools.combinations(range(n), 2):
+                    if rng.random() < 0.5:
+                        rows[i] |= 1 << j
+                        rows[j] |= 1 << i
+                systems.append(d_of_c(SkewSymMatrixGF2(tuple(LABELS[:n]), tuple(rows))))
+        for n, r_q, r_l in ((4, 1, 3), (5, 2, 4), (6, 1, 4)):
+            q, lift = random_quotient_pair(n, r_q, r_l, rng.getrandbits(31))
+            # lifts 0 and above k are q and the lift themselves
+            for i in range(1, lift.rank - q.rank + 1):
+                systems.append(higgs_lift(q, lift, i).system)
+            systems += [build_higgs_dm(q, lift, range(0, lift.rank - q.rank + 1, 2)),
+                        build_higgs_dm(q, lift, range(lift.rank - q.rank + 1))]
+        systems += [family_system(3, index) for index in range(1, 1 << 8)
+                    if family_system(3, index).is_delta_matroid()]
+        for region in iter_regions(4):
+            result = lpdm(region)
+            systems += [result.system, result.min_matroid.system, result.max_matroid.system]
+        for s in systems:
+            assert "masks" not in decided(s).__dict__, s.labels
 
 class TestElementStatus:
     def test_s2_neither(self):

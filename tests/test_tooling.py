@@ -8,11 +8,13 @@ import ast
 import importlib.util
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 import dmkit.cli  # noqa: F401  (imports every dmkit module the tracer names)
+from dmkit.setsystem import SetSystem
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -38,6 +40,32 @@ def test_every_traced_cache_is_an_lru_cache(tracer):
     for module, attr, _ in tracer.CACHES:
         hits, misses = tracer._cache_counts(module, attr)
         assert hits >= 0 and misses >= 0, (module, attr)
+
+
+def _dmkit_bindings() -> dict[tuple[str, str], object]:
+    """Every attribute of every dmkit module and of SetSystem, by name."""
+    out = {(name, attr): value for name, module in sys.modules.items()
+           if name == "dmkit" or name.startswith("dmkit.") for attr, value in vars(module).items()}
+    out.update((("SetSystem", attr), value) for attr, value in vars(SetSystem).items())
+    return out
+
+
+def test_tracer_installs_and_restores(tracer):
+    # the traced benchmark rebinds methods on their class and functions in
+    # every module that holds them; uninstall puts every original back
+    before = _dmkit_bindings()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert SetSystem.__dict__["is_delta_matroid"] is not before["SetSystem", "is_delta_matroid"]
+        assert SetSystem.from_bitmap("abc", 0b10010111).is_delta_matroid()
+    finally:
+        t.uninstall()
+    spans = [t.names[i] for i in t.name]
+    assert spans.count("setsystem.is_delta_matroid") == 1
+    after = _dmkit_bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
 
 
 def test_every_readme_reference_resolves():
