@@ -32,7 +32,6 @@ from .latticepath import (
     lpdm,
     region_dual,
     region_minor,
-    validate_region,
 )
 from .matroid import Matroid, is_matroid, is_quotient, min_max_matroids, paving_flags, uniform_matroid
 from .minorscan import MinorWitness, classify_by_exminors, enumerate_minors, has_minor_from
@@ -97,5 +96,4 @@ __all__ = [
     "stack_of",
     "twist_classes",
     "uniform_matroid",
-    "validate_region",
 ]

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+from .bitset import orbit
 from .errors import CapacityError, UnknownNameError
 from .setsystem import SetSystem
 
@@ -114,18 +115,27 @@ def twist_classes(system: SetSystem, base_name: str = "S") -> list[CatalogEntry]
     Each class is represented by its (size, lexicographic) smallest twist
     set; the dual partner of a class is named by the complement of that
     representative, following the appendix table conventions.  Classes are
-    returned ordered by (representative size, members).
+    returned ordered by (representative size, members).  A new class's
+    canonical form is the least image of its relabelling orbit, which holds
+    every twist of the class: n - 1 delta swaps per image, where a
+    canonical form per twist walks all n! relabellings.
     """
     n = system.n
     if n > TWIST_CLASS_CAP:
         raise CapacityError(f"twist enumeration capped at {TWIST_CLASS_CAP} elements")
     order = sorted(range(1 << n), key=lambda a: (a.bit_count(), system.members(a)))
+    twisted = {a: system.twist(system.members(a)) for a in order}
     classes: dict[tuple, tuple[int, SetSystem]] = {}
     class_of: dict[int, tuple] = {}
     for a in order:
-        twisted = system.twist(system.members(a))
-        canonical = class_of[a] = twisted.canonical_form()
-        classes.setdefault(canonical, (a, twisted))
+        if a in class_of:
+            continue
+        images = orbit(twisted[a].family_bitmap, n)
+        canonical = (n, min(images))
+        classes[canonical] = (a, twisted[a])
+        for b in order:
+            if b not in class_of and twisted[b].family_bitmap in images:
+                class_of[b] = canonical
     # Dual pairing: the dual of the class of A is the class of A ^ E.
     full = (1 << n) - 1
     names: dict[tuple, str] = {}

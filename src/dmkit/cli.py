@@ -18,7 +18,15 @@ from .census import DEFAULT_CHUNK, REGISTRY, count_census, run_streaming, verify
 from .errors import AmbientHypothesisError, DmkitError
 from .gf2 import d_of_c, is_binary_dm, parse_matrix
 from .higgs import build_higgs_dm, classify_higgs, higgs_lift
-from .latticepath import lpdm, parse_region, region_dual, region_minor, region_svg, serialize_region
+from .latticepath import (
+    Region,
+    lpdm,
+    parse_region,
+    region_dual,
+    region_minor,
+    region_svg,
+    serialize_region,
+)
 from .matroid import Matroid
 from .minorscan import classify_by_exminors
 from .setsystem import SetSystem, parse_set_system, serialize_set_system
@@ -33,6 +41,10 @@ DEFAULT_COUNT = 10000
 
 def _read_system(path: str) -> SetSystem:
     return parse_set_system(Path(path).read_text(encoding="utf-8"))
+
+
+def _read_region(path: str) -> Region:
+    return parse_region(Path(path).read_text(encoding="utf-8"))
 
 
 def _read_matroid(path: str) -> Matroid:
@@ -146,26 +158,26 @@ def cmd_higgs_classify(args) -> int:
 
 
 def cmd_lattice_build(args) -> int:
-    region = parse_region(Path(args.file).read_text(encoding="utf-8"))
+    region = _read_region(args.file)
     result = lpdm(region)
     _emit_system(result.system, args)
     return EXIT_YES
 
 
 def cmd_lattice_svg(args) -> int:
-    region = parse_region(Path(args.file).read_text(encoding="utf-8"))
+    region = _read_region(args.file)
     _write_or_print(region_svg(region), args.output)
     return EXIT_YES
 
 
 def cmd_lattice_dual(args) -> int:
-    region = parse_region(Path(args.file).read_text(encoding="utf-8"))
+    region = _read_region(args.file)
     _write_or_print(serialize_region(region_dual(region)), args.output)
     return EXIT_YES
 
 
 def cmd_lattice_minor(args) -> int:
-    region = parse_region(Path(args.file).read_text(encoding="utf-8"))
+    region = _read_region(args.file)
     result = region_minor(region, args.element, args.op)
     _write_or_print(serialize_region(result), args.output)
     return EXIT_YES

@@ -49,7 +49,8 @@ def _word_from_heights(hs) -> str:
 
 @dataclass(frozen=True)
 class Region:
-    """A two-path region in normalized coordinates (s_P at the origin)."""
+    """A two-path region in normalized coordinates (s_P at the origin);
+    constructing one raises InvalidRegionError unless it is valid."""
 
     d: int
     c: int
@@ -71,11 +72,24 @@ class Region:
     def hq(self) -> tuple[int, ...]:
         return _heights(self.q_word, self.d)
 
+    def __post_init__(self) -> None:
+        diags = self.diagnostics()
+        if diags:
+            raise InvalidRegionError("; ".join(diags))
+
+    @classmethod
+    def _valid(cls, d: int, c: int, u: int, v: int, p_word: str, q_word: str) -> Region:
+        """A region whose fields are known to be valid, built unchecked."""
+        region = cls.__new__(cls)
+        region.__dict__.update(d=d, c=c, u=u, v=v, p_word=p_word, q_word=q_word)
+        return region
+
     def labels(self) -> tuple[str, ...]:
         return tuple(str(i) for i in range(1, self.n + 1))
 
     def diagnostics(self) -> list[str]:
-        """All violated region constraints, first one first."""
+        """All violated region constraints, first one first; the
+        constructor raises them, so a built region has none."""
         out = []
         d, c, u, v = self.d, self.c, self.u, self.v
         if min(d, c, u, v) < 0:
@@ -98,18 +112,6 @@ class Region:
             level = next(level for level, (a, b) in enumerate(zip(hp, hq)) if a > b)
             out.append(f"P crosses above Q at level {level}")
         return out
-
-    def validate(self) -> Region:
-        diags = self.diagnostics()
-        if diags:
-            raise InvalidRegionError("; ".join(diags))
-        return self
-
-
-def validate_region(region: Region) -> tuple[bool, list[str]]:
-    """Verdict plus the list of violated constraints."""
-    diags = region.diagnostics()
-    return not diags, diags
 
 
 class LatticePath(NamedTuple):
@@ -154,12 +156,9 @@ def _all_paths_bitmap(region: Region) -> int:
     v - c + j - i north steps, so the paths from s_Q to t_P are the label
     sets of size v - c - d and those from s_P to t_Q the label sets of
     size v: the minimal and maximal matroids are the extreme layers of the
-    family.  A word whose length is not u + v bounds no path of u + v
-    steps, so such a region gets the empty family.
+    family.
     """
-    n, d, p_word, q_word = region.n, region.d, region.p_word, region.q_word
-    if len(p_word) != n or len(q_word) != n:
-        return 0
+    d, p_word, q_word = region.d, region.p_word, region.q_word
     out = 0
     for i in range(d + 1):
         out |= _side_bitmap(p_word, -i, True) & _side_bitmap(q_word, d - i, False)
@@ -168,7 +167,7 @@ def _all_paths_bitmap(region: Region) -> int:
 
 def _two_sided_paths_bitmap(region: Region) -> int:
     """Slow reference for _all_paths_bitmap: one level DP over the points
-    between both bounding paths, for regions whose words have u + v steps."""
+    between both bounding paths."""
     hp, hq = region.hp, region.hq
     # maps[y] = family bitmap of paths reaching the current level at height y
     maps = dict.fromkeys(range(hp[0], hq[0] + 1), 1)
@@ -190,16 +189,13 @@ def _two_sided_paths_bitmap(region: Region) -> int:
 
 def _matroid_bitmaps(region: Region, d_bm: int) -> tuple[int, int]:
     """Basis bitmaps of the minimal and maximal matroids, cut from the
-    path family d_bm of the region.  A size outside 0..n (only in an
-    invalid region, which verify_region_prop validates only after its bitmap
-    checks) selects nothing."""
-    n, sizes = region.n, (region.v - region.c - region.d, region.v)
-    return tuple(d_bm & layer_selectors(n)[k] if 0 <= k <= n else 0 for k in sizes)
+    path family d_bm of the region."""
+    selectors = layer_selectors(region.n)
+    return d_bm & selectors[region.v - region.c - region.d], d_bm & selectors[region.v]
 
 
 def count_paths(region: Region) -> int:
     """Number of in-region paths between all start and end points."""
-    region.validate()
     hp, hq = region.hp, region.hq
     counts = {y: 1 for y in range(hp[0], hq[0] + 1)}
     for level in range(1, region.n + 1):
@@ -215,7 +211,6 @@ def count_paths(region: Region) -> int:
 
 def enumerate_paths(region: Region, cap: int = PATH_COUNT_CAP) -> list[LatticePath]:
     """Every in-region path from every s_i to every t_j, exactly once."""
-    region.validate()
     total = count_paths(region)
     if total > cap:
         raise CapacityError(f"{total} paths exceed the cap of {cap}")
@@ -257,7 +252,6 @@ def lpdm(region: Region) -> LpdmResult:
     maximal one and that the path image equals the full Higgs lift
     delta-matroid of the pair.
     """
-    region.validate()
     labels = region.labels()
     d_bm = _all_paths_bitmap(region)
     lo_bm, hi_bm = _matroid_bitmaps(region, d_bm)
@@ -275,25 +269,16 @@ def region_dual(region: Region) -> Region:
     """Flip the diagram so starts and ends exchange; d and c swap roles.
 
     The dual region's delta-matroid is the dual of the original one after
-    the label reversal e -> n+1-e induced by the flip.
+    the label reversal e -> n+1-e induced by the flip.  The dual of a
+    valid region is valid, so it is built unchecked.
     """
-    return _dual(region.validate())
-
-
-def _dual(region: Region) -> Region:
-    """region_dual of a valid region, whose dual is valid too."""
 
     def flip(word: str) -> str:
         return "".join("E" if s == "N" else "N" for s in reversed(word))
 
-    return Region(
-        d=region.c,
-        c=region.d,
-        u=region.v - region.c - region.d,
-        v=region.u + region.c + region.d,
-        p_word=flip(region.p_word),
-        q_word=flip(region.q_word),
-    )
+    c, d = region.c, region.d
+    return Region._valid(c, d, region.v - c - d, region.u + c + d,
+                         flip(region.p_word), flip(region.q_word))
 
 
 def _delete_heights(region: Region, e: int) -> tuple[list[int], list[int]]:
@@ -352,7 +337,7 @@ def _region_from_heights(raw_p: list[int], raw_q: list[int]) -> Region:
         v=v,
         p_word=_word_from_heights(new_p),
         q_word=_word_from_heights(new_q),
-    ).validate()
+    )
 
 
 def element_kind(region: Region, e: int) -> str:
@@ -376,24 +361,14 @@ def region_minor(region: Region, e: int, op: str) -> Region:
 
     Deleting a coloop contracts it (and dually), matching the set-system
     conventions; contraction is dual-delete-dual with the flipped label.
+    Only the one region built from height profiles is checked.
     """
-    region.validate()
     if op not in ("delete", "contract"):
         raise ValueError(f"op must be 'delete' or 'contract', not {op!r}")
-    return _minor(region, e, op)
-
-
-def _minor(region: Region, e: int, op: str) -> Region:
-    """region_minor of a valid region; only the regions it builds from
-    height profiles are validated (by _region_from_heights)."""
     kind = element_kind(region, e)
-    if op == "delete":
-        if kind == "coloop":
-            return _minor(region, e, "contract")
+    if kind == "loop" or op == "delete" and kind != "coloop":
         return _region_from_heights(*_delete_heights(region, e))
-    if kind == "loop":
-        return _region_from_heights(*_delete_heights(region, e))
-    return _dual(_minor(_dual(region), region.n + 1 - e, "delete"))
+    return region_dual(region_minor(region_dual(region), region.n + 1 - e, "delete"))
 
 
 # -- region file format --------------------------------------------------
@@ -413,7 +388,7 @@ def parse_region(text: str) -> Region:
         raise FormatError("region coordinates d, c, u, v must be integers")
     if not isinstance(p_word, str) or not isinstance(q_word, str):
         raise FormatError("region path words P, Q must be strings")
-    return Region(*coords, p_word, q_word).validate()
+    return Region(*coords, p_word, q_word)
 
 
 def serialize_region(region: Region) -> str:
@@ -432,7 +407,6 @@ def serialize_region(region: Region) -> str:
 
 def region_svg(region: Region) -> str:
     """A small standalone SVG drawing of the region and its label grid."""
-    region.validate()
     scale, pad = 28, 30
     hp, hq = region.hp, region.hq
 
@@ -492,14 +466,12 @@ def iter_regions(max_size: int) -> Iterator[Region]:
                     for p_word, hp in ps:
                         for q_word, hq in qs:
                             if not any(map(gt, hp, hq)):
-                                yield Region(d, c, u, v, p_word, q_word)
+                                yield Region._valid(d, c, u, v, p_word, q_word)
 
 
 def verify_region_prop(region: Region) -> str | None:
     """Fast bitmap check of the quotient and full-Higgs claims for one
-    region; returns None on success or a short failure tag.  A region
-    that passes the bitmap checks but is invalid gets the first entry of
-    its diagnostics() instead of None.
+    region; returns None on success or a short failure tag.
 
     This is the bulk-sweep counterpart of lpdm(), which performs the same
     checks through the validated matroid API.
@@ -507,10 +479,8 @@ def verify_region_prop(region: Region) -> str | None:
     n = region.n
     d_bm = _all_paths_bitmap(region)
     lo_bm, hi_bm = _matroid_bitmaps(region, d_bm)
-    if not lo_bm or not hi_bm or not d_bm:
-        return "empty path family"
     if d_bm != _spanning_bitmap(lo_bm, n) & _independent_bitmap(hi_bm, n):
         return "path image differs from full Higgs lift family"
     if not circuits_cover(_circuit_masks(lo_bm, n), _circuit_masks(hi_bm, n)):
         return "minimal matroid is not a quotient of the maximal"
-    return next(iter(region.diagnostics()), None)
+    return None

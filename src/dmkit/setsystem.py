@@ -284,32 +284,32 @@ class SetSystem:
 
     # -- isomorphism ---------------------------------------------------
 
-    def canonical_form(self, cap: int = PERMUTATION_CAP) -> tuple[int, int]:
+    def canonical_form(self) -> tuple[int, int]:
         """(n, least family bitmap over the n! relabellings of the ground
         set); two systems are isomorphic exactly when their forms are
         equal."""
-        if self.n > cap:
+        if self.n > PERMUTATION_CAP:
             raise CapacityError(
-                f"canonical form needs {self.n}! relabellings; cap is {cap}"
+                f"canonical form needs {self.n}! relabellings; cap is {PERMUTATION_CAP}"
             )
         return _canonical_form(self.n, self.family_bitmap)
 
-    def canonical_permutation(self, cap: int = PERMUTATION_CAP) -> tuple[int, ...]:
+    def canonical_permutation(self) -> tuple[int, ...]:
         """A permutation (bit i -> position perm[i]) taking the family
         bitmap to that of canonical_form; the lexicographically least."""
-        best = self.canonical_form(cap)[1]
+        best = self.canonical_form()[1]
         for perm in permutations(range(self.n)):
             if family_to_bitmap(permute_mask(m, perm) for m in self.masks) == best:
                 return perm
 
-    def is_isomorphic(self, other: SetSystem, cap: int = PERMUTATION_CAP) -> bool:
+    def is_isomorphic(self, other: SetSystem) -> bool:
         """Relabelling equivalence: equal cached canonical forms, after a
         size-signature prefilter."""
         if self.n != other.n or len(self.masks) != len(other.masks):
             return False
         if self.size_signature != other.size_signature:
             return False
-        return self.canonical_form(cap) == other.canonical_form(cap)
+        return self.canonical_form() == other.canonical_form()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         fam = ";".join(

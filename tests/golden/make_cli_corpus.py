@@ -28,7 +28,7 @@ from dmkit.census import REGISTRY, random_quotient_pair
 from dmkit.cli import main
 from dmkit.gf2 import SkewSymMatrixGF2, d_of_c
 from dmkit.higgs import build_higgs_dm
-from dmkit.latticepath import Region, serialize_region
+from dmkit.latticepath import Region, parse_region, serialize_region
 from dmkit.setsystem import SetSystem, serialize_set_system
 
 OUT = Path(__file__).with_name("cli_corpus.json")
@@ -137,16 +137,19 @@ def large_systems() -> dict[str, SetSystem]:
     }
 
 
-def regions() -> dict[str, Region]:
-    """Lattice regions for the ``lattice`` cases, the last one invalid
-    (P crosses above Q)."""
-    return {
+def regions() -> dict[str, str]:
+    """Region files for the ``lattice`` cases, the last one invalid (P
+    crosses above Q); no Region holds that one, so it is written as JSON
+    text."""
+    valid = {
         "region-tiny": Region(1, 0, 1, 1, "EN", "EE"),
         "region-fig1": Region(0, 0, 5, 4, "EENEENENN", "NNEENEENE"),
         "region-dc": Region(1, 1, 2, 3, "ENEEN", "NENEE"),
         "region-fig2": Region(3, 4, 4, 8, "EEENEENENEEN", "EEENEENNENNE"),
-        "region-crossing": Region(0, 0, 1, 1, "NE", "EN"),
     }
+    texts = {name: serialize_region(region) for name, region in valid.items()}
+    texts["region-crossing"] = '{"d": 0, "c": 0, "u": 1, "v": 1, "P": "NE", "Q": "EN"}'
+    return texts
 
 
 def cases() -> list[dict]:
@@ -217,12 +220,12 @@ def cases() -> list[dict]:
             out.append({"system": name, "argv": ["scan", "--class", cls, "{system}"]})
         out.append({"system": name, "argv": ["scan", "--class", "delta", "--json", "{system}"]})
     out.append({"system": "dofc7", "argv": ["scan", "--class", "delta", "--cap", "5", "{system}"]})
-    for name, region in regions().items():
+    for name, text in regions().items():
         out.append({"system": name, "argv": ["lattice", "build", "{system}"]})
         out.append({"system": name, "argv": ["lattice", "dual", "{system}"]})
         if name in ("region-fig2", "region-crossing"):
             continue
-        for e in range(1, region.n + 1):
+        for e in range(1, parse_region(text).n + 1):
             for op in ("delete", "contract"):
                 out.append({"system": name, "argv": ["lattice", "minor", "--element", str(e),
                                                      "--op", op, "{system}"]})
@@ -262,7 +265,7 @@ def record() -> dict:
     texts = {name: serialize_set_system(s)
              for name, s in {**systems(), **stack_systems(), **higgs_systems(),
                              **large_systems()}.items()}
-    texts.update((name, serialize_region(r)) for name, r in regions().items())
+    texts.update(regions())
     recorded = []
     with tempfile.TemporaryDirectory() as tmp:
         for case in cases():

@@ -9,6 +9,7 @@ import pytest
 
 from dmkit.catalog import (
     ExminorClassId,
+    _dedupe,
     _s_twist_reps,
     excluded_minor_set,
     make_named,
@@ -123,6 +124,13 @@ class TestAppendixTables:
                     a, b = systems
                     assert a.is_isomorphic(b.dual()), (row[0]["name"], row[1]["name"])
                     assert b.is_isomorphic(a.dual())
+
+    def test_s_twist_classes_match_the_closed_form(self):
+        # twist_classes groups by relabelling orbits; _s_twist_reps writes
+        # each S_k class down without a search, one entry per twist-set size
+        for k in range(1, 9):
+            name = f"S_{k}"
+            assert twist_classes(make_named(name), name) == _dedupe(_s_twist_reps(k, range(k + 1)))
 
     def test_catalog_canonical_matches(self):
         for base in TABLE_CLASS_COUNTS:

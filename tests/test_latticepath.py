@@ -1,21 +1,22 @@
-"""Region validation, path enumeration, LPDM construction, duals and
+"""Region construction checks, path enumeration, LPDM construction, duals and
 minors at the region level."""
 
 from __future__ import annotations
 
 import itertools
 import json
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmkit.bitset import down_closure, family_to_bitmap, iter_bits, minimal_members, up_closure
-from dmkit.errors import FormatError, UnknownElementError
+from dmkit.errors import FormatError, InvalidRegionError, UnknownElementError
 from dmkit.latticepath import (
     Region,
     _all_paths_bitmap,
-    _dual,
     _matroid_bitmaps,
     _two_sided_paths_bitmap,
     count_paths,
@@ -28,7 +29,6 @@ from dmkit.latticepath import (
     region_minor,
     region_svg,
     serialize_region,
-    validate_region,
     verify_region_prop,
 )
 from dmkit.matroid import (
@@ -57,23 +57,32 @@ def relabel_reverse(system: SetSystem) -> SetSystem:
 
 class TestValidation:
     def test_classic_case_valid(self):
-        ok, diags = validate_region(FIG1)
-        assert ok and not diags
+        assert FIG1.diagnostics() == []
 
     def test_vc_below_d(self):
-        ok, diags = validate_region(Region(2, 1, 1, 2, "EEN", "ENN"))
-        assert not ok and "below d" in diags[0]
+        # every violated constraint is named, first one first
+        with pytest.raises(InvalidRegionError) as err:
+            Region(2, 1, 1, 2, "EEN", "ENN")
+        assert str(err.value) == "v - c = 1 is below d = 2; Q ends at height 4, expected 2"
 
     def test_crossing_detected(self):
-        ok, diags = validate_region(Region(0, 0, 1, 1, "NE", "EN"))
-        assert not ok and "crosses" in diags[0]
+        with pytest.raises(InvalidRegionError, match="^P crosses above Q at level 1$"):
+            Region(0, 0, 1, 1, "NE", "EN")
 
     def test_word_endpoint_mismatch(self):
-        ok, diags = validate_region(Region(0, 0, 1, 1, "EE", "NE"))
-        assert not ok
+        with pytest.raises(InvalidRegionError, match="^P ends at height 0, expected 1$"):
+            Region(0, 0, 1, 1, "EE", "NE")
 
     def test_fig2_valid(self):
-        assert validate_region(FIG2) == (True, [])
+        assert FIG2.diagnostics() == []
+
+    def test_unchecked_regions_pass_the_check(self):
+        # iter_regions and region_dual build their regions unchecked; each
+        # equals the region built through the checking constructor
+        for region in iter_regions(7):
+            for built in (region, region_dual(region)):
+                fields = (built.d, built.c, built.u, built.v, built.p_word, built.q_word)
+                assert Region(*fields) == built, built
 
 
 class TestPaths:
@@ -216,28 +225,26 @@ class TestRegionMinor:
                     assert got.masks == oracle.masks, (region, e, op)
 
 
-    def test_each_call_validates_its_region_and_the_built_one(self, monkeypatch):
-        # region_minor validates its argument and the one region it builds
-        # from height profiles; the regions it flips on the way are duals
-        # of valid regions, which are valid
-        diagnostics, seen = Region.diagnostics, []
+    def test_each_call_checks_only_the_built_region(self, monkeypatch):
+        # region_minor checks the one region it builds from height
+        # profiles; the regions it flips on the way, like every
+        # region_dual, are duals of valid regions, built unchecked
+        post_init, seen = Region.__post_init__, []
 
         def counted(region):
             seen.append(region)
-            return diagnostics(region)
+            post_init(region)
 
-        for region in iter_regions(6):
-            assert not diagnostics(_dual(region)), region
-        monkeypatch.setattr(Region, "diagnostics", counted)
+        monkeypatch.setattr(Region, "__post_init__", counted)
         for region in iter_regions(4):
             seen.clear()
             region_dual(region)
-            assert seen == [region]
+            assert seen == []
             for e in range(1, region.n + 1):
                 for op in ("delete", "contract"):
                     seen.clear()
                     region_minor(region, e, op)
-                    assert len(seen) == 2 and seen[0] is region, (region, e, op)
+                    assert len(seen) == 1, (region, e, op)
 
 
 class TestNonClosureUnderTwists:
@@ -302,45 +309,46 @@ class TestPropositionSamples:
             lpdm(region)  # raises if either claim fails
 
     def test_fast_path_passes_exactly_the_valid_regions(self):
-        # every region with u <= 2, v <= 3, d, c <= 3 and E/N words of
-        # length u + v: the valid ones pass, and an invalid one that passes
-        # the bitmap checks gets its first diagnostic (253 of them)
-        bitmap_tags = {"empty path family", "path image differs from full Higgs lift family",
-                       "minimal matroid is not a quotient of the maximal"}
-        regions = diagnosed = 0
+        # every tuple with u <= 2, v <= 3, d, c <= 3 and E/N words of length
+        # u + v: those that construct are exactly the regions iter_regions
+        # yields, and they pass both paths-bitmap routes and the bitmap
+        # checks; every other one raises all its violated constraints, the
+        # first of them of the kinds counted here
+        built, first_kinds = set(), Counter()
         for u, v, d, c in itertools.product(range(3), range(4), range(4), range(4)):
             words = ["".join(w) for w in itertools.product("EN", repeat=u + v)]
             for p_word, q_word in itertools.product(words, words):
-                region = Region(d, c, u, v, p_word, q_word)
+                fields = (d, c, u, v, p_word, q_word)
+                try:
+                    region = Region(*fields)
+                except InvalidRegionError as err:
+                    diags = Region._valid(*fields).diagnostics()
+                    assert str(err) == "; ".join(diags), fields
+                    first_kinds[re.sub(r"-?\d+", "#", diags[0])] += 1
+                    continue
                 assert _all_paths_bitmap(region) == _two_sided_paths_bitmap(region), region
-                diags = region.diagnostics()
-                got = verify_region_prop(region)
-                regions += 1
-                if not diags:
-                    assert got is None, region
-                else:
-                    assert got == diags[0] or got in bitmap_tags, (region, got)
-                    diagnosed += got == diags[0]
-        assert (regions, diagnosed) == (28560, 253)
-        assert verify_region_prop(Region(1, 0, 0, 1, "E", "E")) == "P ends at height 0, expected 1"
+                assert verify_region_prop(region) is None, region
+                built.add(region)
+        assert built == {r for r in iter_regions(5) if r.u <= 2 and r.v <= 3 and max(r.d, r.c) <= 3}
+        assert len(built) == 879
+        assert first_kinds == {"v - c = # is below d = #": 12831,
+                               "P ends at height #, expected #": 11608,
+                               "Q ends at height #, expected #": 3077,
+                               "P crosses above Q at level #": 165}
 
-    def test_fast_path_rejects_a_negative_minimal_size(self):
-        # verify_region_prop does not validate; with v - c < d no path has
-        # v - c - d north steps, so the minimal matroid is empty, not the
-        # layer that a negative index would wrap around to
-        for region in (Region(1, 0, 0, 0, "", ""), Region(2, 0, 1, 1, "EN", "NE")):
-            assert region.diagnostics()
-            assert verify_region_prop(region) == "empty path family"
+    def test_a_negative_minimal_size_is_refused(self):
+        # with v - c < d no path has v - c - d north steps
+        for fields in ((1, 0, 0, 0, "", ""), (2, 0, 1, 1, "EN", "NE")):
+            with pytest.raises(InvalidRegionError, match="^v - c = . is below d = "):
+                Region(*fields)
 
-
-    def test_fast_path_tags_words_of_the_wrong_length(self):
-        # a word shorter than u + v once ran the path DP off its end; a word
-        # of the wrong length bounds no path of u + v steps
-        for region in (Region(0, 0, 1, 1, "E", "E"), Region(0, 0, 1, 1, "EN", "E"),
-                       Region(0, 0, 1, 1, "ENE", "NEE")):
-            assert region.diagnostics()
-            assert _all_paths_bitmap(region) == 0
-            assert verify_region_prop(region) == "empty path family"
+    def test_words_of_the_wrong_length_are_refused(self):
+        # a word of the wrong length bounds no path of u + v steps
+        for fields, message in (((0, 0, 1, 1, "E", "E"), "P has 1 steps, expected 2"),
+                                ((0, 0, 1, 1, "EN", "E"), "Q has 1 steps, expected 2"),
+                                ((0, 0, 1, 1, "ENE", "NEE"), "P has 3 steps, expected 2")):
+            with pytest.raises(InvalidRegionError, match=f"^{message}"):
+                Region(*fields)
 
 
 words = st.text(alphabet="EN", max_size=8)
@@ -348,14 +356,15 @@ words = st.text(alphabet="EN", max_size=8)
 
 @st.composite
 def loose_regions(draw):
-    """Regions with any small offsets (negative ones and v - c < d too) and
-    E/N words of any length up to 8, half of them of length u + v."""
+    """Region fields with any small offsets (negative ones and v - c < d
+    too) and E/N words of any length up to 8, half of them of length
+    u + v."""
     d, c, v = (draw(st.integers(-2, 5)) for _ in range(3))
     p_word = draw(words)
     q_word = draw(st.one_of(st.text(alphabet="EN", min_size=len(p_word),
                                     max_size=len(p_word)), words))
     u = draw(st.one_of(st.just(len(p_word) - v), st.integers(-2, 8)))
-    return Region(d, c, u, v, p_word, q_word)
+    return d, c, u, v, p_word, q_word
 
 
 class TestSideFamilies:
@@ -376,14 +385,14 @@ class TestSideFamilies:
 
     @given(loose_regions())
     @settings(max_examples=400, deadline=None)
-    def test_loose_regions(self, region):
-        d_bm = _all_paths_bitmap(region)
-        if len(region.p_word) == len(region.q_word) == region.n:
-            assert d_bm == _two_sided_paths_bitmap(region)
-        else:
-            assert d_bm == 0
-        got = verify_region_prop(region)
-        assert got is None if not region.diagnostics() else isinstance(got, str)
+    def test_loose_regions(self, fields):
+        try:
+            region = Region(*fields)
+        except InvalidRegionError as err:
+            assert str(err) == "; ".join(Region._valid(*fields).diagnostics())
+            return
+        assert _all_paths_bitmap(region) == _two_sided_paths_bitmap(region)
+        assert verify_region_prop(region) is None
 
 
 def closures(bases: int, n: int) -> tuple[int, int, list[int]]:

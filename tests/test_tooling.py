@@ -84,6 +84,19 @@ def test_every_readme_reference_resolves():
             target = getattr(target, part)
 
 
+def test_every_export_resolves():
+    # each name in dmkit.__all__ is listed once and is an attribute of the
+    # package, so a deletion cannot leave an export behind
+    import dmkit
+
+    assert len(set(dmkit.__all__)) == len(dmkit.__all__)
+    missing = [name for name in dmkit.__all__ if not hasattr(dmkit, name)]
+    assert not missing
+    namespace: dict = {}
+    exec("from dmkit import *", namespace)
+    assert set(dmkit.__all__) <= namespace.keys()
+
+
 def test_no_runtime_dependency():
     # numpy belongs to the test extra only; no module of the package
     # imports it
