@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .bitset import iter_bits
+from .bitset import iter_bits, masks_without_bit
 from .catalog import CatalogEntry, ExminorClassId, excluded_minor_set
 from .errors import FormatError, NotADeltaMatroidError
 from .matroid import Matroid
@@ -82,67 +82,35 @@ def principal_nonsingular(matrix: SkewSymMatrixGF2, subset: int) -> bool:
     return gf2_rank(rows) == k
 
 
-def _feasible_bitmap(rows: list[int], elems: int) -> int:
-    """Family bitmap of the subsets of the elems mask whose principal
-    submatrix is nonsingular.
+def _feasible_bitmap(rows: Sequence[int], n: int) -> int:
+    """Family bitmap of the subsets of range(n) whose principal submatrix
+    of the matrix with the given rows is nonsingular over GF(2).
 
-    Recursive principal pivoting: an invertible 1x1 or 2x2 principal block
-    is eliminated and replaced by its Schur complement, which preserves
-    nonsingularity of the remaining principal minors.
+    Write C = A + D with D the diagonal.  Then det C[X] is the sum over
+    S within X of det A[S] times the product of the diagonal entries on
+    X - S, and A is alternating, so det A[S] is the parity of the perfect
+    matchings of A's graph on S.  The first pass builds that parity
+    family one element at a time: a set containing k is matched by
+    pairing k with a neighbour j < k and matching the rest.  The second
+    is one GF(2) zeta step per element with a 1 on the diagonal.
     """
-    if not elems:
-        return 1
-    low = elems & -elems
-    e = low.bit_length() - 1
-    rest = elems ^ low
-    out = _feasible_bitmap(rows, rest)
-    row_e = rows[e]
-    if row_e >> e & 1:
-        pivoted = [
-            rows[i] ^ row_e if (i != e and rows[i] >> e & 1) else rows[i]
-            for i in range(len(rows))
-        ]
-        return out | _feasible_bitmap(pivoted, rest) << low
-    # Diagonal entry of e is zero: a feasible set containing e must pair it
-    # with a partner f where C[e][f] = 1; split by the least such partner.
-    # A branch's sets avoid e and f, so a shift by low | flow adds both.
-    partners = row_e & rest
-    smaller = 0
-    while partners:
-        flow = partners & -partners
-        partners ^= flow
-        f = flow.bit_length() - 1
-        rest2 = rest & ~flow & ~smaller
-        d = rows[f] >> f & 1
-        row_f = rows[f]
-        new_rows = list(rows)
-        work = rest2
-        while work:
-            ilow = work & -work
-            work ^= ilow
-            i = ilow.bit_length() - 1
-            ri = rows[i]
-            be_i = ri >> e & 1
-            bf_i = ri >> f & 1
-            # Schur complement of the invertible 2x2 block on {e, f}:
-            # C'[i][j] = C[i][j] ^ d*be_i*be_j ^ bf_i*be_j ^ be_i*bf_j.
-            adj = 0
-            if (d & be_i) ^ bf_i:
-                adj ^= row_e
-            if be_i:
-                adj ^= row_f
-            if adj:
-                new_rows[i] = ri ^ adj
-        out |= _feasible_bitmap(new_rows, rest2) << (low | flow)
-        smaller |= flow
-    return out
+    without = [masks_without_bit(n, i) for i in range(n)]
+    fam = 1
+    for k in range(1, n):
+        half = 0
+        for j in iter_bits(rows[k] & ((1 << k) - 1)):
+            half ^= (fam & without[j]) << (1 << j)
+        fam |= half << (1 << k)
+    for i in range(n):
+        if rows[i] >> i & 1:
+            fam ^= (fam & without[i]) << (1 << i)
+    return fam
 
 
 def d_of_c(matrix: SkewSymMatrixGF2) -> SetSystem:
     """Feasible sets are the index sets of nonsingular principal
     submatrices; the empty set is always feasible."""
-    return SetSystem.from_bitmap(matrix.labels,
-                                 _feasible_bitmap(list(matrix.rows), (1 << matrix.n) - 1))
+    return SetSystem.from_bitmap(matrix.labels, _feasible_bitmap(matrix.rows, matrix.n))
 
 
 def representation_twist(

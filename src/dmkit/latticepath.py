@@ -25,14 +25,7 @@ from typing import Iterator, NamedTuple
 from .bitset import layer_selectors
 from .errors import CapacityError, FormatError, InvalidRegionError, UnknownElementError
 from .higgs import full_higgs_dm
-from .matroid import (
-    Matroid,
-    _circuit_masks,
-    _independent_bitmap,
-    _spanning_bitmap,
-    circuits_cover,
-    is_quotient,
-)
+from .matroid import Matroid, _independent_bitmap, _spanning_bitmap, is_quotient, is_quotient_bitmap
 from .setsystem import SetSystem
 
 PATH_COUNT_CAP = 10**7
@@ -481,6 +474,6 @@ def verify_region_prop(region: Region) -> str | None:
     lo_bm, hi_bm = _matroid_bitmaps(region, d_bm)
     if d_bm != _spanning_bitmap(lo_bm, n) & _independent_bitmap(hi_bm, n):
         return "path image differs from full Higgs lift family"
-    if not circuits_cover(_circuit_masks(lo_bm, n), _circuit_masks(hi_bm, n)):
+    if not is_quotient_bitmap(lo_bm, hi_bm, n):
         return "minimal matroid is not a quotient of the maximal"
     return None

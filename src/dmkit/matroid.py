@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .bitset import down_closure, iter_bits, minimal_members, up_closure
+from .bitset import down_closure, iter_bits, masks_without_bit, minimal_members, up_closure
 from .errors import (
     GroundSetMismatchError,
     NotADeltaMatroidError,
@@ -142,10 +142,25 @@ def _spanning_bitmap(bases: int, n: int) -> int:
 @lru_cache(maxsize=1 << 16)
 def _circuit_masks(bases: int, n: int) -> tuple[int, ...]:
     """Circuits of the matroid with basis bitmap bases, by (size, mask)."""
-    dependent = ~_independent_bitmap(bases, n) & ((1 << (1 << n)) - 1)
-    return tuple(
-        sorted(iter_bits(minimal_members(dependent, n)), key=lambda c: (c.bit_count(), c))
-    )
+    return tuple(sorted(iter_bits(_circuit_bitmap(bases, n)), key=lambda c: (c.bit_count(), c)))
+
+
+def _circuit_bitmap(bases: int, n: int) -> int:
+    """Family bitmap of the circuits: the minimal dependent sets."""
+    return minimal_members(~_independent_bitmap(bases, n) & ((1 << (1 << n)) - 1), n)
+
+
+@lru_cache(maxsize=1 << 16)
+def _cyclic_bitmap(bases: int, n: int) -> int:
+    """Family bitmap of the cyclic sets (unions of circuits) of the matroid
+    with basis bitmap bases: the sets X in which every element of X lies
+    on a circuit inside X."""
+    circuits = _circuit_bitmap(bases, n)
+    cyclic = (1 << (1 << n)) - 1
+    for e in range(n):
+        without = masks_without_bit(n, e)
+        cyclic &= up_closure(circuits & ~without, n) | without
+    return cyclic
 
 
 def uniform_matroid(r: int, n: int | None = None, labels: Iterable[str] | None = None) -> Matroid:
@@ -158,20 +173,29 @@ def uniform_matroid(r: int, n: int | None = None, labels: Iterable[str] | None =
 
 
 def is_quotient(q: Matroid, lift: Matroid) -> bool:
-    """True when every circuit of the lift is a union of circuits of q.
+    """True when q is a quotient of the lift: every circuit of the lift is
+    a union of circuits of q.
 
-    Both matroids must share the (ordered) ground set.  This is the
-    circuit form of the standard quotient characterizations; the basis
-    form is used as an independent oracle in the test suite.
+    Both matroids must share the (ordered) ground set.  The verdict is
+    is_quotient_bitmap's; circuits_cover is the circuit-form reference,
+    and the basis form is an independent oracle in the test suite.
     """
     if q.labels != lift.labels:
         raise GroundSetMismatchError("quotient test needs a common ground set")
-    return circuits_cover(q.circuit_masks(), lift.circuit_masks())
+    return is_quotient_bitmap(q.system.family_bitmap, lift.system.family_bitmap, q.n)
+
+
+def is_quotient_bitmap(q_bases: int, lift_bases: int, n: int) -> bool:
+    """The quotient test on basis bitmaps over n elements: every cyclic
+    set of the lift (a union of its circuits) is cyclic in q.  This holds
+    exactly when every circuit of the lift is a union of circuits of q
+    (Oxley, Matroid Theory, Prop. 7.3.6)."""
+    return not _cyclic_bitmap(lift_bases, n) & ~_cyclic_bitmap(q_bases, n)
 
 
 def circuits_cover(q_circuits: Sequence[int], lift_circuits: Iterable[int]) -> bool:
     """True when every lift circuit mask is the union of the q circuit
-    masks inside it."""
+    masks inside it: the circuit-form reference for is_quotient_bitmap."""
     for c in lift_circuits:
         covered = 0
         for qc in q_circuits:

@@ -10,7 +10,7 @@ from typing import Iterator
 
 from .bitset import down_closure, iter_bits, layer_selectors, up_closure
 from .errors import AmbientHypothesisError
-from .matroid import _circuit_masks, circuits_cover
+from .matroid import is_quotient_bitmap
 from .setsystem import SetSystem, exchange_holds
 
 # Bound of each per-layer verdict cache (layer_is_matroid and
@@ -121,7 +121,8 @@ def stack_flags(bm: int, n: int) -> tuple[bool, bool, bool, bool]:
     """(matroid stack, paving, sparse paving, quotient) of a nonempty
     family bitmap over n elements, from cached verdicts on its layers:
     layer_is_matroid, then for matroid stacks layer_paving_flags per layer
-    and circuits_cover on the cached _circuit_masks of consecutive layers.
+    and matroid.is_quotient_bitmap on consecutive layers, which compares
+    their cached cyclic-set families.
     Memoized per family on (bm, n): the paving and sparse-paving flags of
     the same bitmap differ between ground sets."""
     if not is_stack_bitmap(bm, n):
@@ -131,8 +132,7 @@ def stack_flags(bm: int, n: int) -> tuple[bool, bool, bool, bool]:
     return _STACK_FLAGS[
         all(p for p, _ in flags),
         all(sp for _, sp in flags),
-        all(circuits_cover(_circuit_masks(below, n), _circuit_masks(above, n))
-            for below, above in zip(layers, layers[1:])),
+        all(is_quotient_bitmap(below, above, n) for below, above in zip(layers, layers[1:])),
     ]
 
 

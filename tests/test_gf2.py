@@ -5,10 +5,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from dmkit.catalog import make_named
+from dmkit.census import count_census
 from dmkit.errors import FormatError, NotADeltaMatroidError
 from dmkit.gf2 import (
     SkewSymMatrixGF2,
@@ -41,6 +44,17 @@ def random_matrix(rng: random.Random, n: int) -> SkewSymMatrixGF2:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return SkewSymMatrixGF2(tuple("abcdefgh"[:n]), tuple(rows))
+
+
+def all_matrices(n: int):
+    """Every symmetric GF(2) matrix on n elements, 2^(n(n+1)/2) of them."""
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    for bits in range(1 << len(cells)):
+        rows = [0] * n
+        for i, j in itertools.compress(cells, (bits >> b & 1 for b in range(len(cells)))):
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        yield SkewSymMatrixGF2(tuple("abcdefgh"[:n]), tuple(rows))
 
 
 class TestRank:
@@ -103,16 +117,29 @@ class TestDofC:
         assert d_of_c(c).masks == frozenset({0, 3})
 
     def test_agrees_with_principal_quantifier(self, rng):
-        # the pivoting recursion against the definitional subset scan
-        for n in range(0, 7):
-            for _ in range(40):
-                c = random_matrix(rng, n)
-                got = d_of_c(c)
-                expected = frozenset(
-                    a for a in range(1 << n) if principal_nonsingular(c, a)
-                )
-                assert got.masks == expected
-                assert got.family_bitmap == sum(1 << a for a in expected)
+        # the matching-parity transform against the definitional subset
+        # scan: every matrix up to four elements, seeded ones above
+        seeded = [random_matrix(rng, n) for n in (5, 6, 7, 8) for _ in range(40)]
+        for c in itertools.chain(*map(all_matrices, range(5)), seeded):
+            n = c.n
+            got = d_of_c(c)
+            expected = frozenset(
+                a for a in range(1 << n) if principal_nonsingular(c, a)
+            )
+            assert got.masks == expected
+            assert got.family_bitmap == sum(1 << a for a in expected)
+
+    def test_binary_delta_matroid_count(self):
+        # each binary delta-matroid on n elements is D(C) twisted by a
+        # feasible set for exactly |D(C)| pairs (C, feasible set), so there
+        # are 2^n * sum 1/|D(C)| of them.  Up to four elements the census
+        # counts them by the P-twist minor scan, which never forms a D(C).
+        for n, expected in enumerate([1, 3, 15, 135, 2295, 75735]):
+            sizes = Counter(d_of_c(c).family_bitmap.bit_count() for c in all_matrices(n))
+            total = (1 << n) * sum(Fraction(k, size) for size, k in sizes.items())
+            assert total == expected
+            if n <= 4:
+                assert total == count_census(n).totals["binary_consistent"]
 
     def test_always_delta_matroid(self, rng):
         for _ in range(150):

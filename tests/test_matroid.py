@@ -4,17 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from dmkit.bitset import iter_bits
+from dmkit.bitset import iter_bits, layer_selectors
+from dmkit.census import count_census, random_quotient_pair
 from dmkit.errors import GroundSetMismatchError, NotADeltaMatroidError, NotAMatroidError
 from dmkit.matroid import (
     Matroid,
+    _circuit_masks,
+    circuits_cover,
     is_matroid,
     is_quotient,
+    is_quotient_bitmap,
     min_max_matroids,
     paving_flags,
     uniform_matroid,
 )
-from dmkit.setsystem import SetSystem
+from dmkit.setsystem import SetSystem, exchange_holds
 
 from conftest import random_delta_matroid
 
@@ -66,6 +70,19 @@ def quotient_oracle_by_bases(q: Matroid, lift: Matroid) -> bool:
             if not found:
                 return False
     return True
+
+
+def all_matroid_bitmaps(n: int) -> list[int]:
+    """Basis bitmap of every matroid on n elements: every nonempty family
+    of equal-size sets that satisfies basis exchange."""
+    out = []
+    for selector in layer_selectors(n):
+        positions = list(iter_bits(selector))
+        for pick in range(1, 1 << len(positions)):
+            bm = sum(1 << positions[i] for i in iter_bits(pick))
+            if exchange_holds(bm, n):
+                out.append(bm)
+    return out
 
 
 def pair_minus_34_matroid() -> Matroid:
@@ -214,6 +231,43 @@ class TestQuotient:
             if m1.rank > m2.rank:
                 m1, m2 = m2, m1
             assert is_quotient(m1, m2) == quotient_oracle_by_bases(m1, m2)
+
+    def test_bitmap_form_equals_circuit_form_on_every_pair_up_to_four(self):
+        for n in range(5):
+            matroids = all_matroid_bitmaps(n)
+            assert len(matroids) == [1, 2, 5, 16, 68][n]  # OEIS A058673
+            for q in matroids:
+                for lift in matroids:
+                    assert is_quotient_bitmap(q, lift, n) == circuits_cover(
+                        _circuit_masks(q, n), _circuit_masks(lift, n)), (n, q, lift)
+
+    def test_quotient_pairs_count_the_full_higgs_lifts(self):
+        # a full Higgs lift delta-matroid and its quotient pair determine
+        # each other, and the census decides full Higgs lifts with no
+        # quotient test; 7 806 at n = 5 is the count of Bouchet envelopes
+        for n, expected in enumerate([1, 3, 12, 67, 558, 7806]):
+            matroids = all_matroid_bitmaps(n)
+            pairs = sum(is_quotient_bitmap(q, lift, n) for q in matroids for lift in matroids)
+            assert pairs == expected
+            if n <= 4:
+                assert pairs == count_census(n).totals["full_higgs"]
+
+    def test_bitmap_form_agrees_with_basis_oracle_from_five_to_seven(self):
+        for n in (5, 6, 7):
+            pool = []
+            for seed in range(12):
+                r_l = seed % (n + 1)
+                q, lift = random_quotient_pair(n, (seed * 5) % (r_l + 1), r_l, 100 * n + seed)
+                assert is_quotient_bitmap(q.system.family_bitmap, lift.system.family_bitmap, n)
+                pool += [q, lift]
+            verdicts = set()
+            for a in pool:
+                for b in pool[::3]:
+                    if a.rank <= b.rank:
+                        got = is_quotient_bitmap(a.system.family_bitmap, b.system.family_bitmap, n)
+                        assert got == quotient_oracle_by_bases(a, b), (n, a, b)
+                        verdicts.add(got)
+            assert verdicts == {False, True}
 
     def test_transitivity_via_higgs(self):
         from dmkit.census import random_quotient_pair

@@ -21,7 +21,7 @@ from dmkit.census import (
 )
 from dmkit.errors import AmbientHypothesisError, ImproperSystemError
 from dmkit.higgs import full_higgs_dm
-from dmkit.matroid import (Matroid, exchange_violation, is_matroid, is_quotient, paving_flags,
+from dmkit.matroid import (Matroid, circuits_cover, exchange_violation, is_matroid, paving_flags,
                            uniform_matroid)
 from dmkit.minorscan import classify_by_exminors
 from dmkit.setsystem import SetSystem
@@ -220,12 +220,17 @@ def reference_matroid_stack(s: SetSystem) -> bool:
     return all(reference_layer(layer) is not None for layer in reference_layers(s))
 
 
-_reference_quotient = functools.lru_cache(maxsize=None)(is_quotient)
+@functools.lru_cache(maxsize=None)
+def _reference_quotient(q: Matroid, lift: Matroid) -> bool:
+    """The circuit form: every circuit of the lift is a union of circuits
+    of q (stack_flags decides it from cyclic-set families instead)."""
+    return circuits_cover(q.circuit_masks(), lift.circuit_masks())
 
 
 def reference_flags(s: SetSystem) -> tuple[bool, bool, bool, bool]:
     """(matroid stack, paving, sparse paving, quotient) from is_matroid
-    and Matroid.from_system on each layer."""
+    and Matroid.from_system on each layer, and circuits_cover on
+    consecutive layers."""
     matroids = [reference_layer(layer) for layer in reference_layers(s)]
     if None in matroids:
         return (False, False, False, False)

@@ -115,3 +115,38 @@ def test_no_runtime_dependency():
             else:
                 continue
             assert not any(name.split(".")[0] == "numpy" for name in names), path
+
+
+# The parameters an unbounded cache may be keyed on: sizes and names, each
+# with a small range of values.
+SIZE_OR_NAME_PARAMS = {"n", "i", "j", "m", "r", "cap", "class_id", "base", "total", "norths",
+                       "start_y"}
+
+
+def _is_unbounded_cache(decorator: ast.expr) -> bool:
+    """@cache, or @lru_cache(None) / @lru_cache(maxsize=None), bare or
+    through functools."""
+    def name(node: ast.expr) -> str:
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+    if not isinstance(decorator, ast.Call):
+        return name(decorator) == "cache"
+    if name(decorator.func) != "lru_cache":
+        return False
+    sizes = decorator.args[:1] + [k.value for k in decorator.keywords if k.arg == "maxsize"]
+    return any(isinstance(s, ast.Constant) and s.value is None for s in sizes)
+
+
+def test_unbounded_caches_are_keyed_on_sizes_and_names():
+    # a family bitmap as the key of an unbounded cache would grow it with
+    # every family a run meets, and peak_rss_mb is gated on every workload
+    found = []
+    for path in sorted((ROOT / "src" / "dmkit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    map(_is_unbounded_cache, node.decorator_list)):
+                params = {a.arg for a in (*node.args.posonlyargs, *node.args.args,
+                                          *node.args.kwonlyargs)}
+                assert params <= SIZE_OR_NAME_PARAMS, (path.name, node.name, params)
+                found.append(node.name)
+    assert {"masks_without_bit", "excluded_minor_set", "_profiles"} <= set(found)
