@@ -88,15 +88,10 @@ def make_named(name: str) -> SetSystem:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A named excluded-minor system in canonical form."""
+    """A named excluded-minor system."""
 
     name: str
     system: SetSystem
-    canonical: tuple
-
-    @classmethod
-    def of(cls, name: str, system: SetSystem) -> CatalogEntry:
-        return cls(name, system, system.canonical_form())
 
 
 def _twist_name(base: str, members: tuple[str, ...], n: int) -> str:
@@ -115,38 +110,36 @@ def twist_classes(system: SetSystem, base_name: str = "S") -> list[CatalogEntry]
     Each class is represented by its (size, lexicographic) smallest twist
     set; the dual partner of a class is named by the complement of that
     representative, following the appendix table conventions.  Classes are
-    returned ordered by (representative size, members).  A new class's
-    canonical form is the least image of its relabelling orbit, which holds
-    every twist of the class: n - 1 delta swaps per image, where a
-    canonical form per twist walks all n! relabellings.
+    returned ordered by (representative size, members).  A class is the
+    relabelling orbit of its representative twist, which holds every twist
+    of the class.
     """
     n = system.n
     if n > TWIST_CLASS_CAP:
         raise CapacityError(f"twist enumeration capped at {TWIST_CLASS_CAP} elements")
     order = sorted(range(1 << n), key=lambda a: (a.bit_count(), system.members(a)))
     twisted = {a: system.twist(system.members(a)) for a in order}
-    classes: dict[tuple, tuple[int, SetSystem]] = {}
-    class_of: dict[int, tuple] = {}
+    reps: list[int] = []
+    class_of: dict[int, int] = {}  # twist mask -> its class's representative
     for a in order:
         if a in class_of:
             continue
+        reps.append(a)
         images = orbit(twisted[a].family_bitmap, n)
-        canonical = (n, min(images))
-        classes[canonical] = (a, twisted[a])
         for b in order:
             if b not in class_of and twisted[b].family_bitmap in images:
-                class_of[b] = canonical
+                class_of[b] = a
     # Dual pairing: the dual of the class of A is the class of A ^ E.
     full = (1 << n) - 1
-    names: dict[tuple, str] = {}
-    for canonical, (rep, _) in classes.items():
-        if canonical in names:
+    names: dict[int, str] = {}
+    for rep in reps:
+        if rep in names:
             continue
-        names[canonical] = _twist_name(base_name, system.members(rep), n)
+        names[rep] = _twist_name(base_name, system.members(rep), n)
         partner = class_of[rep ^ full]
-        if partner != canonical:
+        if partner != rep:
             names[partner] = _twist_name(base_name, system.members(rep ^ full), n)
-    return [CatalogEntry(names[c], rep_system, c) for c, (_, rep_system) in classes.items()]
+    return [CatalogEntry(names[rep], twisted[rep]) for rep in reps]
 
 
 class ExminorClassId(Enum):
@@ -168,7 +161,7 @@ class ExminorClassId(Enum):
 
 
 def _named_entries(names: list[str]) -> list[CatalogEntry]:
-    return [CatalogEntry.of(name, make_named(name)) for name in names]
+    return [CatalogEntry(name, make_named(name)) for name in names]
 
 
 @lru_cache(maxsize=None)
@@ -184,26 +177,12 @@ def _t_classes(indices) -> list[CatalogEntry]:
 
 
 def _s_twist_reps(k: int, sizes) -> list[CatalogEntry]:
-    """Twist classes of S_k by twist-set size; S_k is symmetric, so the
-    size determines the class.
-
-    Twisting {0, E} by a j-set gives two complementary sets of sizes t and
-    k - t, t = min(j, k - j).  The least relabelled family bitmap, found
-    without a relabelling walk, gives the top element to the t-set with
-    the t - 1 lowest ones, since the set holding the top element is the
-    larger mask; for t = 0 the family is {0, E} itself.
-    """
+    """The twists of S_k by its first j elements, j in sizes.  S_k is
+    symmetric, so j determines the class, and the j- and (k - j)-twists
+    are the same class: callers pass sizes j <= k/2."""
     base = make_named(f"S_{k}")
-    full = (1 << k) - 1
-    out = []
-    for j in sizes:
-        members = base.labels[:j]
-        t = min(j, k - j)
-        small = 1 << k - 1 | (1 << t - 1) - 1 if t else 0
-        canonical = (k, 1 << small | 1 << (full ^ small))
-        name = _twist_name(f"S_{k}", members, k)
-        out.append(CatalogEntry(name, base.twist(members), canonical))
-    return out
+    members = [base.labels[:j] for j in sizes]
+    return [CatalogEntry(_twist_name(f"S_{k}", m, k), base.twist(m)) for m in members]
 
 
 # Explicit per-corollary twist lists for T5..T8 (matroid-stack flavors).
@@ -239,16 +218,6 @@ _LAYER_CLASS_LISTS = {
 }
 
 
-def _dedupe(entries: list[CatalogEntry]) -> list[CatalogEntry]:
-    seen: set[tuple] = set()
-    out = []
-    for e in entries:
-        if e.canonical not in seen:
-            seen.add(e.canonical)
-            out.append(e)
-    return out
-
-
 @lru_cache(maxsize=None)
 def excluded_minor_set(class_id: ExminorClassId, cap: int = 8) -> tuple[CatalogEntry, ...]:
     """The (cap-truncated) excluded-minor list for one characterization.
@@ -261,16 +230,16 @@ def excluded_minor_set(class_id: ExminorClassId, cap: int = 8) -> tuple[CatalogE
     entries: list[CatalogEntry] = []
     if cid is ExminorClassId.DELTA_MATROID:
         for k in range(3, cap + 1):
-            entries += _s_twist_reps(k, range(k + 1))
+            entries += _s_twist_reps(k, range(k // 2 + 1))
         entries += _t_classes(range(1, 9))
     elif cid is ExminorClassId.EVEN_DELTA_WITHIN_EVEN:
         for k in range(4, cap + 1, 2):
-            entries += _s_twist_reps(k, range(k + 1))
+            entries += _s_twist_reps(k, range(k // 2 + 1))
         entries += _t_classes([5, 6, 7])
     elif cid is ExminorClassId.EVEN_DELTA_WITHIN_ALL:
         entries += _named_entries(["S1"])
         for k in range(3, cap + 1):
-            entries += _s_twist_reps(k, range(k + 1))
+            entries += _s_twist_reps(k, range(k // 2 + 1))
         entries += _t_classes([5, 6, 7])
     elif cid is ExminorClassId.HIGGS_LIFT:
         entries += _named_entries(["U1", "U2", "U3", "U4", "U5", "U6", "U7"])
@@ -286,22 +255,21 @@ def excluded_minor_set(class_id: ExminorClassId, cap: int = 8) -> tuple[CatalogE
         for base in ["P1", "P2", "P3", "P4", "P5"]:
             entries += _twist_class_entries(base)
         for k in range(3, cap + 1):
-            entries += _s_twist_reps(k, range(k + 1))
+            entries += _s_twist_reps(k, range(k // 2 + 1))
         entries += _t_classes(range(1, 9))
     elif cid is ExminorClassId.MATROID_STACK:
         for k in range(3, cap + 1):
-            entries += _s_twist_reps(k, [j for j in range(k + 1) if 2 * j != k])
+            entries += _s_twist_reps(k, range((k + 1) // 2))
         entries += _t_classes([1, 2, 3, 4])
         for i in (5, 6, 7, 8):
             entries += _named_entries(_STACK_T_LISTS[i])
     elif cid is ExminorClassId.EVEN_MATROID_STACK:
         for k2 in range(4, cap + 1, 2):
-            entries += _s_twist_reps(k2, [j for j in range(k2 + 1) if 2 * j != k2])
+            entries += _s_twist_reps(k2, range((k2 + 1) // 2))
         for i in (5, 6, 7):
             entries += _named_entries(_STACK_T_LISTS[i])
     elif cid in _LAYER_CLASS_LISTS:
         for k in range(3, cap + 1):
             entries += _s_twist_reps(k, [0])
         entries += _named_entries(_LAYER_CLASS_LISTS[cid])
-    entries = [e for e in entries if e.system.n <= cap]
-    return tuple(_dedupe(entries))
+    return tuple(e for e in entries if e.system.n <= cap)

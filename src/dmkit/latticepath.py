@@ -24,7 +24,6 @@ from typing import Iterator, NamedTuple
 
 from .bitset import layer_selectors
 from .errors import CapacityError, FormatError, InvalidRegionError, UnknownElementError
-from .higgs import full_higgs_dm
 from .matroid import Matroid, _independent_bitmap, _spanning_bitmap, is_quotient, is_quotient_bitmap
 from .setsystem import SetSystem
 
@@ -243,7 +242,8 @@ def lpdm(region: Region) -> LpdmResult:
 
     Checks on the way out that the minimal matroid is a quotient of the
     maximal one and that the path image equals the full Higgs lift
-    delta-matroid of the pair.
+    delta-matroid of the pair: the sets spanning in the minimal matroid
+    and independent in the maximal one.
     """
     labels = region.labels()
     d_bm = _all_paths_bitmap(region)
@@ -253,7 +253,7 @@ def lpdm(region: Region) -> LpdmResult:
     hi = Matroid.from_system(SetSystem.from_bitmap(labels, hi_bm))
     if not is_quotient(lo, hi):
         raise InvalidRegionError("minimal matroid is not a quotient of the maximal")
-    if system != full_higgs_dm(lo, hi):
+    if d_bm != _spanning_bitmap(lo_bm, region.n) & _independent_bitmap(hi_bm, region.n):
         raise InvalidRegionError("path image differs from the full Higgs lift family")
     return LpdmResult(system, lo, hi)
 

@@ -163,13 +163,11 @@ def _orbit_index(pool: Sequence[CatalogEntry]) -> dict[int, CatalogEntry]:
 @dataclass(frozen=True)
 class _ScanPlan:
     """A target list grouped by ground-set size: the sizes, largest first,
-    and per size the orbit index of its targets and their counts of
-    feasible sets, which filter the minors before the lookup."""
+    and per size the orbit index of its targets."""
 
     targets: tuple[CatalogEntry, ...]
     sizes: tuple[int, ...]
     orbits: dict[int, dict[int, CatalogEntry]]
-    set_counts: dict[int, frozenset[int]]
     index_scans: dict[int, tuple] = field(default_factory=dict, compare=False)
 
     def index_scan(self, n: int) -> tuple[dict[int, CatalogEntry], tuple[tuple, ...]]:
@@ -191,9 +189,7 @@ class _ScanPlan:
         for t in targets:
             by_size.setdefault(t.system.n, []).append(t)
         orbits = {m: _orbit_index(pool) for m, pool in by_size.items()}
-        set_counts = {m: frozenset(len(t.system.masks) for t in pool)
-                      for m, pool in by_size.items()}
-        return cls(targets, tuple(sorted(by_size, reverse=True)), orbits, set_counts)
+        return cls(targets, tuple(sorted(by_size, reverse=True)), orbits)
 
 
 # Scan plans keyed by the identities of the target entries.  A cached plan
@@ -221,9 +217,7 @@ _Hit = tuple[int, int, CatalogEntry]
 def _chunk_scan(bm: int, n: int, m: int, plan: _ScanPlan) -> _Hit | None:
     """The first hit among the m-element minors of the family bitmap bm
     over n elements, each read as a chunk of bm relabelled by
-    _removal_moves.  A minor with as many sets as some target is looked up
-    in the orbit index."""
-    counts = plan.set_counts[m]
+    _removal_moves, looked up in the orbit index."""
     lookup = plan.orbits[m].get
     full = (1 << (1 << m)) - 1
     shifts = _chunk_shifts(n - m, m)
@@ -233,11 +227,9 @@ def _chunk_scan(bm: int, n: int, m: int, plan: _ScanPlan) -> _Hit | None:
             t = (p ^ p >> shift) & mask
             p ^= t ^ t << shift
         for shift in shifts:
-            minor = p >> shift & full
-            if minor.bit_count() in counts:
-                hit = lookup(minor)
-                if hit is not None:
-                    return *_split_of(removed, shift >> m), hit
+            hit = lookup(p >> shift & full)
+            if hit is not None:
+                return *_split_of(removed, shift >> m), hit
     return None
 
 

@@ -215,6 +215,13 @@ def cases() -> list[dict]:
                          "--seed", "5", "--count", "400", "--json"]})
     for cls in classes:
         out.append({"argv": ["catalog", "dump", "--class", cls, "--cap", "6"]})
+    # cap 10 reaches the S_7..S_10 twists whose j- and (k - j)-twists are
+    # one class
+    for cls in classes:
+        out.append({"argv": ["catalog", "dump", "--class", cls, "--cap", "10"]})
+    for name in [*(f"T{i}" for i in range(1, 9)), *(f"P{i}" for i in range(1, 6)),
+                 "U1", "S2", *(f"S_{k}" for k in range(3, 9))]:
+        out.append({"argv": ["catalog", "twists", "--name", name]})
     for name in ("T1", "U14+U34", "random5", "dofc6*ab"):
         for cls in classes:
             out.append({"system": name, "argv": ["scan", "--class", cls, "{system}"]})

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from dmkit.bitset import orbit
 from dmkit.catalog import (
     ExminorClassId,
-    _dedupe,
     _s_twist_reps,
     excluded_minor_set,
     make_named,
@@ -127,15 +127,16 @@ class TestAppendixTables:
 
     def test_s_twist_classes_match_the_closed_form(self):
         # twist_classes groups by relabelling orbits; _s_twist_reps writes
-        # each S_k class down without a search, one entry per twist-set size
+        # each S_k class down without a search, one entry per twist-set
+        # size j <= k/2
         for k in range(1, 9):
             name = f"S_{k}"
-            assert twist_classes(make_named(name), name) == _dedupe(_s_twist_reps(k, range(k + 1)))
+            assert twist_classes(make_named(name), name) == _s_twist_reps(k, range(k // 2 + 1))
 
     def test_catalog_canonical_matches(self):
         for base in TABLE_CLASS_COUNTS:
             for cls in twist_classes(make_named(base), base):
-                assert cls.canonical == cls.system.canonical_form()
+                assert cls.system.canonical_form() == make_named(cls.name).canonical_form()
 
 
 class TestExcludedMinorSets:
@@ -183,8 +184,37 @@ class TestExcludedMinorSets:
     def test_entries_deduplicated(self):
         for cid in ExminorClassId:
             entries = excluded_minor_set(cid, 5)
-            canons = [e.canonical for e in entries]
+            canons = [e.system.canonical_form() for e in entries]
             assert len(canons) == len(set(canons)), cid
+
+    def test_no_entry_relabels_an_earlier_one(self):
+        # by orbits, since canonical_form stops at 10 elements: no entry of
+        # a list is isomorphic to an earlier entry of the same size
+        orbits: dict[tuple[int, int], set[int]] = {}
+        for cid in ExminorClassId:
+            for cap in range(13):
+                seen: dict[int, set[int]] = {}
+                for e in excluded_minor_set(cid, cap):
+                    n, bm = e.system.n, e.system.family_bitmap
+                    assert bm not in seen.get(n, ()), (cid, cap, e.name)
+                    key = (n, bm)
+                    if key not in orbits:
+                        orbits[key] = orbit(bm, n)
+                    seen.setdefault(n, set()).update(orbits[key])
+
+    def test_large_caps_build_without_family_bitmaps(self):
+        # an S_k entry is built from its two masks; its family bitmap, a
+        # 2^k-bit int, is never decoded, so a cap of 64 builds at once
+        s_classes = set(ExminorClassId) - {ExminorClassId.HIGGS_LIFT, ExminorClassId.FULL_HIGGS,
+                                            ExminorClassId.EVEN_HIGGS_WITHIN_EVEN}
+        for cid in ExminorClassId:
+            entries = excluded_minor_set(cid, 64)
+            names = [e.name for e in entries]
+            assert any(name.startswith("S_64") for name in names) == (cid in s_classes), cid
+            for e in entries:
+                if "family_bitmap" in e.system.__dict__:
+                    # only a twist-class entry, decoded by twist_classes' orbits
+                    assert e.system.n <= 4 and not e.name.startswith("S"), (cid, e.name)
 
     def test_quotient_stack_list(self):
         entries = excluded_minor_set(ExminorClassId.QUOTIENT_STACK, 4)
@@ -200,22 +230,23 @@ class TestExcludedMinorSets:
             assert not e.system.is_delta_matroid(), e.name
 
     def test_s_twist_closed_form_equals_permutation_search(self):
-        # S_k twisted by a j-set: the closed-form canonical form must be the
-        # least bitmap of the relabelling walk, for every k <= 8 and every j.
+        # S_k twisted by a j-set is the (k - j)-twist's class and no other
+        # j' <= k/2's, so the lists need only the sizes j <= k/2; checked by
+        # the relabelling walk for every k <= 8 and every j
         for k in range(3, 9):
-            for entry in _s_twist_reps(k, range(k + 1)):
-                assert entry.canonical == entry.system.canonical_form(), entry.name
+            forms = [e.system.canonical_form() for e in _s_twist_reps(k, range(k + 1))]
+            assert forms == forms[::-1], k
+            assert len(set(forms[:k // 2 + 1])) == k // 2 + 1, k
 
     def test_entries_match_named_construction_and_search(self):
-        # Every list entry, at every cap up to 7, carries the canonical form
-        # the permutation search finds, which is that of the system its name
-        # builds (a twist-class entry may hold another twist of the class).
+        # Every list entry, at every cap up to 7, is isomorphic to the
+        # system its name builds (a twist-class entry may hold another
+        # twist of the class).
         for cid in ExminorClassId:
             for cap in range(8):
                 for e in excluded_minor_set(cid, cap):
-                    canonical = e.system.canonical_form()
-                    assert e.canonical == canonical, (cid, cap, e.name)
-                    assert make_named(e.name).canonical_form() == canonical, (cid, cap, e.name)
+                    assert e.system.canonical_form() == make_named(e.name).canonical_form(), (
+                        cid, cap, e.name)
 
 
 class TestNamedFacts:

@@ -15,8 +15,9 @@ streaming options (--resume, --long, --jobs 2, --chunk) on a sampled run,
 of --seed, --count and an unstreamed --chunk on exhaustive runs and
 counts, and of --no-dedupe on a streamed run, `census
 count --n 3` and `--n 4` in text and --json form, a sampled `census
-count --n 5`, `catalog dump --cap 6` for every class, the `scan` alias on
-four systems, `lattice build`, `dual` and `minor` on five regions, one of
+count --n 5`, `catalog dump --cap 6` and `--cap 10` for every class
+(cap 10 reaches the S_7..S_10 twists), `catalog twists` on T1-T8, P1-P5,
+U1, S2 and S_3-S_8, the `scan` alias on four systems, `lattice build`, `dual` and `minor` on five regions, one of
 them invalid, `stack classify` in text and --json form on the fixed
 systems and four more (rank gaps (2, 2) and (3,), a twisted rank-2
 matroid, an empty family), and `higgs classify` in text and --json form

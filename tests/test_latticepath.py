@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from dmkit.bitset import down_closure, family_to_bitmap, iter_bits, minimal_members, up_closure
 from dmkit.errors import FormatError, InvalidRegionError, UnknownElementError
+from dmkit.higgs import full_higgs_dm
 from dmkit.latticepath import (
     Region,
     _all_paths_bitmap,
@@ -148,6 +149,14 @@ class TestLpdm:
     def test_empty_region(self):
         res = lpdm(Region(0, 0, 0, 0, "", ""))
         assert res.system.labels == () and res.system.masks == frozenset({0})
+
+    def test_path_image_is_the_full_higgs_lift(self):
+        # lpdm checks the path image against the bitmap envelope of the
+        # pair, spanning in the minimal matroid and independent in the
+        # maximal one; the full Higgs lift built from the matroids agrees
+        for region in iter_regions(6):
+            res = lpdm(region)
+            assert res.system == full_higgs_dm(res.min_matroid, res.max_matroid), region
 
 
     def test_matroids_are_the_extreme_path_layers(self):

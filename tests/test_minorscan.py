@@ -82,7 +82,7 @@ class TestEnumerateMinors:
 class TestHasMinorFrom:
     def test_t5_contract_ab_gives_s2(self):
         t5 = make_named("T5")
-        witness = has_minor_from(t5, [CatalogEntry.of("S2", make_named("S2"))])
+        witness = has_minor_from(t5, [CatalogEntry("S2", make_named("S2"))])
         assert witness is not None
         assert witness.target_name == "S2"
         assert witness.verify(t5)
@@ -95,7 +95,7 @@ class TestHasMinorFrom:
 
     def test_self_witness(self):
         t1 = make_named("T1")
-        witness = has_minor_from(t1, [CatalogEntry.of("T1", t1)])
+        witness = has_minor_from(t1, [CatalogEntry("T1", t1)])
         assert witness.target_name == "T1"
         assert witness.deleted == () and witness.contracted == ()
 
@@ -330,7 +330,7 @@ class TestTableScan:
         ]
         for base, relabelled in pairs:
             assert relabelled.is_isomorphic(base) and relabelled != base
-            targets = [CatalogEntry.of("A", relabelled), CatalogEntry.of("B", base)]
+            targets = [CatalogEntry("A", relabelled), CatalogEntry("B", base)]
             perms = list(permutations(range(base.n)))
             if len(perms) > 24:
                 perms = rng.sample(perms, 12)
@@ -348,7 +348,7 @@ class TestTableScan:
         systems = [random_system(rng, 5) for _ in range(10)]
         for _ in range(3):
             for s in systems:
-                fresh = [CatalogEntry.of(e.name, e.system) for e in cached]
+                fresh = [CatalogEntry(e.name, e.system) for e in cached]
                 assert has_minor_from(s, fresh) == has_minor_from(s, cached)
                 assert has_minor_from(s, list(cached)) == has_minor_from(s, cached)
         assert len(minorscan._scan_plans) <= minorscan.SCAN_PLAN_CACHE_SIZE
@@ -412,7 +412,7 @@ class TestProjectionScan:
                 bm = rng.getrandbits(1 << m)
                 if len(orbit(bm, m)) == factorial(m):
                     break
-            targets.append(CatalogEntry.of(name, SetSystem.from_bitmap(tuple("uvwxyz"[:m]), bm)))
+            targets.append(CatalogEntry(name, SetSystem.from_bitmap(tuple("uvwxyz"[:m]), bm)))
         for n in (6, 7):
             labels = tuple("abcdefg"[:n])
             hosts = [SetSystem(labels, frozenset(rng.sample(range(1 << n), 1 << n - 1)))

@@ -10,6 +10,7 @@ import pkgutil
 import re
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -150,3 +151,31 @@ def test_unbounded_caches_are_keyed_on_sizes_and_names():
                 assert params <= SIZE_OR_NAME_PARAMS, (path.name, node.name, params)
                 found.append(node.name)
     assert {"masks_without_bit", "excluded_minor_set", "_profiles"} <= set(found)
+
+
+def _modules_but_setsystem() -> Iterator[tuple[str, ast.Module]]:
+    for path in sorted((ROOT / "src" / "dmkit").glob("*.py")):
+        if path.name != "setsystem.py":
+            yield path.name, ast.parse(path.read_text(), str(path))
+
+
+def test_only_setsystem_names_the_canonical_form():
+    # setsystem._canonical_form is the one canonicalization routine
+    for module, tree in _modules_but_setsystem():
+        for node in ast.walk(tree):
+            named = (getattr(node, "id", None) or getattr(node, "attr", None)
+                     or getattr(node, "name", None))
+            assert named not in {"canonical_form", "_canonical_form"}, (module, node.lineno)
+
+
+def test_no_least_image_outside_setsystem():
+    # no function outside setsystem takes the least image of an orbit or of
+    # a relabelling walk, a canonical form of its own
+    for module, tree in _modules_but_setsystem():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = {call.func.attr if isinstance(call.func, ast.Attribute)
+                         else getattr(call.func, "id", "")
+                         for call in ast.walk(node) if isinstance(call, ast.Call)}
+                assert not ("min" in calls and calls & {"orbit", "relabellings"}), (
+                    module, node.name)
