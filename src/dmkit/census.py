@@ -13,6 +13,7 @@ import os
 import random
 import tempfile
 from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice, repeat
@@ -271,14 +272,9 @@ def verify_equivalence(
     families = _weighted_families(n, mode, seed=seed, count=count, dedupe=dedupe)
     totals, discrepancies = _tally(REGISTRY[theorem_id].columns, families, n, max_witnesses)
     if discrepancies and _by_class(n, mode, dedupe):
-        # Spread the representatives' verdicts over their classes.  A
-        # class's least index is its representative, so the first
-        # max_witnesses discrepant indices all lie in the classes of the
-        # first max_witnesses discrepant representatives.
-        by_rep = {d["family_index"]: d for d in discrepancies}
-        spread = ({**by_rep[rep], "family_index": i}
-                  for i, rep in enumerate(_canonical_index_table(n)) if rep in by_rep)
-        discrepancies = list(islice(spread, max_witnesses))
+        # the labelled loop yields the first discrepant indices in index order
+        _, discrepancies = _tally(REGISTRY[theorem_id].columns,
+                                  zip(family_indices(n), repeat(1)), n, max_witnesses)
     return CensusReport(n=n, mode=_mode_label(mode, seed, count), theorem=theorem_id,
                         totals=totals, discrepancies=discrepancies)
 
@@ -375,6 +371,11 @@ def _stream_range(
                   max_witnesses)
 
 
+# concurrent.futures.ProcessPoolExecutor, imported by the first run with
+# jobs > 1 only: the import would add to every CLI start.
+ProcessPoolExecutor = None
+
+
 def run_streaming(
     n: int,
     theorem_id: str,
@@ -389,12 +390,14 @@ def run_streaming(
     """Undeduped exhaustive scan over a family-index range with periodic
     checkpoints; the entry point for long (n = 5) runs.
 
-    Chunks are processed in index order; with jobs > 1 the chunks of each
-    round are distributed to worker processes and merged in order, so the
-    report is identical to the single-process one.  Each merge keeps the
-    first max_witnesses discrepancies, so a checkpoint holds exactly the
-    witnesses of the report it leads to.
+    Chunks are processed in index order, jobs chunks per round and one
+    checkpoint after each round; with jobs > 1 one pool of worker
+    processes takes the chunks of every round, and they are merged in
+    order, so the report is identical to the single-process one.  Each
+    merge keeps the first max_witnesses discrepancies, so a checkpoint
+    holds exactly the witnesses of the report it leads to.
     """
+    global ProcessPoolExecutor
     if theorem_id not in REGISTRY:
         raise DmkitError(f"unknown theorem id {theorem_id!r}")
     if n < 0 or chunk < 1 or jobs < 1:
@@ -408,35 +411,33 @@ def run_streaming(
         loaded = _load_checkpoint(checkpoint_path, n, theorem_id, start, end, max_witnesses)
         if loaded is not None:
             index, totals, discrepancies = loaded
-    while index < end:
-        round_end = min(index + chunk * jobs, end)
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
+    if jobs > 1 and ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        while index < end:
+            # one round: at most jobs chunks in flight, then a checkpoint
+            round_end = min(index + chunk * jobs, end)
             los = range(index, round_end, chunk)
             his = [min(lo + chunk, round_end) for lo in los]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                partials = list(pool.map(_stream_range, repeat(n), repeat(theorem_id),
-                                         los, his, repeat(max_witnesses)))
-        else:
-            partials = [_stream_range(n, theorem_id, index, round_end, max_witnesses)]
-        for part_totals, part_disc in partials:
-            for key, value in part_totals.items():
-                totals[key] += value
-            discrepancies.extend(part_disc)
-            del discrepancies[max_witnesses:]
-        index = round_end
-        if checkpoint_path:
-            _save_checkpoint(checkpoint_path, {
-                "version": CHECKPOINT_VERSION,
-                "n": n,
-                "theorem": theorem_id,
-                "start": start,
-                "max_witnesses": max_witnesses,
-                "next_index": index,
-                "totals": totals,
-                "discrepancies": discrepancies,
-            })
+            for part_totals, part_disc in run(_stream_range, repeat(n), repeat(theorem_id),
+                                              los, his, repeat(max_witnesses)):
+                for key, value in part_totals.items():
+                    totals[key] += value
+                discrepancies.extend(part_disc)
+                del discrepancies[max_witnesses:]
+            index = round_end
+            if checkpoint_path:
+                _save_checkpoint(checkpoint_path, {
+                    "version": CHECKPOINT_VERSION,
+                    "n": n,
+                    "theorem": theorem_id,
+                    "start": start,
+                    "max_witnesses": max_witnesses,
+                    "next_index": index,
+                    "totals": totals,
+                    "discrepancies": discrepancies,
+                })
     return CensusReport(
         n=n, mode=f"streaming[{start},{end})", theorem=theorem_id,
         totals=totals, discrepancies=discrepancies,

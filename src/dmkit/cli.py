@@ -13,6 +13,7 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
+from .bitset import layer_selectors
 from .catalog import ExminorClassId, excluded_minor_set, make_named, twist_classes
 from .census import DEFAULT_CHUNK, REGISTRY, count_census, run_streaming, verify_equivalence
 from .errors import AmbientHypothesisError, DmkitError
@@ -30,7 +31,7 @@ from .latticepath import (
 from .matroid import Matroid
 from .minorscan import classify_by_exminors
 from .setsystem import SetSystem, parse_set_system, serialize_set_system
-from .stacks import classify_stack, layer_bitmaps
+from .stacks import classify_stack
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -186,8 +187,9 @@ def cmd_lattice_minor(args) -> int:
 def cmd_stack_classify(args) -> int:
     system = _read_system(args.file)
     flags = classify_stack(system)
-    layers = [{"size": size, "feasible": layer.bit_count()}
-              for size, layer in layer_bitmaps(system)]
+    sel = layer_selectors(system.n)
+    layers = [{"size": size, "feasible": (system.family_bitmap & sel[size]).bit_count()}
+              for size in system.layer_sizes]
     payload = {
         "matroid_stack": flags.matroid_stack,
         "paving_system": flags.paving_system,
@@ -250,6 +252,9 @@ def cmd_census_run(args) -> int:
             print(f"census: --{option} needs at least 1, got {option} = {value}",
                   file=sys.stderr)
             return EXIT_ERROR
+    if args.mode == "sampled" and _refuse_ignored("a sampled run is never deduplicated",
+                                                  [("--no-dedupe", args.no_dedupe)]):
+        return EXIT_ERROR
     streamed = args.mode == "exhaustive" and (args.long or args.resume or args.jobs > 1)
     chunk = (f"--chunk {args.chunk}", args.chunk is not None)
     sample = [(f"--seed {args.seed}", args.seed is not None),
@@ -305,17 +310,16 @@ def cmd_census_count(args) -> int:
     return EXIT_YES if report.ok else EXIT_NO
 
 
-def cmd_catalog_dump(args) -> int:
-    entries = excluded_minor_set(ExminorClassId(args.cls), args.cap)
-    payload = [
-        {
-            "name": e.name,
-            "system": json.loads(serialize_set_system(e.system)),
-        }
-        for e in entries
-    ]
+def _write_entries(entries, args) -> int:
+    """Catalog entries as a JSON list of names and systems."""
+    payload = [{"name": e.name, "system": json.loads(serialize_set_system(e.system))}
+               for e in entries]
     _write_or_print(json.dumps(payload, separators=(", ", ": ")), args.output)
     return EXIT_YES
+
+
+def cmd_catalog_dump(args) -> int:
+    return _write_entries(excluded_minor_set(ExminorClassId(args.cls), args.cap), args)
 
 
 def cmd_catalog_make(args) -> int:
@@ -324,14 +328,7 @@ def cmd_catalog_make(args) -> int:
 
 
 def cmd_catalog_twists(args) -> int:
-    base = make_named(args.name)
-    entries = twist_classes(base, args.name)
-    payload = [
-        {"name": e.name, "system": json.loads(serialize_set_system(e.system))}
-        for e in entries
-    ]
-    _write_or_print(json.dumps(payload, separators=(", ", ": ")), args.output)
-    return EXIT_YES
+    return _write_entries(twist_classes(make_named(args.name), args.name), args)
 
 
 def _add_output_argument(p: argparse.ArgumentParser) -> None:

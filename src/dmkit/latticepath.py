@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple
 
 from .bitset import layer_selectors
 from .errors import CapacityError, FormatError, InvalidRegionError, UnknownElementError
-from .matroid import Matroid, _independent_bitmap, _spanning_bitmap, is_quotient, is_quotient_bitmap
+from .matroid import Matroid, _independent_bitmap, _spanning_bitmap, is_quotient_bitmap
 from .setsystem import SetSystem
 
 PATH_COUNT_CAP = 10**7
@@ -240,22 +240,17 @@ class LpdmResult(NamedTuple):
 def lpdm(region: Region) -> LpdmResult:
     """The lattice path delta-matroid of a region with its two matroids.
 
-    Checks on the way out that the minimal matroid is a quotient of the
-    maximal one and that the path image equals the full Higgs lift
-    delta-matroid of the pair: the sets spanning in the minimal matroid
-    and independent in the maximal one.
+    Raises InvalidRegionError with the failure tag of verify_region_prop,
+    which checks the quotient and full-Higgs claims on the way.
     """
+    if failure := verify_region_prop(region):
+        raise InvalidRegionError(failure)
     labels = region.labels()
     d_bm = _all_paths_bitmap(region)
     lo_bm, hi_bm = _matroid_bitmaps(region, d_bm)
-    system = SetSystem.from_bitmap(labels, d_bm)
     lo = Matroid.from_system(SetSystem.from_bitmap(labels, lo_bm))
     hi = Matroid.from_system(SetSystem.from_bitmap(labels, hi_bm))
-    if not is_quotient(lo, hi):
-        raise InvalidRegionError("minimal matroid is not a quotient of the maximal")
-    if d_bm != _spanning_bitmap(lo_bm, region.n) & _independent_bitmap(hi_bm, region.n):
-        raise InvalidRegionError("path image differs from the full Higgs lift family")
-    return LpdmResult(system, lo, hi)
+    return LpdmResult(SetSystem.from_bitmap(labels, d_bm), lo, hi)
 
 
 def region_dual(region: Region) -> Region:
@@ -463,11 +458,11 @@ def iter_regions(max_size: int) -> Iterator[Region]:
 
 
 def verify_region_prop(region: Region) -> str | None:
-    """Fast bitmap check of the quotient and full-Higgs claims for one
-    region; returns None on success or a short failure tag.
-
-    This is the bulk-sweep counterpart of lpdm(), which performs the same
-    checks through the validated matroid API.
+    """The paper's claims for one region, on bitmaps: the path family is
+    the full Higgs lift family of its extreme layers (spanning in the
+    minimal matroid and independent in the maximal one), and the minimal
+    matroid is a quotient of the maximal.  Returns None when both hold,
+    else a short failure tag, which lpdm raises.
     """
     n = region.n
     d_bm = _all_paths_bitmap(region)

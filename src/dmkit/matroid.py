@@ -37,8 +37,7 @@ def exchange_violation(system: SetSystem) -> tuple[int, int, int] | None:
 def is_matroid(system: SetSystem) -> bool:
     """True when the feasible sets are equicardinal and satisfy basis exchange,
     which an equicardinal family does exactly when it is a delta-matroid."""
-    sizes = {m.bit_count() for m in system.masks}
-    return len(sizes) == 1 and system.is_delta_matroid()
+    return len(system.layer_sizes) == 1 and system.is_delta_matroid()
 
 
 @dataclass(frozen=True)
@@ -114,12 +113,7 @@ class Matroid:
         return Matroid._unchecked(self.system.contract(e))
 
     def restrict(self, elements: Iterable[str]) -> Matroid:
-        keep = set(elements)
-        out = self
-        for e in self.labels:
-            if e not in keep:
-                out = out.delete(e)
-        return out
+        return Matroid._unchecked(self.system.restrict(elements))
 
     def contract_set(self, elements: Iterable[str]) -> Matroid:
         out = self

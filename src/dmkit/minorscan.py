@@ -14,7 +14,7 @@ from .catalog import CatalogEntry, ExminorClassId, excluded_minor_set
 from .errors import AmbientHypothesisError, CapacityError
 from .higgs import classify_higgs, classify_higgs_bitmap
 from .matroid import is_matroid
-from .setsystem import SetSystem, delta_matroid_bits
+from .setsystem import WORD_MAX_N, SetSystem, delta_matroid_bits
 from .stacks import is_matroid_stack, is_stack_bitmap, layer_is_matroid, stack_flags
 
 
@@ -66,14 +66,11 @@ def enumerate_minors(
                 yield dels, cons, system.minor(dels, cons) if x | y else system
 
 
-# Systems on at most TABLE_MAX_N elements read each proper minor, on at
+# Systems on at most WORD_MAX_N elements read each proper minor, on at
 # most four elements, by byte tables that read a family bitmap of at most
 # 32 bits as four bytes and hold 16-bit minor bitmaps.  Per split they take
 # 2 KB, and the count of splits grows as 3^n, so larger systems relabel
 # their family bitmap instead (_removal_moves).
-TABLE_MAX_N = 5
-
-
 def _split_positions(n: int, m: int) -> Iterator[tuple[int, int, list[int]]]:
     """(X, Y, positions) per delete/contract split of an n-element ground
     set that leaves m elements, in enumerate_minors order.
@@ -171,7 +168,7 @@ class _ScanPlan:
     index_scans: dict[int, tuple] = field(default_factory=dict, compare=False)
 
     def index_scan(self, n: int) -> tuple[dict[int, CatalogEntry], tuple[tuple, ...]]:
-        """(whole, splits) of the scan of n-element systems, n <= TABLE_MAX_N,
+        """(whole, splits) of the scan of n-element systems, n <= WORD_MAX_N,
         on family bitmaps: the orbit index of the n-element targets, so the
         whole family is looked up as it is, then (X, Y, table, orbit index)
         per split of every smaller target size, largest first."""
@@ -241,12 +238,12 @@ def _first_minor(bm: int, n: int, plan: _ScanPlan) -> _Hit | None:
     enumerate_minors order (removed sets lexicographically, then splits by
     (|X|, lex)); the hit names the first target, in list order, isomorphic
     to the first matching minor.  Two kernels read the minors and give the
-    same hit: up to TABLE_MAX_N elements byte tables (index_scan), above
+    same hit: up to WORD_MAX_N elements byte tables (index_scan), above
     that the chunks of the relabelled family bitmap (_chunk_scan; the whole
     system is the one chunk of m = n).  Both look every minor up in the
     orbit index of its size.
     """
-    if n <= TABLE_MAX_N:
+    if n <= WORD_MAX_N:
         whole, splits = plan.index_scan(n)
         if bm in whole:
             return 0, 0, whole[bm]
@@ -350,8 +347,7 @@ ALWAYS: Predicate = (every_index, lambda s: True)
 EVEN: Predicate = (index_form(is_even_index), lambda s: s.is_even)
 DELTA: Predicate = (delta_matroid_bits, lambda s: s.is_delta_matroid())
 EVEN_DELTA = both(EVEN, DELTA)
-EQUICARDINAL: Predicate = (index_form(is_equicardinal_index),
-                           lambda s: len({m.bit_count() for m in s.masks}) == 1)
+EQUICARDINAL: Predicate = (index_form(is_equicardinal_index), lambda s: len(s.layer_sizes) == 1)
 MATROID: Predicate = (
     index_form(lambda i, n: is_equicardinal_index(i, n) and layer_is_matroid(i)), is_matroid)
 MATROID_STACK: Predicate = (index_form(is_stack_bitmap), is_matroid_stack)

@@ -128,11 +128,6 @@ class SetSystem:
         m is feasible)."""
         return family_to_bitmap(self.masks)
 
-    @cached_property
-    def size_signature(self) -> tuple[int, ...]:
-        """Sorted multiset of feasible-set sizes; isomorphism prefilter."""
-        return tuple(sorted(m.bit_count() for m in self.masks))
-
     @property
     def layer_sizes(self) -> tuple[int, ...]:
         """The sizes of the feasible sets, ascending, each once."""
@@ -304,10 +299,8 @@ class SetSystem:
 
     def is_isomorphic(self, other: SetSystem) -> bool:
         """Relabelling equivalence: equal cached canonical forms, after a
-        size-signature prefilter."""
-        if self.n != other.n or len(self.masks) != len(other.masks):
-            return False
-        if self.size_signature != other.size_signature:
+        prefilter on n and the number of feasible sets."""
+        if self.n != other.n or self.family_bitmap.bit_count() != other.family_bitmap.bit_count():
             return False
         return self.canonical_form() == other.canonical_form()
 
@@ -413,9 +406,10 @@ def exchange_holds(bm: int, n: int) -> bool:
 
 # -- the bit-sliced exchange oracle over family indices ------------------
 
-# A family index of a system on at most SLICE_MAX_N elements fits one 32-bit
-# word, the unit of the bit-plane transpose.
-SLICE_MAX_N = 5
+# A family index of a system on at most WORD_MAX_N elements fits one 32-bit
+# word: the unit of the bit-plane transpose here and of the minor scan's
+# byte tables (minorscan).
+WORD_MAX_N = 5
 
 
 @lru_cache(maxsize=64)
@@ -481,10 +475,10 @@ def _exchange_steps(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, tupl
 def delta_matroid_bits(indices: Sequence[int], n: int) -> int:
     """Bitmask over a batch of family indices of an n-element ground set:
     bit b is set when family indices[b] satisfies the exchange axiom
-    (vacuously for the empty family).  Above SLICE_MAX_N elements each
+    (vacuously for the empty family).  Above WORD_MAX_N elements each
     family is decided by exchange_holds.
 
-    Up to SLICE_MAX_N, for fixed X and u, with W = X ^ {u}, the axiom
+    Up to WORD_MAX_N, for fixed X and u, with W = X ^ {u}, the axiom
     fails exactly when X is feasible, W is not, and some feasible
     Y = W ^ D' (D' nonempty, u not in D') has no feasible W ^ {v} with v
     in D'.  On the bit-planes P that is, for every family at once,
@@ -496,7 +490,7 @@ def delta_matroid_bits(indices: Sequence[int], n: int) -> int:
     every family has failed.  The scalar references are _se_holds_bitmap
     and se_violation.
     """
-    if n > SLICE_MAX_N:
+    if n > WORD_MAX_N:
         return sum(1 << b for b, index in enumerate(indices) if exchange_holds(index, n))
     planes = bit_planes(indices)
     alive = (1 << len(indices)) - 1

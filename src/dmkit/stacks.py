@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Iterator
 
 from .bitset import down_closure, iter_bits, layer_selectors, up_closure
 from .errors import AmbientHypothesisError
@@ -42,7 +41,8 @@ class Stack:
 
 
 def stack_of(system: SetSystem) -> Stack:
-    sizes = [size for size, _ in layer_bitmaps(system)]
+    system._require_proper()
+    sizes = system.layer_sizes
     k, l = sizes[0], sizes[-1]
     bm, sel = system.family_bitmap, layer_selectors(system.n)
     layers = (SetSystem.from_bitmap(system.labels, bm & sel[r]) for r in range(k, l + 1))
@@ -63,15 +63,6 @@ class StackClassification:
     # The motivating question bounds gaps by 1 <= gap <= 2; reported, not
     # enforced, because the formal definitions do not impose it.
     gaps_within_bounds: bool = True
-
-
-def layer_bitmaps(system: SetSystem) -> Iterator[tuple[int, int]]:
-    """Lazily, (size, layer bitmap) of each nonempty cardinality layer by size."""
-    system._require_proper()
-    bm = system.family_bitmap
-    for r, sel in enumerate(layer_selectors(system.n)):
-        if bm & sel:
-            yield r, bm & sel
 
 
 @lru_cache(maxsize=LAYER_CACHE_SIZE)
@@ -139,7 +130,8 @@ def stack_flags(bm: int, n: int) -> tuple[bool, bool, bool, bool]:
 def classify_stack(system: SetSystem) -> StackClassification:
     """Every layer flag of stack_flags, with the rank gaps, evenness and
     the exchange-axiom verdict of the system."""
-    sizes = [size for size, _ in layer_bitmaps(system)]
+    system._require_proper()
+    sizes = system.layer_sizes
     matroid_stack, paving, sparse, quotient = stack_flags(system.family_bitmap, system.n)
     gaps = tuple(b - a for a, b in zip(sizes, sizes[1:]))
     return StackClassification(
@@ -160,9 +152,9 @@ def check_speven(system: SetSystem) -> bool:
     Raises AmbientHypothesisError unless the system is even and sparse
     paving; the verdict is expected (and tested) to always be True.
     """
-    flags = classify_stack(system)
-    if not flags.even:
+    if not system.is_even:
         raise AmbientHypothesisError("system is not even")
-    if not flags.sparse_paving_system:
+    _, _, sparse_paving, quotient = stack_flags(system.family_bitmap, system.n)
+    if not sparse_paving:
         raise AmbientHypothesisError("system is not a sparse paving set system")
-    return flags.quotient_system
+    return quotient

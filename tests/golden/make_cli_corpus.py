@@ -171,6 +171,7 @@ def cases() -> list[dict]:
         out.append({"argv": base + ["--long", "--chunk", "100", "--json"]})
         out.append({"argv": ["census", "run", "--n", "4", "--theorem", theorem,
                              "--mode", "sampled", "--seed", "3", "--count", "300", "--json"]})
+        # refused: a sampled run is never deduplicated
         out.append({"argv": ["census", "run", "--n", "4", "--theorem", theorem,
                              "--mode", "sampled", "--seed", "4", "--count", "300",
                              "--no-dedupe"]})

@@ -253,6 +253,43 @@ for chunk in (0, -3):
         multi = run_streaming(3, "exdelta", chunk=32, jobs=2)
         assert single.totals == multi.totals
 
+    def test_one_pool_per_streamed_run(self, wrong, tmp_path, monkeypatch):
+        # a jobs = 2 run opens one pool for all of its rounds, hands it at
+        # most jobs chunks per round and writes one checkpoint per round
+        import dmkit.census as census
+
+        pools, saved = [], []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                self.jobs, self.batches, self.closed = max_workers, [], False
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.closed = True
+
+            def map(self, fn, *iterables):
+                calls = list(zip(*iterables))
+                self.batches.append(len(calls))
+                return [fn(*call) for call in calls]
+
+        save = census._save_checkpoint
+        monkeypatch.setattr(census, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(census, "_save_checkpoint",
+                            lambda path, doc: saved.append(doc["next_index"]) or save(path, doc))
+        ck = tmp_path / "census.ckpt"
+        report = run_streaming(3, wrong, chunk=20, jobs=2, max_witnesses=7,
+                               checkpoint_path=str(ck))
+        # 255 families: six rounds of two chunks of 20, then one chunk of 15
+        assert len(pools) == 1 and pools[0].jobs == 2 and pools[0].closed
+        assert pools[0].batches == [2] * 6 + [1]
+        assert saved == [41, 81, 121, 161, 201, 241, 256]
+        assert report == run_streaming(3, wrong, chunk=20, max_witnesses=7)
+        assert report.discrepancies == first_non_delta(3, 7)
+
     def test_n5_index_range_slices(self):
         # genuine 5-element oracle-equivalence slices through the
         # long-run path (the full 2^32 sweep stays opt-in)

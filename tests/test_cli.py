@@ -125,12 +125,23 @@ def test_census_refuses_negative_n(capsys):
 def test_census_refuses_a_negative_sample_count(capsys):
     # a negative count used to print a 0-family report and exit 0
     for argv in (["run", "--n", "4", "--theorem", "exdelta", "--mode", "sampled"],
-                 ["run", "--n", "4", "--theorem", "exdelta", "--mode", "sampled", "--no-dedupe"],
                  ["count", "--n", "4", "--mode", "sampled"],
                  ["count", "--n", "4", "--mode", "sampled", "--json"]):
         assert main(["census", *argv, "--count", "-3"]) == 2, argv
         captured = capsys.readouterr()
         assert "count = -3" in captured.err and not captured.out, argv
+
+
+def test_census_refuses_no_dedupe_on_a_sampled_run(capsys):
+    # a sampled run is never deduplicated, so --no-dedupe used to be
+    # ignored with exit 0; it is refused before the sample count is read
+    for count in ([], ["--count", "5"], ["--count", "-3"]):
+        argv = ["census", "run", "--n", "4", "--theorem", "exdelta", "--mode", "sampled",
+                "--no-dedupe", *count]
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == "census: a sampled run is never deduplicated; drop --no-dedupe\n"
+        assert not captured.out, argv
 
 
 def test_census_refuses_jobs_below_one(capsys):
@@ -145,6 +156,24 @@ def test_census_refuses_jobs_below_one(capsys):
         assert f"jobs = {jobs}" in captured.err and not captured.out, argv
     with pytest.raises(DmkitError, match="jobs = 0"):
         run_streaming(2, "exdelta", jobs=0)
+
+
+def test_timestamps_add_only_finished_at(capsys):
+    # --timestamps appends a finished_at stamp as the last key; the rest
+    # of the JSON is byte for byte the output of the same run without it
+    import re
+
+    for argv in (["run", "--n", "3", "--theorem", "exdelta", "--json"],
+                 ["run", "--n", "3", "--theorem", "exdelta", "--long", "--json"],
+                 ["count", "--n", "2", "--json"]):
+        assert main(["census", *argv]) == 0
+        plain = capsys.readouterr().out
+        assert main(["census", *argv, "--timestamps"]) == 0
+        stamped = capsys.readouterr().out
+        assert plain.endswith("}\n") and stamped.startswith(plain[:-2]), argv
+        assert re.fullmatch(r', "finished_at": "\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d[+-]\d{4}"\}\n',
+                            stamped[len(plain) - 2:]), stamped
+        assert "finished_at" not in plain
 
 
 def test_census_output_deterministic(capsys):

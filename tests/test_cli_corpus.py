@@ -5,8 +5,8 @@ The corpus (tests/golden/cli_corpus.json, written by
 tests/golden/make_cli_corpus.py) covers `check` for every class in text
 and --json form on 21 fixed 3-7-element systems, ambient refusals
 included, `binary check`, `census run --n 3` for every theorem with and
-without --no-dedupe and streamed, sampled n = 4 census runs with and
-without --no-dedupe, exhaustive `census run --n 4 --json` for every
+without --no-dedupe and streamed, sampled n = 4 census runs and their
+refusal of --no-dedupe, exhaustive `census run --n 4 --json` for every
 theorem (and for exquotient with --no-dedupe, 65 535 families through
 the stack-flag memo), sampled n = 5 census runs of 400 families in text
 and --json form and the refusal of an exhaustive n = 5 run without

@@ -150,10 +150,19 @@ class TestLpdm:
         res = lpdm(Region(0, 0, 0, 0, "", ""))
         assert res.system.labels == () and res.system.masks == frozenset({0})
 
+    def test_raises_the_failure_tag_of_verify_region_prop(self, monkeypatch):
+        # lpdm decides the claims by verify_region_prop and raises its tag
+        import dmkit.latticepath as latticepath
+
+        monkeypatch.setattr(latticepath, "verify_region_prop", lambda region: "patched tag")
+        with pytest.raises(InvalidRegionError, match="^patched tag$"):
+            lpdm(FIG2)
+
     def test_path_image_is_the_full_higgs_lift(self):
-        # lpdm checks the path image against the bitmap envelope of the
-        # pair, spanning in the minimal matroid and independent in the
-        # maximal one; the full Higgs lift built from the matroids agrees
+        # verify_region_prop, which lpdm runs, checks the path image
+        # against the bitmap envelope of the pair, spanning in the minimal
+        # matroid and independent in the maximal one; the full Higgs lift
+        # built from the matroids agrees
         for region in iter_regions(6):
             res = lpdm(region)
             assert res.system == full_higgs_dm(res.min_matroid, res.max_matroid), region
@@ -312,7 +321,8 @@ class TestSerialization:
 
 class TestPropositionSamples:
     def test_prop_samples_and_fast_path_agree(self):
-        # lpdm (validated route) and verify_region_prop (bitmap route)
+        # the bitmap claims hold, and lpdm builds both matroids through
+        # the validated Matroid.from_system
         for region in itertools.islice(iter_regions(5), 0, 4000, 31):
             assert verify_region_prop(region) is None
             lpdm(region)  # raises if either claim fails
@@ -416,7 +426,7 @@ class TestCachedClosures:
     def test_sweep_matches_the_uncached_formula(self):
         # verify_region_prop reads the (basis bitmap, n) caches; here every
         # region with u + v <= 6 is decided again from closures computed
-        # inline, and an lpdm slice decides it through the matroid API
+        # inline, and an lpdm slice builds the same path family
         for i, region in enumerate(iter_regions(6)):
             n = region.n
             d_bm = _all_paths_bitmap(region)

@@ -573,7 +573,7 @@ def reference_ambients(s: SetSystem) -> dict[ExminorClassId, bool]:
         ExminorClassId.DELTA_MATROID: True,
         ExminorClassId.EVEN_DELTA_WITHIN_EVEN: s.is_even,
         ExminorClassId.EVEN_DELTA_WITHIN_ALL: True,
-        ExminorClassId.MATROID_EQUICARDINAL: len(set(s.size_signature)) == 1,
+        ExminorClassId.MATROID_EQUICARDINAL: len({m.bit_count() for m in s.masks}) == 1,
         ExminorClassId.HIGGS_LIFT: dm,
         ExminorClassId.FULL_HIGGS: dm,
         ExminorClassId.EVEN_HIGGS_WITHIN_EVEN: s.is_even and dm,

@@ -179,3 +179,27 @@ def test_no_least_image_outside_setsystem():
                          for call in ast.walk(node) if isinstance(call, ast.Call)}
                 assert not ("min" in calls and calls & {"orbit", "relabellings"}), (
                     module, node.name)
+
+
+def test_every_definition_is_named_elsewhere():
+    # dead code is deleted: every function, method and class of the
+    # package is named outside its own definition, in src/, tests/,
+    # perfbench/ or the README; dunders are exempt
+    sources = [*(ROOT / "src" / "dmkit").glob("*.py"), *(ROOT / "tests").rglob("*.py"),
+               *(ROOT / "perfbench").glob("*.py"), ROOT / "README.md"]
+    lines = {path: path.read_text(encoding="utf-8").splitlines() for path in sources}
+    unnamed = []
+    for path in sorted((ROOT / "src" / "dmkit").glob("*.py")):
+        for node in ast.walk(ast.parse("\n".join(lines[path]), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            own = range(min([node.lineno, *(d.lineno for d in node.decorator_list)]),
+                        node.end_lineno + 1)
+            word = re.compile(rf"(?<!\w){re.escape(node.name)}(?!\w)")
+            if not any(word.search(line) for other, text in lines.items()
+                       for number, line in enumerate(text, 1)
+                       if not (other == path and number in own)):
+                unnamed.append((path.name, node.lineno, node.name))
+    assert not unnamed
