@@ -183,12 +183,12 @@ class CensusReport:
         )
 
     def summary(self) -> str:
-        parts = [f"n={self.n}", self.mode]
         if self.theorem:
-            parts.append(self.theorem)
-        parts.append(f"{self.totals.get('ambient', 0)} systems in hypothesis")
-        parts.append(f"{len(self.discrepancies)} discrepancies")
-        return " | ".join(parts)
+            parts = [self.theorem, f"{self.totals['ambient']} systems in hypothesis",
+                     f"{len(self.discrepancies)} discrepancies"]
+        else:
+            parts = [f"{len(self.discrepancies)} discrepancies", json.dumps(self.totals)]
+        return " | ".join([f"n={self.n}", self.mode, *parts])
 
 
 def _new_totals(columns: tuple[Column, ...]) -> dict[str, int]:
@@ -272,9 +272,15 @@ def verify_equivalence(
     families = _weighted_families(n, mode, seed=seed, count=count, dedupe=dedupe)
     totals, discrepancies = _tally(REGISTRY[theorem_id].columns, families, n, max_witnesses)
     if discrepancies and _by_class(n, mode, dedupe):
-        # the labelled loop yields the first discrepant indices in index order
-        _, discrepancies = _tally(REGISTRY[theorem_id].columns,
-                                  zip(family_indices(n), repeat(1)), n, max_witnesses)
+        # the labelled loop yields the first discrepant indices in index
+        # order, so it stops at the first batch that fills the report
+        discrepancies = []
+        end = 1 << (1 << n)
+        for start in range(1, end, BATCH):
+            discrepancies += _stream_range(n, theorem_id, start, min(start + BATCH, end),
+                                           max_witnesses - len(discrepancies))[1]
+            if len(discrepancies) == max_witnesses:
+                break
     return CensusReport(n=n, mode=_mode_label(mode, seed, count), theorem=theorem_id,
                         totals=totals, discrepancies=discrepancies)
 
@@ -343,7 +349,7 @@ def random_quotient_pair(n: int, r_q: int, r_l: int, seed: int) -> tuple[Matroid
         if bad is None:
             break
         family.discard(bad[0])
-    lift = Matroid(SetSystem(labels, frozenset(family)), r_l)
+    lift = Matroid(system)
     k = r_l - r_q
     if k == 0:
         return lift, lift
@@ -355,7 +361,7 @@ def random_quotient_pair(n: int, r_q: int, r_l: int, seed: int) -> tuple[Matroid
         for b in range(1 << n)
         if not b & w and b.bit_count() == r_q and lift.rank_of_mask(b | w) == r_l
     )
-    q = Matroid(SetSystem(labels, q_bases), r_q)
+    q = Matroid(SetSystem(labels, q_bases))
     if not is_quotient(q, lift):
         raise DmkitError("internal: generated pair failed the quotient check")
     return q, lift

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from functools import lru_cache
 from pathlib import Path
 
@@ -228,9 +229,7 @@ def cmd_binary_dofc(args) -> int:
 def _print_report(report, args) -> None:
     if args.json:
         doc = json.loads(report.to_json())
-        if getattr(args, "timestamps", False):
-            import time
-
+        if args.timestamps:
             doc["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
         print(json.dumps(doc, separators=(", ", ": ")))
     else:
@@ -246,14 +245,19 @@ def _refuse_ignored(route: str, ignored: list[tuple[str, bool]]) -> bool:
     return bool(given)
 
 
+def _refuse_stamp(args) -> bool:
+    return not args.json and _refuse_ignored("only a JSON report carries a stamp",
+                                             [("--timestamps", args.timestamps)])
+
+
 def cmd_census_run(args) -> int:
     for option, value in (("jobs", args.jobs), ("chunk", args.chunk)):
         if value is not None and value < 1:
             print(f"census: --{option} needs at least 1, got {option} = {value}",
                   file=sys.stderr)
             return EXIT_ERROR
-    if args.mode == "sampled" and _refuse_ignored("a sampled run is never deduplicated",
-                                                  [("--no-dedupe", args.no_dedupe)]):
+    if _refuse_stamp(args) or args.mode == "sampled" and _refuse_ignored(
+            "a sampled run is never deduplicated", [("--no-dedupe", args.no_dedupe)]):
         return EXIT_ERROR
     streamed = args.mode == "exhaustive" and (args.long or args.resume or args.jobs > 1)
     chunk = (f"--chunk {args.chunk}", args.chunk is not None)
@@ -297,16 +301,14 @@ def cmd_census_run(args) -> int:
 
 
 def cmd_census_count(args) -> int:
-    if args.mode == "exhaustive" and _refuse_ignored("an exhaustive count draws no sample", [
-            (f"--seed {args.seed}", args.seed is not None),
-            (f"--count {args.count}", args.count is not None)]):
+    if _refuse_stamp(args) or args.mode == "exhaustive" and _refuse_ignored(
+            "an exhaustive count draws no sample",
+            [(f"--seed {args.seed}", args.seed is not None),
+             (f"--count {args.count}", args.count is not None)]):
         return EXIT_ERROR
     report = count_census(args.n, args.mode, seed=args.seed or 0,
                           count=DEFAULT_COUNT if args.count is None else args.count)
-    if args.json:
-        _print_report(report, args)
-    else:
-        print(report.summary() + " | " + json.dumps(report.totals))
+    _print_report(report, args)
     return EXIT_YES if report.ok else EXIT_NO
 
 

@@ -152,7 +152,7 @@ def column_matroid(rows: Sequence[int], labels: Sequence[str]) -> Matroid:
         for a in range(1 << n)
         if a.bit_count() == rank and gf2_rank([cols[j] for j in iter_bits(a)]) == rank
     )
-    return Matroid(SetSystem(labels, masks), rank)
+    return Matroid(SetSystem(labels, masks))
 
 
 def is_binary_dm(system: SetSystem) -> tuple[bool, MinorWitness | None]:

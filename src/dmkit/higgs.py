@@ -14,11 +14,11 @@ from .errors import (
 )
 from .matroid import (
     Matroid,
-    _independent_bitmap,
-    _spanning_bitmap,
+    envelope_bitmap,
     exchange_violation,
     is_quotient,
     min_max_matroids,
+    sandwiched_envelope,
 )
 from .setsystem import SetSystem
 from .stacks import layer_is_matroid
@@ -61,8 +61,9 @@ def higgs_lift(q: Matroid, lift: Matroid, i: int) -> Matroid:
         return q
     if i > k:
         return lift
-    layer = q.spanning_bitmap() & lift.independent_bitmap() & layer_selectors(q.n)[q.rank + i]
-    return Matroid._unchecked(SetSystem.from_bitmap(q.labels, layer))
+    envelope = envelope_bitmap(q.system.family_bitmap, lift.system.family_bitmap, q.n)
+    layer = envelope & layer_selectors(q.n)[q.rank + i]
+    return Matroid(SetSystem.from_bitmap(q.labels, layer))
 
 
 def build_higgs_dm(q: Matroid, lift: Matroid, index_set) -> SetSystem:
@@ -73,13 +74,14 @@ def build_higgs_dm(q: Matroid, lift: Matroid, index_set) -> SetSystem:
     in the test suite, not assumed here).
     """
     _require_quotient(q, lift)
-    k = lift.rank - q.rank
-    ks = validate_index_set(k, index_set)
+    r = q.rank
+    ks = validate_index_set(lift.rank - r, index_set)
     sel = layer_selectors(q.n)
     layers = 0
     for i in ks:
-        layers |= sel[q.rank + i]
-    return SetSystem.from_bitmap(q.labels, q.spanning_bitmap() & lift.independent_bitmap() & layers)
+        layers |= sel[r + i]
+    envelope = envelope_bitmap(q.system.family_bitmap, lift.system.family_bitmap, q.n)
+    return SetSystem.from_bitmap(q.labels, envelope & layers)
 
 
 @dataclass(frozen=True)
@@ -107,10 +109,9 @@ class HiggsClassification:
 
     @property
     def is_even_higgs(self) -> bool:
-        """Even Higgs lift delta-matroid: k and every index even."""
-        if not self.is_higgs:
-            return False
-        return self.k % 2 == 0 and all(i % 2 == 0 for i in self.index_set)
+        """Even Higgs lift delta-matroid: k and every index even, which
+        a full lift is only at k = 0."""
+        return self.kind == "even" or self.kind == "full" and self.k == 0
 
 
 def classify_higgs(system: SetSystem) -> HiggsClassification:
@@ -130,7 +131,7 @@ def classify_higgs_bitmap(bm: int, n: int) -> HiggsClassification:
     elements; unspecified on a family that is not a delta-matroid.
 
     D_min and D_max are the lowest and highest nonempty layers, checked
-    with the cached layer_is_matroid, and the sandwich is read from the
+    with the cached layer_is_matroid, and their envelope is read from the
     closures cached on (basis bitmap, n).
     """
     sel = layer_selectors(n)
@@ -141,13 +142,22 @@ def classify_higgs_bitmap(bm: int, n: int) -> HiggsClassification:
         if not layer_is_matroid(layer):
             bases = SetSystem.from_bitmap(tuple(map(str, range(n))), layer)
             raise NotAMatroidError(f"basis exchange fails at {exchange_violation(bases)}")
-    sandwich = _spanning_bitmap(lo, n) & _independent_bitmap(hi, n)
-    outside = bm & ~sandwich
-    if outside:
-        raise NotADeltaMatroidError(
-            f"feasible mask {(outside & -outside).bit_length() - 1} is not sandwiched "
-            "between minimal and maximal bases"
-        )
+    return _classify_layers(bm, n, r_lo, r_hi, sandwiched_envelope(bm, lo, hi, n))
+
+
+def _classify_higgs_reference(system: SetSystem) -> HiggsClassification:
+    """classify_higgs on min/max matroids built by min_max_matroids, the
+    reference of the differential tests; the layer test is the kernel's."""
+    lo, hi = min_max_matroids(system)
+    envelope = envelope_bitmap(lo.system.family_bitmap, hi.system.family_bitmap, system.n)
+    return _classify_layers(system.family_bitmap, system.n, lo.rank, hi.rank, envelope)
+
+
+def _classify_layers(bm: int, n: int, r_lo: int, r_hi: int, envelope: int) -> HiggsClassification:
+    """The Higgs layer test of the family bitmap bm whose extreme layers
+    have sizes r_lo and r_hi and the given envelope: every occupied layer
+    must be the envelope's layer of its size."""
+    sel = layer_selectors(n)
     k = r_hi - r_lo
     occupied = []
     for i in range(k + 1):
@@ -155,35 +165,8 @@ def classify_higgs_bitmap(bm: int, n: int) -> HiggsClassification:
         layer = bm & size_slice
         if not layer:
             continue
-        if layer != sandwich & size_slice:
+        if layer != envelope & size_slice:
             return HiggsClassification("not_higgs", failing_layer=r_lo + i)
-        occupied.append(i)
-    ks = frozenset(occupied)
-    if len(ks) == k + 1:
-        kind = "full"
-    elif k % 2 == 0 and all(i % 2 == 0 for i in ks):
-        kind = "even"
-    else:
-        kind = "higgs"
-    return HiggsClassification(kind, index_set=ks, k=k)
-
-
-def _classify_higgs_reference(system: SetSystem) -> HiggsClassification:
-    """classify_higgs on freshly built min/max matroids, the reference of
-    the differential tests."""
-    lo, hi = min_max_matroids(system)
-    k = hi.rank - lo.rank
-    n = system.n
-    sandwich = lo.spanning_bitmap() & hi.independent_bitmap()
-    family = system.family_bitmap
-    occupied = []
-    for i in range(k + 1):
-        size_slice = layer_selectors(n)[lo.rank + i]
-        layer = family & size_slice
-        if not layer:
-            continue
-        if layer != sandwich & size_slice:
-            return HiggsClassification("not_higgs", failing_layer=lo.rank + i)
         occupied.append(i)
     ks = frozenset(occupied)
     if len(ks) == k + 1:

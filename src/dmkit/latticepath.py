@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple
 
 from .bitset import layer_selectors
 from .errors import CapacityError, FormatError, InvalidRegionError, UnknownElementError
-from .matroid import Matroid, _independent_bitmap, _spanning_bitmap, is_quotient_bitmap
+from .matroid import Matroid, envelope_bitmap, is_quotient_bitmap
 from .setsystem import SetSystem
 
 PATH_COUNT_CAP = 10**7
@@ -467,7 +467,7 @@ def verify_region_prop(region: Region) -> str | None:
     n = region.n
     d_bm = _all_paths_bitmap(region)
     lo_bm, hi_bm = _matroid_bitmaps(region, d_bm)
-    if d_bm != _spanning_bitmap(lo_bm, n) & _independent_bitmap(hi_bm, n):
+    if d_bm != envelope_bitmap(lo_bm, hi_bm, n):
         return "path image differs from full Higgs lift family"
     if not is_quotient_bitmap(lo_bm, hi_bm, n):
         return "minimal matroid is not a quotient of the maximal"

@@ -4,7 +4,7 @@ quotients, and paving properties."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .bitset import down_closure, iter_bits, masks_without_bit, minimal_members, up_closure
@@ -42,10 +42,10 @@ def is_matroid(system: SetSystem) -> bool:
 
 @dataclass(frozen=True)
 class Matroid:
-    """A matroid carried by its basis family."""
+    """A matroid carried by its basis family; the rank is read from the
+    bases, so the two cannot disagree."""
 
     system: SetSystem
-    rank: int
 
     @classmethod
     def from_system(cls, system: SetSystem) -> Matroid:
@@ -56,13 +56,7 @@ class Matroid:
             raise NotAMatroidError(f"basis sizes differ: {list(sizes)}")
         if not system.is_delta_matroid():
             raise NotAMatroidError(f"basis exchange fails at {exchange_violation(system)}")
-        return cls(system, sizes[0])
-
-    @classmethod
-    def _unchecked(cls, system: SetSystem) -> Matroid:
-        # For constructions whose output is a matroid by theorem; tests
-        # re-validate on small instances.
-        return cls(system, system.layer_sizes[0])
+        return cls(system)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -78,19 +72,15 @@ class Matroid:
 
     # -- rank and circuits ---------------------------------------------
 
+    @cached_property
+    def rank(self) -> int:
+        return next(iter_bits(self.system.family_bitmap)).bit_count()
+
     def rank_of_mask(self, x: int) -> int:
         return max((b & x).bit_count() for b in self.system.masks)
 
     def rank_of(self, elements: Iterable[str]) -> int:
         return self.rank_of_mask(self.system.mask_of(elements))
-
-    def independent_bitmap(self) -> int:
-        """Family bitmap of the independent sets (subsets of bases)."""
-        return _independent_bitmap(self.system.family_bitmap, self.n)
-
-    def spanning_bitmap(self) -> int:
-        """Family bitmap of the spanning sets (supersets of bases)."""
-        return _spanning_bitmap(self.system.family_bitmap, self.n)
 
     def circuit_masks(self) -> tuple[int, ...]:
         return _circuit_masks(self.system.family_bitmap, self.n)
@@ -103,17 +93,16 @@ class Matroid:
 
     def dual(self) -> Matroid:
         full = (1 << self.n) - 1
-        sys = SetSystem(self.labels, frozenset(full ^ b for b in self.bases))
-        return Matroid(sys, self.n - self.rank)
+        return Matroid(SetSystem(self.labels, frozenset(full ^ b for b in self.bases)))
 
     def delete(self, e: str) -> Matroid:
-        return Matroid._unchecked(self.system.delete(e))
+        return Matroid(self.system.delete(e))
 
     def contract(self, e: str) -> Matroid:
-        return Matroid._unchecked(self.system.contract(e))
+        return Matroid(self.system.contract(e))
 
     def restrict(self, elements: Iterable[str]) -> Matroid:
-        return Matroid._unchecked(self.system.restrict(elements))
+        return Matroid(self.system.restrict(elements))
 
     def contract_set(self, elements: Iterable[str]) -> Matroid:
         out = self
@@ -163,7 +152,7 @@ def uniform_matroid(r: int, n: int | None = None, labels: Iterable[str] | None =
         labels = tuple("abcdefghijkl"[:n])
     labels = tuple(labels)
     masks = frozenset(m for m in range(1 << len(labels)) if m.bit_count() == r)
-    return Matroid(SetSystem(labels, masks), r)
+    return Matroid.from_system(SetSystem(labels, masks))
 
 
 def is_quotient(q: Matroid, lift: Matroid) -> bool:
@@ -185,6 +174,27 @@ def is_quotient_bitmap(q_bases: int, lift_bases: int, n: int) -> bool:
     exactly when every circuit of the lift is a union of circuits of q
     (Oxley, Matroid Theory, Prop. 7.3.6)."""
     return not _cyclic_bitmap(lift_bases, n) & ~_cyclic_bitmap(q_bases, n)
+
+
+def envelope_bitmap(lower: int, upper: int, n: int) -> int:
+    """The full Higgs lift of two matroids given by basis bitmaps over n
+    elements: the family bitmap of the sets spanning in lower and
+    independent in upper."""
+    return _spanning_bitmap(lower, n) & _independent_bitmap(upper, n)
+
+
+def sandwiched_envelope(family: int, lower: int, upper: int, n: int) -> int:
+    """envelope_bitmap(lower, upper, n), after checking that it holds
+    every set of the family bitmap, as it does for a delta-matroid and
+    its extreme layers."""
+    envelope = envelope_bitmap(lower, upper, n)
+    outside = family & ~envelope
+    if outside:
+        raise NotADeltaMatroidError(
+            f"feasible mask {(outside & -outside).bit_length() - 1} is not sandwiched "
+            "between minimal and maximal bases"
+        )
+    return envelope
 
 
 def circuits_cover(q_circuits: Sequence[int], lift_circuits: Iterable[int]) -> bool:
@@ -220,10 +230,6 @@ def min_max_matroids(system: SetSystem) -> tuple[Matroid, Matroid]:
         raise NotADeltaMatroidError("min/max matroids need the exchange axiom")
     lo = Matroid.from_system(SetSystem(system.labels, frozenset(system.min_sets())))
     hi = Matroid.from_system(SetSystem(system.labels, frozenset(system.max_sets())))
-    outside = system.family_bitmap & ~(lo.spanning_bitmap() & hi.independent_bitmap())
-    if outside:
-        raise NotADeltaMatroidError(
-            f"feasible mask {(outside & -outside).bit_length() - 1} is not sandwiched "
-            "between minimal and maximal bases"
-        )
+    sandwiched_envelope(system.family_bitmap, lo.system.family_bitmap, hi.system.family_bitmap,
+                        system.n)
     return lo, hi

@@ -448,7 +448,8 @@ def classify_by_exminors(
 ) -> tuple[bool, MinorWitness | None]:
     """Membership verdict for a minor-closed class by excluded-minor scan.
 
-    Raises AmbientHypothesisError when the side condition of the class
+    Raises ImproperSystemError on an empty family, which no class holds,
+    and AmbientHypothesisError when the side condition of the class
     fails, which is distinct from a negative scan verdict.  Minors never
     gain elements, so the list is scanned up to the ground-set size
     whatever the cap for infinite excluded-minor families; a cap below the
@@ -456,6 +457,7 @@ def classify_by_exminors(
     drops could be minors of the system and a "member" verdict would be
     unsound.
     """
+    system._require_proper()
     if cap is not None and cap < system.n:
         raise CapacityError(
             f"cap {cap} is below the ground-set size {system.n}: excluded minors "

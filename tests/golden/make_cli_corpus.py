@@ -257,6 +257,14 @@ def cases() -> list[dict]:
         for command in ("stack", "higgs"):
             out.append({"system": name, "argv": [command, "classify", "{system}"]})
             out.append({"system": name, "argv": [command, "classify", "--json", "{system}"]})
+    # every class refuses an empty family; these four have ambients that
+    # do not read it as improper
+    for cls in ("delta", "even-delta-all", "matroid", "binary"):
+        out.append({"system": "empty", "argv": ["check", "--class", cls, "{system}"]})
+        out.append({"system": "empty", "argv": ["check", "--class", cls, "--json", "{system}"]})
+    # only a JSON report carries a stamp
+    out.append({"argv": ["census", "run", "--n", "3", "--theorem", "exdelta", "--timestamps"]})
+    out.append({"argv": ["census", "count", "--n", "3", "--timestamps"]})
     return out
 
 

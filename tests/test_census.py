@@ -18,6 +18,7 @@ from dmkit.bitset import permute_mask
 from dmkit.catalog import ExminorClassId
 from dmkit.census import (
     _COUNT_COLUMNS,
+    BATCH,
     REGISTRY,
     _canonical_index_table,
     _class_weights,
@@ -143,6 +144,25 @@ class TestStreaming:
         for k in (1, 5, 100):
             deduped = verify_equivalence(4, "wrong", max_witnesses=k)
             assert deduped.discrepancies == first_non_delta(4, k), k
+
+    def test_witness_rerun_stops_at_the_batch_that_fills_the_report(self, wrong, monkeypatch):
+        # a deduplicated run that finds a discrepancy re-runs the labelled
+        # loop for its witnesses; it used to evaluate all 65 535 families
+        spec = REGISTRY[wrong]
+        seen = []
+
+        def counted(indices, n):
+            seen.append(len(indices))
+            return spec.ambient_index(indices, n)
+
+        monkeypatch.setitem(REGISTRY, wrong, dataclasses.replace(spec, ambient_index=counted))
+        classes = len(_class_weights(4)[0])
+        for k in (1, 5, 100):
+            seen.clear()
+            report = verify_equivalence(4, wrong, max_witnesses=k)
+            last = report.discrepancies[-1]["family_index"]
+            assert report.discrepancies == first_non_delta(4, k), k
+            assert sum(seen) - classes == ((last - 1) // BATCH + 1) * BATCH < 1 << 16, k
 
     def test_refuses_chunk_below_one(self, tmp_path):
         # A chunk below 1 never advanced the scan, so the refusal is

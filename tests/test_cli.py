@@ -176,6 +176,15 @@ def test_timestamps_add_only_finished_at(capsys):
         assert "finished_at" not in plain
 
 
+def test_timestamps_without_json_are_refused(capsys):
+    # a text report has no stamp, so --timestamps used to be ignored
+    for argv in (["run", "--n", "3", "--theorem", "exdelta"], ["count", "--n", "2"]):
+        assert main(["census", *argv, "--timestamps"]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == "census: only a JSON report carries a stamp; drop --timestamps\n"
+        assert not captured.out, argv
+
+
 def test_census_output_deterministic(capsys):
     main(["census", "run", "--n", "2", "--theorem", "exdelta", "--json"])
     first = capsys.readouterr().out

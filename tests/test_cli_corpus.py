@@ -29,7 +29,9 @@ on two 7-element systems whose minors on six or seven elements have a
 target's shape (one isomorphic, one not), `stack classify` and
 `higgs classify` on a sparse 11-element D(C) and on the same family with
 one set flipped, and sampled n = 6 runs of 300 families: `census run`
-for exdelta and exhiggs, and `census count`.
+for exdelta and exhiggs, and `census count`.  The empty family is
+refused by `check` for the delta, even-delta-all, matroid and binary
+classes, and --timestamps without --json by `census run` and `count`.
 """
 
 from __future__ import annotations

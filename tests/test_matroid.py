@@ -107,6 +107,12 @@ class TestIsMatroid:
         with pytest.raises(NotAMatroidError):
             Matroid.from_system(system_of("1234", "12", "13", "34"))
 
+    def test_uniform_rank_above_the_ground_set_rejected(self):
+        # U_{5,3} has no basis; it used to be built with rank 5 and no bases
+        with pytest.raises(NotAMatroidError, match="empty basis family"):
+            uniform_matroid(5, 3)
+        assert uniform_matroid(3, 3).rank == 3 and uniform_matroid(0, 3).rank == 0
+
 
 class TestRank:
     def test_uniform_singleton(self):

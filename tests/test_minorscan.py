@@ -19,7 +19,7 @@ from dmkit.census import (
     family_system,
     random_quotient_pair,
 )
-from dmkit.errors import AmbientHypothesisError, CapacityError
+from dmkit.errors import AmbientHypothesisError, CapacityError, ImproperSystemError
 from dmkit.gf2 import SkewSymMatrixGF2, d_of_c
 from dmkit.higgs import build_higgs_dm
 from dmkit.matroid import is_matroid, uniform_matroid
@@ -136,6 +136,14 @@ class TestClassifiers:
         u1 = make_named("U1")  # not equicardinal
         with pytest.raises(AmbientHypothesisError):
             classify_by_exminors(u1, ExminorClassId.MATROID_EQUICARDINAL)
+
+    def test_every_class_refuses_an_empty_family(self):
+        # the delta, even-delta-all and binary scans found no minor in an
+        # empty family and called it a member
+        empty = SetSystem(tuple("ab"), frozenset())
+        for cid in ExminorClassId:
+            with pytest.raises(ImproperSystemError, match="requires a proper set system"):
+                classify_by_exminors(empty, cid)
 
     def test_binary_scope_for_proper_systems(self):
         # Cor 5.9 scope is all proper systems: T1 fails through the S/T part

@@ -322,9 +322,8 @@ class TestIsMatroidStack:
         layer_paving_flags.cache_clear()
         for layer in layers:
             assert is_matroid_stack(layer) == reference_matroid_stack(layer), layer
-            # paving_flags on the layer as a rank-r family, matroid or not
-            r = next(iter(layer.masks)).bit_count()
-            expect = paving_flags(Matroid(layer, r))
+            # paving_flags on the layer as a basis family, matroid or not
+            expect = paving_flags(Matroid(layer))
             assert layer_paving_flags(layer.family_bitmap, 5) == expect, layer
             flags = classify_stack(layer)
             got = (flags.matroid_stack, flags.paving_system,

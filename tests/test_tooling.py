@@ -168,6 +168,19 @@ def test_only_setsystem_names_the_canonical_form():
             assert named not in {"canonical_form", "_canonical_form"}, (module, node.lineno)
 
 
+def test_only_matroid_names_the_closures():
+    # matroid.envelope_bitmap is the one full Higgs lift: no other module
+    # intersects the spanning and independent closures itself
+    for path in sorted((ROOT / "src" / "dmkit").glob("*.py")):
+        if path.name == "matroid.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            named = (getattr(node, "id", None) or getattr(node, "attr", None)
+                     or getattr(node, "name", None))
+            assert named not in {"_spanning_bitmap", "_independent_bitmap"}, (
+                path.name, node.lineno)
+
+
 def test_no_least_image_outside_setsystem():
     # no function outside setsystem takes the least image of an orbit or of
     # a relabelling walk, a canonical form of its own
