@@ -169,6 +169,14 @@ def _twist_class_entries(base: str) -> tuple[CatalogEntry, ...]:
     return tuple(twist_classes(make_named(base), base))
 
 
+@lru_cache(maxsize=None)
+def binary_twist_classes(cap: int) -> tuple[CatalogEntry, ...]:
+    """The twist classes of the five binary excluded minors P1..P5 with at
+    most cap elements: the head of the binary list."""
+    return tuple(e for base in ("P1", "P2", "P3", "P4", "P5")
+                 for e in _twist_class_entries(base) if e.system.n <= cap)
+
+
 def _t_classes(indices) -> list[CatalogEntry]:
     out: list[CatalogEntry] = []
     for i in indices:
@@ -252,11 +260,7 @@ def excluded_minor_set(class_id: ExminorClassId, cap: int = 8) -> tuple[CatalogE
         for k in range(2, cap // 2 + 1):
             entries += _s_twist_reps(2 * k, [k])
     elif cid is ExminorClassId.BINARY:
-        for base in ["P1", "P2", "P3", "P4", "P5"]:
-            entries += _twist_class_entries(base)
-        for k in range(3, cap + 1):
-            entries += _s_twist_reps(k, range(k // 2 + 1))
-        entries += _t_classes(range(1, 9))
+        return binary_twist_classes(cap) + excluded_minor_set(ExminorClassId.DELTA_MATROID, cap)
     elif cid is ExminorClassId.MATROID_STACK:
         for k in range(3, cap + 1):
             entries += _s_twist_reps(k, range((k + 1) // 2))

@@ -47,7 +47,11 @@ DEFAULT_CHUNK = 1 << 24
 
 
 def family_system(n: int, index: int) -> SetSystem:
-    """The set system encoded by a family index."""
+    """The set system encoded by a family index, on the first n of
+    CENSUS_LABELS."""
+    if n > len(CENSUS_LABELS):
+        raise CapacityError(f"census systems have at most {len(CENSUS_LABELS)} elements, "
+                            f"got n = {n}")
     return SetSystem.from_bitmap(CENSUS_LABELS[:n], index)
 
 
@@ -248,6 +252,13 @@ def _tally(
     return totals, discrepancies
 
 
+def _theorem(theorem_id: str) -> ClassSpec:
+    """The registered theorem with this id; an unknown id is refused."""
+    if theorem_id not in REGISTRY:
+        raise DmkitError(f"unknown theorem id {theorem_id!r}; known: {sorted(REGISTRY)}")
+    return REGISTRY[theorem_id]
+
+
 def verify_equivalence(
     n: int,
     theorem_id: str,
@@ -266,11 +277,9 @@ def verify_equivalence(
     index order (draw order for sampled runs), so dedupe changes the cost
     of a run, not its report.
     """
-    if theorem_id not in REGISTRY:
-        raise DmkitError(f"unknown theorem id {theorem_id!r}; "
-                         f"known: {sorted(REGISTRY)}")
+    columns = _theorem(theorem_id).columns
     families = _weighted_families(n, mode, seed=seed, count=count, dedupe=dedupe)
-    totals, discrepancies = _tally(REGISTRY[theorem_id].columns, families, n, max_witnesses)
+    totals, discrepancies = _tally(columns, families, n, max_witnesses)
     if discrepancies and _by_class(n, mode, dedupe):
         # the labelled loop yields the first discrepant indices in index
         # order, so it stops at the first batch that fills the report
@@ -404,13 +413,12 @@ def run_streaming(
     holds exactly the witnesses of the report it leads to.
     """
     global ProcessPoolExecutor
-    if theorem_id not in REGISTRY:
-        raise DmkitError(f"unknown theorem id {theorem_id!r}")
+    columns = _theorem(theorem_id).columns
     if n < 0 or chunk < 1 or jobs < 1:
         raise DmkitError(f"need n >= 0, chunk >= 1 and jobs >= 1, got n = {n}, "
                          f"chunk = {chunk}, jobs = {jobs}")
     end = stop if stop is not None else 1 << (1 << n)
-    totals = _new_totals(REGISTRY[theorem_id].columns)
+    totals = _new_totals(columns)
     discrepancies: list[dict] = []
     index = start
     if checkpoint_path:

@@ -5,15 +5,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .bitset import iter_bits, masks_without_bit
-from .catalog import CatalogEntry, ExminorClassId, excluded_minor_set
+from .catalog import binary_twist_classes
 from .errors import FormatError, NotADeltaMatroidError
 from .matroid import Matroid
 from .minorscan import MinorWitness, has_minor_from, no_minor_bits
-from .setsystem import SetSystem
+from .setsystem import SetSystem, decode_json
 
 
 @dataclass(frozen=True)
@@ -39,9 +38,6 @@ class SkewSymMatrixGF2:
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i] >> j & 1
 
 
 def gf2_rank(rows: Sequence[int]) -> int:
@@ -158,28 +154,20 @@ def column_matroid(rows: Sequence[int], labels: Sequence[str]) -> Matroid:
 def is_binary_dm(system: SetSystem) -> tuple[bool, MinorWitness | None]:
     """Binary delta-matroid test by excluded-minor scan.
 
-    Only the twists of the five binary excluded minors need scanning: the
-    rest of the combined proper-set-system list never occurs inside a
-    delta-matroid.
+    Only the twists of the five binary excluded minors, the head of the
+    binary list, need scanning: the rest of that list is the delta-matroid
+    list, which never occurs inside a delta-matroid.
     """
     if not system.is_delta_matroid():
         raise NotADeltaMatroidError("binary test is defined for delta-matroids")
-    witness = has_minor_from(system, _p_targets(system.n))
+    witness = has_minor_from(system, binary_twist_classes(system.n))
     return witness is None, witness
 
 
 def binary_dm_bits(indices: Sequence[int], n: int) -> int:
     """The index form of is_binary_dm for the family indices of
     delta-matroids on n elements: the bitmask of the binary ones."""
-    return no_minor_bits(indices, n, _p_targets(n))
-
-
-@lru_cache(maxsize=None)
-def _p_targets(n: int) -> tuple[CatalogEntry, ...]:
-    """The twists of P1..P5 on at most n elements."""
-    return tuple(
-        e for e in excluded_minor_set(ExminorClassId.BINARY, n) if e.name.startswith("P")
-    )
+    return no_minor_bits(indices, n, binary_twist_classes(n))
 
 
 # -- matrix file format -------------------------------------------------
@@ -188,10 +176,7 @@ def _p_targets(n: int) -> tuple[CatalogEntry, ...]:
 def parse_matrix(text: str) -> SkewSymMatrixGF2:
     """JSON form {"labels": [...], "rows": ["0110", ...]} with row bit
     strings in label order."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad JSON: {exc}") from None
+    doc = decode_json(text)
     if not isinstance(doc, dict) or "labels" not in doc or "rows" not in doc:
         raise FormatError('matrix JSON needs "labels" and "rows"')
     labels = doc["labels"]

@@ -6,18 +6,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import layer_selectors
-from .errors import (
-    InvalidIndexSetError,
-    NotADeltaMatroidError,
-    NotAMatroidError,
-    NotAQuotientError,
-)
+from .errors import InvalidIndexSetError, NotAQuotientError
 from .matroid import (
     Matroid,
     envelope_bitmap,
-    exchange_violation,
     is_quotient,
     min_max_matroids,
+    require_min_max,
     sandwiched_envelope,
 )
 from .setsystem import SetSystem
@@ -121,8 +116,7 @@ def classify_higgs(system: SetSystem) -> HiggsClassification:
     corresponding Higgs lift of (D_min, D_max); the first layer where the
     feasibility criterion fails is reported.
     """
-    if not system.is_delta_matroid():
-        raise NotADeltaMatroidError("min/max matroids need the exchange axiom")
+    require_min_max(system)
     return classify_higgs_bitmap(system.family_bitmap, system.n)
 
 
@@ -140,8 +134,8 @@ def classify_higgs_bitmap(bm: int, n: int) -> HiggsClassification:
     lo, hi = bm & sel[r_lo], bm & sel[r_hi]
     for layer in (lo, hi):
         if not layer_is_matroid(layer):
-            bases = SetSystem.from_bitmap(tuple(map(str, range(n))), layer)
-            raise NotAMatroidError(f"basis exchange fails at {exchange_violation(bases)}")
+            # refuses the layer, which fails basis exchange
+            Matroid.from_system(SetSystem.from_bitmap(tuple(map(str, range(n))), layer))
     return _classify_layers(bm, n, r_lo, r_hi, sandwiched_envelope(bm, lo, hi, n))
 
 

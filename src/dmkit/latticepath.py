@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple
 from .bitset import layer_selectors
 from .errors import CapacityError, FormatError, InvalidRegionError, UnknownElementError
 from .matroid import Matroid, envelope_bitmap, is_quotient_bitmap
-from .setsystem import SetSystem
+from .setsystem import SetSystem, decode_json
 
 PATH_COUNT_CAP = 10**7
 
@@ -363,10 +363,7 @@ def region_minor(region: Region, e: int, op: str) -> Region:
 
 
 def parse_region(text: str) -> Region:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad JSON: {exc}") from None
+    doc = decode_json(text)
     try:
         *coords, p_word, q_word = (doc[key] for key in ("d", "c", "u", "v", "P", "Q"))
     except (KeyError, TypeError) as exc:

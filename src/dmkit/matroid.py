@@ -7,8 +7,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
-from .bitset import down_closure, iter_bits, masks_without_bit, minimal_members, up_closure
+from .bitset import (down_closure, iter_bits, layer_selectors, masks_without_bit, minimal_members,
+                     up_closure)
 from .errors import (
+    CapacityError,
     GroundSetMismatchError,
     NotADeltaMatroidError,
     NotAMatroidError,
@@ -47,16 +49,20 @@ class Matroid:
 
     system: SetSystem
 
+    def __post_init__(self) -> None:
+        # nonempty, and every basis of the least one's size, the rank;
+        # basis exchange is from_system's check
+        if not self.system.is_proper:
+            raise NotAMatroidError("empty basis family")
+        if self.system.family_bitmap & ~layer_selectors(self.n)[self.rank]:
+            raise NotAMatroidError(f"basis sizes differ: {list(self.system.layer_sizes)}")
+
     @classmethod
     def from_system(cls, system: SetSystem) -> Matroid:
-        if not system.is_proper:
-            raise NotAMatroidError("empty basis family")
-        sizes = system.layer_sizes
-        if len(sizes) != 1:
-            raise NotAMatroidError(f"basis sizes differ: {list(sizes)}")
+        matroid = cls(system)
         if not system.is_delta_matroid():
             raise NotAMatroidError(f"basis exchange fails at {exchange_violation(system)}")
-        return cls(system)
+        return matroid
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -147,10 +153,15 @@ def _cyclic_bitmap(bases: int, n: int) -> int:
 
 
 def uniform_matroid(r: int, n: int | None = None, labels: Iterable[str] | None = None) -> Matroid:
-    """U_{r,n} on the given labels (defaults to a, b, c, ...)."""
+    """U_{r,n} on the given labels (defaults to a, b, c, ..., at most
+    twelve of them); n, when given, must be the number of labels."""
     if labels is None:
-        labels = tuple("abcdefghijkl"[:n])
+        if n is not None and n > 12:
+            raise CapacityError(f"default labels cover n <= 12, got n = {n}; pass labels")
+        labels = "abcdefghijkl"[:n]
     labels = tuple(labels)
+    if n is not None and len(labels) != n:
+        raise GroundSetMismatchError(f"n = {n} but {len(labels)} labels given")
     masks = frozenset(m for m in range(1 << len(labels)) if m.bit_count() == r)
     return Matroid.from_system(SetSystem(labels, masks))
 
@@ -223,11 +234,16 @@ def paving_flags(m: Matroid) -> tuple[bool, bool]:
     return (True, co_paving)
 
 
+def require_min_max(system: SetSystem) -> None:
+    """Refuse a system that is not a delta-matroid: it has no min/max matroids."""
+    if not system.is_delta_matroid():
+        raise NotADeltaMatroidError("min/max matroids need the exchange axiom")
+
+
 def min_max_matroids(system: SetSystem) -> tuple[Matroid, Matroid]:
     """The minimal and maximal matroids of a delta-matroid, with the
     containment property of every feasible set checked on the way."""
-    if not system.is_delta_matroid():
-        raise NotADeltaMatroidError("min/max matroids need the exchange axiom")
+    require_min_max(system)
     lo = Matroid.from_system(SetSystem(system.labels, frozenset(system.min_sets())))
     hi = Matroid.from_system(SetSystem(system.labels, frozenset(system.max_sets())))
     sandwiched_envelope(system.family_bitmap, lo.system.family_bitmap, hi.system.family_bitmap,

@@ -522,6 +522,14 @@ def _canonical_form(n: int, bm: int) -> tuple[int, int]:
 # -- serialization -----------------------------------------------------
 
 
+def decode_json(text: str):
+    """json.loads, refusing a malformed text with the decoder's message."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"bad JSON: {exc}") from None
+
+
 def parse_set_system(text: str) -> SetSystem:
     """Parse the JSON or compact text serialization.
 
@@ -532,10 +540,7 @@ def parse_set_system(text: str) -> SetSystem:
     """
     stripped = text.strip()
     if stripped.startswith("{"):
-        try:
-            doc = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad JSON: {exc}") from None
+        doc = decode_json(stripped)
         if not isinstance(doc, dict) or "elements" not in doc or "feasible" not in doc:
             raise FormatError('JSON form needs "elements" and "feasible" keys')
         elements = doc["elements"]

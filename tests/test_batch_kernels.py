@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from dmkit import census
 from dmkit.bitset import permute_mask
-from dmkit.catalog import ExminorClassId, excluded_minor_set
+from dmkit.catalog import ExminorClassId, binary_twist_classes, excluded_minor_set
 from dmkit.census import (
     _COUNT_COLUMNS,
     REGISTRY,
@@ -27,7 +27,7 @@ from dmkit.census import (
     run_streaming,
     verify_equivalence,
 )
-from dmkit.gf2 import SkewSymMatrixGF2, _p_targets, d_of_c
+from dmkit.gf2 import SkewSymMatrixGF2, d_of_c
 from dmkit.higgs import build_higgs_dm
 from dmkit.minorscan import (
     CLASS_TABLE,
@@ -173,7 +173,7 @@ class TestExchangeOracle:
 def minor_targets(n: int) -> list[tuple[str, tuple]]:
     """Every target list an index scan runs on at n elements."""
     out = [(cid.value, excluded_minor_set(cid, n)) for cid in ExminorClassId]
-    return out + [("binary P-twists", _p_targets(n))]
+    return out + [("binary P-twists", binary_twist_classes(n))]
 
 
 def embedded_targets(n: int, targets) -> list[int]:

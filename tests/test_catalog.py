@@ -11,6 +11,7 @@ from dmkit.bitset import orbit
 from dmkit.catalog import (
     ExminorClassId,
     _s_twist_reps,
+    binary_twist_classes,
     excluded_minor_set,
     make_named,
     twist_classes,
@@ -22,6 +23,7 @@ GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "appendix_tables.json").read_text()
 )
 
+P_BASES = ("P1", "P2", "P3", "P4", "P5")
 TABLE_CLASS_COUNTS = {"T1": 6, "T2": 6, "T3": 4, "T4": 6, "T5": 6, "T6": 7, "T7": 8, "T8": 8}
 
 
@@ -158,6 +160,18 @@ class TestExcludedMinorSets:
         assert {"P1", "P2", "P3", "P4", "P5"} <= names
         assert any(name.startswith("T5") for name in names)
         assert any(name.startswith("S_3") or name == "S_3" for name in names)
+
+    def test_binary_list_is_p_twists_then_delta_list(self):
+        # the binary list's head is the P1..P5 twists that is_binary_dm
+        # scans, each within the cap; the rest is the delta-matroid list
+        for cap in range(11):
+            head = binary_twist_classes(cap)
+            assert all(e.name[:2] in P_BASES and e.system.n <= cap for e in head), cap
+            assert excluded_minor_set(ExminorClassId.BINARY, cap) == (
+                head + excluded_minor_set(ExminorClassId.DELTA_MATROID, cap)), cap
+        assert {e.name[:2] for e in binary_twist_classes(3)} == {"P1", "P2", "P3"}
+        assert {e.name[:2] for e in binary_twist_classes(4)} == set(P_BASES)
+        assert binary_twist_classes(2) == ()
 
     def test_higgs_list(self):
         names = {e.name for e in excluded_minor_set(ExminorClassId.HIGGS_LIFT, 4)}

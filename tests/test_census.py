@@ -67,6 +67,15 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             list(enumerate_proper_systems(5))
 
+    def test_more_elements_than_census_labels_refused(self):
+        # the labels are a prefix of CENSUS_LABELS; n = 9 would build an
+        # 8-element system or refuse its index as a bad bitmap
+        with pytest.raises(CapacityError, match="at most 8 elements, got n = 9"):
+            family_system(9, 5)
+        with pytest.raises(CapacityError, match="at most 8 elements, got n = 9"):
+            next(enumerate_proper_systems(9, "sampled", seed=1, count=1))
+        assert family_system(8, 5).n == 8
+
     def test_sampled_deterministic(self):
         a = [i for i, _ in enumerate_proper_systems(5, "sampled", seed=11, count=50)]
         b = [i for i, _ in enumerate_proper_systems(5, "sampled", seed=11, count=50)]
@@ -76,8 +85,13 @@ class TestEnumeration:
 
 class TestVerifyEquivalence:
     def test_unknown_theorem(self):
-        with pytest.raises(DmkitError):
-            verify_equivalence(3, "nope")
+        # both entry points refuse through one lookup, which lists the ids
+        texts = []
+        for run in (verify_equivalence, run_streaming):
+            with pytest.raises(DmkitError) as err:
+                run(3, "nope")
+            texts.append(str(err.value))
+        assert texts == [f"unknown theorem id 'nope'; known: {sorted(REGISTRY)}"] * 2
 
     def test_refuses_negative_n(self):
         for run in (lambda: verify_equivalence(-1, "exdelta"),

@@ -6,7 +6,12 @@ import pytest
 
 from dmkit.bitset import iter_bits, layer_selectors
 from dmkit.census import count_census, random_quotient_pair
-from dmkit.errors import GroundSetMismatchError, NotADeltaMatroidError, NotAMatroidError
+from dmkit.errors import (
+    CapacityError,
+    GroundSetMismatchError,
+    NotADeltaMatroidError,
+    NotAMatroidError,
+)
 from dmkit.matroid import (
     Matroid,
     _circuit_masks,
@@ -112,6 +117,27 @@ class TestIsMatroid:
         with pytest.raises(NotAMatroidError, match="empty basis family"):
             uniform_matroid(5, 3)
         assert uniform_matroid(3, 3).rank == 3 and uniform_matroid(0, 3).rank == 0
+
+    def test_constructor_refuses_what_no_rank_describes(self):
+        # bases of sizes 0 and 2 used to read as rank 0, and an empty
+        # family raised StopIteration on its first rank read
+        with pytest.raises(NotAMatroidError, match=r"basis sizes differ: \[0, 2\]"):
+            Matroid(SetSystem(("a", "b"), frozenset({0, 3})))
+        with pytest.raises(NotAMatroidError, match="empty basis family"):
+            Matroid(SetSystem(("a", "b"), frozenset()))
+        # exchange stays from_system's check: the bare constructor takes
+        # an equicardinal family by theorem
+        assert Matroid(system_of("1234", "12", "34")).rank == 2
+
+    def test_uniform_ground_set_is_the_one_asked_for(self):
+        # the default labels are the twelve letters a..l: n = 13 used to
+        # give U_{2,12}, and four labels with n = 3 a matroid on four
+        with pytest.raises(CapacityError, match="n <= 12, got n = 13"):
+            uniform_matroid(2, 13)
+        with pytest.raises(GroundSetMismatchError, match="n = 3 but 4 labels"):
+            uniform_matroid(2, 3, labels="xyzw")
+        assert uniform_matroid(2, 13, labels=[f"e{i}" for i in range(13)]).n == 13
+        assert uniform_matroid(1, labels="xy").labels == ("x", "y")
 
 
 class TestRank:

@@ -20,9 +20,9 @@ from dmkit.errors import (
     NotAMatroidError,
     UnknownElementError,
 )
-from dmkit.gf2 import SkewSymMatrixGF2, d_of_c
+from dmkit.gf2 import SkewSymMatrixGF2, d_of_c, parse_matrix
 from dmkit.higgs import build_higgs_dm, higgs_lift
-from dmkit.latticepath import iter_regions, lpdm
+from dmkit.latticepath import iter_regions, lpdm, parse_region
 from dmkit.matroid import Matroid
 from dmkit.setsystem import (
     PERMUTATION_CAP,
@@ -104,6 +104,17 @@ class TestParsing:
             parse_set_system("no separator here")
         with pytest.raises(FormatError):
             parse_set_system("{bad json")
+
+    def test_every_reader_refuses_bad_json_alike(self):
+        # set systems, regions and matrices decode through one routine,
+        # which keeps the decoder's message and offset
+        messages = set()
+        for parse in (parse_set_system, parse_region, parse_matrix):
+            with pytest.raises(FormatError) as err:
+                parse("{")
+            messages.add(str(err.value))
+        assert messages == {"bad JSON: Expecting property name enclosed in double quotes: "
+                            "line 1 column 2 (char 1)"}
 
 
 class TestFromBitmap:
@@ -395,7 +406,7 @@ class TestExchangeAxiom:
     def test_d_of_c_members_pass_in_full(self, rng):
         # D(C) is always a delta-matroid, so the bitmap check fills every
         # row it needs instead of stopping at the first pairs
-        from dmkit.gf2 import SkewSymMatrixGF2, d_of_c
+        from dmkit.gf2 import SkewSymMatrixGF2, d_of_c, parse_matrix
 
         for n in (5, 6):
             for _ in range(40):

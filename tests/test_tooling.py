@@ -197,22 +197,72 @@ def test_no_least_image_outside_setsystem():
 def test_every_definition_is_named_elsewhere():
     # dead code is deleted: every function, method and class of the
     # package is named outside its own definition, in src/, tests/,
-    # perfbench/ or the README; dunders are exempt
+    # perfbench/ or the README; a method only by an attribute reference
+    # (`.name`), since its bare name may be any local word; dunders are
+    # exempt
     sources = [*(ROOT / "src" / "dmkit").glob("*.py"), *(ROOT / "tests").rglob("*.py"),
                *(ROOT / "perfbench").glob("*.py"), ROOT / "README.md"]
     lines = {path: path.read_text(encoding="utf-8").splitlines() for path in sources}
     unnamed = []
     for path in sorted((ROOT / "src" / "dmkit").glob("*.py")):
-        for node in ast.walk(ast.parse("\n".join(lines[path]), str(path))):
+        tree = ast.parse("\n".join(lines[path]), str(path))
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body}
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
             own = range(min([node.lineno, *(d.lineno for d in node.decorator_list)]),
                         node.end_lineno + 1)
-            word = re.compile(rf"(?<!\w){re.escape(node.name)}(?!\w)")
+            prefix = r"\." if id(node) in methods else r"(?<!\w)"
+            word = re.compile(rf"{prefix}{re.escape(node.name)}(?!\w)")
             if not any(word.search(line) for other, text in lines.items()
                        for number, line in enumerate(text, 1)
                        if not (other == path and number in own)):
                 unnamed.append((path.name, node.lineno, node.name))
     assert not unnamed
+
+
+def _refusal_text(node: ast.Raise) -> str | None:
+    """The text of a raised exception's string or f-string first argument,
+    with every placeholder written {}; None for any other raise."""
+    call = node.exc
+    if not isinstance(call, ast.Call) or not call.args:
+        return None
+    text = call.args[0]
+    if isinstance(text, ast.Constant) and isinstance(text.value, str):
+        return text.value
+    if isinstance(text, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                       for part in text.values)
+    return None
+
+
+def _raising_functions(tree: ast.Module, module: str) -> Iterator[tuple[str, str]]:
+    """(refusal text, qualified name of the innermost function raising it)."""
+    def visit(node: ast.AST, scope: str) -> Iterator[tuple[str, str]]:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Raise) and (text := _refusal_text(child)) is not None:
+                yield text, scope
+            yield from visit(child, inner)
+
+    yield from visit(tree, module)
+
+
+def test_each_refusal_text_is_raised_from_one_function():
+    # a refusal states one fact, so its text lives in one function, which
+    # every route to that refusal calls
+    sources: dict[str, set[str]] = {}
+    for path in sorted((ROOT / "src" / "dmkit").glob("*.py")):
+        for text, function in _raising_functions(ast.parse(path.read_text(), str(path)),
+                                                 path.stem):
+            sources.setdefault(text, set()).add(function)
+    assert len(sources) > 60
+    assert sources["bad JSON: {}"] == {"setsystem.decode_json"}
+    shared = {text: sorted(functions) for text, functions in sources.items()
+              if len(functions) > 1}
+    assert not shared
