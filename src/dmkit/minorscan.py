@@ -189,16 +189,18 @@ class _ScanPlan:
         return cls(targets, tuple(sorted(by_size, reverse=True)), orbits)
 
 
-# Scan plans keyed by the identities of the target entries.  A cached plan
-# holds its entries, so no live object can take over one of their ids; the
-# cache is emptied when full so that callers passing fresh entries on every
-# call do not grow it without bound.
+# Scan plans keyed by the identity of a tuple of targets, and of any other
+# sequence by the identities of its entries, so that a list changed in
+# place gets a fresh plan.  A cached plan holds that tuple and its entries,
+# so no live object can take over one of their ids; the cache is emptied
+# when full so that callers passing fresh entries on every call do not grow
+# it without bound.
 SCAN_PLAN_CACHE_SIZE = 64
-_scan_plans: dict[tuple[int, ...], _ScanPlan] = {}
+_scan_plans: dict[int | tuple[int, ...], _ScanPlan] = {}
 
 
 def _scan_plan(targets: Sequence[CatalogEntry]) -> _ScanPlan:
-    key = tuple(map(id, targets))
+    key = id(targets) if type(targets) is tuple else tuple(map(id, targets))
     plan = _scan_plans.get(key)
     if plan is None:
         if len(_scan_plans) >= SCAN_PLAN_CACHE_SIZE:
@@ -264,6 +266,24 @@ def _first_minor(bm: int, n: int, plan: _ScanPlan) -> _Hit | None:
     return None
 
 
+def _any_minor(bm: int, n: int, plan: _ScanPlan) -> bool:
+    """_first_minor(bm, n, plan) is not None, by the same kernels, with the
+    minors scanned smallest first and the scan stopped at any hit: most
+    families with a listed minor have a small one, which a largest-first
+    scan meets only after every larger minor."""
+    if n <= WORD_MAX_N:
+        whole, splits = plan.index_scan(n)
+        b0 = bm & 255
+        b1 = 256 | bm >> 8 & 255
+        b2 = 512 | bm >> 16 & 255
+        b3 = 768 | bm >> 24
+        for _, _, t, index in reversed(splits):
+            if t[b0] | t[b1] | t[b2] | t[b3] in index:
+                return True
+        return bm in whole
+    return any(_chunk_scan(bm, n, m, plan) is not None for m in reversed(plan.sizes) if m <= n)
+
+
 def has_minor_from(
     system: SetSystem, targets: Sequence[CatalogEntry]
 ) -> MinorWitness | None:
@@ -280,9 +300,9 @@ def no_minor_bits(indices: Sequence[int], n: int, targets: Sequence[CatalogEntry
     """Bitmask over a batch of family indices of an n-element ground set:
     bit b is set when has_minor_from(system, targets) is None for the
     system of indices[b].  The verdict alone, from the index by
-    _first_minor; no witness is built."""
+    _any_minor; no witness is built."""
     plan = _scan_plan(targets)
-    return sum(1 << b for b, index in enumerate(indices) if _first_minor(index, n, plan) is None)
+    return sum(1 << b for b, index in enumerate(indices) if not _any_minor(index, n, plan))
 
 
 # An index form decides a property for a batch of family indices of an
@@ -390,8 +410,10 @@ class ClassSpec:
     def exminor(self, system: SetSystem) -> bool:
         """No minor of the system in the class's list capped at its
         ground-set size; the census asks inside the ambient only."""
-        return self.class_id is None or has_minor_from(
-            system, excluded_minor_set(self.class_id, system.n)) is None
+        if self.class_id is None:
+            return True
+        plan = _scan_plan(excluded_minor_set(self.class_id, system.n))
+        return not _any_minor(system.family_bitmap, system.n, plan)
 
     def exminor_index(self, indices: Sequence[int], n: int) -> int:
         if self.class_id is None:

@@ -394,12 +394,13 @@ def _se_holds_square(bm: int, n: int) -> bool:
 
 def exchange_holds(bm: int, n: int) -> bool:
     """The exchange-axiom verdict of a family bitmap over n elements, by
-    family size at the crossover measured on delta-matroids: the square
-    for families of more than 2^(n - 5) sets on at most PERMUTATION_CAP
-    elements (whose square of 2^(2n) bits stays small), the pair loop
-    otherwise.  Both oracles are looked up at call time, so a wrapper set
-    on the module sees every call."""
-    if n <= PERMUTATION_CAP and bm.bit_count() << 5 > 1 << n:
+    family size at the crossovers measured on delta-matroids: the square
+    for families of more than 2^(n - 5) + 1 sets on at most
+    PERMUTATION_CAP elements (whose square of 2^(2n) bits stays small), the
+    pair loop otherwise, so one set always takes the pair loop.  Both
+    oracles are looked up at call time, so a wrapper set on the module sees
+    every call."""
+    if n <= PERMUTATION_CAP and (bm.bit_count() - 1) << 5 > 1 << n:
         return _se_holds_square(bm, n)
     return _se_holds_bitmap(bm, n)
 

@@ -11,11 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmkit import census
-from dmkit.bitset import permute_mask
+from dmkit import census, minorscan
+from dmkit.bitset import iter_bits, permute_mask
 from dmkit.catalog import ExminorClassId, binary_twist_classes, excluded_minor_set
 from dmkit.census import (
     _COUNT_COLUMNS,
@@ -192,27 +193,44 @@ def embedded_targets(n: int, targets) -> list[int]:
     return out
 
 
+def embedded_at_each_size(rng: random.Random, n: int, targets) -> list[int]:
+    """Per target size m <= n of a list, one of its m-element targets with
+    its elements put on m random elements of n and the rest loops or
+    coloops: a family whose listed minors are that target alone, found at
+    size m only (a list holds minimal non-members)."""
+    out = []
+    for m in sorted({t.system.n for t in targets if t.system.n <= n}):
+        t = rng.choice([t for t in targets if t.system.n == m])
+        perm = rng.sample(range(n), n)
+        y = sum(1 << perm[i] for i in range(m, n) if rng.random() < 0.5)
+        out.append(sum(1 << (y | sum(1 << perm[j] for j in iter_bits(f))) for f in t.system.masks))
+    return out
+
+
 class TestIndexScan:
-    """no_minor_bits against has_minor_from(...) is None."""
+    """_any_minor, the verdict scan behind no_minor_bits and
+    ClassSpec.exminor, against _first_minor(...) is None, the witness scan,
+    on the same plan: the same kernels, with the minors smallest first and
+    a stop at any hit."""
 
     def check(self, batch: list[int], n: int) -> None:
-        systems = [family_system(n, i) for i in batch]
         for name, targets in minor_targets(n):
-            got = as_bools(no_minor_bits(batch, n, targets), len(batch))
-            want = [has_minor_from(s, targets) is None for s in systems]
-            assert got == want, name
+            plan = minorscan._scan_plan(targets)
+            want = [minorscan._first_minor(i, n, plan) is None for i in batch]
+            assert [not minorscan._any_minor(i, n, plan) for i in batch] == want, (n, name)
+            assert as_bools(no_minor_bits(batch, n, targets), len(batch)) == want, (n, name)
 
     def test_every_family_up_to_three_elements(self):
         for n in range(1, 4):
             self.check(list(range(1, 1 << (1 << n))), n)
 
+    def test_every_four_element_family(self):
+        self.check(list(range(1, 1 << 16)), 4)
+
     def test_every_target_at_every_split(self):
         for n in (4, 5):
-            for name, targets in minor_targets(n):
-                batch = embedded_targets(n, targets)
-                got = as_bools(no_minor_bits(batch, n, targets), len(batch))
-                want = [has_minor_from(family_system(n, i), targets) is None for i in batch]
-                assert got == want, (n, name)
+            for _, targets in minor_targets(n):
+                self.check(embedded_targets(n, targets), n)
 
     @FAST
     @given(seeds)
@@ -225,7 +243,37 @@ class TestIndexScan:
     @FAST
     @given(seeds)
     def test_seeded_five_element_batches(self, seed):
-        self.check(n5_batch(seed)[:120], 5)
+        # uniform, sparse and streamed families, and D(C) and Higgs members
+        # with their twists, whose scans run to the end
+        self.check(n5_batch(seed), 5)
+
+    @pytest.mark.parametrize("n", (6, 7, 8))
+    def test_seeded_larger_systems(self, n):
+        # the chunk kernel: dense and sparse families, generated members
+        # and their twists, and per list one target of each size embedded
+        rng = random.Random(f"verdict:{n}")
+        batch = [rng.getrandbits(1 << n) or 1 for _ in range(6)]
+        batch += [sum(1 << m for m in rng.sample(range(1 << n), rng.randrange(1, 5)))
+                  for _ in range(6)]
+        for make in (higgs_index, dofc_index):
+            for _ in range(3):
+                index = make(rng, n)
+                batch += [index, twist_index(index, n, rng.randrange(1 << n))]
+        for _, targets in minor_targets(n):
+            batch += embedded_at_each_size(rng, n, targets)
+        self.check(batch, n)
+
+    def test_class_spec_exminor_keeps_the_witness_verdict(self):
+        rng = random.Random(434)
+        for n in range(1, 7):
+            batch = [rng.getrandbits(1 << n) or 1 for _ in range(10)]
+            batch += [make(rng, n) for make in (higgs_index, dofc_index) for _ in range(3)]
+            for cid, spec in CLASS_TABLE.items():
+                targets = excluded_minor_set(cid, n)
+                systems = [family_system(n, i)
+                           for i in batch + embedded_at_each_size(rng, n, targets)]
+                assert [spec.exminor(s) for s in systems] == [
+                    has_minor_from(s, targets) is None for s in systems], (n, cid)
 
 
 def class_forms():

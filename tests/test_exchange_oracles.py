@@ -93,11 +93,11 @@ class TestSquareOracle:
                     if not others >> u & 1 and others.bit_count() in (2, 3)]
         assert not any(square_verdict(bm, n) for bm in families)
 
-    @pytest.mark.parametrize("n", range(5, 11))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_dispatch_at_the_square_threshold(self, n, monkeypatch):
-        # k = 2^(n - 5) sets go to the pair loop and k + 1 to the square:
-        # the power set of n - 5 elements (a delta-matroid of k sets), a
-        # Higgs union and random families, each cut or grown to size
+        # k = 2^(n - 5) + 1 sets (one below five elements) go to the pair
+        # loop and k + 1 to the square: the first k masks, a Higgs union and
+        # random families, each cut or grown to size
         picked = []
         for name in ("_se_holds_square", "_se_holds_bitmap"):
             oracle = getattr(setsystem, name)
@@ -106,7 +106,7 @@ class TestSquareOracle:
                 lambda bm, n, name=name, oracle=oracle: picked.append(name) or oracle(bm, n),
             )
         rng = random.Random(n)
-        k = 1 << n - 5
+        k = (1 << n >> 5) + 1
         families = [(1 << k) - 1, *(rng.getrandbits(1 << n) for _ in range(10))]
         if n <= 8:
             families.append(higgs_index(rng, n))

@@ -361,6 +361,31 @@ class TestTableScan:
                 assert has_minor_from(s, list(cached)) == has_minor_from(s, cached)
         assert len(minorscan._scan_plans) <= minorscan.SCAN_PLAN_CACHE_SIZE
 
+    def test_a_list_changed_in_place_gets_a_fresh_plan(self):
+        # a list is keyed by its entries, so replacing one between two
+        # calls changes the verdict, in the witness and the verdict scan
+        t5 = make_named("T5")
+        s2 = CatalogEntry("S2", make_named("S2"))
+        targets = [s2]
+        assert has_minor_from(t5, targets).target_name == "S2"
+        assert no_minor_bits([t5.family_bitmap], t5.n, targets) == 0
+        targets[0] = CatalogEntry("S_6", make_named("S_6*{e1,e2}"))
+        assert has_minor_from(t5, targets) is None
+        assert no_minor_bits([t5.family_bitmap], t5.n, targets) == 1
+        targets[0] = s2
+        assert has_minor_from(t5, targets).target_name == "S2"
+
+    def test_a_tuple_of_targets_hits_its_cached_plan(self):
+        # a tuple is keyed by its identity: the cached plan holds that same
+        # tuple, so no other object can take over its id while it is cached
+        targets = excluded_minor_set(ExminorClassId.DELTA_MATROID, 5)
+        plan = minorscan._scan_plan(targets)
+        assert minorscan._scan_plan(targets) is plan
+        assert minorscan._scan_plans[id(targets)] is plan and plan.targets is targets
+        copy = tuple(list(targets))
+        assert copy is not targets and minorscan._scan_plan(copy) is not plan
+        assert minorscan._scan_plan(copy).orbits == plan.orbits
+
 
 def chunk_minors(bm: int, n: int, m: int):
     """(X, Y, minor bitmap) of every valid split of a family bitmap that

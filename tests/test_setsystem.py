@@ -424,9 +424,10 @@ class TestExchangeAxiom:
 
     def test_verdict_is_decided_once_per_object(self, rng, monkeypatch):
         # one case per oracle of the dispatch, by family size at n = 5:
-        # more than 2^(5 - 5) = 1 set goes to the square, one set to the
-        # bitmap pair loop; above PERMUTATION_CAP = 10 elements every family
-        # goes to the pair loop; se_violation, spied on too, is never called
+        # more than 2^(5 - 5) + 1 = 2 sets go to the square, one or two
+        # sets to the bitmap pair loop; above PERMUTATION_CAP = 10 elements
+        # every family goes to the pair loop; se_violation, spied on too, is
+        # never called
         from dmkit import setsystem
 
         calls = []
@@ -441,7 +442,7 @@ class TestExchangeAxiom:
             SetSystem, "se_violation",
             lambda s: calls.append(("se_violation", s.family_bitmap)) or reference(s),
         )
-        tiers = (("_se_holds_square", 5, range(2, 33)), ("_se_holds_bitmap", 5, range(1, 2)),
+        tiers = (("_se_holds_square", 5, range(3, 33)), ("_se_holds_bitmap", 5, range(1, 3)),
                  ("_se_holds_bitmap", 11, range(1, 1 << 11)))
         for tier, n, sizes in tiers:
             for _ in range(20):

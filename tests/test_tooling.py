@@ -266,3 +266,39 @@ def test_each_refusal_text_is_raised_from_one_function():
     shared = {text: sorted(functions) for text, functions in sources.items()
               if len(functions) > 1}
     assert not shared
+
+
+def _references() -> dict[str, set[str]]:
+    """Per function and method of the package, under its bare name and a
+    method also as Class.method, every name and attribute it mentions.
+    Same-named definitions share an entry, so reachability over it errs
+    towards reaching too much."""
+    out: dict[str, set[str]] = {}
+    for path in sorted((ROOT / "src" / "dmkit").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            bodies = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in bodies:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(fn)}
+                key = f"{node.name}.{fn.name}" if fn is not node else fn.name
+                out.setdefault(key, set()).update(names - {None})
+    return out
+
+
+def test_verdict_routes_take_no_witness_scan():
+    # the census's excluded-minor columns want a verdict only; they scan
+    # smallest first and stop at any hit (_any_minor), and must not drift
+    # back to the witness scan, whose largest-first order exists to name
+    # the first minor
+    refs = _references()
+    roots = ["no_minor_bits", "ClassSpec.exminor", "ClassSpec.exminor_index"]
+    seen, todo = set(roots), list(roots)
+    while todo:
+        for name in refs.get(todo.pop(), ()):
+            if name in refs and name not in seen:
+                seen.add(name)
+                todo.append(name)
+    assert {"_any_minor", "_chunk_scan", "excluded_minor_set"} <= seen
+    assert not seen & {"_first_minor", "has_minor_from"}
