@@ -451,26 +451,16 @@ def bit_planes(indices: Sequence[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _exchange_steps(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, tuple, tuple], ...]]:
+def _exchange_steps(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, tuple, tuple], ...]]:
     """(prevs, rows) of the bit-sliced exchange test.  The nonempty subsets
-    D' of the n - 1 elements other than u are taken by their index s among
-    those subsets, from 1 up, and prevs[s - 1] is s without its lowest bit.
-    rows holds (X, W, V, Y) per mask X and element u, X then u ascending,
-    with W = X ^ {u}, V[s - 1] = W ^ {v} for v the element of the lowest
-    bit of s, and Y[s - 1] = W ^ D'."""
-    subsets = range(1, (1 << n) >> 1)
+    D of the n elements are taken by mask, from 1 up, and prevs[D - 1] is D
+    without its lowest bit.  rows holds (W, V, Y) per mask W, ascending,
+    with V[D - 1] = W ^ {v} for v the element of the lowest bit of D and
+    Y[D - 1] = W ^ D."""
+    subsets = range(1, 1 << n)
     prevs = tuple(s & s - 1 for s in subsets)
-    rows = []
-    for x in range(1 << n):
-        for u in range(n):
-            w = x ^ 1 << u
-            others = [1 << v for v in range(n) if v != u]
-            ys = [w]
-            for s in subsets:
-                ys.append(ys[s & s - 1] ^ others[(s & -s).bit_length() - 1])
-            vs = tuple(w ^ others[(s & -s).bit_length() - 1] for s in subsets)
-            rows.append((x, w, vs, tuple(ys[1:])))
-    return prevs, tuple(rows)
+    return prevs, tuple((w, tuple(w ^ s & -s for s in subsets), tuple(w ^ s for s in subsets))
+                        for w in range(1 << n))
 
 
 def delta_matroid_bits(indices: Sequence[int], n: int) -> int:
@@ -479,16 +469,19 @@ def delta_matroid_bits(indices: Sequence[int], n: int) -> int:
     (vacuously for the empty family).  Above WORD_MAX_N elements each
     family is decided by exchange_holds.
 
-    Up to WORD_MAX_N, for fixed X and u, with W = X ^ {u}, the axiom
-    fails exactly when X is feasible, W is not, and some feasible
-    Y = W ^ D' (D' nonempty, u not in D') has no feasible W ^ {v} with v
-    in D'.  On the bit-planes P that is, for every family at once,
+    Up to WORD_MAX_N, as in _se_holds_square, u drops out: the axiom fails
+    at a mask W exactly when W is infeasible, some flip W ^ {k} is
+    feasible, and some feasible W ^ D (D nonempty) has no feasible flip
+    W ^ {k} with k in D.  On the bit-planes P that is, for every family at
+    once,
 
-        P[X] & ~P[W] & OR over D' of (P[W ^ D'] & AND over v in D' of ~P[W ^ {v}]),
+        ~P[W] & OR over k of P[W ^ {k}] & OR over D of (P[W ^ D] & AND over k in D of ~P[W ^ {k}]),
 
-    with each AND built from the AND of D' minus its lowest element.
-    Families that have failed drop out of the base, and the pass ends when
-    every family has failed.  The scalar references are _se_holds_bitmap
+    with each AND built from the AND of D minus its lowest element, and
+    the last AND, over every k, the families with no feasible flip: one
+    row of 2^n - 1 steps per W, paid once per batch.  Families that have
+    failed drop out of the base, and the pass ends when every family has
+    failed.  The scalar references are _se_holds_bitmap, _se_holds_square
     and se_violation.
     """
     if n > WORD_MAX_N:
@@ -498,8 +491,8 @@ def delta_matroid_bits(indices: Sequence[int], n: int) -> int:
     missing = [alive ^ p for p in planes]
     fail = 0
     prevs, rows = _exchange_steps(n)
-    for x, w, vs, ys in rows:
-        base = planes[x] & missing[w] & ~fail
+    for w, vs, ys in rows:
+        base = missing[w] & ~fail
         if not base:
             continue
         ands = [base]
@@ -508,6 +501,7 @@ def delta_matroid_bits(indices: Sequence[int], n: int) -> int:
             a = ands[prev] & missing[v]
             ands.append(a)
             hit |= planes[y] & a
+        hit &= ~ands[-1]
         if hit:
             fail |= hit
             if fail == alive:

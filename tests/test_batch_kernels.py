@@ -39,7 +39,7 @@ from dmkit.minorscan import (
     has_minor_from,
     no_minor_bits,
 )
-from dmkit.setsystem import _se_holds_bitmap, bit_planes, delta_matroid_bits
+from dmkit.setsystem import _se_holds_bitmap, _se_holds_square, bit_planes, delta_matroid_bits
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FAST = settings(max_examples=40, deadline=None)
@@ -53,8 +53,9 @@ def as_bools(bits: int, count: int) -> list[bool]:
 
 def exchange_reference(index: int, n: int) -> bool:
     """The exchange verdict of the scalar bitmap oracle, checked against
-    the object-level scan."""
+    the bit square and the object-level scan."""
     verdict = _se_holds_bitmap(index, n)
+    assert verdict == _se_holds_square(index, n), (n, index)
     assert verdict == (family_system(n, index).se_violation() is None), (n, index)
     return verdict
 
@@ -95,7 +96,7 @@ def n5_batch(seed: int) -> list[int]:
     """A seeded batch of n = 5 family indices mixing every kind the census
     meets: uniform, sparse, a streamed run of consecutive indices, and
     Higgs and D(C) delta-matroids with their twists, each also with one
-    set added or removed (few violations, so every (X, u) row counts)."""
+    set added or removed (few violations, so every row W counts)."""
     rng = random.Random(seed)
     batch = [rng.getrandbits(32) or 1 for _ in range(rng.randrange(0, 80))]
     batch += [sum(1 << m for m in rng.sample(range(32), rng.randrange(1, 6)))
@@ -149,10 +150,24 @@ class TestExchangeOracle:
         got = as_bools(delta_matroid_bits(batch, n), len(batch))
         assert got == [exchange_reference(i, n) for i in batch]
 
+    @pytest.mark.parametrize("length", [1, 31, 32, 33, 2047, 2048])
+    def test_batch_lengths_around_the_word_and_the_census_batch(self, length):
+        # bit_planes pads a batch to whole blocks of 32 families, and the
+        # census cuts its runs into census.BATCH = 2048; a delta-matroid
+        # last in the batch shows a family the padding or the alive mask lost
+        rng = random.Random(length)
+        pool = n5_batch(length)
+        batch = [rng.choice(pool) if rng.random() < 0.5 else rng.getrandbits(32) or 1
+                 for _ in range(length - 1)] + [dofc_index(rng, 5)]
+        got = as_bools(delta_matroid_bits(batch, 5), len(batch))
+        assert got == [exchange_reference(i, 5) for i in batch]
+        assert got[-1]
+
     def test_every_row_alone_decides_a_family(self):
-        # ONE_ROW fails the exchange axiom at (X, u) = ({b}, e) alone; its
-        # relabellings and twists move that row to every (X, u), so a row
-        # that the oracle skipped would pass one of these families
+        # ONE_ROW fails the exchange axiom at (X, u) = ({b}, e) alone, which
+        # is the row W = {b, e}; its relabellings and twists move that row
+        # to every W, so a row that the oracle skipped would pass one of
+        # these families
         families = []
         for u in range(5):
             perm = [u if i == 4 else 4 if i == u else i for i in range(5)]
@@ -162,7 +177,7 @@ class TestExchangeOracle:
         assert delta_matroid_bits(families, 5) == 0
 
     def test_delta_matroid_batches_run_every_row(self):
-        # batches of delta-matroids never all fail, so every (X, u) row runs
+        # batches of delta-matroids never all fail, so every row W runs
         rng = random.Random(81)
         batch = [make(rng, 5) for _ in range(30) for make in (higgs_index, dofc_index)]
         batch += [twist_index(i, 5, rng.randrange(32)) for i in batch]
@@ -409,7 +424,7 @@ class TestBatchedCensus:
             indices += [i ^ 1 << rng.randrange(1 << n) for i in indices[:16]]
             indices = [i for i in indices if i]
             for theorem, eq in REGISTRY.items():
-                totals, disc = _tally(eq.columns, ((i, 1) for i in indices), n, 100)
+                totals, disc = _tally(eq.columns, [(indices, None)], n, 100)
                 assert (totals, disc) == reference_census(theorem, indices, n), (n, theorem)
 
     def test_streamed_n5_jobs_agree(self, tmp_path):

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from itertools import islice, permutations
@@ -22,6 +23,7 @@ from dmkit.census import (
     REGISTRY,
     _canonical_index_table,
     _class_weights,
+    _tally,
     count_census,
     enumerate_proper_systems,
     family_system,
@@ -104,17 +106,37 @@ class TestVerifyEquivalence:
                 run()
 
     def test_dedupe_matches_full_run(self, wrong):
-        # dedupe changes the cost of a run, not a byte of its report
-        for tid in REGISTRY:
-            fast = verify_equivalence(3, tid, dedupe=True)
-            slow = verify_equivalence(3, tid, dedupe=False)
-            assert fast.totals == slow.totals, tid
-            assert fast.to_json() == slow.to_json(), tid
-            assert fast.ok == slow.ok == (tid != wrong), tid
+        # dedupe changes the cost of a run, not a byte of its report: the
+        # class sizes weigh each class once, the labelled run counts every
+        # family by bit_count
+        for n in range(5):
+            for tid in REGISTRY:
+                fast = verify_equivalence(n, tid, dedupe=True)
+                slow = verify_equivalence(n, tid, dedupe=False)
+                assert fast.totals == slow.totals, (n, tid)
+                assert fast.to_json() == slow.to_json(), (n, tid)
+                assert fast.ok == slow.ok == (tid != wrong or n < 3), (n, tid)
         for n in (3, 4):
             fast = verify_equivalence(n, wrong, dedupe=True, max_witnesses=5)
             slow = verify_equivalence(n, wrong, dedupe=False, max_witnesses=5)
             assert fast.to_json() == slow.to_json(), n
+
+    def test_unit_weights_count_like_explicit_ones(self, wrong):
+        # a batch without weights counts each family once by bit_count; with
+        # weights of 1 it gives the same totals and witnesses, and a weight
+        # w counts like w copies of the family
+        rng = random.Random(84)
+        for n in (3, 4, 5):
+            indices = [rng.getrandbits(1 << n) or 1 for _ in range(150)]
+            batches = [indices[:70], indices[70:]]
+            weights = [rng.randrange(1, 4) for _ in indices]
+            copies = [i for i, w in zip(indices, weights) for _ in range(w)]
+            for columns in [*(spec.columns for spec in REGISTRY.values()), _COUNT_COLUMNS]:
+                plain = _tally(columns, [(b, None) for b in batches], n, 100)
+                assert plain == _tally(columns, [(b, [1] * len(b)) for b in batches], n, 100)
+                assert (_tally(columns, [(indices, weights)], n)[0]
+                        == _tally(columns, [(copies, None)], n)[0]), n
+            assert _tally(REGISTRY[wrong].columns, [(indices, None)], n, 100)[1], n
 
     def test_sampled_run(self):
         rep = verify_equivalence(5, "exfull", "sampled", seed=5, count=300)

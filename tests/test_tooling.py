@@ -302,3 +302,19 @@ def test_verdict_routes_take_no_witness_scan():
                 todo.append(name)
     assert {"_any_minor", "_chunk_scan", "excluded_minor_set"} <= seen
     assert not seen & {"_first_minor", "has_minor_from"}
+
+
+def test_transpose_mask_cache_covers_every_batch_length():
+    # a batch of k families packs into ceil(k / 32) blocks of 32 x 32 bits,
+    # and bit_planes looks the masks of each block count up in a bounded
+    # cache: a census BATCH past the bound would rebuild them every batch
+    from dmkit import census, setsystem
+
+    blocks = -(-census.BATCH // 32)
+    assert setsystem._transpose_masks.cache_parameters()["maxsize"] >= blocks
+    setsystem._transpose_masks.cache_clear()
+    for k in range(1, census.BATCH + 1, 31):
+        setsystem.bit_planes(range(k))
+        setsystem.bit_planes(range(k))
+    info = setsystem._transpose_masks.cache_info()
+    assert info.misses == info.currsize <= blocks
