@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 import os
 import random
+import sys
 import tempfile
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import chain, repeat
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
@@ -63,27 +64,8 @@ def family_indices(n: int, mode: str = "exhaustive", *, seed: int = 0,
     Exhaustive mode requires n <= 4; sampled mode draws uniformly from the
     nonempty families, deterministically per seed.
     """
-    if n < 0:
-        raise DmkitError(f"a census needs n >= 0, got n = {n}")
-    if mode == "sampled" and count < 0:
-        raise DmkitError(f"a sampled census needs count >= 0, got count = {count}")
-    if mode == "exhaustive":
-        if n > EXHAUSTIVE_CAP:
-            raise CapacityError(
-                f"exhaustive enumeration of 2^{1 << n} families needs the "
-                "long-run census entry point"
-            )
-        yield from range(1, 1 << (1 << n))
-    elif mode == "sampled":
-        rng = random.Random(seed)
-        bits = 1 << n
-        for _ in range(count):
-            index = 0
-            while not index:
-                index = rng.getrandbits(bits)
-            yield index
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    batches = _weighted_families(n, mode, seed=seed, count=count, dedupe=False)
+    return chain.from_iterable(batch for batch, _ in batches)
 
 
 def enumerate_proper_systems(n: int, mode: str = "exhaustive", *, seed: int = 0,
@@ -146,16 +128,52 @@ def _weighted_families(n: int, mode: str, *, seed: int, count: int,
     A deduplicated exhaustive run yields the least index of each
     isomorphism class, in index order, weighted by the class size (every
     census oracle is label-invariant); any other run yields every family
-    with weight 1.
+    with weight 1.  A sampled index is one rng.getrandbits(2^n) call, made
+    again while it is 0; a batch of k makes one call of k strides of
+    max(32, 2^n) bits, which reads the stream of k such calls, 32-bit word
+    by word, low word first (a call of fewer than 32 bits keeps the high
+    bits of its word), so dropping its zero draws and drawing again for
+    the shortfall yields the family-by-family loop's indices.
     """
+    if n < 0:
+        raise DmkitError(f"a census needs n >= 0, got n = {n}")
+    if mode == "sampled" and count < 0:
+        raise DmkitError(f"a sampled census needs count >= 0, got count = {count}")
     if _by_class(n, mode, dedupe):
         reps, sizes = _class_weights(n)
         for lo in range(0, len(reps), BATCH):
             yield reps[lo:lo + BATCH], sizes[lo:lo + BATCH]
-    else:
-        families = family_indices(n, mode, seed=seed, count=count)
-        while batch := list(islice(families, BATCH)):
+    elif mode == "exhaustive":
+        if n > EXHAUSTIVE_CAP:
+            raise CapacityError(
+                f"exhaustive enumeration of 2^{1 << n} families needs the "
+                "long-run census entry point"
+            )
+        stop = 1 << (1 << n)
+        for lo in range(1, stop, BATCH):
+            yield range(lo, min(lo + BATCH, stop)), None
+    elif mode == "sampled":
+        rng, bits = random.Random(seed), 1 << n
+        size = max(4, bits >> 3)  # bytes a draw
+        for lo in range(0, count, BATCH):
+            batch: list[int] = []
+            while k := min(BATCH, count - lo) - len(batch):
+                draws = rng.getrandbits(8 * size * k)
+                if bits < 32:  # keep the high bits of each word
+                    low = ((1 << bits) - 1).to_bytes(4, "little") * k
+                    draws = draws >> 32 - bits & int.from_bytes(low, "little")
+                raw = draws.to_bytes(size * k, "little")
+                if size > 8:
+                    words = [int.from_bytes(raw[i:i + size], "little")
+                             for i in range(0, len(raw), size)]
+                else:
+                    words = array("IQ"[size > 4], raw)
+                    if sys.byteorder != "little":
+                        words.byteswap()
+                batch += filter(None, words)
             yield batch, None
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 # -- the equivalence registry ---------------------------------------------

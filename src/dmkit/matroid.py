@@ -148,7 +148,11 @@ def _cyclic_bitmap(bases: int, n: int) -> int:
     cyclic = (1 << (1 << n)) - 1
     for e in range(n):
         without = masks_without_bit(n, e)
-        cyclic &= up_closure(circuits & ~without, n) | without
+        up = circuits & ~without  # all hold e: a closure step along e adds none
+        for i in range(n):
+            if i != e:
+                up |= (up & masks_without_bit(n, i)) << (1 << i)
+        cyclic &= up | without
     return cyclic
 
 

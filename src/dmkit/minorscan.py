@@ -3,10 +3,11 @@ of the excluded-minor characterizations and their membership classifier."""
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Callable, Iterator, Sequence
 
 from .bitset import iter_bits, layer_selectors, orbit, transposition
@@ -166,6 +167,18 @@ class _ScanPlan:
     sizes: tuple[int, ...]
     orbits: dict[int, dict[int, CatalogEntry]]
     index_scans: dict[int, tuple] = field(default_factory=dict, compare=False)
+    lane_tables: dict[int, bytes | frozenset[int]] = field(default_factory=dict, compare=False)
+
+    def lane_table(self, m: int) -> bytes | frozenset[int]:
+        """The lane kernel's lookup of m-element minors: for m <= 3 a
+        bytes.translate table, b to 1 when a 2^m-bit chunk of b is in the
+        orbit index, else to 0; for m = 4 the index as a frozenset, whose
+        isdisjoint passes a miss twice as fast."""
+        if m not in self.lane_tables:
+            index, full = self.orbits[m], (1 << (1 << m)) - 1
+            self.lane_tables[m] = frozenset(index) if m > 3 else bytes(
+                any(b >> k & full in index for k in range(0, 8, 1 << m)) for b in range(256))
+        return self.lane_tables[m]
 
     def index_scan(self, n: int) -> tuple[dict[int, CatalogEntry], tuple[tuple, ...]]:
         """(whole, splits) of the scan of n-element systems, n <= WORD_MAX_N,
@@ -284,6 +297,61 @@ def _any_minor(bm: int, n: int, plan: _ScanPlan) -> bool:
     return any(_chunk_scan(bm, n, m, plan) is not None for m in reversed(plan.sizes) if m <= n)
 
 
+# The lane kernel of no_minor_bits packs a batch of up to LANES family
+# indices over n <= WORD_MAX_N elements into one int, a lane of max(8, 2^n)
+# bits a family, and makes each swap of _removal_moves on every lane, its
+# mask repeated in each: no mask bit lies at or above 2^n in its lane, so
+# no bit crosses lanes.  The chunks then read as in _chunk_scan; invalid
+# splits and the padding of n < 3 read as 0, which no orbit index holds.
+# A batch of fewer than LANE_MIN families goes to _any_minor family by
+# family, which is faster there at n = 4 and 5: a kernel call costs about
+# three or four scans whatever the batch.
+LANES, LANE_MIN = 2048, 4
+_NO_HIT = bytes([1]) + bytes(255)  # translate: byte 0 to 1, any other to 0
+
+
+@lru_cache(maxsize=None)
+def _lane_moves(n: int, m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The swaps of _removal_moves(n, m) per removed set, each mask
+    repeated in LANES lanes of max(8, 2^n) bits."""
+    width = max(1, 1 << n >> 3)
+    return tuple(tuple((shift, int.from_bytes(mask.to_bytes(width, "little") * LANES, "little"))
+                       for shift, mask in swaps) for _, swaps in _removal_moves(n, m))
+
+
+def _lane_hits(indices: Sequence[int], n: int, m: int, plan: _ScanPlan) -> bytes:
+    """A byte per family of a batch of at most LANES, nonzero when an
+    m-element minor is in the orbit index: per removed set, one translate
+    of the chunks (m <= 3, they tile bytes) or a lookup per 16-bit chunk;
+    at m = n the family itself."""
+    if m == n:
+        return bytes(map(plan.orbits[n].__contains__, indices))
+    width = max(1, 1 << n >> 3)  # bytes a lane
+    lanes = array("BHI"[width.bit_length() - 1], indices)
+    if sys.byteorder != "little":
+        lanes.byteswap()
+    p = int.from_bytes(lanes, "little")
+    table = plan.lane_table(m)
+    hits = 0
+    for swaps in _lane_moves(n, m):
+        for shift, mask in swaps:
+            t = (p ^ p >> shift) & mask
+            p ^= t ^ t << shift
+        raw = p.to_bytes(len(lanes) * width, "little")
+        if m <= 3:
+            hits |= int.from_bytes(raw.translate(table), "little")
+            continue
+        chunks = array("H", raw)
+        if sys.byteorder != "little":
+            chunks.byteswap()
+        if not table.isdisjoint(chunks):
+            hits |= int.from_bytes(bytes(map(table.__contains__, chunks)), "little")
+    stride = width if m <= 3 else 2  # hit bytes a lane, OR-ed into its first
+    for step in (8, 16)[:stride.bit_length() - 1]:
+        hits |= hits >> step
+    return hits.to_bytes(len(lanes) * stride, "little")[::stride]
+
+
 def has_minor_from(
     system: SetSystem, targets: Sequence[CatalogEntry]
 ) -> MinorWitness | None:
@@ -299,10 +367,23 @@ def has_minor_from(
 def no_minor_bits(indices: Sequence[int], n: int, targets: Sequence[CatalogEntry]) -> int:
     """Bitmask over a batch of family indices of an n-element ground set:
     bit b is set when has_minor_from(system, targets) is None for the
-    system of indices[b].  The verdict alone, from the index by
-    _any_minor; no witness is built."""
+    system of indices[b].  The verdict alone; no witness is built.  Up to
+    WORD_MAX_N elements the lane kernel decides slices of LANES, the sizes
+    smallest first, each on the families with no hit yet; above that, and
+    for batches of fewer than LANE_MIN, _any_minor decides each family."""
     plan = _scan_plan(targets)
-    return sum(1 << b for b, index in enumerate(indices) if not _any_minor(index, n, plan))
+    if n > WORD_MAX_N or len(indices) < LANE_MIN:
+        return sum(1 << b for b, index in enumerate(indices) if not _any_minor(index, n, plan))
+    out = 0
+    for lo in range(0, len(indices), LANES):
+        batch = indices[lo:lo + LANES]
+        where = range(lo, lo + len(batch))
+        for m in reversed(plan.sizes):
+            if m <= n and batch:
+                keep = _lane_hits(batch, n, m, plan).translate(_NO_HIT)
+                batch, where = list(compress(batch, keep)), list(compress(where, keep))
+        out |= sum(map((1).__lshift__, where))
+    return out
 
 
 # An index form decides a property for a batch of family indices of an

@@ -236,11 +236,41 @@ class TestIndexScan:
             assert as_bools(no_minor_bits(batch, n, targets), len(batch)) == want, (n, name)
 
     def test_every_family_up_to_three_elements(self):
-        for n in range(1, 4):
-            self.check(list(range(1, 1 << (1 << n))), n)
+        # below three elements the lane kernel pads each lane to a byte;
+        # every batch is long enough to take the lanes
+        for n in range(4):
+            self.check(list(range(1, 1 << (1 << n))) * minorscan.LANE_MIN, n)
 
     def test_every_four_element_family(self):
         self.check(list(range(1, 1 << 16)), 4)
+
+    @pytest.mark.parametrize("n", (3, 4, 5))
+    def test_batch_lengths_around_the_lane_count(self, n):
+        # the lane kernel's masks span LANES lanes and longer batches are
+        # cut, and a batch below LANE_MIN goes family by family; each batch
+        # ends in a member with no listed minor, so its lane is read at
+        # every size
+        rng = random.Random(f"lanes:{n}")
+        pool = [rng.getrandbits(1 << n) or 1 for _ in range(48)]
+        pool += [make(rng, n) for make in (higgs_index, dofc_index) for _ in range(24)]
+        for name, targets in minor_targets(n):
+            plan = minorscan._scan_plan(targets)
+            members = [i for i in pool if minorscan._first_minor(i, n, plan) is None]
+            last = max(members, key=int.bit_count)
+            for length in (0, 1, minorscan.LANE_MIN - 1, minorscan.LANE_MIN, 7, 8, 9, 2047, 2048,
+                           2049):
+                batch = [rng.choice(pool) for _ in range(length - 1)] + [last][:length]
+                want = [minorscan._first_minor(i, n, plan) is None for i in batch]
+                assert as_bools(no_minor_bits(batch, n, targets), length) == want, (n, name, length)
+
+    def test_no_orbit_index_holds_the_empty_family(self):
+        # the lane kernel reads invalid splits and padding chunks as bitmap
+        # 0, which must never be a hit
+        for n in range(9):
+            for name, targets in minor_targets(n):
+                plan = minorscan._scan_plan(targets)
+                assert all(0 not in plan.orbits[m] for m in plan.sizes), (n, name)
+                assert all(plan.lane_table(m)[0] == 0 for m in plan.sizes if m <= 3), (n, name)
 
     def test_every_target_at_every_split(self):
         for n in (4, 5):

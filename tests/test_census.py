@@ -24,8 +24,10 @@ from dmkit.census import (
     _canonical_index_table,
     _class_weights,
     _tally,
+    _weighted_families,
     count_census,
     enumerate_proper_systems,
+    family_indices,
     family_system,
     random_quotient_pair,
     run_streaming,
@@ -83,6 +85,25 @@ class TestEnumeration:
         b = [i for i, _ in enumerate_proper_systems(5, "sampled", seed=11, count=50)]
         c = [i for i, _ in enumerate_proper_systems(5, "sampled", seed=12, count=50)]
         assert a == b and a != c and 0 not in a
+
+    def test_sampled_batches_draw_like_one_call_per_family(self):
+        # a batch is one getrandbits call split into strides; it must yield
+        # the indices of one getrandbits(2^n) per family, drawn again at 0
+        def one_by_one(n: int, seed: int, count: int) -> list[int]:
+            rng, out = random.Random(seed), []
+            while len(out) < count:
+                out += filter(None, [rng.getrandbits(1 << n)])
+            return out
+
+        for n in range(8):
+            for seed in range(6):
+                for count in (0, 1, 2, 33, BATCH - 1, BATCH, BATCH + 1):
+                    want = one_by_one(n, seed, count)
+                    assert list(family_indices(n, "sampled", seed=seed, count=count)) == want
+                    batches = list(_weighted_families(n, "sampled", seed=seed, count=count,
+                                                      dedupe=True))
+                    assert all(w is None and 0 < len(b) <= BATCH for b, w in batches)
+                    assert [i for b, _ in batches for i in b] == want, (n, seed, count)
 
 
 class TestVerifyEquivalence:
