@@ -125,7 +125,7 @@ def classify_higgs_bitmap(bm: int, n: int) -> HiggsClassification:
     elements; unspecified on a family that is not a delta-matroid.
 
     D_min and D_max are the lowest and highest nonempty layers, checked
-    with the cached layer_is_matroid, and their envelope is read from the
+    with layer_is_matroid, and their envelope is read from the
     closures cached on (basis bitmap, n).
     """
     sel = layer_selectors(n)

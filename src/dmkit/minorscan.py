@@ -16,7 +16,7 @@ from .errors import AmbientHypothesisError, CapacityError
 from .higgs import classify_higgs, classify_higgs_bitmap
 from .matroid import is_matroid
 from .setsystem import WORD_MAX_N, SetSystem, delta_matroid_bits
-from .stacks import is_matroid_stack, is_stack_bitmap, layer_is_matroid, stack_flags
+from .stacks import is_matroid_stack, layer_is_matroid, matroid_stack_bits, stack_flags
 
 
 @dataclass(frozen=True)
@@ -451,7 +451,7 @@ EVEN_DELTA = both(EVEN, DELTA)
 EQUICARDINAL: Predicate = (index_form(is_equicardinal_index), lambda s: len(s.layer_sizes) == 1)
 MATROID: Predicate = (
     index_form(lambda i, n: is_equicardinal_index(i, n) and layer_is_matroid(i)), is_matroid)
-MATROID_STACK: Predicate = (index_form(is_stack_bitmap), is_matroid_stack)
+MATROID_STACK: Predicate = (matroid_stack_bits, is_matroid_stack)
 EVEN_MATROID_STACK = both(EVEN, MATROID_STACK)
 PAVING, SPARSE_PAVING, QUOTIENT = map(_stack_flag, (1, 2, 3))
 # The Higgs index forms run the classify_higgs kernel, which assumes a

@@ -4,6 +4,7 @@ forms of the class table and the batched census loop."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -30,6 +31,7 @@ from dmkit.census import (
 )
 from dmkit.gf2 import SkewSymMatrixGF2, d_of_c
 from dmkit.higgs import build_higgs_dm
+from dmkit.matroid import envelope_bitmap
 from dmkit.minorscan import (
     CLASS_TABLE,
     EVEN_HIGGS,
@@ -40,6 +42,7 @@ from dmkit.minorscan import (
     no_minor_bits,
 )
 from dmkit.setsystem import _se_holds_bitmap, _se_holds_square, bit_planes, delta_matroid_bits
+from dmkit.stacks import _exchange_layer, is_stack_bitmap, matroid_stack_bits
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FAST = settings(max_examples=40, deadline=None)
@@ -383,6 +386,92 @@ class TestIndexForms:
         for form, scalar in ((spec.ambient_index, spec.ambient), (spec.direct_index, spec.direct)):
             got = as_bools(form(batch, 5), len(batch))
             assert got == [bool(scalar(family_system(5, i))) for i in batch]
+
+
+@functools.lru_cache(maxsize=None)
+def basis_exchange(layer: tuple[int, ...]) -> bool:
+    """Basis exchange on the masks of one nonempty layer: for bases B1, B2
+    and x in B1 - B2 some y in B2 - B1 makes B1 - x + y a basis."""
+    bases = set(layer)
+    return all(any(b1 ^ 1 << x | 1 << y in bases for y in iter_bits(b2 & ~b1))
+               for b1 in layer for b2 in layer for x in iter_bits(b1 & ~b2))
+
+
+def stack_reference(index: int, n: int) -> bool:
+    """Every nonempty cardinality layer of a family index passes
+    basis_exchange on its masks, with no table or cache of dmkit; checked
+    against is_stack_bitmap, the per-family form."""
+    layers: dict[int, list[int]] = {}
+    for m in iter_bits(index):
+        layers.setdefault(m.bit_count(), []).append(m)
+    verdict = all(basis_exchange(tuple(layer)) for layer in layers.values())
+    assert verdict == is_stack_bitmap(index, n), (n, index)
+    return verdict
+
+
+def matroid_index(rng: random.Random, n: int, r: int) -> int:
+    """The basis family of a seeded random rank-r matroid on n elements."""
+    return random_quotient_pair(n, r, r, rng.getrandbits(31))[0].system.family_bitmap
+
+
+def stack_batch(rng: random.Random, n: int, length: int) -> list[int]:
+    """A batch of family indices, about a third each uniform, envelopes of
+    random quotient pairs (full Higgs lifts, matroid stacks) and unions of
+    random matroid layers of distinct ranks, some of the last two with one
+    set flipped."""
+    batch = []
+    while len(batch) < length:
+        kind = rng.randrange(3)
+        if kind == 0:
+            batch.append(rng.getrandbits(1 << n) or 1)
+            continue
+        if kind == 1:
+            r_l = rng.randrange(n + 1)
+            q, lift = random_quotient_pair(n, rng.randrange(r_l + 1), r_l, rng.getrandbits(31))
+            index = envelope_bitmap(q.system.family_bitmap, lift.system.family_bitmap, n)
+        else:
+            ranks = rng.sample(range(n + 1), rng.randrange(1, n + 2))
+            index = 0
+            for r in ranks:
+                index |= matroid_index(rng, n, r)
+        if rng.random() < 0.3:
+            index ^= 1 << rng.randrange(1 << n)
+        batch.append(index or 1)
+    return batch
+
+
+class TestMatroidStackBits:
+    """matroid_stack_bits, the batched MATROID_STACK index form, against
+    is_stack_bitmap family by family and per-layer basis exchange."""
+
+    def check(self, batch: list[int], n: int) -> list[bool]:
+        want = [stack_reference(i, n) for i in batch]
+        assert as_bools(matroid_stack_bits(batch, n), len(batch)) == want, n
+        assert minorscan.MATROID_STACK[0] is matroid_stack_bits
+        return want
+
+    def test_every_family_up_to_four_elements(self):
+        for n in range(5):
+            indices = list(range(1, 1 << (1 << n)))
+            for lo in range(0, len(indices), 2048):
+                self.check(indices[lo:lo + 2048], n)
+
+    @pytest.mark.parametrize("length", [0, 1, 3, 4, 375, 2047, 2048])
+    def test_seeded_five_element_batches(self, length):
+        rng = random.Random(f"stack-bits:{length}")
+        want = self.check(stack_batch(rng, 5, length), 5)
+        if length >= 375:
+            # the batch holds stacks and non-stacks in good number
+            assert 0.1 < sum(want) / length < 0.9
+
+    def test_six_elements_decide_family_by_family(self):
+        # above five elements each family goes to is_stack_bitmap, whose
+        # layer verdicts are exchange tests cached per layer
+        rng = random.Random("stack-bits:6")
+        _exchange_layer.cache_clear()
+        want = self.check(stack_batch(rng, 6, 60), 6)
+        assert any(want) and not all(want)
+        assert _exchange_layer.cache_info().misses > 0
 
 
 def reference_census(theorem: str, indices, n: int = 5) -> tuple[dict, list]:

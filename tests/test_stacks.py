@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import functools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmkit.bitset import iter_bits
+from dmkit import stacks
+from dmkit.bitset import iter_bits, layer_selectors
 from dmkit.catalog import ExminorClassId, make_named
 from dmkit.census import (
     REGISTRY,
@@ -27,16 +32,20 @@ from dmkit.minorscan import classify_by_exminors
 from dmkit.setsystem import SetSystem
 from dmkit.stacks import (
     LAYER_CACHE_SIZE,
+    _exchange_layer,
     check_speven,
     classify_stack,
     is_matroid_stack,
     layer_is_matroid,
     layer_paving_flags,
+    matroid_layers,
     stack_flags,
     stack_of,
 )
 
 from conftest import LABELS, random_system
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def system_of(labels: str, *sets: str) -> SetSystem:
@@ -313,13 +322,22 @@ class TestIsMatroidStack:
         for i in range(1, 4):
             assert {got[i] for got in seen if got[0]} == {False, True}, i
 
-    def test_every_layer_n5_fits_the_cache(self):
+    def test_every_layer_n5_reads_the_table(self, monkeypatch):
         # every nonempty r-layer on five elements, each as a one-layer
-        # system: 2^C(5, r) - 1 of them per r, all cached at once
+        # system: 2^C(5, r) - 1 of them per r.  The matroid verdicts come
+        # from the table, built once, with no exchange test and nothing in
+        # the exchange cache; the paving flags are all cached at once
         layers = every_layer_n5()
         assert len(layers) == 2110 <= LAYER_CACHE_SIZE
-        layer_is_matroid.cache_clear()
+        matroid_layers.cache_clear()
+        _exchange_layer.cache_clear()
         layer_paving_flags.cache_clear()
+        stack_flags.cache_clear()
+
+        def refuse(bm, n):
+            raise AssertionError(f"exchange test on {bm} over {n} elements")
+
+        monkeypatch.setattr(stacks, "exchange_holds", refuse)
         for layer in layers:
             assert is_matroid_stack(layer) == reference_matroid_stack(layer), layer
             # paving_flags on the layer as a basis family, matroid or not
@@ -329,14 +347,15 @@ class TestIsMatroidStack:
             got = (flags.matroid_stack, flags.paving_system,
                    flags.sparse_paving_system, flags.quotient_system)
             assert got == reference_flags(layer), layer
-        for cached in (layer_is_matroid, layer_paving_flags):
-            info = cached.cache_info()
-            assert (info.misses, info.currsize) == (2110, 2110)
+        info = layer_paving_flags.cache_info()
+        assert (info.misses, info.currsize) == (2110, 2110)
         for layer in layers:
             is_matroid_stack(layer)
             layer_paving_flags(layer.family_bitmap, 5)
-        assert layer_is_matroid.cache_info().misses == 2110
         assert layer_paving_flags.cache_info().misses == 2110
+        info = _exchange_layer.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        assert matroid_layers.cache_info().misses == 1
 
     def test_improper_system_rejected(self):
         with pytest.raises(ImproperSystemError):
@@ -376,6 +395,36 @@ def every_layer_n5() -> list[SetSystem]:
             layers.append(SetSystem(labels, frozenset(masks[i] for i in iter_bits(pick))))
     return layers
 
+
+
+# -- the table of matroids on five labelled elements --------------------------
+
+class TestMatroidLayers:
+    def test_labelled_matroid_counts(self):
+        # OEIS A058673: the matroids on n labelled elements are the table
+        # entries below 2^(2^n), since loops keep the bases
+        table = matroid_layers()
+        assert [sum(bm < 1 << (1 << n) for bm in table) for n in range(6)] == [
+            1, 2, 5, 16, 68, 406]
+
+    def test_rank_counts(self):
+        # every nonempty layer of rank 0, 1, 4 or 5 is a matroid (2^C(5, r) - 1
+        # of them), which is why the stack tests look only at ranks 2 and 3
+        sel = layer_selectors(5)
+        table = matroid_layers()
+        assert [sum(bm & ~sel[r] == 0 for bm in table) for r in range(6)] == [
+            1, 31, 171, 171, 31, 1]
+
+    def test_cli_import_builds_no_table(self):
+        # the table is built on first use, so processes that never decide a
+        # stack (constructions, the CLI's cold start) do not pay for it
+        code = ("import dmkit.cli\n"
+                "from dmkit.stacks import matroid_layers\n"
+                "assert matroid_layers.cache_info().misses == 0, 'table built at import'\n")
+        done = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 # -- the per-family stack_flags memo ------------------------------------------
