@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .bitset import orbit
+from .bitset import iter_bits, orbit
 from .errors import CapacityError, UnknownNameError
 from .setsystem import SetSystem
 
@@ -112,22 +112,25 @@ def twist_classes(system: SetSystem, base_name: str = "S") -> list[CatalogEntry]
     representative, following the appendix table conventions.  Classes are
     returned ordered by (representative size, members).  A class is the
     relabelling orbit of its representative twist, which holds every twist
-    of the class.
+    of the class; the orbit is walked only when a twist not yet in a class
+    shares the representative's _relabelling_invariant.
     """
     n = system.n
     if n > TWIST_CLASS_CAP:
         raise CapacityError(f"twist enumeration capped at {TWIST_CLASS_CAP} elements")
     order = sorted(range(1 << n), key=lambda a: (a.bit_count(), system.members(a)))
     twisted = {a: system.twist(system.members(a)) for a in order}
+    invariant = {a: _relabelling_invariant(twisted[a].family_bitmap, n) for a in order}
     reps: list[int] = []
     class_of: dict[int, int] = {}  # twist mask -> its class's representative
     for a in order:
         if a in class_of:
             continue
         reps.append(a)
-        images = orbit(twisted[a].family_bitmap, n)
-        for b in order:
-            if b not in class_of and twisted[b].family_bitmap in images:
+        alike = [b for b in order if b not in class_of and invariant[b] == invariant[a]]
+        images = orbit(twisted[a].family_bitmap, n) if alike[1:] else {twisted[a].family_bitmap}
+        for b in alike:
+            if twisted[b].family_bitmap in images:
                 class_of[b] = a
     # Dual pairing: the dual of the class of A is the class of A ^ E.
     full = (1 << n) - 1
@@ -140,6 +143,19 @@ def twist_classes(system: SetSystem, base_name: str = "S") -> list[CatalogEntry]
         if partner != rep:
             names[partner] = _twist_name(base_name, system.members(rep ^ full), n)
     return [CatalogEntry(names[rep], twisted[rep]) for rep in reps]
+
+
+def _relabelling_invariant(bm: int, n: int) -> tuple[int, tuple[int, ...]]:
+    """A cheap relabelling invariant of a family bitmap over n elements:
+    the number of its sets of each size and, per element, of those holding
+    it, sorted over the elements; each number is an n-bit digit (< 2^n)."""
+    total, holding = 0, [0] * n
+    for m in iter_bits(bm):
+        digit = 1 << n * m.bit_count()
+        total += digit
+        for e in iter_bits(m):
+            holding[e] += digit
+    return total, tuple(sorted(holding))
 
 
 class ExminorClassId(Enum):

@@ -40,7 +40,7 @@ from .minorscan import (
     Column,
     both,
 )
-from .setsystem import SetSystem
+from .setsystem import BATCH, SetSystem
 
 CENSUS_LABELS = "abcdefgh"
 EXHAUSTIVE_CAP = 4
@@ -231,12 +231,6 @@ def _new_totals(columns: tuple[Column, ...]) -> dict[str, int]:
 
 def _mode_label(mode: str, seed: int, count: int) -> str:
     return f"sampled(seed={seed}, count={count})" if mode == "sampled" else mode
-
-
-# Families per batch of the census loop.  The bit-sliced exchange oracle
-# pays its rows once per batch; on uniform five-element families it took
-# about 0.37, 0.23, 0.15 and 0.13 us per family at 512, 1024, 2048 and 4096.
-BATCH = 2048
 
 
 def _select(items: Sequence, bits: int) -> list:

@@ -16,7 +16,7 @@ from .matroid import (
     sandwiched_envelope,
 )
 from .setsystem import SetSystem
-from .stacks import layer_is_matroid
+from .stacks import matroid_layers
 
 
 def validate_index_set(k: int, index_set) -> frozenset[int]:
@@ -124,16 +124,16 @@ def classify_higgs_bitmap(bm: int, n: int) -> HiggsClassification:
     """classify_higgs of the delta-matroid with family bitmap bm over n
     elements; unspecified on a family that is not a delta-matroid.
 
-    D_min and D_max are the lowest and highest nonempty layers, checked
-    with layer_is_matroid, and their envelope is read from the
-    closures cached on (basis bitmap, n).
+    D_min and D_max are the lowest and highest nonempty layers, looked up
+    in matroid_layers(n), and their envelope is read from the closures
+    cached on (basis bitmap, n).
     """
     sel = layer_selectors(n)
     sizes = [r for r in range(n + 1) if bm & sel[r]]
     r_lo, r_hi = sizes[0], sizes[-1]
     lo, hi = bm & sel[r_lo], bm & sel[r_hi]
     for layer in (lo, hi):
-        if not layer_is_matroid(layer):
+        if layer not in matroid_layers(n):
             # refuses the layer, which fails basis exchange
             Matroid.from_system(SetSystem.from_bitmap(tuple(map(str, range(n))), layer))
     return _classify_layers(bm, n, r_lo, r_hi, sandwiched_envelope(bm, lo, hi, n))

@@ -15,8 +15,9 @@ from .catalog import CatalogEntry, ExminorClassId, excluded_minor_set
 from .errors import AmbientHypothesisError, CapacityError
 from .higgs import classify_higgs, classify_higgs_bitmap
 from .matroid import is_matroid
-from .setsystem import WORD_MAX_N, SetSystem, delta_matroid_bits
-from .stacks import is_matroid_stack, layer_is_matroid, matroid_stack_bits, stack_flags
+from .setsystem import BATCH, WORD_MAX_N, SetSystem, delta_matroid_bits
+from .stacks import (is_equicardinal_index, is_matroid_stack, matroid_layers, matroid_stack_bits,
+                     stack_flags)
 
 
 @dataclass(frozen=True)
@@ -297,7 +298,7 @@ def _any_minor(bm: int, n: int, plan: _ScanPlan) -> bool:
     return any(_chunk_scan(bm, n, m, plan) is not None for m in reversed(plan.sizes) if m <= n)
 
 
-# The lane kernel of no_minor_bits packs a batch of up to LANES family
+# The lane kernel of no_minor_bits packs a batch of up to BATCH family
 # indices over n <= WORD_MAX_N elements into one int, a lane of max(8, 2^n)
 # bits a family, and makes each swap of _removal_moves on every lane, its
 # mask repeated in each: no mask bit lies at or above 2^n in its lane, so
@@ -306,21 +307,21 @@ def _any_minor(bm: int, n: int, plan: _ScanPlan) -> bool:
 # A batch of fewer than LANE_MIN families goes to _any_minor family by
 # family, which is faster there at n = 4 and 5: a kernel call costs about
 # three or four scans whatever the batch.
-LANES, LANE_MIN = 2048, 4
+LANE_MIN = 4
 _NO_HIT = bytes([1]) + bytes(255)  # translate: byte 0 to 1, any other to 0
 
 
 @lru_cache(maxsize=None)
 def _lane_moves(n: int, m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The swaps of _removal_moves(n, m) per removed set, each mask
-    repeated in LANES lanes of max(8, 2^n) bits."""
+    repeated in BATCH lanes of max(8, 2^n) bits."""
     width = max(1, 1 << n >> 3)
-    return tuple(tuple((shift, int.from_bytes(mask.to_bytes(width, "little") * LANES, "little"))
+    return tuple(tuple((shift, int.from_bytes(mask.to_bytes(width, "little") * BATCH, "little"))
                        for shift, mask in swaps) for _, swaps in _removal_moves(n, m))
 
 
 def _lane_hits(indices: Sequence[int], n: int, m: int, plan: _ScanPlan) -> bytes:
-    """A byte per family of a batch of at most LANES, nonzero when an
+    """A byte per family of a batch of at most BATCH, nonzero when an
     m-element minor is in the orbit index: per removed set, one translate
     of the chunks (m <= 3, they tile bytes) or a lookup per 16-bit chunk;
     at m = n the family itself."""
@@ -368,15 +369,15 @@ def no_minor_bits(indices: Sequence[int], n: int, targets: Sequence[CatalogEntry
     """Bitmask over a batch of family indices of an n-element ground set:
     bit b is set when has_minor_from(system, targets) is None for the
     system of indices[b].  The verdict alone; no witness is built.  Up to
-    WORD_MAX_N elements the lane kernel decides slices of LANES, the sizes
+    WORD_MAX_N elements the lane kernel decides slices of BATCH, the sizes
     smallest first, each on the families with no hit yet; above that, and
     for batches of fewer than LANE_MIN, _any_minor decides each family."""
     plan = _scan_plan(targets)
     if n > WORD_MAX_N or len(indices) < LANE_MIN:
         return sum(1 << b for b, index in enumerate(indices) if not _any_minor(index, n, plan))
     out = 0
-    for lo in range(0, len(indices), LANES):
-        batch = indices[lo:lo + LANES]
+    for lo in range(0, len(indices), BATCH):
+        batch = indices[lo:lo + BATCH]
         where = range(lo, lo + len(batch))
         for m in reversed(plan.sizes):
             if m <= n and batch:
@@ -418,11 +419,6 @@ def is_even_index(index: int, n: int) -> bool:
     return not index & odd or not index & ~odd
 
 
-def is_equicardinal_index(index: int, n: int) -> bool:
-    """True when a nonempty family index lies in one cardinality layer."""
-    return any(not index & ~sel for sel in layer_selectors(n))
-
-
 def both(first: Predicate, second: Predicate) -> Predicate:
     """The conjunction of two predicates with index forms; the second is
     decided only on the families where the first holds."""
@@ -449,8 +445,7 @@ EVEN: Predicate = (index_form(is_even_index), lambda s: s.is_even)
 DELTA: Predicate = (delta_matroid_bits, lambda s: s.is_delta_matroid())
 EVEN_DELTA = both(EVEN, DELTA)
 EQUICARDINAL: Predicate = (index_form(is_equicardinal_index), lambda s: len(s.layer_sizes) == 1)
-MATROID: Predicate = (
-    index_form(lambda i, n: is_equicardinal_index(i, n) and layer_is_matroid(i)), is_matroid)
+MATROID: Predicate = (index_form(lambda i, n: i in matroid_layers(n)), is_matroid)
 MATROID_STACK: Predicate = (matroid_stack_bits, is_matroid_stack)
 EVEN_MATROID_STACK = both(EVEN, MATROID_STACK)
 PAVING, SPARSE_PAVING, QUOTIENT = map(_stack_flag, (1, 2, 3))

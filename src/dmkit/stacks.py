@@ -13,13 +13,9 @@ from .errors import AmbientHypothesisError
 from .matroid import is_quotient_bitmap
 from .setsystem import WORD_MAX_N, SetSystem, delta_matroid_bits, exchange_holds
 
-# Bound of each per-layer verdict cache (_exchange_layer, which serves
-# layer_is_matroid on six elements and up, and layer_paving_flags) and of
-# the per-family stack_flags memo.  Every nonempty layer bitmap of a system
-# on at most five elements fits layer_paving_flags (2 110 of them), and
-# every isomorphism-class representative on at most four elements fits
-# stack_flags (4 077 of them); larger runs evict.  Up to five elements
-# layer_is_matroid reads matroid_layers and no cache.
+# Bound of the per-family stack_flags memo: every isomorphism-class
+# representative on at most four elements fits it (4 077 of them); larger
+# runs evict.
 LAYER_CACHE_SIZE = 4096
 
 
@@ -69,53 +65,51 @@ class StackClassification:
 
 
 @lru_cache(maxsize=None)
-def matroid_layers() -> frozenset[int]:
-    """The basis-family bitmaps of every matroid on WORD_MAX_N = 5 labelled
-    elements: 406 of them (OEIS A058673), built on first use, never at
-    import, by one delta_matroid_bits run over the 2 110 nonempty
-    equicardinal families on five elements (on an equicardinal family the
-    exchange axiom is basis exchange).
-
-    One table serves every n <= 5.  Adding a loop to a matroid keeps its
-    bases, and deleting a loop keeps them too, so a family whose masks
-    avoid an element is a matroid with that element exactly when it is one
-    without it.  A layer bitmap below 2^(2^n) is therefore a matroid on n
-    elements exactly when it is in the table, and the table holds 1, 2, 5,
-    16, 68 and 406 bitmaps below 2^(2^n) for n = 0..5.
+def matroid_layers(n: int) -> dict[int, tuple[bool, bool]] | _ExchangeLayers:
+    """The matroids on n labelled elements: `layer in matroid_layers(n)` is
+    basis exchange on a nonempty equicardinal family bitmap over n
+    elements, and `matroid_layers(n)[layer]` the layer_paving_flags of a
+    matroid's.  Up to WORD_MAX_N a dict of 1, 2, 5, 16, 68 and 406 entries
+    for n = 0..5 (OEIS A058673), built on first use, never at import, by
+    one delta_matroid_bits pass over the nonempty equicardinal families on
+    n elements; above, where they cannot be listed, an _ExchangeLayers.
     """
+    if n > WORD_MAX_N:
+        return _ExchangeLayers(n)
     layers = []
-    for sel in layer_selectors(WORD_MAX_N):
+    for sel in layer_selectors(n):
         picks = [0]
         for m in iter_bits(sel):
             picks += [p | 1 << m for p in picks]
         layers += picks[1:]
-    verdicts = delta_matroid_bits(layers, WORD_MAX_N)
-    return frozenset(layer for b, layer in enumerate(layers) if verdicts >> b & 1)
+    verdicts = delta_matroid_bits(layers, n)
+    return {bm: layer_paving_flags(bm, n) for b, bm in enumerate(layers) if verdicts >> b & 1}
 
 
-def layer_is_matroid(layer: int) -> bool:
-    """Basis exchange on a nonempty equicardinal family bitmap.  Below
-    2^32 (every mask on at most five elements) it is membership in
-    matroid_layers; above, the exchange axiom of exchange_holds on the
-    least ground set holding the masks, cached per bitmap.  An element in
-    no mask is a loop and never enters an exchange, so the verdict depends
-    on the bitmap alone."""
-    if layer >> (1 << WORD_MAX_N):
-        return _exchange_layer(layer)
-    return layer in matroid_layers()
+@dataclass(frozen=True)
+class _ExchangeLayers:
+    """matroid_layers(n) above WORD_MAX_N: `in` is exchange_holds on a
+    nonempty equicardinal family bitmap, and `[]` is layer_paving_flags."""
+
+    n: int
+
+    def __contains__(self, layer: int) -> bool:
+        return bool(layer) and is_equicardinal_index(layer, self.n) and exchange_holds(layer, self.n)
+
+    def __getitem__(self, layer: int) -> tuple[bool, bool]:
+        return layer_paving_flags(layer, self.n)
 
 
-@lru_cache(maxsize=LAYER_CACHE_SIZE)
-def _exchange_layer(layer: int) -> bool:
-    return exchange_holds(layer, (layer.bit_length() - 1).bit_length())
+def is_equicardinal_index(index: int, n: int) -> bool:
+    """True when a nonempty family index lies in one cardinality layer."""
+    return any(not index & ~sel for sel in layer_selectors(n))
 
 
-@lru_cache(maxsize=LAYER_CACHE_SIZE)
 def layer_paving_flags(layer: int, n: int) -> tuple[bool, bool]:
     """(paving, sparse paving) of the rank-r matroid with basis bitmap
     layer: every (r-1)-set is independent, and also every (r+1)-set is
-    spanning (the dual is paving); vacuous at r = 0 and r = n.  Keyed on
-    n as well, since a loop makes a 1-set dependent."""
+    spanning (the dual is paving); vacuous at r = 0 and r = n.  The flags
+    depend on n, since a loop makes a 1-set dependent."""
     r = next(iter_bits(layer)).bit_count()
     sel = layer_selectors(n)
     if r and sel[r - 1] & ~down_closure(layer, n):
@@ -125,15 +119,11 @@ def layer_paving_flags(layer: int, n: int) -> tuple[bool, bool]:
 
 def is_stack_bitmap(bm: int, n: int) -> bool:
     """True when every nonempty cardinality layer of a family bitmap over
-    n elements is a matroid.  Up to WORD_MAX_N elements only the layers of
-    rank 2 to n - 2 are looked up in matroid_layers, since every nonempty
-    layer of rank 0, 1, n - 1 or n is a matroid (a rank-1 family is a
-    parallel class and loops, and its dual at rank n - 1); above that each
-    layer goes to layer_is_matroid.  The first non-matroid layer ends the
-    test."""
-    if n > WORD_MAX_N:
-        return all(layer_is_matroid(bm & sel) for sel in layer_selectors(n) if bm & sel)
-    table = matroid_layers()
+    n elements is a matroid.  Only the layers of rank 2 to n - 2 are looked
+    up in matroid_layers(n), since every nonempty layer of rank 0, 1, n - 1
+    or n is a matroid (a rank-1 family is a parallel class and loops, and
+    its dual at rank n - 1).  The first non-matroid layer ends the test."""
+    table = matroid_layers(n)
     for sel in layer_selectors(n)[2:n - 1]:
         layer = bm & sel
         if layer and layer not in table:
@@ -143,14 +133,11 @@ def is_stack_bitmap(bm: int, n: int) -> bool:
 
 def matroid_stack_bits(indices: Sequence[int], n: int) -> int:
     """Bitmask over a batch of family indices of an n-element ground set:
-    bit b is set when is_stack_bitmap(indices[b], n).  Up to WORD_MAX_N
-    elements the layers of is_stack_bitmap are read rank by rank, rank 2
-    first, which rejects most families: per rank the surviving positions
-    keep the ones whose layer is empty or in matroid_layers.  Above
-    WORD_MAX_N each family is decided by is_stack_bitmap."""
-    if n > WORD_MAX_N:
-        return sum(1 << b for b, index in enumerate(indices) if is_stack_bitmap(index, n))
-    table = matroid_layers()
+    bit b is set when is_stack_bitmap(indices[b], n).  The layers are read
+    rank by rank, rank 2 first, which rejects most families: per rank the
+    surviving positions keep the ones whose layer is empty or in
+    matroid_layers(n)."""
+    table = matroid_layers(n)
     where = range(len(indices))
     for sel in layer_selectors(n)[2:n - 1]:
         where = [b for b in where if (layer := indices[b] & sel) in table or not layer]
@@ -173,15 +160,16 @@ _STACK_FLAGS = {flags: (True, *flags) for flags in product((False, True), repeat
 def stack_flags(bm: int, n: int) -> tuple[bool, bool, bool, bool]:
     """(matroid stack, paving, sparse paving, quotient) of a nonempty
     family bitmap over n elements, from verdicts on its layers:
-    is_stack_bitmap, then for matroid stacks the cached layer_paving_flags
-    per layer and matroid.is_quotient_bitmap on consecutive layers, which
-    compares their cached cyclic-set families.
+    is_stack_bitmap, then for matroid stacks the flags of each layer in
+    matroid_layers(n) and matroid.is_quotient_bitmap on consecutive
+    layers, which compares their cached cyclic-set families.
     Memoized per family on (bm, n): the paving and sparse-paving flags of
     the same bitmap differ between ground sets."""
     if not is_stack_bitmap(bm, n):
         return _NOT_A_STACK
+    table = matroid_layers(n)
     layers = [bm & sel for sel in layer_selectors(n) if bm & sel]
-    flags = [layer_paving_flags(layer, n) for layer in layers]
+    flags = [table[layer] for layer in layers]
     return _STACK_FLAGS[
         all(p for p, _ in flags),
         all(sp for _, sp in flags),

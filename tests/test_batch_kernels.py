@@ -42,7 +42,7 @@ from dmkit.minorscan import (
     no_minor_bits,
 )
 from dmkit.setsystem import _se_holds_bitmap, _se_holds_square, bit_planes, delta_matroid_bits
-from dmkit.stacks import _exchange_layer, is_stack_bitmap, matroid_stack_bits
+from dmkit.stacks import is_stack_bitmap, matroid_stack_bits
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FAST = settings(max_examples=40, deadline=None)
@@ -464,14 +464,11 @@ class TestMatroidStackBits:
             # the batch holds stacks and non-stacks in good number
             assert 0.1 < sum(want) / length < 0.9
 
-    def test_six_elements_decide_family_by_family(self):
-        # above five elements each family goes to is_stack_bitmap, whose
-        # layer verdicts are exchange tests cached per layer
+    def test_six_elements_decide_by_exchange(self):
+        # above five elements the layer verdicts are exchange tests
         rng = random.Random("stack-bits:6")
-        _exchange_layer.cache_clear()
         want = self.check(stack_batch(rng, 6, 60), 6)
         assert any(want) and not all(want)
-        assert _exchange_layer.cache_info().misses > 0
 
 
 def reference_census(theorem: str, indices, n: int = 5) -> tuple[dict, list]:

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from dmkit.bitset import orbit
 from dmkit.catalog import (
+    _FIXED,
+    CatalogEntry,
     ExminorClassId,
     _s_twist_reps,
+    _twist_name,
     binary_twist_classes,
     excluded_minor_set,
     make_named,
@@ -18,6 +22,8 @@ from dmkit.catalog import (
 )
 from dmkit.errors import UnknownNameError
 from dmkit.setsystem import SetSystem
+
+from conftest import LABELS
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "appendix_tables.json").read_text()
@@ -139,6 +145,62 @@ class TestAppendixTables:
         for base in TABLE_CLASS_COUNTS:
             for cls in twist_classes(make_named(base), base):
                 assert cls.system.canonical_form() == make_named(cls.name).canonical_form()
+
+
+def reference_twist_classes(system: SetSystem, base_name: str) -> list[CatalogEntry]:
+    """twist_classes with the orbit of every class walked and every twist
+    tested against it, whatever its invariant: the reference of the
+    differential test."""
+    n = system.n
+    order = sorted(range(1 << n), key=lambda a: (a.bit_count(), system.members(a)))
+    twisted = {a: system.twist(system.members(a)) for a in order}
+    reps: list[int] = []
+    class_of: dict[int, int] = {}
+    for a in order:
+        if a in class_of:
+            continue
+        reps.append(a)
+        images = orbit(twisted[a].family_bitmap, n)
+        for b in order:
+            if b not in class_of and twisted[b].family_bitmap in images:
+                class_of[b] = a
+    full = (1 << n) - 1
+    names: dict[int, str] = {}
+    for rep in reps:
+        if rep in names:
+            continue
+        names[rep] = _twist_name(base_name, system.members(rep), n)
+        partner = class_of[rep ^ full]
+        if partner != rep:
+            names[partner] = _twist_name(base_name, system.members(rep ^ full), n)
+    return [CatalogEntry(names[rep], twisted[rep]) for rep in reps]
+
+
+def seeded_twist_systems(n: int, count: int) -> list[SetSystem]:
+    """Seeded families on n elements: a few random sets, with no symmetry
+    as a rule, and unions of whole size layers with one set flipped, whose
+    twists share invariants across classes."""
+    rng = random.Random(f"twist-classes:{n}")
+    out = []
+    for _ in range(count):
+        masks = set(rng.sample(range(1 << n), rng.randrange(2, 2 * n)))
+        out.append(SetSystem(tuple(LABELS[:n]), frozenset(masks)))
+        sizes = rng.sample(range(n + 1), rng.randrange(1, 4))
+        masks = {m for m in range(1 << n) if m.bit_count() in sizes} ^ {rng.randrange(1 << n)}
+        out.append(SetSystem(tuple(LABELS[:n]), frozenset(masks or {0})))
+    return out
+
+
+class TestTwistClassesDifferential:
+    @pytest.mark.parametrize("base", [*_FIXED, *(f"S_{k}" for k in range(1, 9))])
+    def test_catalog_bases(self, base):
+        system = make_named(base)
+        assert twist_classes(system, base) == reference_twist_classes(system, base)
+
+    @pytest.mark.parametrize("n, count", [(5, 6), (6, 3), (7, 1)])
+    def test_seeded_systems(self, n, count):
+        for system in seeded_twist_systems(n, count):
+            assert twist_classes(system) == reference_twist_classes(system, "S"), system
 
 
 class TestExcludedMinorSets:

@@ -32,11 +32,9 @@ from dmkit.minorscan import classify_by_exminors
 from dmkit.setsystem import SetSystem
 from dmkit.stacks import (
     LAYER_CACHE_SIZE,
-    _exchange_layer,
     check_speven,
     classify_stack,
     is_matroid_stack,
-    layer_is_matroid,
     layer_paving_flags,
     matroid_layers,
     stack_flags,
@@ -324,14 +322,12 @@ class TestIsMatroidStack:
 
     def test_every_layer_n5_reads_the_table(self, monkeypatch):
         # every nonempty r-layer on five elements, each as a one-layer
-        # system: 2^C(5, r) - 1 of them per r.  The matroid verdicts come
-        # from the table, built once, with no exchange test and nothing in
-        # the exchange cache; the paving flags are all cached at once
+        # system: 2^C(5, r) - 1 of them per r.  The matroid verdicts and
+        # the paving flags come from the table, built once, with no
+        # exchange test
         layers = every_layer_n5()
-        assert len(layers) == 2110 <= LAYER_CACHE_SIZE
+        assert len(layers) == 2110
         matroid_layers.cache_clear()
-        _exchange_layer.cache_clear()
-        layer_paving_flags.cache_clear()
         stack_flags.cache_clear()
 
         def refuse(bm, n):
@@ -343,18 +339,14 @@ class TestIsMatroidStack:
             # paving_flags on the layer as a basis family, matroid or not
             expect = paving_flags(Matroid(layer))
             assert layer_paving_flags(layer.family_bitmap, 5) == expect, layer
+            if layer.family_bitmap in matroid_layers(5):
+                assert matroid_layers(5)[layer.family_bitmap] == expect, layer
             flags = classify_stack(layer)
             got = (flags.matroid_stack, flags.paving_system,
                    flags.sparse_paving_system, flags.quotient_system)
             assert got == reference_flags(layer), layer
-        info = layer_paving_flags.cache_info()
-        assert (info.misses, info.currsize) == (2110, 2110)
         for layer in layers:
             is_matroid_stack(layer)
-            layer_paving_flags(layer.family_bitmap, 5)
-        assert layer_paving_flags.cache_info().misses == 2110
-        info = _exchange_layer.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
         assert matroid_layers.cache_info().misses == 1
 
     def test_improper_system_rejected(self):
@@ -362,10 +354,11 @@ class TestIsMatroidStack:
             is_matroid_stack(SetSystem(tuple("ab"), frozenset()))
 
     def test_layer_verdict_is_basis_exchange(self):
-        # layer_is_matroid decides by the exchange axiom, which on an
-        # equicardinal family is basis exchange: exchange_violation is the
-        # reference, on every five-element layer and on seeded six- and
-        # seven-element ones, random picks and matroid basis families
+        # membership in matroid_layers(n) is basis exchange:
+        # exchange_violation is the reference, on every five-element layer
+        # and on seeded six- and seven-element ones, random picks and
+        # matroid basis families.  Above five elements the stand-in
+        # decides by the exchange axiom, and its flags are paving_flags'
         layers = every_layer_n5()
         rng = random.Random(2026)
         for n in (6, 7):
@@ -378,9 +371,12 @@ class TestIsMatroidStack:
                 layers.append(random_quotient_pair(n, r, r, rng.randrange(1 << 30))[1].system)
         verdicts = set()
         for layer in layers:
-            verdict = layer_is_matroid(layer.family_bitmap)
+            verdict = layer.family_bitmap in matroid_layers(layer.n)
             assert verdict == (exchange_violation(layer) is None), layer
             verdicts.add((layer.n, verdict))
+            if layer.n > 5:
+                assert matroid_layers(layer.n)[layer.family_bitmap] == paving_flags(
+                    Matroid(layer)), layer
         assert verdicts == {(n, v) for n in (5, 6, 7) for v in (False, True)}
 
 
@@ -397,23 +393,29 @@ def every_layer_n5() -> list[SetSystem]:
 
 
 
-# -- the table of matroids on five labelled elements --------------------------
+# -- the tables of matroids on n labelled elements ----------------------------
 
 class TestMatroidLayers:
     def test_labelled_matroid_counts(self):
-        # OEIS A058673: the matroids on n labelled elements are the table
-        # entries below 2^(2^n), since loops keep the bases
-        table = matroid_layers()
-        assert [sum(bm < 1 << (1 << n) for bm in table) for n in range(6)] == [
-            1, 2, 5, 16, 68, 406]
+        # OEIS A058673: the matroids on n labelled elements
+        assert [len(matroid_layers(n)) for n in range(6)] == [1, 2, 5, 16, 68, 406]
 
     def test_rank_counts(self):
         # every nonempty layer of rank 0, 1, 4 or 5 is a matroid (2^C(5, r) - 1
         # of them), which is why the stack tests look only at ranks 2 and 3
         sel = layer_selectors(5)
-        table = matroid_layers()
+        table = matroid_layers(5)
         assert [sum(bm & ~sel[r] == 0 for bm in table) for r in range(6)] == [
             1, 31, 171, 171, 31, 1]
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_flags_are_the_circuit_reference(self, n):
+        # each entry's (paving, sparse paving) flags are those of
+        # matroid.paving_flags, from circuits, on the same n elements: a
+        # loop the masks avoid changes them
+        labels = tuple(LABELS[:n])
+        for bm, flags in matroid_layers(n).items():
+            assert flags == paving_flags(Matroid(SetSystem.from_bitmap(labels, bm))), (n, bm)
 
     def test_cli_import_builds_no_table(self):
         # the table is built on first use, so processes that never decide a

@@ -309,11 +309,13 @@ def test_transpose_mask_cache_covers_every_batch_length():
     # and bit_planes looks the masks of each block count up in a bounded
     # cache: a census BATCH past the bound would rebuild them every batch
     from dmkit import census, setsystem
+    from dmkit.setsystem import BATCH
 
-    blocks = -(-census.BATCH // 32)
+    assert census.BATCH is BATCH
+    blocks = -(-BATCH // 32)
     assert setsystem._transpose_masks.cache_parameters()["maxsize"] >= blocks
     setsystem._transpose_masks.cache_clear()
-    for k in range(1, census.BATCH + 1, 31):
+    for k in range(1, BATCH + 1, 31):
         setsystem.bit_planes(range(k))
         setsystem.bit_planes(range(k))
     info = setsystem._transpose_masks.cache_info()
@@ -322,24 +324,25 @@ def test_transpose_mask_cache_covers_every_batch_length():
 
 def test_lane_masks_cover_the_census_batch():
     # no_minor_bits relabels a batch in lanes by swap masks repeated in
-    # LANES lanes: a census batch fits one slice, the last lane of every
+    # BATCH lanes: a census batch fits one slice, the last lane of every
     # mask is the mask itself, and a longer batch is cut into slices
     from dmkit import census, minorscan
     from dmkit.catalog import ExminorClassId, excluded_minor_set
+    from dmkit.setsystem import BATCH
 
-    assert minorscan.LANES >= census.BATCH
+    assert census.BATCH is minorscan.BATCH is BATCH
     for n in range(1, minorscan.WORD_MAX_N + 1):
         width = max(8, 1 << n)
         for m in range(n):
             moves = zip(minorscan._removal_moves(n, m), minorscan._lane_moves(n, m))
             for (_, swaps), lane_swaps in moves:
-                assert [(s, mask >> width * (minorscan.LANES - 1)) for s, mask in lane_swaps] == list(
+                assert [(s, mask >> width * (BATCH - 1)) for s, mask in lane_swaps] == list(
                     swaps), (n, m)
     targets = excluded_minor_set(ExminorClassId.DELTA_MATROID, 5)
     plan = minorscan._scan_plan(targets)
     # ending in the bases of U(1,1) + U(1,4), a delta-matroid that no
     # relabelling fixes, alone in the second slice
-    batch = [(0x9E3779B9 * k) % (1 << 32) or 1 for k in range(census.BATCH)]
+    batch = [(0x9E3779B9 * k) % (1 << 32) or 1 for k in range(BATCH)]
     batch.append(sum(1 << (1 | 1 << i) for i in range(1, 5)))
     want = sum(1 << b for b, i in enumerate(batch) if not minorscan._any_minor(i, 5, plan))
     assert minorscan.no_minor_bits(batch, 5, targets) == want
