@@ -17,7 +17,7 @@ from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
@@ -46,6 +46,7 @@ CENSUS_LABELS = "abcdefgh"
 EXHAUSTIVE_CAP = 4
 CHECKPOINT_VERSION = 2
 DEFAULT_CHUNK = 1 << 24
+_ZERO_DIGIT = bytes.maketrans(b"0", b"\0")  # translate: "0" to byte 0, "1" kept
 
 
 def family_system(n: int, index: int) -> SetSystem:
@@ -235,7 +236,7 @@ def _mode_label(mode: str, seed: int, count: int) -> str:
 
 def _select(items: Sequence, bits: int) -> list:
     """The items at the set bits of a bitmask over their positions."""
-    return [item for item, bit in zip(items, format(bits, "b")[::-1]) if bit == "1"]
+    return list(compress(items, format(bits, "b")[::-1].encode().translate(_ZERO_DIGIT)))
 
 
 def _weight(bits: int, weights: Sequence[int] | None) -> int:
@@ -450,7 +451,8 @@ def run_streaming(
     discrepancies: list[dict] = []
     index = start
     if checkpoint_path:
-        loaded = _load_checkpoint(checkpoint_path, n, theorem_id, start, end, max_witnesses)
+        loaded = _load_checkpoint(checkpoint_path, n, theorem_id, start, end, max_witnesses,
+                                  totals.keys())
         if loaded is not None:
             index, totals, discrepancies = loaded
     if jobs > 1 and ProcessPoolExecutor is None:
@@ -505,11 +507,13 @@ def _save_checkpoint(path, doc: dict) -> None:
         raise
 
 
-def _load_checkpoint(path, n, theorem_id, start, stop, max_witnesses):
+def _load_checkpoint(path, n, theorem_id, start, stop, max_witnesses, keys):
     """(next index, totals, discrepancies) of the run that wrote the
     checkpoint, or None when there is none.  The run must be the same one:
     a checkpoint from another theorem, start index or witness limit, or
-    one that is already past the requested stop, is refused."""
+    one that is already past the requested stop, is refused, and so is one
+    whose next index, totals (an int per key of the run's totals) or
+    discrepancies are malformed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -517,6 +521,8 @@ def _load_checkpoint(path, n, theorem_id, start, stop, max_witnesses):
         return None
     except json.JSONDecodeError as exc:
         raise FormatError(f"corrupt checkpoint {path}: {exc}") from None
+    if type(doc) is not dict:
+        raise FormatError(f"corrupt checkpoint {path}: not a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise FormatError(f"checkpoint version {doc.get('version')} unsupported")
     if doc.get("n") != n or doc.get("theorem") != theorem_id:
@@ -529,8 +535,16 @@ def _load_checkpoint(path, n, theorem_id, start, stop, max_witnesses):
         raise FormatError(
             f"checkpoint run kept {doc.get('max_witnesses')} witnesses, not {max_witnesses}"
         )
-    if doc["next_index"] > stop:
+    index, totals = doc.get("next_index"), doc.get("totals")
+    if type(index) is not int or index < start:
         raise FormatError(
-            f"checkpoint is at index {doc['next_index']}, past the requested stop {stop}"
+            f"corrupt checkpoint {path}: next_index {index!r} is not an index from {start}"
         )
-    return doc["next_index"], doc["totals"], doc["discrepancies"][:max_witnesses]
+    if index > stop:
+        raise FormatError(f"checkpoint is at index {index}, past the requested stop {stop}")
+    if type(totals) is not dict or totals.keys() != keys or any(
+            type(v) is not int for v in totals.values()):
+        raise FormatError(f"corrupt checkpoint {path}: totals are not an int per column")
+    if type(doc.get("discrepancies")) is not list:
+        raise FormatError(f"corrupt checkpoint {path}: discrepancies are not a list")
+    return index, {key: totals[key] for key in keys}, doc["discrepancies"][:max_witnesses]

@@ -17,7 +17,7 @@ from pathlib import Path
 from .bitset import layer_selectors
 from .catalog import ExminorClassId, excluded_minor_set, make_named, twist_classes
 from .census import DEFAULT_CHUNK, REGISTRY, count_census, run_streaming, verify_equivalence
-from .errors import AmbientHypothesisError, DmkitError
+from .errors import AmbientHypothesisError, DmkitError, InvalidIndexSetError
 from .gf2 import d_of_c, is_binary_dm, parse_matrix
 from .higgs import build_higgs_dm, classify_higgs, higgs_lift
 from .latticepath import (
@@ -66,6 +66,17 @@ def _emit_system(system: SetSystem, args) -> None:
 
 def _split_labels(raw: str) -> list[str]:
     return [p for p in raw.replace(",", " ").split() if p]
+
+
+def _index_set(raw: str) -> list[int]:
+    """The layer indices of a comma separated --index-set."""
+    out = []
+    for part in _split_labels(raw):
+        try:
+            out.append(int(part))
+        except ValueError:
+            raise InvalidIndexSetError(f"index {part!r} is not an integer") from None
+    return out
 
 
 def _class_choices() -> list[str]:
@@ -138,8 +149,7 @@ def cmd_higgs_lift(args) -> int:
 def cmd_higgs_build(args) -> int:
     q = _read_matroid(args.quotient)
     lift = _read_matroid(args.lift)
-    ks = [int(p) for p in _split_labels(args.index_set)]
-    _emit_system(build_higgs_dm(q, lift, ks), args)
+    _emit_system(build_higgs_dm(q, lift, _index_set(args.index_set)), args)
     return EXIT_YES
 
 

@@ -68,48 +68,36 @@ def enumerate_minors(
                 yield dels, cons, system.minor(dels, cons) if x | y else system
 
 
-# Systems on at most WORD_MAX_N elements read each proper minor, on at
-# most four elements, by byte tables that read a family bitmap of at most
-# 32 bits as four bytes and hold 16-bit minor bitmaps.  Per split they take
-# 2 KB, and the count of splits grows as 3^n, so larger systems relabel
-# their family bitmap instead (_removal_moves).
-def _split_positions(n: int, m: int) -> Iterator[tuple[int, int, list[int]]]:
-    """(X, Y, positions) per delete/contract split of an n-element ground
-    set that leaves m elements, in enumerate_minors order.
-
-    positions[k] = Y | expand(k) for k < 2^m, where expand puts bit j of k
-    on the j-th kept element: k is a feasible set of S\\X/Y exactly when
-    mask positions[k] is feasible.  Not cached: the tables read them, and
-    keep what they need.
-    """
-    for removed in combinations(range(n), n - m):
-        kept = [i for i in range(n) if i not in removed]
-        expand = [sum(1 << kept[j] for j in iter_bits(k)) for k in range(1 << m)]
-        for x, y in _removal_splits(removed):
-            yield x, y, [y | e for e in expand]
-
-
+# The one-system verdict (_any_minor) reads the proper minors of a system
+# on at most WORD_MAX_N elements by byte tables.  Per split they take 2 KB,
+# and the count of splits grows as 3^n, so larger systems, and every
+# witness, read chunks of the relabelled family bitmap (_chunk_scan).
 @lru_cache(maxsize=None)
-def _split_tables(n: int, m: int) -> tuple[tuple[int, int, array], ...]:
-    """(X, Y, table) per split of _split_positions(n, m).
+def _split_tables(n: int, m: int) -> tuple[array, ...]:
+    """One table per delete/contract split S\\X/Y of an n-element ground
+    set that leaves m elements, in enumerate_minors order.
 
     A family bitmap of up to 32 bits is read as four bytes; entry
     256 * j + b of the table is the bitmap, over the m kept elements, of the
     masks 8j..8j+7 selected by b that contain Y and avoid X, so OR-ing four
     lookups gives the bitmap of the minor S\\X/Y (0 when the split is
-    invalid).
+    invalid).  Bit k of the minor is mask Y | expand(k), where expand puts
+    bit j of k on the j-th kept element.
     """
     out = []
-    for x, y, positions in _split_positions(n, m):
-        bit_of = {f: 1 << k for k, f in enumerate(positions)}
-        table = []
-        for chunk in range(0, 32, 8):
-            part = [0]
-            for f in range(chunk, min(chunk + 8, 1 << n)):
-                bit = bit_of.get(f)
-                part += [v | bit for v in part] if bit else part
-            table += part * (256 // len(part))
-        out.append((x, y, array("H", table)))
+    for removed in combinations(range(n), n - m):
+        kept = [i for i in range(n) if i not in removed]
+        expand = [sum(1 << kept[j] for j in iter_bits(k)) for k in range(1 << m)]
+        for _, y in _removal_splits(removed):
+            bit_of = {y | e: 1 << k for k, e in enumerate(expand)}
+            table = []
+            for chunk in range(0, 32, 8):
+                part = [0]
+                for f in range(chunk, min(chunk + 8, 1 << n)):
+                    bit = bit_of.get(f)
+                    part += [v | bit for v in part] if bit else part
+                table += part * (256 // len(part))
+            out.append(array("H", table))
     return tuple(out)
 
 
@@ -182,15 +170,16 @@ class _ScanPlan:
         return self.lane_tables[m]
 
     def index_scan(self, n: int) -> tuple[dict[int, CatalogEntry], tuple[tuple, ...]]:
-        """(whole, splits) of the scan of n-element systems, n <= WORD_MAX_N,
-        on family bitmaps: the orbit index of the n-element targets, so the
-        whole family is looked up as it is, then (X, Y, table, orbit index)
-        per split of every smaller target size, largest first."""
+        """(whole, splits) of the verdict scan of n-element systems,
+        n <= WORD_MAX_N, on family bitmaps: the orbit index of the n-element
+        targets, so the whole family is looked up as it is, and (table,
+        orbit index) per split of every smaller target size, smallest
+        first."""
         scan = self.index_scans.get(n)
         if scan is None:
             whole = self.orbits.get(n, {})
-            splits = tuple((x, y, table, self.orbits[m]) for m in self.sizes if m < n
-                           for x, y, table in _split_tables(n, m))
+            splits = tuple((table, self.orbits[m]) for m in reversed(self.sizes) if m < n
+                           for table in _split_tables(n, m))
             scan = self.index_scans[n] = (whole, splits)
         return scan
 
@@ -253,25 +242,10 @@ def _first_minor(bm: int, n: int, plan: _ScanPlan) -> _Hit | None:
     Minors are scanned by ground-set size, largest first; within a size in
     enumerate_minors order (removed sets lexicographically, then splits by
     (|X|, lex)); the hit names the first target, in list order, isomorphic
-    to the first matching minor.  Two kernels read the minors and give the
-    same hit: up to WORD_MAX_N elements byte tables (index_scan), above
-    that the chunks of the relabelled family bitmap (_chunk_scan; the whole
-    system is the one chunk of m = n).  Both look every minor up in the
-    orbit index of its size.
+    to the first matching minor.  At every n the minors are the chunks of
+    the relabelled family bitmap (_chunk_scan; the whole system is the one
+    chunk of m = n), each looked up in the orbit index of its size.
     """
-    if n <= WORD_MAX_N:
-        whole, splits = plan.index_scan(n)
-        if bm in whole:
-            return 0, 0, whole[bm]
-        b0 = bm & 255
-        b1 = 256 | bm >> 8 & 255
-        b2 = 512 | bm >> 16 & 255
-        b3 = 768 | bm >> 24
-        for x, y, t, index in splits:
-            minor = t[b0] | t[b1] | t[b2] | t[b3]
-            if minor in index:
-                return x, y, index[minor]
-        return None
     for m in plan.sizes:
         if m <= n:
             found = _chunk_scan(bm, n, m, plan)
@@ -281,17 +255,19 @@ def _first_minor(bm: int, n: int, plan: _ScanPlan) -> _Hit | None:
 
 
 def _any_minor(bm: int, n: int, plan: _ScanPlan) -> bool:
-    """_first_minor(bm, n, plan) is not None, by the same kernels, with the
-    minors scanned smallest first and the scan stopped at any hit: most
-    families with a listed minor have a small one, which a largest-first
-    scan meets only after every larger minor."""
+    """_first_minor(bm, n, plan) is not None, with the minors scanned
+    smallest first and the scan stopped at any hit: most families with a
+    listed minor have a small one, which a largest-first scan meets only
+    after every larger minor.  Up to WORD_MAX_N elements the byte tables
+    (index_scan) read the minors, faster there than chunks; above that the
+    chunks of _first_minor."""
     if n <= WORD_MAX_N:
         whole, splits = plan.index_scan(n)
         b0 = bm & 255
         b1 = 256 | bm >> 8 & 255
         b2 = 512 | bm >> 16 & 255
         b3 = 768 | bm >> 24
-        for _, _, t, index in reversed(splits):
+        for t, index in splits:
             if t[b0] | t[b1] | t[b2] | t[b3] in index:
                 return True
         return bm in whole
@@ -304,10 +280,6 @@ def _any_minor(bm: int, n: int, plan: _ScanPlan) -> bool:
 # mask repeated in each: no mask bit lies at or above 2^n in its lane, so
 # no bit crosses lanes.  The chunks then read as in _chunk_scan; invalid
 # splits and the padding of n < 3 read as 0, which no orbit index holds.
-# A batch of fewer than LANE_MIN families goes to _any_minor family by
-# family, which is faster there at n = 4 and 5: a kernel call costs about
-# three or four scans whatever the batch.
-LANE_MIN = 4
 _NO_HIT = bytes([1]) + bytes(255)  # translate: byte 0 to 1, any other to 0
 
 
@@ -370,10 +342,10 @@ def no_minor_bits(indices: Sequence[int], n: int, targets: Sequence[CatalogEntry
     bit b is set when has_minor_from(system, targets) is None for the
     system of indices[b].  The verdict alone; no witness is built.  Up to
     WORD_MAX_N elements the lane kernel decides slices of BATCH, the sizes
-    smallest first, each on the families with no hit yet; above that, and
-    for batches of fewer than LANE_MIN, _any_minor decides each family."""
+    smallest first, each on the families with no hit yet; above that
+    _any_minor decides each family."""
     plan = _scan_plan(targets)
-    if n > WORD_MAX_N or len(indices) < LANE_MIN:
+    if n > WORD_MAX_N:
         return sum(1 << b for b, index in enumerate(indices) if not _any_minor(index, n, plan))
     out = 0
     for lo in range(0, len(indices), BATCH):

@@ -265,6 +265,12 @@ def cases() -> list[dict]:
     # only a JSON report carries a stamp
     out.append({"argv": ["census", "run", "--n", "3", "--theorem", "exdelta", "--timestamps"]})
     out.append({"argv": ["census", "count", "--n", "3", "--timestamps"]})
+    # higgs build with U(2,4) as both quotient and lift, so K lies in
+    # [0, 0]: one valid build, and two index sets with an entry that is not
+    # an integer
+    for ks in ("0", "x", "0,x"):
+        out.append({"system": "U24", "argv": ["higgs", "build", "--quotient", "{system}",
+                                              "--lift", "{system}", "--index-set", ks]})
     return out
 
 

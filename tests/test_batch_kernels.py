@@ -226,10 +226,13 @@ def embedded_at_each_size(rng: random.Random, n: int, targets) -> list[int]:
 
 
 class TestIndexScan:
-    """_any_minor, the verdict scan behind no_minor_bits and
-    ClassSpec.exminor, against _first_minor(...) is None, the witness scan,
-    on the same plan: the same kernels, with the minors smallest first and
-    a stop at any hit."""
+    """_any_minor, the verdict scan behind ClassSpec.exminor and
+    no_minor_bits above five elements, and no_minor_bits, against
+    _first_minor(...) is None, the witness scan, on the same plan.  Up to
+    five elements these are different kernels: _any_minor reads byte
+    tables, no_minor_bits the lanes and _first_minor the chunks; above five
+    all three read chunks, _first_minor largest first and the others
+    smallest first with a stop at any hit."""
 
     def check(self, batch: list[int], n: int) -> None:
         for name, targets in minor_targets(n):
@@ -240,19 +243,19 @@ class TestIndexScan:
 
     def test_every_family_up_to_three_elements(self):
         # below three elements the lane kernel pads each lane to a byte;
-        # every batch is long enough to take the lanes
+        # every family four times, in batches of 4, 12, 60 and 1 020
         for n in range(4):
-            self.check(list(range(1, 1 << (1 << n))) * minorscan.LANE_MIN, n)
+            self.check(list(range(1, 1 << (1 << n))) * 4, n)
 
     def test_every_four_element_family(self):
         self.check(list(range(1, 1 << 16)), 4)
 
     @pytest.mark.parametrize("n", (3, 4, 5))
     def test_batch_lengths_around_the_lane_count(self, n):
-        # the lane kernel's masks span LANES lanes and longer batches are
-        # cut, and a batch below LANE_MIN goes family by family; each batch
-        # ends in a member with no listed minor, so its lane is read at
-        # every size
+        # the lane kernel's masks span BATCH lanes and longer batches are
+        # cut, and a batch of any length takes the lanes; each batch ends
+        # in a member with no listed minor, so its lane is read at every
+        # size
         rng = random.Random(f"lanes:{n}")
         pool = [rng.getrandbits(1 << n) or 1 for _ in range(48)]
         pool += [make(rng, n) for make in (higgs_index, dofc_index) for _ in range(24)]
@@ -260,8 +263,7 @@ class TestIndexScan:
             plan = minorscan._scan_plan(targets)
             members = [i for i in pool if minorscan._first_minor(i, n, plan) is None]
             last = max(members, key=int.bit_count)
-            for length in (0, 1, minorscan.LANE_MIN - 1, minorscan.LANE_MIN, 7, 8, 9, 2047, 2048,
-                           2049):
+            for length in (0, 1, 3, 4, 7, 8, 9, 2047, 2048, 2049):
                 batch = [rng.choice(pool) for _ in range(length - 1)] + [last][:length]
                 want = [minorscan._first_minor(i, n, plan) is None for i in batch]
                 assert as_bools(no_minor_bits(batch, n, targets), length) == want, (n, name, length)

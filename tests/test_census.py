@@ -304,6 +304,30 @@ for chunk in (0, -3):
         assert main(argv) == 2
         assert "witnesses" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("malformed", [
+        pytest.param(lambda doc: [], id="not-an-object"),
+        pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "next_index"},
+                     id="no-next-index"),
+        pytest.param(lambda doc: {**doc, "totals": {}}, id="empty-totals"),
+        pytest.param(lambda doc: {**doc, "next_index": "9"}, id="next-index-a-string"),
+        # before the run's start: it used to count the empty family
+        pytest.param(lambda doc: {**doc, "next_index": 0}, id="next-index-before-start"),
+    ])
+    def test_malformed_checkpoint_refused(self, malformed, tmp_path, capsys):
+        from dmkit.cli import main
+        from dmkit.errors import FormatError
+
+        ck = tmp_path / "census.ckpt"
+        run_streaming(3, "exdelta", stop=100, chunk=50, checkpoint_path=str(ck))
+        ck.write_text(json.dumps(malformed(json.loads(ck.read_text()))))
+        with pytest.raises(FormatError):
+            run_streaming(3, "exdelta", chunk=50, checkpoint_path=str(ck))
+        argv = ["census", "run", "--n", "3", "--theorem", "exdelta", "--long", "--resume",
+                str(ck)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("dmkit: ") and "Traceback" not in err
+
     def test_interrupted_checkpoint_write_keeps_previous(self, tmp_path, monkeypatch):
         import dmkit.census as census
 

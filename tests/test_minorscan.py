@@ -265,8 +265,8 @@ def projection_witnesses(n: int, targets) -> dict[int, tuple[int, int, str]]:
 
 
 class TestTableScan:
-    """The table scan of systems on at most five elements against the
-    object path it replaces, witness for witness."""
+    """The witness scan of systems on at most five elements, which reads
+    chunks as above five, against the object path, witness for witness."""
 
     def test_every_family_up_to_three_elements_every_class(self):
         for n in range(1, 4):
@@ -327,8 +327,8 @@ class TestTableScan:
     def test_isomorphic_targets_resolve_to_the_first_in_list_order(self):
         # pairs of equal-but-relabelled targets on 4, 5 and 6 elements; each
         # host is a relabelling of the target with loops added up to seven
-        # elements, so every kernel meets the pair in its orbit index: the
-        # whole-system check, the tables and the chunk scan
+        # elements, so the witness scan meets the pair in its orbit index
+        # as the whole system and as a proper minor
         rng = random.Random(427)
         t5 = make_named("T5")
         pairs = [

@@ -287,21 +287,36 @@ def _references() -> dict[str, set[str]]:
     return out
 
 
-def test_verdict_routes_take_no_witness_scan():
-    # the census's excluded-minor columns want a verdict only; they scan
-    # smallest first and stop at any hit (_any_minor), and must not drift
-    # back to the witness scan, whose largest-first order exists to name
-    # the first minor
+def _reached(roots: list[str]) -> set[str]:
+    """The functions and methods reachable from the roots by _references."""
     refs = _references()
-    roots = ["no_minor_bits", "ClassSpec.exminor", "ClassSpec.exminor_index"]
     seen, todo = set(roots), list(roots)
     while todo:
         for name in refs.get(todo.pop(), ()):
             if name in refs and name not in seen:
                 seen.add(name)
                 todo.append(name)
+    return seen
+
+
+def test_verdict_routes_take_no_witness_scan():
+    # the census's excluded-minor columns want a verdict only; they scan
+    # smallest first and stop at any hit (_any_minor), and must not drift
+    # back to the witness scan, whose largest-first order exists to name
+    # the first minor
+    seen = _reached(["no_minor_bits", "ClassSpec.exminor", "ClassSpec.exminor_index"])
     assert {"_any_minor", "_chunk_scan", "excluded_minor_set"} <= seen
     assert not seen & {"_first_minor", "has_minor_from"}
+
+
+def test_each_minor_kernel_keeps_its_job():
+    # witnesses read chunks at every size, the byte tables serve only the
+    # one-system verdict (_any_minor) and the lanes decide every batch
+    witness = _reached(["has_minor_from", "_first_minor", "classify_by_exminors",
+                        "is_binary_dm"])
+    assert "_chunk_scan" in witness
+    assert not witness & {"index_scan", "_ScanPlan.index_scan", "_split_tables"}
+    assert "_lane_hits" in _reached(["no_minor_bits"])
 
 
 def test_transpose_mask_cache_covers_every_batch_length():
