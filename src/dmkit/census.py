@@ -513,7 +513,7 @@ def _load_checkpoint(path, n, theorem_id, start, stop, max_witnesses, keys):
     a checkpoint from another theorem, start index or witness limit, or
     one that is already past the requested stop, is refused, and so is one
     whose next index, totals (an int per key of the run's totals) or
-    discrepancies are malformed."""
+    discrepancies (each a witness of _is_witness) are malformed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -545,6 +545,19 @@ def _load_checkpoint(path, n, theorem_id, start, stop, max_witnesses, keys):
     if type(totals) is not dict or totals.keys() != keys or any(
             type(v) is not int for v in totals.values()):
         raise FormatError(f"corrupt checkpoint {path}: totals are not an int per column")
-    if type(doc.get("discrepancies")) is not list:
-        raise FormatError(f"corrupt checkpoint {path}: discrepancies are not a list")
-    return index, {key: totals[key] for key in keys}, doc["discrepancies"][:max_witnesses]
+    discrepancies = doc.get("discrepancies")
+    if type(discrepancies) is not list or not all(
+            _is_witness(d, start, index) for d in discrepancies):
+        raise FormatError(f"corrupt checkpoint {path}: discrepancies are not a list of "
+                          f"witnesses from [{start}, {index})")
+    return index, {key: totals[key] for key in keys}, discrepancies[:max_witnesses]
+
+
+def _is_witness(entry, start: int, stop: int) -> bool:
+    """True when a checkpoint entry is a discrepancy _tally could have
+    written for a family of [start, stop): its index, and two verdicts
+    that differ."""
+    return (type(entry) is dict and entry.keys() == {"family_index", "direct", "exminor"}
+            and type(entry["family_index"]) is int and start <= entry["family_index"] < stop
+            and type(entry["direct"]) is bool and type(entry["exminor"]) is bool
+            and entry["direct"] != entry["exminor"])

@@ -191,6 +191,20 @@ def is_quotient_bitmap(q_bases: int, lift_bases: int, n: int) -> bool:
     return not _cyclic_bitmap(lift_bases, n) & ~_cyclic_bitmap(q_bases, n)
 
 
+def is_quotient_chain(layers: Iterable[int], n: int) -> bool:
+    """True when each matroid of a sequence of basis bitmaps over n
+    elements is a quotient of the next (is_quotient_bitmap): every cyclic
+    set of a matroid is cyclic in the one before it.  Each cyclic-set
+    family is read once, and none after the first pair that fails."""
+    below = -1  # the first matroid has none before it: every set passes
+    for layer in layers:
+        cyclic = _cyclic_bitmap(layer, n)
+        if cyclic & ~below:
+            return False
+        below = cyclic
+    return True
+
+
 def envelope_bitmap(lower: int, upper: int, n: int) -> int:
     """The full Higgs lift of two matroids given by basis bitmaps over n
     elements: the family bitmap of the sets spanning in lower and

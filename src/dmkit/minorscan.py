@@ -16,8 +16,8 @@ from .errors import AmbientHypothesisError, CapacityError
 from .higgs import classify_higgs, classify_higgs_bitmap
 from .matroid import is_matroid
 from .setsystem import BATCH, WORD_MAX_N, SetSystem, delta_matroid_bits
-from .stacks import (is_equicardinal_index, is_matroid_stack, matroid_layers, matroid_stack_bits,
-                     stack_flags)
+from .stacks import (equicardinal_bits, is_matroid_stack, matroid_layers, matroid_stack_bits,
+                     paving_bits, quotient_bits, stack_flags)
 
 
 @dataclass(frozen=True)
@@ -404,10 +404,10 @@ def both(first: Predicate, second: Predicate) -> Predicate:
     return index, lambda s: first_system(s) and second_system(s)
 
 
-def _stack_flag(k: int) -> Predicate:
-    """Flag k of stack_flags (1 paving, 2 sparse paving, 3 quotient)."""
-    return (index_form(lambda i, n: stack_flags(i, n)[k]),
-            lambda s: is_matroid_stack(s) and stack_flags(s.family_bitmap, s.n)[k])
+def _stack_flag(k: int, index: IndexForm) -> Predicate:
+    """Flag k of stack_flags (1 paving, 2 sparse paving, 3 quotient), with
+    its batched index form; the SetSystem form reads the memo."""
+    return index, lambda s: is_matroid_stack(s) and stack_flags(s.family_bitmap, s.n)[k]
 
 
 # The census predicates.  The SetSystem forms of EVEN, EQUICARDINAL, DELTA
@@ -416,11 +416,13 @@ ALWAYS: Predicate = (every_index, lambda s: True)
 EVEN: Predicate = (index_form(is_even_index), lambda s: s.is_even)
 DELTA: Predicate = (delta_matroid_bits, lambda s: s.is_delta_matroid())
 EVEN_DELTA = both(EVEN, DELTA)
-EQUICARDINAL: Predicate = (index_form(is_equicardinal_index), lambda s: len(s.layer_sizes) == 1)
+EQUICARDINAL: Predicate = (equicardinal_bits, lambda s: len(s.layer_sizes) == 1)
 MATROID: Predicate = (index_form(lambda i, n: i in matroid_layers(n)), is_matroid)
 MATROID_STACK: Predicate = (matroid_stack_bits, is_matroid_stack)
 EVEN_MATROID_STACK = both(EVEN, MATROID_STACK)
-PAVING, SPARSE_PAVING, QUOTIENT = map(_stack_flag, (1, 2, 3))
+PAVING = _stack_flag(1, paving_bits)
+SPARSE_PAVING = _stack_flag(2, lambda indices, n: paving_bits(indices, n, sparse=True))
+QUOTIENT = _stack_flag(3, quotient_bits)
 # The Higgs index forms run the classify_higgs kernel, which assumes a
 # delta-matroid: every Higgs column is decided inside a DELTA ambient.
 HIGGS: Predicate = (index_form(lambda i, n: classify_higgs_bitmap(i, n).is_higgs),

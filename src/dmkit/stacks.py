@@ -10,10 +10,14 @@ from typing import Sequence
 
 from .bitset import down_closure, iter_bits, layer_selectors, up_closure
 from .errors import AmbientHypothesisError
-from .matroid import is_quotient_bitmap
+from .matroid import is_quotient_chain
 from .setsystem import WORD_MAX_N, SetSystem, delta_matroid_bits, exchange_holds
 
-# Bound of the per-family stack_flags memo: every isomorphism-class
+# Bound of the per-family stack_flags memo, which serves the object API
+# only (classify_stack, check_speven, the SetSystem forms of the paving,
+# sparse-paving and quotient predicates and classify_by_exminors'
+# ambient); the census decides those columns by paving_bits and
+# quotient_bits and fills no entry.  Every isomorphism-class
 # representative on at most four elements fits it (4 077 of them); larger
 # runs evict.
 LAYER_CACHE_SIZE = 4096
@@ -101,8 +105,18 @@ class _ExchangeLayers:
 
 
 def is_equicardinal_index(index: int, n: int) -> bool:
-    """True when a nonempty family index lies in one cardinality layer."""
-    return any(not index & ~sel for sel in layer_selectors(n))
+    """True when a nonempty family index lies in one cardinality layer:
+    the layer of its least mask."""
+    return not index & ~layer_selectors(n)[((index & -index).bit_length() - 1).bit_count()]
+
+
+def equicardinal_bits(indices: Sequence[int], n: int) -> int:
+    """Bitmask over a batch of family indices of an n-element ground set:
+    bit b is set when is_equicardinal_index(indices[b], n), its test
+    inlined in one pass over the batch."""
+    sel = layer_selectors(n)
+    return sum(1 << b for b, i in enumerate(indices)
+               if not i & ~sel[((i & -i).bit_length() - 1).bit_count()])
 
 
 def layer_paving_flags(layer: int, n: int) -> tuple[bool, bool]:
@@ -133,15 +147,49 @@ def is_stack_bitmap(bm: int, n: int) -> bool:
 
 def matroid_stack_bits(indices: Sequence[int], n: int) -> int:
     """Bitmask over a batch of family indices of an n-element ground set:
-    bit b is set when is_stack_bitmap(indices[b], n).  The layers are read
-    rank by rank, rank 2 first, which rejects most families: per rank the
-    surviving positions keep the ones whose layer is empty or in
-    matroid_layers(n)."""
+    bit b is set when is_stack_bitmap(indices[b], n)."""
+    return sum(1 << b for b in _stack_positions(indices, n))
+
+
+def _stack_positions(indices: Sequence[int], n: int) -> list[int] | range:
+    """The positions b of a batch where is_stack_bitmap(indices[b], n), in
+    order.  The layers are read rank by rank, rank 2 first, which rejects
+    most families: per rank the surviving positions keep the ones whose
+    layer is empty or in matroid_layers(n)."""
     table = matroid_layers(n)
     where = range(len(indices))
     for sel in layer_selectors(n)[2:n - 1]:
         where = [b for b in where if (layer := indices[b] & sel) in table or not layer]
+    return where
+
+
+def paving_bits(indices: Sequence[int], n: int, sparse: bool = False) -> int:
+    """Bitmask over a batch of family indices of an n-element ground set:
+    bit b is set when stack_flags(indices[b], n) holds paving (sparse
+    paving when sparse), that is when every nonempty layer of indices[b]
+    is in matroid_layers(n) with that flag of matroid_layers(n)[layer]
+    set.  A layer that is not a matroid is not in the table, so the stack
+    test comes with the lookup.  The layers are read as in
+    matroid_stack_bits, rank 2 first, then rank 1; ranks 0 and n are
+    skipped, since every nonempty layer there is a paving and sparse
+    paving matroid."""
+    table, k = matroid_layers(n), int(sparse)
+    where = range(len(indices))
+    sels = layer_selectors(n)
+    for sel in (*sels[2:n], *sels[1:2]):
+        where = [b for b in where
+                 if not (layer := indices[b] & sel) or layer in table and table[layer][k]]
     return sum(1 << b for b in where)
+
+
+def quotient_bits(indices: Sequence[int], n: int) -> int:
+    """Bitmask over a batch of family indices of an n-element ground set:
+    bit b is set when stack_flags(indices[b], n) holds quotient, that is
+    when indices[b] is a matroid stack (matroid_stack_bits) whose
+    nonempty layers, in ascending rank, pass matroid.is_quotient_chain."""
+    sels = layer_selectors(n)
+    return sum(1 << b for b in _stack_positions(indices, n)
+               if is_quotient_chain([layer for sel in sels if (layer := indices[b] & sel)], n))
 
 
 def is_matroid_stack(system: SetSystem) -> bool:
@@ -161,8 +209,8 @@ def stack_flags(bm: int, n: int) -> tuple[bool, bool, bool, bool]:
     """(matroid stack, paving, sparse paving, quotient) of a nonempty
     family bitmap over n elements, from verdicts on its layers:
     is_stack_bitmap, then for matroid stacks the flags of each layer in
-    matroid_layers(n) and matroid.is_quotient_bitmap on consecutive
-    layers, which compares their cached cyclic-set families.
+    matroid_layers(n) and matroid.is_quotient_chain on the layers, which
+    compares the cached cyclic-set families of consecutive ones.
     Memoized per family on (bm, n): the paving and sparse-paving flags of
     the same bitmap differ between ground sets."""
     if not is_stack_bitmap(bm, n):
@@ -173,7 +221,7 @@ def stack_flags(bm: int, n: int) -> tuple[bool, bool, bool, bool]:
     return _STACK_FLAGS[
         all(p for p, _ in flags),
         all(sp for _, sp in flags),
-        all(is_quotient_bitmap(below, above, n) for below, above in zip(layers, layers[1:])),
+        is_quotient_chain(layers, n),
     ]
 
 

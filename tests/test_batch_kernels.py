@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmkit import census, minorscan
-from dmkit.bitset import iter_bits, permute_mask
+from dmkit.bitset import iter_bits, layer_selectors, permute_mask
 from dmkit.catalog import ExminorClassId, binary_twist_classes, excluded_minor_set
 from dmkit.census import (
     _COUNT_COLUMNS,
@@ -31,7 +31,7 @@ from dmkit.census import (
 )
 from dmkit.gf2 import SkewSymMatrixGF2, d_of_c
 from dmkit.higgs import build_higgs_dm
-from dmkit.matroid import envelope_bitmap
+from dmkit.matroid import envelope_bitmap, is_quotient_bitmap
 from dmkit.minorscan import (
     CLASS_TABLE,
     EVEN_HIGGS,
@@ -41,8 +41,11 @@ from dmkit.minorscan import (
     has_minor_from,
     no_minor_bits,
 )
-from dmkit.setsystem import _se_holds_bitmap, _se_holds_square, bit_planes, delta_matroid_bits
-from dmkit.stacks import is_stack_bitmap, matroid_stack_bits
+from dmkit.setsystem import (BATCH, _se_holds_bitmap, _se_holds_square, bit_planes,
+                             delta_matroid_bits)
+from dmkit.stacks import (equicardinal_bits, is_equicardinal_index, is_stack_bitmap,
+                          matroid_layers, matroid_stack_bits, paving_bits, quotient_bits,
+                          stack_flags)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FAST = settings(max_examples=40, deadline=None)
@@ -375,8 +378,6 @@ class TestIndexForms:
 
     def test_every_equicardinal_five_element_family(self):
         # the matroid theorem's ambient at n = 5: every family inside one layer
-        from dmkit.bitset import layer_selectors
-
         batch = []
         for sel in layer_selectors(5):
             masks = [m for m in range(32) if sel >> m & 1]
@@ -471,6 +472,63 @@ class TestMatroidStackBits:
         rng = random.Random("stack-bits:6")
         want = self.check(stack_batch(rng, 6, 60), 6)
         assert any(want) and not all(want)
+
+
+class TestStackFlagBits:
+    """paving_bits and quotient_bits, the batched index forms of PAVING,
+    SPARSE_PAVING and QUOTIENT, bit for bit against the unmemoized
+    stack_flags, and equicardinal_bits against the layer count."""
+
+    def check(self, batch: list[int], n: int) -> list[tuple[bool, ...]]:
+        want = [stack_flags.__wrapped__(i, n) for i in batch]
+        # both forms read matroid.is_quotient_chain; pin it to the pair test
+        for i, w in zip(batch, want):
+            layers = [layer for sel in layer_selectors(n) if (layer := i & sel)]
+            assert w[3] == (w[0] and all(map(is_quotient_bitmap, layers, layers[1:],
+                                             itertools.repeat(n)))), (n, i)
+        for k, (form, _) in enumerate((minorscan.PAVING, minorscan.SPARSE_PAVING,
+                                       minorscan.QUOTIENT), 1):
+            assert as_bools(form(batch, n), len(batch)) == [w[k] for w in want], (n, k)
+        assert minorscan.PAVING[0] is paving_bits and minorscan.QUOTIENT[0] is quotient_bits
+        return want
+
+    def test_every_family_up_to_four_elements(self):
+        for n in range(5):
+            indices = list(range(1, 1 << (1 << n)))
+            for lo in range(0, len(indices), BATCH):
+                self.check(indices[lo:lo + BATCH], n)
+
+    @pytest.mark.parametrize("length", [0, 1, 3, 4, 375, 2047, 2048])
+    def test_seeded_five_element_batches(self, length):
+        rng = random.Random(f"stack-flag-bits:{length}")
+        want = self.check(stack_batch(rng, 5, length), 5)
+        if length >= 375:
+            # each flag holds on some matroid stacks and fails on others
+            stacks_ = [w for w in want if w[0]]
+            assert all({w[k] for w in stacks_} == {False, True} for k in (1, 2, 3))
+
+    def test_six_elements_decide_by_the_stand_in(self):
+        rng = random.Random("stack-flag-bits:6")
+        want = self.check(stack_batch(rng, 6, 60), 6)
+        assert all({w[k] for w in want} == {False, True} for k in (1, 2, 3))
+
+    def test_ranks_zero_and_n_always_pass(self):
+        # paving_bits skips these ranks: their one nonempty layer, the
+        # empty set or the whole ground set, is a sparse paving matroid
+        for n in range(7):
+            table = matroid_layers(n)
+            for layer in (1, 1 << (1 << n) - 1):
+                assert layer in table and table[layer] == (True, True), (n, layer)
+
+    def test_equicardinal_every_family_up_to_four_elements(self):
+        for n in range(5):
+            indices = list(range(1, 1 << (1 << n)))
+            want = [len(family_system(n, i).layer_sizes) == 1 for i in indices]
+            assert [is_equicardinal_index(i, n) for i in indices] == want, n
+            for lo in range(0, len(indices), BATCH):
+                batch = indices[lo:lo + BATCH]
+                assert as_bools(equicardinal_bits(batch, n), len(batch)) == want[lo:lo + BATCH]
+        assert minorscan.EQUICARDINAL[0] is equicardinal_bits
 
 
 def reference_census(theorem: str, indices, n: int = 5) -> tuple[dict, list]:

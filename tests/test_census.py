@@ -312,6 +312,20 @@ for chunk in (0, -3):
         pytest.param(lambda doc: {**doc, "next_index": "9"}, id="next-index-a-string"),
         # before the run's start: it used to count the empty family
         pytest.param(lambda doc: {**doc, "next_index": 0}, id="next-index-before-start"),
+        # a discrepancy must be a witness of the run: it used to resume to
+        # "ok": false with no family named
+        *(pytest.param(lambda doc, d=d: {**doc, "discrepancies": [d]}, id=f"discrepancy-{name}")
+          for name, d in [
+              ("not-an-object", 1),
+              ("missing-key", {"family_index": 5, "direct": True}),
+              ("extra-key", {"family_index": 5, "direct": True, "exminor": False, "n": 3}),
+              ("index-a-string", {"family_index": "5", "direct": True, "exminor": False}),
+              ("index-a-bool", {"family_index": True, "direct": True, "exminor": False}),
+              ("index-before-start", {"family_index": 0, "direct": True, "exminor": False}),
+              ("index-at-next-index", {"family_index": 100, "direct": True, "exminor": False}),
+              ("verdict-an-int", {"family_index": 5, "direct": 1, "exminor": False}),
+              ("verdicts-agree", {"family_index": 5, "direct": True, "exminor": True}),
+          ]),
     ])
     def test_malformed_checkpoint_refused(self, malformed, tmp_path, capsys):
         from dmkit.cli import main

@@ -484,12 +484,14 @@ class TestStackFlagsMemo:
         assert [stack_flags(rep, n) for rep, n in reps] == first
         assert stack_flags.cache_info().hits == 4077
 
-    def test_census_decides_each_representative_once(self, monkeypatch):
+    def test_census_makes_no_stack_flags_call(self, monkeypatch):
         # the stack columns (paving, sparse paving, quotient) of the 13
-        # n = 4 theorems and of count_census reach stack_flags through
-        # minorscan; each representative is decided on its first call only
+        # n = 4 theorems and of count_census decide their batches by
+        # paving_bits and quotient_bits; the memo serves the object API
         import dmkit.minorscan as minorscan
 
+        want = census_reports([*REGISTRY, None])
+        assert all('"ok": true' in report for report in want)
         calls = []
 
         def spy(bm, n):
@@ -497,13 +499,9 @@ class TestStackFlagsMemo:
             return stack_flags(bm, n)
 
         monkeypatch.setattr(minorscan, "stack_flags", spy)
-        census_reports([*REGISTRY, None])
-        distinct = set(calls)
-        reps = set(_class_weights(4)[0].tolist())
-        assert distinct <= {(rep, 4) for rep in reps}
-        info = stack_flags.cache_info()
-        assert info.misses == len(distinct)
-        assert info.hits == len(calls) - len(distinct) > 0
+        assert census_reports([*REGISTRY, None]) == want
+        assert not calls
+        assert stack_flags.cache_info().currsize == 0
 
     def test_reverse_theorem_order_same_reports(self):
         items = [*REGISTRY, None]

@@ -319,6 +319,16 @@ def test_each_minor_kernel_keeps_its_job():
     assert "_lane_hits" in _reached(["no_minor_bits"])
 
 
+def test_census_stack_columns_leave_the_memo_alone():
+    # the batched paving, sparse-paving and quotient forms decide by the
+    # matroid table and the cyclic-set chain; stack_flags and its memo
+    # serve the object API, and no census column may drift back to them
+    seen = _reached(["paving_bits", "quotient_bits", "matroid_stack_bits", "equicardinal_bits"])
+    assert {"matroid_layers", "is_quotient_chain", "_cyclic_bitmap"} <= seen
+    assert "stack_flags" not in seen
+    assert "is_quotient_chain" in _reached(["stack_flags"])
+
+
 def test_transpose_mask_cache_covers_every_batch_length():
     # a batch of k families packs into ceil(k / 32) blocks of 32 x 32 bits,
     # and bit_planes looks the masks of each block count up in a bounded
