@@ -8,7 +8,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, compress
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bitset import iter_bits, layer_selectors, orbit, transposition
 from .catalog import CatalogEntry, ExminorClassId, excluded_minor_set
@@ -68,51 +68,20 @@ def enumerate_minors(
                 yield dels, cons, system.minor(dels, cons) if x | y else system
 
 
-# The one-system verdict (_any_minor) reads the proper minors of a system
-# on at most WORD_MAX_N elements by byte tables.  Per split they take 2 KB,
-# and the count of splits grows as 3^n, so larger systems, and every
-# witness, read chunks of the relabelled family bitmap (_chunk_scan).
-@lru_cache(maxsize=None)
-def _split_tables(n: int, m: int) -> tuple[array, ...]:
-    """One table per delete/contract split S\\X/Y of an n-element ground
-    set that leaves m elements, in enumerate_minors order.
-
-    A family bitmap of up to 32 bits is read as four bytes; entry
-    256 * j + b of the table is the bitmap, over the m kept elements, of the
-    masks 8j..8j+7 selected by b that contain Y and avoid X, so OR-ing four
-    lookups gives the bitmap of the minor S\\X/Y (0 when the split is
-    invalid).  Bit k of the minor is mask Y | expand(k), where expand puts
-    bit j of k on the j-th kept element.
-    """
-    out = []
-    for removed in combinations(range(n), n - m):
-        kept = [i for i in range(n) if i not in removed]
-        expand = [sum(1 << kept[j] for j in iter_bits(k)) for k in range(1 << m)]
-        for _, y in _removal_splits(removed):
-            bit_of = {y | e: 1 << k for k, e in enumerate(expand)}
-            table = []
-            for chunk in range(0, 32, 8):
-                part = [0]
-                for f in range(chunk, min(chunk + 8, 1 << n)):
-                    bit = bit_of.get(f)
-                    part += [v | bit for v in part] if bit else part
-                table += part * (256 // len(part))
-            out.append(array("H", table))
-    return tuple(out)
+# (removed set, delta swaps) per removed set of a relabelling walk.
+_Moves = tuple[tuple[tuple[int, ...], tuple], ...]
 
 
-@lru_cache(maxsize=None)
-def _removal_moves(n: int, m: int) -> tuple[tuple[tuple[int, ...], tuple], ...]:
-    """(R, swaps) per removed set R of n - m elements, in combinations
-    order: the delta swaps (bitset.transposition) that take a family
-    bitmap from the previous R's relabelling (at first the identity) to
-    R's, with the kept elements on bits 0..m-1 and R on bits m..n-1, both
-    in order.  The minor S\\X/Y of a split of R is then the 2^m-bit chunk
-    j, j being Y written on R's bits.  At n = 7, m = 4 the 35 removed sets
-    take 58 swaps."""
+def _relabel_moves(n: int, sets: Iterable[tuple[int, ...]]) -> _Moves:
+    """(R, swaps) per removed set R of a sequence: the delta swaps
+    (bitset.transposition) that take a family bitmap from the previous R's
+    relabelling (at first the identity) to R's, with the kept elements on
+    bits 0..m-1 and R on bits m..n-1, both in order.  The minor S\\X/Y of a
+    split of R is then the 2^m-bit chunk j, j being Y written on R's
+    bits."""
     out = []
     at = list(range(n))  # at[q] is the element on bit q
-    for removed in combinations(range(n), n - m):
+    for removed in sets:
         swaps = []
         for q, e in enumerate([i for i in range(n) if i not in removed] + list(removed)):
             p = at.index(e, q)
@@ -121,6 +90,24 @@ def _removal_moves(n: int, m: int) -> tuple[tuple[tuple[int, ...], tuple], ...]:
                 at[q], at[p] = e, at[q]
         out.append((removed, tuple(swaps)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _removal_moves(n: int, m: int) -> _Moves:
+    """_relabel_moves of the removed sets of n - m elements in combinations
+    order, the witness scan's.  At n = 7, m = 4 the 35 removed sets take
+    58 swaps."""
+    return _relabel_moves(n, combinations(range(n), n - m))
+
+
+@lru_cache(maxsize=None)
+def _identity_first_moves(n: int, m: int) -> _Moves:
+    """_relabel_moves of the removed sets of n - m elements in reversed
+    combinations order, the verdict scans': the first set, the last n - m
+    elements, is the identity and costs no swap.  At n = 5 the removed sets
+    take 12 swaps for m = 2 and 3 and 4 for m = 1 and 4, against 16 and 8
+    in combinations order."""
+    return _relabel_moves(n, reversed(list(combinations(range(n), n - m))))
 
 
 @lru_cache(maxsize=None)
@@ -155,33 +142,18 @@ class _ScanPlan:
     targets: tuple[CatalogEntry, ...]
     sizes: tuple[int, ...]
     orbits: dict[int, dict[int, CatalogEntry]]
-    index_scans: dict[int, tuple] = field(default_factory=dict, compare=False)
     lane_tables: dict[int, bytes | frozenset[int]] = field(default_factory=dict, compare=False)
 
     def lane_table(self, m: int) -> bytes | frozenset[int]:
-        """The lane kernel's lookup of m-element minors: for m <= 3 a
+        """The verdict kernels' lookup of m-element minors: for m <= 3 a
         bytes.translate table, b to 1 when a 2^m-bit chunk of b is in the
-        orbit index, else to 0; for m = 4 the index as a frozenset, whose
+        orbit index, else to 0; for m >= 4 the index as a frozenset, whose
         isdisjoint passes a miss twice as fast."""
         if m not in self.lane_tables:
             index, full = self.orbits[m], (1 << (1 << m)) - 1
             self.lane_tables[m] = frozenset(index) if m > 3 else bytes(
                 any(b >> k & full in index for k in range(0, 8, 1 << m)) for b in range(256))
         return self.lane_tables[m]
-
-    def index_scan(self, n: int) -> tuple[dict[int, CatalogEntry], tuple[tuple, ...]]:
-        """(whole, splits) of the verdict scan of n-element systems,
-        n <= WORD_MAX_N, on family bitmaps: the orbit index of the n-element
-        targets, so the whole family is looked up as it is, and (table,
-        orbit index) per split of every smaller target size, smallest
-        first."""
-        scan = self.index_scans.get(n)
-        if scan is None:
-            whole = self.orbits.get(n, {})
-            splits = tuple((table, self.orbits[m]) for m in reversed(self.sizes) if m < n
-                           for table in _split_tables(n, m))
-            scan = self.index_scans[n] = (whole, splits)
-        return scan
 
     @classmethod
     def of(cls, targets: tuple[CatalogEntry, ...]) -> _ScanPlan:
@@ -258,38 +230,56 @@ def _any_minor(bm: int, n: int, plan: _ScanPlan) -> bool:
     """_first_minor(bm, n, plan) is not None, with the minors scanned
     smallest first and the scan stopped at any hit: most families with a
     listed minor have a small one, which a largest-first scan meets only
-    after every larger minor.  Up to WORD_MAX_N elements the byte tables
-    (index_scan) read the minors, faster there than chunks; above that the
-    chunks of _first_minor."""
-    if n <= WORD_MAX_N:
-        whole, splits = plan.index_scan(n)
-        b0 = bm & 255
-        b1 = 256 | bm >> 8 & 255
-        b2 = 512 | bm >> 16 & 255
-        b3 = 768 | bm >> 24
-        for t, index in splits:
-            if t[b0] | t[b1] | t[b2] | t[b3] in index:
+    after every larger minor.  Each removed set of _identity_first_moves
+    relabels bm, and all its chunks are read at once in the lane table of
+    their size: for m <= 3 one translate of the bitmap's bytes, padded to
+    a byte below three elements; else the two halves at m = n - 1, an
+    array of the chunks up to m = 6, and a list of them above.  The whole
+    family is looked up last."""
+    width = max(1, 1 << n >> 3)
+    for m in reversed(plan.sizes):
+        if m >= n:
+            continue
+        # a built table is never empty, so the method runs on a miss only
+        table, p = plan.lane_tables.get(m) or plan.lane_table(m), bm
+        if m > 3:
+            step = 1 << m
+            full = (1 << step) - 1
+        for _, swaps in _identity_first_moves(n, m):
+            for shift, mask in swaps:
+                t = (p ^ p >> shift) & mask
+                p ^= t ^ t << shift
+            if m <= 3:
+                if 1 in p.to_bytes(width, "little").translate(table):
+                    return True
+            elif n - m == 1:
+                if p & full in table or p >> step in table:
+                    return True
+            elif m <= 6:  # the chunks as native 16-, 32- or 64-bit items, in any order
+                if not table.isdisjoint(array("HIQ"[m - 4], p.to_bytes(width, sys.byteorder))):
+                    return True
+            elif not table.isdisjoint([p >> s & full for s in range(0, 1 << n, step)]):
                 return True
-        return bm in whole
-    return any(_chunk_scan(bm, n, m, plan) is not None for m in reversed(plan.sizes) if m <= n)
+    return bm in plan.orbits.get(n, ())
 
 
 # The lane kernel of no_minor_bits packs a batch of up to BATCH family
 # indices over n <= WORD_MAX_N elements into one int, a lane of max(8, 2^n)
-# bits a family, and makes each swap of _removal_moves on every lane, its
-# mask repeated in each: no mask bit lies at or above 2^n in its lane, so
-# no bit crosses lanes.  The chunks then read as in _chunk_scan; invalid
-# splits and the padding of n < 3 read as 0, which no orbit index holds.
+# bits a family, and makes each swap of _identity_first_moves on every
+# lane, its mask repeated in each: no mask bit lies at or above 2^n in its
+# lane, so no bit crosses lanes.  The chunks then read as in _any_minor;
+# invalid splits and the padding of n < 3 read as 0, which no orbit index
+# holds.
 _NO_HIT = bytes([1]) + bytes(255)  # translate: byte 0 to 1, any other to 0
 
 
 @lru_cache(maxsize=None)
 def _lane_moves(n: int, m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The swaps of _removal_moves(n, m) per removed set, each mask
+    """The swaps of _identity_first_moves(n, m) per removed set, each mask
     repeated in BATCH lanes of max(8, 2^n) bits."""
     width = max(1, 1 << n >> 3)
     return tuple(tuple((shift, int.from_bytes(mask.to_bytes(width, "little") * BATCH, "little"))
-                       for shift, mask in swaps) for _, swaps in _removal_moves(n, m))
+                       for shift, mask in swaps) for _, swaps in _identity_first_moves(n, m))
 
 
 def _lane_hits(indices: Sequence[int], n: int, m: int, plan: _ScanPlan) -> bytes:

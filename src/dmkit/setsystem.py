@@ -409,7 +409,7 @@ def exchange_holds(bm: int, n: int) -> bool:
 
 # A family index of a system on at most WORD_MAX_N elements fits one 32-bit
 # word: the unit of the bit-plane transpose here and of the minor scan's
-# byte tables and lanes (minorscan).
+# lanes (minorscan).
 WORD_MAX_N = 5
 
 # Families per batch of the census loop and of its batch kernels.  The

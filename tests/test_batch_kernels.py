@@ -231,11 +231,12 @@ def embedded_at_each_size(rng: random.Random, n: int, targets) -> list[int]:
 class TestIndexScan:
     """_any_minor, the verdict scan behind ClassSpec.exminor and
     no_minor_bits above five elements, and no_minor_bits, against
-    _first_minor(...) is None, the witness scan, on the same plan.  Up to
-    five elements these are different kernels: _any_minor reads byte
-    tables, no_minor_bits the lanes and _first_minor the chunks; above five
-    all three read chunks, _first_minor largest first and the others
-    smallest first with a stop at any hit."""
+    _first_minor(...) is None, the witness scan, on the same plan.  These
+    are two kernels: the verdicts relabel by the identity-first move list
+    and read every chunk of a removed set at once in the lane tables,
+    smallest first with a stop at any hit (_any_minor one family at a
+    time, no_minor_bits in lanes up to five elements); _first_minor reads
+    the chunks split by split, largest first."""
 
     def check(self, batch: list[int], n: int) -> None:
         for name, targets in minor_targets(n):
@@ -302,14 +303,16 @@ class TestIndexScan:
 
     @pytest.mark.parametrize("n", (6, 7, 8))
     def test_seeded_larger_systems(self, n):
-        # the chunk kernel: dense and sparse families, generated members
-        # and their twists, and per list one target of each size embedded
+        # _any_minor above five elements, where the chunks of m >= 4 are
+        # looked up one by one, as two halves at m = n - 1: uniform and
+        # sparse families, Higgs index-set unions and D(C) members with
+        # their twists, and per list one target of each size embedded
         rng = random.Random(f"verdict:{n}")
-        batch = [rng.getrandbits(1 << n) or 1 for _ in range(6)]
+        batch = [rng.getrandbits(1 << n) or 1 for _ in range(12)]
         batch += [sum(1 << m for m in rng.sample(range(1 << n), rng.randrange(1, 5)))
                   for _ in range(6)]
         for make in (higgs_index, dofc_index):
-            for _ in range(3):
+            for _ in range(5):
                 index = make(rng, n)
                 batch += [index, twist_index(index, n, rng.randrange(1 << n))]
         for _, targets in minor_targets(n):

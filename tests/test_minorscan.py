@@ -402,6 +402,32 @@ def chunk_minors(bm: int, n: int, m: int):
                 yield (*minorscan._split_of(removed, shift >> m), p >> shift & full)
 
 
+@pytest.mark.parametrize("moves, first", [
+    (minorscan._removal_moves, lambda n, m: tuple(range(n - m))),
+    (minorscan._identity_first_moves, lambda n, m: tuple(range(m, n))),
+])
+def test_move_lists_relabel_each_removed_set_once(moves, first):
+    # the chain {}, {0}, {0, 1}, ... is fixed by no relabelling but the
+    # identity, so the probe tells every relabelling apart; the verdict
+    # scans' list starts at the identity, with no swap
+    for n in range(8):
+        probe = sum(1 << (1 << k) - 1 for k in range(n + 1))
+        for m in range(n + 1):
+            walk = moves(n, m)
+            assert [r for r, _ in walk][0] == first(n, m), (n, m)
+            assert sorted(r for r, _ in walk) == list(combinations(range(n), n - m)), (n, m)
+            if moves is minorscan._identity_first_moves:
+                assert walk[0][1] == (), (n, m)
+            p = probe
+            for removed, swaps in walk:
+                for shift, mask in swaps:
+                    t = (p ^ p >> shift) & mask
+                    p ^= t ^ t << shift
+                order = [i for i in range(n) if i not in removed] + list(removed)
+                perm = tuple(order.index(e) for e in range(n))
+                assert p == sum(1 << permute_mask(f, perm) for f in iter_bits(probe)), (n, m)
+
+
 class TestProjectionScan:
     """The chunk scan of systems on six or more elements against the
     object path, witness for witness."""

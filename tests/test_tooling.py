@@ -300,23 +300,27 @@ def _reached(roots: list[str]) -> set[str]:
 
 
 def test_verdict_routes_take_no_witness_scan():
-    # the census's excluded-minor columns want a verdict only; they scan
-    # smallest first and stop at any hit (_any_minor), and must not drift
-    # back to the witness scan, whose largest-first order exists to name
-    # the first minor
-    seen = _reached(["no_minor_bits", "ClassSpec.exminor", "ClassSpec.exminor_index"])
-    assert {"_any_minor", "_chunk_scan", "excluded_minor_set"} <= seen
-    assert not seen & {"_first_minor", "has_minor_from"}
+    # the verdicts want no witness; they scan smallest first, stop at any
+    # hit and read every chunk of a removed set at once, so they must not
+    # drift back to the witness scan, whose largest-first, split-by-split
+    # order exists to name the first minor
+    for root in ("_any_minor", "no_minor_bits", "ClassSpec.exminor", "ClassSpec.exminor_index"):
+        seen = _reached([root])
+        assert {"_identity_first_moves", "lane_table"} <= seen, root
+        assert not seen & {"_first_minor", "has_minor_from", "_chunk_scan", "_removal_moves"}, root
+    assert "excluded_minor_set" in _reached(["ClassSpec.exminor", "ClassSpec.exminor_index"])
 
 
 def test_each_minor_kernel_keeps_its_job():
-    # witnesses read chunks at every size, the byte tables serve only the
-    # one-system verdict (_any_minor) and the lanes decide every batch
+    # two kernels: witnesses read chunks split by split in combinations
+    # order (_removal_moves); the one-family verdict (_any_minor) and the
+    # lanes of every batch read the lane tables after the swaps of the
+    # identity-first list
     witness = _reached(["has_minor_from", "_first_minor", "classify_by_exminors",
                         "is_binary_dm"])
-    assert "_chunk_scan" in witness
-    assert not witness & {"index_scan", "_ScanPlan.index_scan", "_split_tables"}
-    assert "_lane_hits" in _reached(["no_minor_bits"])
+    assert {"_chunk_scan", "_removal_moves"} <= witness
+    assert not witness & {"_identity_first_moves", "lane_table", "_ScanPlan.lane_table"}
+    assert {"_lane_hits", "_lane_moves", "_any_minor"} <= _reached(["no_minor_bits"])
 
 
 def test_census_stack_columns_leave_the_memo_alone():
@@ -359,7 +363,8 @@ def test_lane_masks_cover_the_census_batch():
     for n in range(1, minorscan.WORD_MAX_N + 1):
         width = max(8, 1 << n)
         for m in range(n):
-            moves = zip(minorscan._removal_moves(n, m), minorscan._lane_moves(n, m))
+            moves = zip(minorscan._identity_first_moves(n, m), minorscan._lane_moves(n, m),
+                        strict=True)
             for (_, swaps), lane_swaps in moves:
                 assert [(s, mask >> width * (BATCH - 1)) for s, mask in lane_swaps] == list(
                     swaps), (n, m)
