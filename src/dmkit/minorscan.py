@@ -134,26 +134,33 @@ def _orbit_index(pool: Sequence[CatalogEntry]) -> dict[int, CatalogEntry]:
     return index
 
 
+class _LaneTables(dict):
+    """The verdict kernels' lookup of m-element minors per m, built from
+    the orbit index on first use: for m <= 3 a bytes.translate table, b to
+    1 when a 2^m-bit chunk of b is in the index, else to 0; for m >= 4 the
+    index as a frozenset, whose isdisjoint passes a miss twice as fast.
+    The witness scan reads the orbit index alone and builds none."""
+
+    def __init__(self, orbits: dict[int, dict[int, CatalogEntry]]) -> None:
+        super().__init__()
+        self.orbits = orbits
+
+    def __missing__(self, m: int) -> bytes | frozenset[int]:
+        index, full = self.orbits[m], (1 << (1 << m)) - 1
+        table = self[m] = frozenset(index) if m > 3 else bytes(
+            any(b >> k & full in index for k in range(0, 8, 1 << m)) for b in range(256))
+        return table
+
+
 @dataclass(frozen=True)
 class _ScanPlan:
     """A target list grouped by ground-set size: the sizes, largest first,
-    and per size the orbit index of its targets."""
+    and per size the orbit index of its targets and its lane table."""
 
     targets: tuple[CatalogEntry, ...]
     sizes: tuple[int, ...]
     orbits: dict[int, dict[int, CatalogEntry]]
-    lane_tables: dict[int, bytes | frozenset[int]] = field(default_factory=dict, compare=False)
-
-    def lane_table(self, m: int) -> bytes | frozenset[int]:
-        """The verdict kernels' lookup of m-element minors: for m <= 3 a
-        bytes.translate table, b to 1 when a 2^m-bit chunk of b is in the
-        orbit index, else to 0; for m >= 4 the index as a frozenset, whose
-        isdisjoint passes a miss twice as fast."""
-        if m not in self.lane_tables:
-            index, full = self.orbits[m], (1 << (1 << m)) - 1
-            self.lane_tables[m] = frozenset(index) if m > 3 else bytes(
-                any(b >> k & full in index for k in range(0, 8, 1 << m)) for b in range(256))
-        return self.lane_tables[m]
+    lane_tables: _LaneTables = field(compare=False)
 
     @classmethod
     def of(cls, targets: tuple[CatalogEntry, ...]) -> _ScanPlan:
@@ -161,7 +168,7 @@ class _ScanPlan:
         for t in targets:
             by_size.setdefault(t.system.n, []).append(t)
         orbits = {m: _orbit_index(pool) for m, pool in by_size.items()}
-        return cls(targets, tuple(sorted(by_size, reverse=True)), orbits)
+        return cls(targets, tuple(sorted(by_size, reverse=True)), orbits, _LaneTables(orbits))
 
 
 # Scan plans keyed by the identity of a tuple of targets, and of any other
@@ -233,15 +240,13 @@ def _any_minor(bm: int, n: int, plan: _ScanPlan) -> bool:
     after every larger minor.  Each removed set of _identity_first_moves
     relabels bm, and all its chunks are read at once in the lane table of
     their size: for m <= 3 one translate of the bitmap's bytes, padded to
-    a byte below three elements; else the two halves at m = n - 1, an
-    array of the chunks up to m = 6, and a list of them above.  The whole
-    family is looked up last."""
+    a byte below three elements; else the two halves at m = n - 1, and
+    otherwise a list of the chunks.  The whole family is looked up last."""
     width = max(1, 1 << n >> 3)
     for m in reversed(plan.sizes):
         if m >= n:
             continue
-        # a built table is never empty, so the method runs on a miss only
-        table, p = plan.lane_tables.get(m) or plan.lane_table(m), bm
+        table, p = plan.lane_tables[m], bm
         if m > 3:
             step = 1 << m
             full = (1 << step) - 1
@@ -254,9 +259,6 @@ def _any_minor(bm: int, n: int, plan: _ScanPlan) -> bool:
                     return True
             elif n - m == 1:
                 if p & full in table or p >> step in table:
-                    return True
-            elif m <= 6:  # the chunks as native 16-, 32- or 64-bit items, in any order
-                if not table.isdisjoint(array("HIQ"[m - 4], p.to_bytes(width, sys.byteorder))):
                     return True
             elif not table.isdisjoint([p >> s & full for s in range(0, 1 << n, step)]):
                 return True
@@ -294,7 +296,7 @@ def _lane_hits(indices: Sequence[int], n: int, m: int, plan: _ScanPlan) -> bytes
     if sys.byteorder != "little":
         lanes.byteswap()
     p = int.from_bytes(lanes, "little")
-    table = plan.lane_table(m)
+    table = plan.lane_tables[m]
     hits = 0
     for swaps in _lane_moves(n, m):
         for shift, mask in swaps:

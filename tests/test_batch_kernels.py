@@ -279,7 +279,7 @@ class TestIndexScan:
             for name, targets in minor_targets(n):
                 plan = minorscan._scan_plan(targets)
                 assert all(0 not in plan.orbits[m] for m in plan.sizes), (n, name)
-                assert all(plan.lane_table(m)[0] == 0 for m in plan.sizes if m <= 3), (n, name)
+                assert all(plan.lane_tables[m][0] == 0 for m in plan.sizes if m <= 3), (n, name)
 
     def test_every_target_at_every_split(self):
         for n in (4, 5):
@@ -304,7 +304,7 @@ class TestIndexScan:
     @pytest.mark.parametrize("n", (6, 7, 8))
     def test_seeded_larger_systems(self, n):
         # _any_minor above five elements, where the chunks of m >= 4 are
-        # looked up one by one, as two halves at m = n - 1: uniform and
+        # read as a list, or as the two halves at m = n - 1: uniform and
         # sparse families, Higgs index-set unions and D(C) members with
         # their twists, and per list one target of each size embedded
         rng = random.Random(f"verdict:{n}")
