@@ -36,11 +36,11 @@ def permute_mask(mask: int, perm: tuple[int, ...]) -> int:
 
 @lru_cache(maxsize=None)
 def masks_without_bit(n: int, i: int) -> int:
-    """Family bitmap of all masks over n elements that avoid element i."""
-    bm = 0
-    for m in range(1 << n):
-        if not m >> i & 1:
-            bm |= 1 << m
+    """Family bitmap of all masks over n elements that avoid element i:
+    the 2^i masks below bit i, doubled along each higher element."""
+    bm = (1 << (1 << i)) - 1
+    for k in range(i + 1, n):
+        bm |= bm << (1 << k)
     return bm
 
 
@@ -106,10 +106,11 @@ def orbit(bm: int, n: int) -> set[int]:
 @lru_cache(maxsize=None)
 def layer_selectors(n: int) -> tuple[int, ...]:
     """Per size r, the bitmap of every r-element mask of an n-element
-    ground set; bm & selector[r] is the r-layer of a family bitmap."""
-    out = [0] * (n + 1)
-    for m in range(1 << n):
-        out[m.bit_count()] |= 1 << m
+    ground set; bm & selector[r] is the r-layer of a family bitmap.  The
+    r-masks on k + 1 elements: those on k, and the (r - 1)-masks plus k."""
+    out = [1]
+    for k in range(n):
+        out = [a | b << (1 << k) for a, b in zip(out + [0], [0] + out)]
     return tuple(out)
 
 

@@ -522,11 +522,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except DmkitError as exc:
+    except (DmkitError, OSError) as exc:
         print(f"dmkit: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except OSError as exc:
-        print(f"dmkit: {exc}", file=sys.stderr)
+    except MemoryError:
+        # exit 1 is a negative verdict: running out of memory is not one
+        print("dmkit: out of memory", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -4,19 +4,12 @@ built from index sets."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .bitset import layer_selectors
 from .errors import InvalidIndexSetError, NotAQuotientError
-from .matroid import (
-    Matroid,
-    envelope_bitmap,
-    is_quotient,
-    min_max_matroids,
-    require_min_max,
-    sandwiched_envelope,
-)
+from .matroid import Matroid, envelope_bitmap, is_quotient, min_max_matroids, require_min_max
 from .setsystem import SetSystem
-from .stacks import matroid_layers
 
 
 def validate_index_set(k: int, index_set) -> frozenset[int]:
@@ -124,19 +117,16 @@ def classify_higgs_bitmap(bm: int, n: int) -> HiggsClassification:
     """classify_higgs of the delta-matroid with family bitmap bm over n
     elements; unspecified on a family that is not a delta-matroid.
 
-    D_min and D_max are the lowest and highest nonempty layers, looked up
-    in matroid_layers(n), and their envelope is read from the closures
-    cached on (basis bitmap, n).
+    It rests on Bouchet (1987): the smallest and the largest feasible
+    sets of a delta-matroid are the bases of two matroids D_min and D_max,
+    and every feasible set spans D_min and is independent in D_max.  So
+    the lowest and highest layers are read as D_min and D_max unchecked,
+    and the layer test runs on their envelope.
     """
     sel = layer_selectors(n)
     sizes = [r for r in range(n + 1) if bm & sel[r]]
-    r_lo, r_hi = sizes[0], sizes[-1]
-    lo, hi = bm & sel[r_lo], bm & sel[r_hi]
-    for layer in (lo, hi):
-        if layer not in matroid_layers(n):
-            # refuses the layer, which fails basis exchange
-            Matroid.from_system(SetSystem.from_bitmap(tuple(map(str, range(n))), layer))
-    return _classify_layers(bm, n, r_lo, r_hi, sandwiched_envelope(bm, lo, hi, n))
+    envelope = envelope_bitmap(bm & sel[sizes[0]], bm & sel[sizes[-1]], n)
+    return _classify_layers(bm, n, sizes, envelope)
 
 
 def _classify_higgs_reference(system: SetSystem) -> HiggsClassification:
@@ -144,25 +134,20 @@ def _classify_higgs_reference(system: SetSystem) -> HiggsClassification:
     reference of the differential tests; the layer test is the kernel's."""
     lo, hi = min_max_matroids(system)
     envelope = envelope_bitmap(lo.system.family_bitmap, hi.system.family_bitmap, system.n)
-    return _classify_layers(system.family_bitmap, system.n, lo.rank, hi.rank, envelope)
+    return _classify_layers(system.family_bitmap, system.n, system.layer_sizes, envelope)
 
 
-def _classify_layers(bm: int, n: int, r_lo: int, r_hi: int, envelope: int) -> HiggsClassification:
-    """The Higgs layer test of the family bitmap bm whose extreme layers
-    have sizes r_lo and r_hi and the given envelope: every occupied layer
-    must be the envelope's layer of its size."""
+def _classify_layers(bm: int, n: int, sizes: Sequence[int], envelope: int) -> HiggsClassification:
+    """The Higgs layer test of the family bitmap bm with the given
+    envelope, over its occupied sizes in ascending order: every occupied
+    layer must be the envelope's layer of its size."""
     sel = layer_selectors(n)
-    k = r_hi - r_lo
-    occupied = []
-    for i in range(k + 1):
-        size_slice = sel[r_lo + i]
-        layer = bm & size_slice
-        if not layer:
-            continue
-        if layer != envelope & size_slice:
-            return HiggsClassification("not_higgs", failing_layer=r_lo + i)
-        occupied.append(i)
-    ks = frozenset(occupied)
+    r_lo = sizes[0]
+    for r in sizes:
+        if bm & sel[r] != envelope & sel[r]:
+            return HiggsClassification("not_higgs", failing_layer=r)
+    k = sizes[-1] - r_lo
+    ks = frozenset(r - r_lo for r in sizes)
     if len(ks) == k + 1:
         kind = "full"
     elif k % 2 == 0 and all(i % 2 == 0 for i in ks):

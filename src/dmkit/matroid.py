@@ -212,20 +212,6 @@ def envelope_bitmap(lower: int, upper: int, n: int) -> int:
     return _spanning_bitmap(lower, n) & _independent_bitmap(upper, n)
 
 
-def sandwiched_envelope(family: int, lower: int, upper: int, n: int) -> int:
-    """envelope_bitmap(lower, upper, n), after checking that it holds
-    every set of the family bitmap, as it does for a delta-matroid and
-    its extreme layers."""
-    envelope = envelope_bitmap(lower, upper, n)
-    outside = family & ~envelope
-    if outside:
-        raise NotADeltaMatroidError(
-            f"feasible mask {(outside & -outside).bit_length() - 1} is not sandwiched "
-            "between minimal and maximal bases"
-        )
-    return envelope
-
-
 def circuits_cover(q_circuits: Sequence[int], lift_circuits: Iterable[int]) -> bool:
     """True when every lift circuit mask is the union of the q circuit
     masks inside it: the circuit-form reference for is_quotient_bitmap."""
@@ -259,11 +245,10 @@ def require_min_max(system: SetSystem) -> None:
 
 
 def min_max_matroids(system: SetSystem) -> tuple[Matroid, Matroid]:
-    """The minimal and maximal matroids of a delta-matroid, with the
-    containment property of every feasible set checked on the way."""
+    """The minimal and maximal matroids of a delta-matroid: its smallest
+    and its largest feasible sets, which are the bases of matroids
+    (Bouchet 1987), so exchange is not checked again."""
     require_min_max(system)
-    lo = Matroid.from_system(SetSystem(system.labels, frozenset(system.min_sets())))
-    hi = Matroid.from_system(SetSystem(system.labels, frozenset(system.max_sets())))
-    sandwiched_envelope(system.family_bitmap, lo.system.family_bitmap, hi.system.family_bitmap,
-                        system.n)
+    lo = Matroid(SetSystem(system.labels, frozenset(system.min_sets())))
+    hi = Matroid(SetSystem(system.labels, frozenset(system.max_sets())))
     return lo, hi

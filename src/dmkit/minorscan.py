@@ -152,10 +152,18 @@ class _LaneTables(dict):
         return table
 
 
+# The largest target a scan takes.  The orbit index of the S_k twists
+# grows past it: a delta scan of a 14-element system peaks at 39 MB and
+# one of 16 at 330 MB, and at 20 the twists by 10 elements alone are
+# C(20, 10) bitmaps of 2^20 bits, about 22.6 GiB.
+SCAN_TARGET_CAP = 14
+
+
 @dataclass(frozen=True)
 class _ScanPlan:
     """A target list grouped by ground-set size: the sizes, largest first,
-    and per size the orbit index of its targets and its lane table."""
+    and per size the orbit index of its targets and its lane table.
+    Targets on more than SCAN_TARGET_CAP elements are refused."""
 
     targets: tuple[CatalogEntry, ...]
     sizes: tuple[int, ...]
@@ -167,6 +175,10 @@ class _ScanPlan:
         by_size: dict[int, list[CatalogEntry]] = {}
         for t in targets:
             by_size.setdefault(t.system.n, []).append(t)
+        if (largest := max(by_size, default=0)) > SCAN_TARGET_CAP:
+            raise CapacityError(
+                f"excluded-minor scans take targets on at most {SCAN_TARGET_CAP} elements, "
+                f"got one on {largest}: its orbit index would not fit in memory")
         orbits = {m: _orbit_index(pool) for m, pool in by_size.items()}
         return cls(targets, tuple(sorted(by_size, reverse=True)), orbits, _LaneTables(orbits))
 

@@ -123,7 +123,8 @@ def large_systems() -> dict[str, SetSystem]:
     of S_7*{e1,e2,e3} but is not isomorphic to it; and a sparse 11-element
     D(C) (matrix density 0.15, 102 feasible sets), alone and with the set
     {a, b, c} flipped, for the ``stack classify`` and ``higgs classify``
-    cases."""
+    cases; and the 15-element delta-matroid {{}, {e0, e1}}, whose
+    excluded-minor scan is refused for its 15-element targets."""
     dofc11 = _dofc(1, 11, 0.15)
     return {
         "S_6": make_named("S_6"),
@@ -134,6 +135,7 @@ def large_systems() -> dict[str, SetSystem]:
         "pair7-near": SetSystem.from_sets(tuple(LABELS[:7]), ["abc", "cdef"]),
         "dofc11": dofc11,
         "dofc11^abc": SetSystem(dofc11.labels, dofc11.masks ^ {0b111}),
+        "pair15": SetSystem.from_sets(tuple(f"e{i}" for i in range(15)), [[], ["e0", "e1"]]),
     }
 
 
@@ -262,6 +264,12 @@ def cases() -> list[dict]:
     for cls in ("delta", "even-delta-all", "matroid", "binary"):
         out.append({"system": "empty", "argv": ["check", "--class", cls, "{system}"]})
         out.append({"system": "empty", "argv": ["check", "--class", cls, "--json", "{system}"]})
+    # excluded-minor lists reaching 15 elements are refused, on one system
+    # and on a sampled census
+    out.append({"system": "pair15", "argv": ["check", "--class", "delta", "{system}"]})
+    out.append({"system": "pair15", "argv": ["check", "--class", "delta", "--json", "{system}"]})
+    out.append({"argv": ["census", "run", "--n", "15", "--theorem", "exdelta",
+                         "--mode", "sampled", "--count", "2"]})
     # only a JSON report carries a stamp
     out.append({"argv": ["census", "run", "--n", "3", "--theorem", "exdelta", "--timestamps"]})
     out.append({"argv": ["census", "count", "--n", "3", "--timestamps"]})

@@ -11,6 +11,7 @@ from dmkit.bitset import (
     family_to_bitmap,
     iter_bits,
     layer_selectors,
+    masks_without_bit,
     minimal_members,
     orbit,
     permute_mask,
@@ -41,6 +42,23 @@ def test_layer_selectors():
                 m for m in range(1 << n) if m.bit_count() == k
             ]
         assert sum(sel) == (1 << (1 << n)) - 1
+
+
+def test_doubled_selectors_against_enumeration():
+    # masks_without_bit and layer_selectors are built by doubling the
+    # ground set one element at a time; the reference ORs in one mask at
+    # a time
+    for n in range(13):
+        layers = [0] * (n + 1)
+        for m in range(1 << n):
+            layers[m.bit_count()] |= 1 << m
+        assert layer_selectors(n) == tuple(layers), n
+        for i in range(n):
+            avoid = 0
+            for m in range(1 << n):
+                if not m >> i & 1:
+                    avoid |= 1 << m
+            assert masks_without_bit(n, i) == avoid, (n, i)
 
 
 def test_closures_against_enumeration():

@@ -405,6 +405,39 @@ def test_a_cap_far_above_the_system_answers_at_once(tmp_path):
         assert json.loads(proc.stdout) == {"class": "delta", "member": True}
 
 
+def test_scans_past_fourteen_elements_exit_2(tmp_path, capsys):
+    # a 15-element excluded-minor list is refused, not scanned out of memory
+    from dmkit import minorscan
+
+    verdicts = {}
+    for n in (14, 15):
+        path = tmp_path / f"pair{n}.json"
+        path.write_text(json.dumps({"elements": [f"e{i}" for i in range(n)],
+                                    "feasible": [[], ["e0", "e1"]]}))
+        verdicts[n] = main(["check", "--class", "delta", str(path)]), capsys.readouterr()
+    minorscan._scan_plans.clear()
+    assert verdicts[14][0] == 0 and verdicts[14][1].err == ""
+    code, captured = verdicts[15]
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("dmkit: excluded-minor scans take targets on at most 14")
+
+
+def test_running_out_of_memory_is_no_verdict(monkeypatch, tmp_path, capsys):
+    # exit 1 means "not a member": a MemoryError must exit 2 with a
+    # dmkit: line, not end in a traceback
+    import dmkit.cli
+
+    def exhausted(region):
+        raise MemoryError
+
+    monkeypatch.setattr(dmkit.cli, "lpdm", exhausted)
+    region = tmp_path / "region.json"
+    region.write_text('{"d": 1, "c": 0, "u": 1, "v": 1, "P": "EN", "Q": "EE"}')
+    assert main(["lattice", "build", str(region)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "dmkit: out of memory\n"
+
+
 # The options a command used to accept and then ignore: -o where the
 # output is not written through _write_or_print or _emit_system, --format
 # where no set system is written, --json where no verdict or report is

@@ -32,6 +32,8 @@ one set flipped, and sampled n = 6 runs of 300 families: `census run`
 for exdelta and exhiggs, and `census count`.  The empty family is
 refused by `check` for the delta, even-delta-all, matroid and binary
 classes, and --timestamps without --json by `census run` and `count`.
+`check --class delta` on a 15-element system and a sampled n = 15
+`census run` are refused: their excluded-minor lists reach 15 elements.
 `higgs build` builds U(2,4) over itself with K = {0} and refuses two
 index sets with an entry that is not an integer.
 """

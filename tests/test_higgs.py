@@ -13,11 +13,12 @@ from dmkit.census import family_system, random_quotient_pair
 from dmkit.errors import (
     InvalidIndexSetError,
     NotADeltaMatroidError,
-    NotAMatroidError,
     NotAQuotientError,
 )
 from dmkit.higgs import (
+    HiggsClassification,
     _classify_higgs_reference,
+    _classify_layers,
     build_higgs_dm,
     classify_higgs,
     classify_higgs_bitmap,
@@ -244,7 +245,7 @@ class TestBitmapKernel:
         assert seen == 6132
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(5, 6), st.integers(0, 2**32 - 1))
+    @given(st.integers(5, 7), st.integers(0, 2**32 - 1))
     def test_seeded_higgs_and_dofc_with_twists(self, n, seed):
         rng = random.Random(seed)
         for make in (higgs_index, dofc_index):
@@ -253,6 +254,19 @@ class TestBitmapKernel:
                 s = family_system(n, bm)
                 assert s.is_delta_matroid()
                 assert classify_higgs_bitmap(bm, n) == _classify_higgs_reference(s), (n, bm)
+
+    def test_layer_test_reads_every_occupied_layer(self):
+        # a delta-matroid's extreme layers always match its envelope, so
+        # only an envelope cut on one layer shows that the layer test
+        # compares every occupied size, the first and the last too
+        s = system_of("abc", "", "a", "b", "c", "ab", "ac", "bc", "abc")
+        bm, sizes = s.family_bitmap, s.layer_sizes
+        assert _classify_layers(bm, 3, sizes, bm) == HiggsClassification(
+            "full", index_set=frozenset(range(4)), k=3)
+        for r in sizes:
+            cut = bm & ~(1 << ((1 << r) - 1))
+            assert _classify_layers(bm, 3, sizes, cut) == HiggsClassification(
+                "not_higgs", failing_layer=r)
 
     def test_non_delta_matroids_refused_as_before(self):
         for n in range(1, 4):
@@ -265,23 +279,6 @@ class TestBitmapKernel:
                 with pytest.raises(NotADeltaMatroidError) as want:
                     _classify_higgs_reference(s)
                 assert str(got.value) == str(want.value) == "min/max matroids need the exchange axiom"
-
-    def test_extreme_layer_not_a_matroid(self):
-        # off delta-matroids: the top layer {ab, cd} fails basis exchange,
-        # reported with the witness Matroid.from_system gives
-        top = system_of("abcd", "ab", "cd")
-        with pytest.raises(NotAMatroidError) as want:
-            Matroid.from_system(top)
-        for bm in (top.family_bitmap, top.family_bitmap | 1):
-            with pytest.raises(NotAMatroidError) as got:
-                classify_higgs_bitmap(bm, 4)
-            assert str(got.value) == str(want.value)
-
-    def test_feasible_set_outside_the_sandwich(self):
-        # off delta-matroids: {b} is not independent in the top layer {ac}
-        s = system_of("abc", "", "b", "ac")
-        with pytest.raises(NotADeltaMatroidError, match="feasible mask 2 is not sandwiched"):
-            classify_higgs_bitmap(s.family_bitmap, 3)
 
 
 def min_size(system: SetSystem) -> int:

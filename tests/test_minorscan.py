@@ -168,6 +168,28 @@ class TestClassifiers:
         assert not ok and witness.target_name == "S_5"
         assert classify_by_exminors(s5, ExminorClassId.DELTA_MATROID, cap=7)[1] == witness
 
+    def test_targets_on_more_than_fourteen_elements_refused(self):
+        # the orbit index of the S_k twists grows as C(k, k/2) bitmaps of
+        # 2^k bits: a list reaching 15 elements is refused on every scan
+        # route, and one reaching 14 is scanned
+        def pair(n):
+            return SetSystem.from_sets(tuple(f"e{i}" for i in range(n)), [[], ["e0", "e1"]])
+
+        assert minorscan.SCAN_TARGET_CAP == 14
+        try:
+            assert classify_by_exminors(pair(14), ExminorClassId.DELTA_MATROID) == (True, None)
+            s15 = pair(15)
+            targets = excluded_minor_set(ExminorClassId.DELTA_MATROID, 15)
+            spec = minorscan.CLASS_TABLE[ExminorClassId.DELTA_MATROID]
+            for scan in (lambda: classify_by_exminors(s15, ExminorClassId.DELTA_MATROID),
+                         lambda: has_minor_from(s15, targets),
+                         lambda: spec.exminor(s15),
+                         lambda: spec.exminor_index([s15.family_bitmap], 15)):
+                with pytest.raises(CapacityError, match="at most 14 elements, got one on 15"):
+                    scan()
+        finally:
+            minorscan._scan_plans.clear()
+
     def test_a_cap_above_the_ground_set_scans_the_same_list(self):
         # minors never gain elements, so classify_by_exminors scans the
         # list at the ground-set size: every longer list, cut to that size,

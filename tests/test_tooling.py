@@ -340,6 +340,38 @@ def test_census_stack_columns_leave_the_memo_alone():
     assert "is_quotient_chain" in _reached(["stack_flags"])
 
 
+def test_higgs_forms_run_inside_delta_ambients():
+    # classify_higgs_bitmap reads a delta-matroid's extreme layers as its
+    # min/max matroids unchecked, so every Higgs index form is decided on
+    # delta-matroids only: inside a DELTA or EVEN_DELTA ambient, and in
+    # the count columns behind the DELTA gate
+    from dmkit import census, minorscan as ms
+
+    higgs = {ms.HIGGS[0], ms.FULL_HIGGS[0], ms.EVEN_HIGGS[0]}
+    gated = [spec for spec in ms.CLASS_TABLE.values() if spec.direct_index in higgs]
+    assert len(gated) == 3
+    for spec in gated:
+        assert spec.ambient_index in (ms.DELTA[0], ms.EVEN_DELTA[0]), spec.class_id
+    specs = (*ms.CLASS_TABLE.values(), *census.REGISTRY.values())
+    assert not {spec.ambient_index for spec in specs} & higgs
+    (_, gate, _), *rest = census._COUNT_COLUMNS
+    assert gate is ms.DELTA[0]
+    assert higgs & {form for _, form, _ in rest}
+
+
+def test_higgs_kernel_proves_no_sandwich():
+    # the kernel rests on Bouchet's theorem: it takes no matroid-table
+    # lookup, no exchange check and nothing from stacks
+    assert not _mentioned(["classify_higgs_bitmap"]) & {
+        "matroid_layers", "from_system", "exchange_holds"}
+    tree = ast.parse((ROOT / "src" / "dmkit" / "higgs.py").read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert "matroid" in imported
+    assert not {name for name in imported if name and name.split(".")[-1] == "stacks"}
+
+
 def test_transpose_mask_cache_covers_every_batch_length():
     # a batch of k families packs into ceil(k / 32) blocks of 32 x 32 bits,
     # and bit_planes looks the masks of each block count up in a bounded
