@@ -241,15 +241,16 @@ def lpdm(region: Region) -> LpdmResult:
     """The lattice path delta-matroid of a region with its two matroids.
 
     Raises InvalidRegionError with the failure tag of verify_region_prop,
-    which checks the quotient and full-Higgs claims on the way.
+    which checks the quotient and full-Higgs claims.  The extreme layers,
+    lattice path matroids (Bonin, de Mier, Noy 2003), are built unchecked.
     """
     if failure := verify_region_prop(region):
         raise InvalidRegionError(failure)
     labels = region.labels()
     d_bm = _all_paths_bitmap(region)
     lo_bm, hi_bm = _matroid_bitmaps(region, d_bm)
-    lo = Matroid.from_system(SetSystem.from_bitmap(labels, lo_bm))
-    hi = Matroid.from_system(SetSystem.from_bitmap(labels, hi_bm))
+    lo = Matroid(SetSystem.from_bitmap(labels, lo_bm))
+    hi = Matroid(SetSystem.from_bitmap(labels, hi_bm))
     return LpdmResult(SetSystem.from_bitmap(labels, d_bm), lo, hi)
 
 

@@ -157,8 +157,8 @@ def _cyclic_bitmap(bases: int, n: int) -> int:
 
 
 def uniform_matroid(r: int, n: int | None = None, labels: Iterable[str] | None = None) -> Matroid:
-    """U_{r,n} on the given labels (defaults to a, b, c, ..., at most
-    twelve of them); n, when given, must be the number of labels."""
+    """U_{r,n} on the given labels (default a, b, c, ..., at most twelve);
+    n, if given, must be their number.  Unchecked: any two r-sets exchange."""
     if labels is None:
         if n is not None and n > 12:
             raise CapacityError(f"default labels cover n <= 12, got n = {n}; pass labels")
@@ -167,7 +167,7 @@ def uniform_matroid(r: int, n: int | None = None, labels: Iterable[str] | None =
     if n is not None and len(labels) != n:
         raise GroundSetMismatchError(f"n = {n} but {len(labels)} labels given")
     masks = frozenset(m for m in range(1 << len(labels)) if m.bit_count() == r)
-    return Matroid.from_system(SetSystem(labels, masks))
+    return Matroid(SetSystem(labels, masks))
 
 
 def is_quotient(q: Matroid, lift: Matroid) -> bool:

@@ -34,7 +34,7 @@ from dmkit.census import (
     verify_equivalence,
 )
 from dmkit.errors import CapacityError, DmkitError
-from dmkit.matroid import is_matroid, is_quotient
+from dmkit.matroid import circuits_cover, is_matroid, is_quotient
 from dmkit.minorscan import CLASS_TABLE, every_index
 
 
@@ -582,6 +582,17 @@ class TestRandomQuotientPair:
             q, lift = random_quotient_pair(6, seed % 4, seed % 4 + seed % 3, seed)
             assert is_quotient(q, lift)
             assert q.rank + (seed % 3) == lift.rank
+        # Q = L/W with W as loops is a quotient by construction, unchecked
+        # at run time: every shape on 2..8 elements, by both quotient forms
+        for n in range(2, 9):
+            for r_l in range(n + 1):
+                for r_q in range(r_l + 1):
+                    for seed in range(4):
+                        q, lift = random_quotient_pair(n, r_q, r_l, seed)
+                        assert (q.rank, lift.rank) == (r_q, r_l)
+                        assert is_matroid(q.system) and is_matroid(lift.system)
+                        assert circuits_cover(q.circuit_masks(), lift.circuit_masks())
+                        assert is_quotient(q, lift), (n, r_q, r_l, seed)
 
 
 class TestRegistryCoverage:

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmkit.bitset import down_closure, family_to_bitmap, iter_bits, minimal_members, up_closure
+from dmkit.bitset import (down_closure, family_to_bitmap, iter_bits, layer_selectors, minimal_members,
+                          up_closure)
 from dmkit.errors import FormatError, InvalidRegionError, UnknownElementError
 from dmkit.higgs import full_higgs_dm
 from dmkit.latticepath import (
@@ -39,7 +40,7 @@ from dmkit.matroid import (
     circuits_cover,
     is_matroid,
 )
-from dmkit.setsystem import SetSystem
+from dmkit.setsystem import SetSystem, exchange_holds
 
 TINY = Region(1, 0, 1, 1, "EN", "EE")
 FIG1 = Region(0, 0, 5, 4, "EENEENENN", "NNEENEENE")
@@ -181,6 +182,35 @@ class TestLpdm:
             lo, hi = (family_to_bitmap(ends[key]) for key in ((region.d, 0), (0, region.c)))
             assert _matroid_bitmaps(region, _all_paths_bitmap(region)) == (lo, hi), region
 
+    def test_extreme_layers_are_matroids_up_to_seven(self):
+        # lpdm builds its matroids unchecked, since each extreme layer is a
+        # lattice path matroid (Bonin, de Mier, Noy 2003); every region with
+        # u + v <= 7 checks that here, each distinct layer once
+        layers = set()
+        for region in iter_regions(7):
+            for bm in _matroid_bitmaps(region, _all_paths_bitmap(region)):
+                layers.add((bm, region.n))
+        assert len(layers) == 2055
+        assert all(exchange_holds(bm, n) for bm, n in layers)
+
+    def test_matroids_are_the_lowest_and_highest_layers(self):
+        # min_matroid has the smallest feasible sets, max_matroid the largest
+        for region in itertools.islice(iter_regions(7), 0, None, 29):
+            res = lpdm(region)
+            bm, selectors = res.system.family_bitmap, layer_selectors(region.n)
+            sizes = res.system.layer_sizes
+            assert res.min_matroid.system.family_bitmap == bm & selectors[sizes[0]], region
+            assert res.max_matroid.system.family_bitmap == bm & selectors[sizes[-1]], region
+            assert res.min_matroid.labels == res.max_matroid.labels == res.system.labels
+
+    def test_fourteen_label_box(self):
+        # the 7 x 7 box holds every 7-subset of 14 labels, so both matroids
+        # are U_{7,14}; built unchecked, it takes milliseconds
+        res = lpdm(Region(0, 0, 7, 7, "E" * 7 + "N" * 7, "N" * 7 + "E" * 7))
+        u714 = layer_selectors(14)[7]
+        assert res.system.family_bitmap == u714
+        assert res.min_matroid.system.family_bitmap == res.max_matroid.system.family_bitmap == u714
+
 
 class TestRegionDual:
     def test_tiny_offsets_swap(self):
@@ -321,8 +351,8 @@ class TestSerialization:
 
 class TestPropositionSamples:
     def test_prop_samples_and_fast_path_agree(self):
-        # the bitmap claims hold, and lpdm builds both matroids through
-        # the validated Matroid.from_system
+        # the bitmap claims hold and lpdm builds; it checks no exchange on
+        # its matroids (test_extreme_layers_are_matroids_up_to_seven does)
         for region in itertools.islice(iter_regions(5), 0, 4000, 31):
             assert verify_region_prop(region) is None
             lpdm(region)  # raises if either claim fails

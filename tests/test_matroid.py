@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from dmkit.bitset import iter_bits, layer_selectors
@@ -138,6 +140,14 @@ class TestIsMatroid:
             uniform_matroid(2, 3, labels="xyzw")
         assert uniform_matroid(2, 13, labels=[f"e{i}" for i in range(13)]).n == 13
         assert uniform_matroid(1, labels="xy").labels == ("x", "y")
+
+    def test_uniform_bases_are_every_r_set(self):
+        # uniform_matroid builds unchecked: any two r-sets exchange
+        for n in range(10):
+            for r in range(n + 1):
+                m = uniform_matroid(r, n)
+                assert m.bases == {sum(1 << e for e in c) for c in combinations(range(n), r)}
+                assert exchange_holds(m.system.family_bitmap, n), (r, n)
 
 
 class TestRank:

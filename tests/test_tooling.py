@@ -224,10 +224,10 @@ def test_every_definition_is_named_elsewhere():
     assert not unnamed
 
 
-def _refusal_text(node: ast.Raise) -> str | None:
+def _refusal_text(node: ast.AST) -> str | None:
     """The text of a raised exception's string or f-string first argument,
-    with every placeholder written {}; None for any other raise."""
-    call = node.exc
+    with every placeholder written {}; None for any other node."""
+    call = node.exc if isinstance(node, ast.Raise) else None
     if not isinstance(call, ast.Call) or not call.args:
         return None
     text = call.args[0]
@@ -239,15 +239,24 @@ def _refusal_text(node: ast.Raise) -> str | None:
     return None
 
 
-def _raising_functions(tree: ast.Module, module: str) -> Iterator[tuple[str, str]]:
-    """(refusal text, qualified name of the innermost function raising it)."""
+def _called_name(node: ast.AST) -> str | None:
+    """The name of the function or method a call node calls; None for any
+    other node."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+    return None
+
+
+def _scoped(tree: ast.Module, module: str, pick) -> Iterator[tuple[str, str]]:
+    """(pick(node), qualified name of the innermost function or class
+    around the node) for each node that pick does not map to None."""
     def visit(node: ast.AST, scope: str) -> Iterator[tuple[str, str]]:
         for child in ast.iter_child_nodes(node):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
-            elif isinstance(child, ast.Raise) and (text := _refusal_text(child)) is not None:
-                yield text, scope
+            elif (value := pick(child)) is not None:
+                yield value, scope
             yield from visit(child, inner)
 
     yield from visit(tree, module)
@@ -258,8 +267,8 @@ def test_each_refusal_text_is_raised_from_one_function():
     # every route to that refusal calls
     sources: dict[str, set[str]] = {}
     for path in sorted((ROOT / "src" / "dmkit").glob("*.py")):
-        for text, function in _raising_functions(ast.parse(path.read_text(), str(path)),
-                                                 path.stem):
+        for text, function in _scoped(ast.parse(path.read_text(), str(path)), path.stem,
+                                      _refusal_text):
             sources.setdefault(text, set()).add(function)
     assert len(sources) > 60
     assert sources["bad JSON: {}"] == {"setsystem.decode_json"}
@@ -370,6 +379,20 @@ def test_higgs_kernel_proves_no_sandwich():
                  for alias in node.names}
     assert "matroid" in imported
     assert not {name for name in imported if name and name.split(".")[-1] == "stacks"}
+
+
+def test_built_matroids_are_not_checked_again():
+    # lattice path and uniform matroids are matroids by theorem, and the
+    # random pair's Q = L/W is a quotient of L by construction; exchange is
+    # decided only for the matroid files the CLI reads
+    callers = [scope for path in sorted((ROOT / "src" / "dmkit").glob("*.py"))
+               for name, scope in _scoped(ast.parse(path.read_text(), str(path)), path.stem,
+                                          _called_name) if name == "from_system"]
+    assert callers == ["cli._read_matroid"]
+    assert not _mentioned(["lpdm", "uniform_matroid"]) & {
+        "from_system", "exchange_holds", "is_delta_matroid", "exchange_violation",
+        "_se_holds_bitmap", "_se_holds_square"}
+    assert "is_quotient" not in _mentioned(["random_quotient_pair"])
 
 
 def test_transpose_mask_cache_covers_every_batch_length():
